@@ -120,7 +120,7 @@ class RateController:
         node: NodeId,
         provider: Optional[WeightProvider] = None,
         config: Optional[ControllerConfig] = None,
-        allocation_cache: Optional[Dict] = None,
+        allocation_cache: Optional[BoundedLru] = None,
         telemetry=None,
     ) -> None:
         self._topology = topology
@@ -150,7 +150,7 @@ class RateController:
             self._trace = None
         # Optional cross-controller memo: rack nodes with identical tables
         # compute identical allocations, so simulations running one
-        # controller per node share this dict (keyed by table contents) and
+        # controller per node share this LRU (keyed by table contents) and
         # pay for each distinct water-fill once.
         self._allocation_cache = allocation_cache
         self._table = FlowTable()
@@ -365,10 +365,6 @@ class RateController:
                 headroom=0.0,
                 capacities=self._effective_capacities(),
             )
-            if not isinstance(self._allocation_cache, BoundedLru):
-                # Legacy plain-dict caches: bound by FIFO eviction.
-                if len(self._allocation_cache) >= 4096:
-                    self._allocation_cache.pop(next(iter(self._allocation_cache)))
             self._allocation_cache[key] = allocation
         return allocation
 

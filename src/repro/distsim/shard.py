@@ -28,6 +28,7 @@ from ..sim.engine import EventLoop
 from ..sim.flows import SimFlow
 from ..sim.metrics import SimMetrics
 from ..sim.network import link_prio
+from ..sim.probe import build_probe
 from ..sim.runner import SimConfig, _build_r2c2, _build_tcp
 from ..topology.base import Topology
 from ..workloads.generator import FlowArrival
@@ -96,17 +97,6 @@ class ShardSim:
                 )
             )
 
-        # Causal critical-path tracing (repro.obs): each shard owns a
-        # session; sender-side waits accumulate in the source node's shard
-        # and travel on the packet as injection-time snapshots, completion
-        # records freeze in the destination node's shard, and the
-        # coordinator unions the (disjoint) completion maps.
-        self.obs = None
-        if config.obs:
-            from ..obs import ObsSession
-
-            self.obs = ObsSession()
-
         # Per-round synchronization accounting (the distsim sync profiler):
         # wall-clock blocked/executing split plus boundary-message traffic.
         # Wall-clock quantities stay on the DistSimResult — never in the
@@ -120,20 +110,18 @@ class ShardSim:
         }
         self._last_round_exit: Optional[float] = None
 
-        self.auditor = None
-        if config.audit:
-            # Same wiring as the serial runner: the auditor observes this
-            # shard's event loop, network slice and stacks.  The transit
-            # (propagated == arrived) check is deferred to the coordinator,
-            # which sums the per-shard counters (a cut port's packets arrive
-            # in *another* shard's auditor); likewise the final per-flow
-            # audit runs once over the merged flow states.
-            from ..validation import InvariantAuditor
-
-            self.auditor = InvariantAuditor(
-                strict=config.audit_strict, telemetry=self.telemetry
-            )
-            self.auditor.attach_loop(self.loop)
+        # The same single wiring point as the serial runner: the probe's
+        # subscribers observe this shard's event loop, network slice and
+        # stacks.  The auditor's transit (propagated == arrived) check is
+        # deferred to the coordinator, which sums the per-shard counters (a
+        # cut port's packets arrive in *another* shard's auditor), and its
+        # final per-flow audit runs once over the merged flow states.  Each
+        # shard owns a causal-tracing session: sender-side waits accumulate
+        # in the source node's shard and travel on the packet as
+        # injection-time snapshots, completion records freeze in the
+        # destination node's shard, and the coordinator unions the
+        # (disjoint) completion maps.
+        self.probe = build_probe(config, self.telemetry, self.loop)
 
         owned_sorted = sorted(self.owned)
         if config.stack == "r2c2":
@@ -144,7 +132,7 @@ class ShardSim:
                 self.metrics,
                 config,
                 provider=None,
-                auditor=self.auditor,
+                probe=self.probe,
                 telemetry=self.telemetry,
                 owned_nodes=owned_sorted,
                 boundary=self._boundary,
@@ -152,7 +140,6 @@ class ShardSim:
                 # its (build-time) instruments so the merged registry counts
                 # them once, like a serial run.
                 fib_telemetry=(shard_id == 0),
-                obs=self.obs,
             )
         elif config.stack == "tcp":
             self.network = _build_tcp(
@@ -161,22 +148,15 @@ class ShardSim:
                 self.flows,
                 self.metrics,
                 config,
-                auditor=self.auditor,
+                probe=self.probe,
                 owned_nodes=owned_sorted,
                 boundary=self._boundary,
-                obs=self.obs,
             )
             self.control = None
         else:
             raise SimulationError(
                 f"stack {config.stack!r} does not support sharded execution"
             )
-        if self.auditor is not None:
-            for stack in self.network.stack_at:
-                if stack is not None:
-                    stack.auditor = self.auditor
-            if self.control is not None:
-                self.control.auditor = self.auditor
 
         self.probes = None
         if self.telemetry is not None and self.telemetry.metrics:
@@ -287,12 +267,14 @@ class ShardSim:
         if self.control is not None:
             recompute = self.control.recompute_stats_by_node()
         drained = self.loop.pending() == 0
-        audit = None
-        if self.auditor is not None:
+        auditor = obs = audit = None
+        if self.probe is not None:
+            auditor, obs = self.probe.auditor, self.probe.obs
+        if auditor is not None:
             # Per-shard end-of-run checks; the transit and final per-flow
             # checks belong to the coordinator (merge_audit_reports).
-            self.auditor.check_conservation(drained=drained, check_transit=False)
-            audit = self.auditor.report()
+            auditor.check_conservation(drained=drained, check_transit=False)
+            audit = auditor.report()
         reservoir = self.metrics.packet_latency
         return {
             "shard_id": self.shard_id,
@@ -333,7 +315,7 @@ class ShardSim:
             "trace_truncated": (
                 self.telemetry is not None and self.telemetry.trace.truncated
             ),
-            "flow_obs": self.obs.results() if self.obs is not None else None,
+            "flow_obs": obs.results() if obs is not None else None,
             "sync": dict(self._sync),
         }
 

@@ -16,17 +16,17 @@ Three pillars (see DESIGN.md §6f):
   / audit failure and attached to fuzz corpus entries.
 
 All three honor the telemetry layer's disabled-overhead discipline: off by
-default, ``is not None`` guards on every hot path.
+default, and the simulator's hot paths reach them only through its single
+probe (:mod:`repro.sim.probe`), one ``is not None`` guard per site.
 """
 
 from .causal import COMPONENT_NAMES, ObsSession, PacketObs, check_decomposition
-from .flight import FLIGHT_SCHEMA, FlightBatchObserver, FlightRecorder
+from .flight import FLIGHT_SCHEMA, FlightRecorder
 from .report import explain_flow_lines, explain_report
 
 __all__ = [
     "COMPONENT_NAMES",
     "FLIGHT_SCHEMA",
-    "FlightBatchObserver",
     "FlightRecorder",
     "ObsSession",
     "PacketObs",

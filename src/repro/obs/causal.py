@@ -34,10 +34,10 @@ cumulative waits travel *on* the packet as injection-time snapshots, and
 completion-side assembly happens wherever the destination node lives.
 
 Overhead discipline: nothing here touches a default-path simulation.  The
-session is only constructed when ``SimConfig(obs=True)``; every hot-path
-hook in the network and stacks is an ``is not None`` attribute test
-(``packet.obs``, ``stack._obs``), the same pattern the invariant auditor
-and null-sink telemetry use to meet the ≤2% disabled-overhead gate.
+session is only constructed when ``SimConfig(obs=True)``, and the network
+and stacks reach it only through their probe (:mod:`repro.sim.probe`), which
+is ``None`` on a default run — one falsy test per site, inside the ≤2%
+disabled-overhead gate.
 """
 
 from __future__ import annotations
@@ -100,6 +100,22 @@ class PacketObs:
         self.last_finish_ns: Optional[int] = None
         #: per-hop queueing record: (src, dst, queue_wait_ns).
         self.hops: List[Tuple[int, int, int]] = []
+
+    # Causal transitions along the network path, stamped by the probe's
+    # port/network sites (repro.sim.probe).
+    def tx_started(self, now_ns: int, duration_ns: int, src: int, dst: int) -> None:
+        """Port src -> dst dequeued the packet and began serializing it."""
+        wait = now_ns - self.enq_ns
+        self.queue_ns += wait
+        self.ser_ns += duration_ns
+        self.hops.append((src, dst, wait))
+
+    def arrived(self, now_ns: int) -> None:
+        """Receiver-side propagation accounting: exact for cut ports too,
+        whose local latency is zero (the true latency is baked into the
+        boundary arrival time)."""
+        if self.last_finish_ns is not None:
+            self.prop_ns += now_ns - self.last_finish_ns
 
 
 class _SenderObs:

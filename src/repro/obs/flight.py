@@ -12,9 +12,10 @@ runs of the same seeds produce byte-identical dumps, which keeps corpus
 entries content-stable and diffs reviewable.
 
 Overhead discipline: recording is opt-in (``SimConfig(flight=True)``) and
-every producer guards with an ``is not None`` attribute test, so the
-disabled path adds nothing beyond the guards already covered by the
-telemetry overhead gate.
+the simulator reaches the recorder only through its probe
+(:mod:`repro.sim.probe`), so the disabled path adds nothing beyond the
+per-site ``is not None`` guards already covered by the telemetry overhead
+gate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional
 
-__all__ = ["FlightRecorder", "FlightBatchObserver", "FLIGHT_SCHEMA"]
+__all__ = ["FlightRecorder", "FLIGHT_SCHEMA"]
 
 #: Dump document schema version (bump on layout changes).
 FLIGHT_SCHEMA = 1
@@ -73,21 +74,3 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())
-
-
-class FlightBatchObserver:
-    """Event-loop batch observer feeding the ``engine`` ring.
-
-    Attached via :meth:`repro.sim.engine.EventLoop.attach_batch_observer`
-    (which tees with any telemetry span hook already installed).
-    """
-
-    __slots__ = ("_flight",)
-
-    def __init__(self, flight: FlightRecorder) -> None:
-        self._flight = flight
-
-    def on_batch(self, start_ns: int, end_ns: int, processed: int) -> None:
-        self._flight.record(
-            "engine", "batch", end_ns, start_ns=start_ns, events=processed
-        )

@@ -11,11 +11,12 @@ sharded execution (:mod:`repro.distsim`) byte-identical to a serial run:
 the relative order of two same-instant deliveries at different nodes is a
 property of the links involved, not of which event loop scheduled first.
 
-An optional *observer* (see :mod:`repro.validation`) receives every
-``(timestamp, priority, sequence)`` triple as it executes, which lets the
-invariant auditor machine-check clock monotonicity and tie-break causality.
-With no observer attached the cost is a single ``is not None`` test per
-event.
+An optional *probe* (:mod:`repro.sim.probe`) is told about every batch
+of events a ``run`` call processed and — when a subscriber such as the
+invariant auditor asks for it (``probe.engine_event`` is set) — about
+every ``(timestamp, priority, sequence)`` triple as it executes, which is
+how clock monotonicity and tie-break causality are machine-checked.  With
+no probe attached the cost is a single ``is not None`` test per batch.
 """
 
 from __future__ import annotations
@@ -52,20 +53,6 @@ def _as_time_ns(value, what: str) -> int:
         ) from None
 
 
-class _BatchTee:
-    """Fan a batch-observer callback out to two observers (chainable)."""
-
-    __slots__ = ("_first", "_second")
-
-    def __init__(self, first, second) -> None:
-        self._first = first
-        self._second = second
-
-    def on_batch(self, start_ns: int, end_ns: int, processed: int) -> None:
-        self._first.on_batch(start_ns, end_ns, processed)
-        self._second.on_batch(start_ns, end_ns, processed)
-
-
 class EventLoop:
     """The simulation clock and event queue."""
 
@@ -74,8 +61,7 @@ class EventLoop:
         self._seq = 0
         self._queue: List[Tuple[int, int, int, Callable[[], None]]] = []
         self._events_processed = 0
-        self._observer = None
-        self._batch_observer = None
+        self._probe = None
 
     @property
     def now(self) -> int:
@@ -87,30 +73,17 @@ class EventLoop:
         """Total events executed so far (performance accounting)."""
         return self._events_processed
 
-    def attach_observer(self, observer) -> None:
-        """Install an event observer (``observer.on_event(at_ns, prio, seq)``).
-
-        Used by the invariant auditor; pass ``None`` to detach.
-        """
-        self._observer = observer
-
-    def attach_batch_observer(self, observer) -> None:
-        """Install a batch observer (telemetry span hook); ``None`` detaches.
+    def attach_probe(self, probe) -> None:
+        """Install the run's observation probe (``None`` detaches).
 
         After every :meth:`run` / :meth:`run_batch` call that processed at
-        least one event, ``observer.on_batch(start_ns, end_ns, processed)``
-        receives the clock interval the batch covered and its event count.
-        Unlike the per-event observer this costs one test per *batch*, so
-        it never forces the slow path.
-
-        Attaching while an observer is already installed *tees*: both
-        observers see every batch (the telemetry span hook and the flight
-        recorder can coexist).  ``None`` detaches all of them.
+        least one event, ``probe.engine_batch(start_ns, end_ns, processed)``
+        receives the clock interval the batch covered and its event count —
+        one test per *batch*, so it never forces the slow path.  A probe
+        whose ``engine_event`` is not None also gets ``engine_event(at_ns,
+        prio, seq)`` before each event executes.
         """
-        if observer is None or self._batch_observer is None:
-            self._batch_observer = observer
-        else:
-            self._batch_observer = _BatchTee(self._batch_observer, observer)
+        self._probe = probe
 
     def schedule(
         self, delay_ns: int, action: Callable[[], None], prio: int = 0
@@ -154,7 +127,8 @@ class EventLoop:
                 raise SimulationError(
                     f"cannot run until {until_ns} ns, current time is {self._now} ns"
                 )
-        observer = self._observer
+        probe = self._probe
+        on_event = probe.engine_event if probe is not None else None
         batch_start = self._now
         processed = 0
         while self._queue:
@@ -166,16 +140,16 @@ class EventLoop:
                 break
             heapq.heappop(self._queue)
             self._now = at_ns
-            if observer is not None:
-                observer.on_event(at_ns, prio, seq)
+            if on_event is not None:
+                on_event(at_ns, prio, seq)
             action()
             processed += 1
         else:
             if until_ns is not None and self._now < until_ns:
                 self._now = until_ns
         self._events_processed += processed
-        if self._batch_observer is not None and processed:
-            self._batch_observer.on_batch(batch_start, self._now, processed)
+        if probe is not None and processed:
+            probe.engine_batch(batch_start, self._now, processed)
         return processed
 
     def run_batch(
@@ -183,14 +157,16 @@ class EventLoop:
     ) -> int:
         """Drain the queue on a fast path with hoisted per-event checks.
 
-        Semantically identical to :meth:`run`; the observer hook and the
-        ``max_events`` bound are tested once up front instead of per event
+        Semantically identical to :meth:`run`; the per-event probe hook and
+        the ``max_events`` bound are tested once up front instead of per event
         (falling back to :meth:`run` when either is in play), and the heap
         is bound to a local inside the loop.  This is the inner loop of the
         packet simulator, where the per-event constant factor is the whole
         game.
         """
-        if self._observer is not None or max_events is not None:
+        probe = self._probe
+        per_event = probe is not None and probe.engine_event is not None
+        if per_event or max_events is not None:
             return self.run(until_ns=until_ns, max_events=max_events)
         if until_ns is not None:
             until_ns = _as_time_ns(until_ns, "until_ns")
@@ -220,8 +196,8 @@ class EventLoop:
             if self._now < until_ns:
                 self._now = until_ns
         self._events_processed += processed
-        if self._batch_observer is not None and processed:
-            self._batch_observer.on_batch(batch_start, self._now, processed)
+        if probe is not None and processed:
+            probe.engine_batch(batch_start, self._now, processed)
         return processed
 
     def schedule_batch(self, delay_ns: int, actions) -> None:

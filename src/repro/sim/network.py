@@ -158,9 +158,8 @@ class OutputPort:
         on_drop: Optional[Callable[[SimPacket], None]] = None,
         loss_rate: float = 0.0,
         loss_rng: Optional[random.Random] = None,
-        auditor=None,
         prio: int = 0,
-        flight=None,
+        probe=None,
     ) -> None:
         self._loop = loop
         self.src = src
@@ -176,11 +175,9 @@ class OutputPort:
         self.queue = queue
         self._deliver = deliver
         self._on_drop = on_drop
-        #: optional invariant auditor (repro.validation); None disables all
-        #: audit hooks at the cost of one attribute test per packet event.
-        self._auditor = auditor
-        #: optional flight recorder (repro.obs); same None discipline.
-        self._flight = flight
+        #: the run's observation surface (repro.sim.probe); None — every
+        #: default run — costs one attribute test per packet event.
+        self._probe = probe
         #: probability a transmitted data/ACK packet is corrupted on the
         #: wire (fault injection for reliability tests); broadcasts are
         #: exempt so the control plane stays testable independently.
@@ -195,25 +192,27 @@ class OutputPort:
         self.wire_losses = 0
         self.busy_ns = 0
 
-    def send(self, packet: SimPacket) -> bool:
-        """Queue a packet for transmission; returns False on drop."""
+    def _accept(self, packet: SimPacket) -> bool:
+        """Enqueue *packet*, or count and report the drop."""
+        probe = self._probe
         if not self.queue.enqueue(packet):
             self.drops += 1
-            if self._auditor is not None:
-                self._auditor.on_port_send(self, packet, accepted=False)
-            if self._flight is not None:
-                self._record_drop(packet)
+            if probe is not None:
+                probe.port_drop(self, packet)
             if self._on_drop is not None:
                 self._on_drop(packet)
             return False
-        if self._auditor is not None:
-            self._auditor.on_port_send(self, packet, accepted=True)
-        obs = packet.obs
-        if obs is not None:
-            obs.enq_ns = self._loop.now
+        if probe is not None:
+            probe.port_accept(self, packet)
         occupancy = self.queue.occupancy_bytes
         if occupancy > self.max_occupancy_bytes:
             self.max_occupancy_bytes = occupancy
+        return True
+
+    def send(self, packet: SimPacket) -> bool:
+        """Queue a packet for transmission; returns False on drop."""
+        if not self._accept(packet):
+            return False
         if not self._busy:
             self._start_next()
         return True
@@ -226,20 +225,8 @@ class OutputPort:
         scheduled — the caller coalesces same-duration finishes of a
         broadcast fan-out into one event-loop entry.
         """
-        if not self.queue.enqueue(packet):
-            self.drops += 1
-            if self._auditor is not None:
-                self._auditor.on_port_send(self, packet, accepted=False)
-            if self._flight is not None:
-                self._record_drop(packet)
-            if self._on_drop is not None:
-                self._on_drop(packet)
+        if not self._accept(packet):
             return False
-        if self._auditor is not None:
-            self._auditor.on_port_send(self, packet, accepted=True)
-        occupancy = self.queue.occupancy_bytes
-        if occupancy > self.max_occupancy_bytes:
-            self.max_occupancy_bytes = occupancy
         if not self._busy:
             begun = self._begin()
             if begun is not None:
@@ -262,14 +249,8 @@ class OutputPort:
         self.busy_ns += duration
         self.bytes_sent += packet.size_bytes
         self.packets_sent += 1
-        if self._auditor is not None:
-            self._auditor.on_transmit_start(self, packet, duration)
-        obs = packet.obs
-        if obs is not None:
-            wait = self._loop.now - obs.enq_ns
-            obs.queue_ns += wait
-            obs.ser_ns += duration
-            obs.hops.append((self.src, self.dst, wait))
+        if self._probe is not None:
+            self._probe.tx_start(self, packet, duration)
         return duration, packet
 
     def _start_next(self) -> None:
@@ -288,25 +269,12 @@ class OutputPort:
             # Corrupted on the wire: it consumed transmission time but is
             # discarded by the receiver's checksum.
             self.wire_losses += 1
-            if self._auditor is not None:
-                self._auditor.on_wire_loss(self, packet)
-            if self._flight is not None:
-                self._flight.record(
-                    "network",
-                    "wire_loss",
-                    self._loop.now,
-                    src=self.src,
-                    dst=self.dst,
-                    flow=packet.flow_id,
-                    seq=packet.seq,
-                )
+            if self._probe is not None:
+                self._probe.wire_loss(self, packet)
         else:
             # Propagation happens in parallel with the next serialization.
-            if self._auditor is not None:
-                self._auditor.on_propagate(self, packet)
-            obs = packet.obs
-            if obs is not None:
-                obs.last_finish_ns = self._loop.now
+            if self._probe is not None:
+                self._probe.tx_finish(self, packet)
             self._loop.schedule(
                 self._latency_ns, lambda p=packet: self._deliver(p), self.prio
             )
@@ -316,18 +284,6 @@ class OutputPort:
         """Restart transmission after a pause/resume changed the queue."""
         if not self._busy:
             self._start_next()
-
-    def _record_drop(self, packet: SimPacket) -> None:
-        self._flight.record(
-            "network",
-            "queue_drop",
-            self._loop.now,
-            src=self.src,
-            dst=self.dst,
-            flow=packet.flow_id,
-            kind=packet.kind,
-            seq=packet.seq,
-        )
 
     @property
     def busy(self) -> bool:
@@ -352,10 +308,9 @@ class RackNetwork:
         on_drop: Optional[Callable[[NodeId, SimPacket], None]] = None,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
-        auditor=None,
         owned_nodes=None,
         boundary: Optional[Callable[[int, NodeId, SimPacket], None]] = None,
-        flight=None,
+        probe=None,
     ) -> None:
         """Build the fabric (or, for sharded runs, one shard's slice of it).
 
@@ -378,8 +333,7 @@ class RackNetwork:
         self._topology = topology
         self._fib = fib
         self._on_drop = on_drop
-        self._auditor = auditor
-        self._flight = flight
+        self._probe = probe
         owned = None if owned_nodes is None else set(owned_nodes)
         if owned is not None and boundary is None:
             raise SimulationError("owned_nodes requires a boundary callback")
@@ -420,12 +374,11 @@ class RackNetwork:
                 on_drop=self._make_drop_handler(link.src),
                 loss_rate=loss_rate,
                 loss_rng=loss_rng,
-                auditor=auditor,
                 prio=link_prio(link.src, link.dst, topology.n_nodes),
-                flight=flight,
+                probe=probe,
             )
-        if auditor is not None:
-            auditor.attach_network(self)
+        if probe is not None:
+            probe.attach_network(self)
 
     @property
     def topology(self) -> Topology:
@@ -481,18 +434,12 @@ class RackNetwork:
 
     def arrived(self, node: NodeId, packet: SimPacket) -> None:
         """A packet finished propagating to *node*."""
-        if self._auditor is not None:
-            self._auditor.on_arrive(node, packet)
+        if self._probe is not None:
+            self._probe.arrive(node, packet)
         if packet.kind == KIND_BROADCAST:
             self._deliver_local(node, packet)
             self._forward_broadcast(node, packet, is_source=False)
             return
-        obs = packet.obs
-        if obs is not None and obs.last_finish_ns is not None:
-            # Receiver-side propagation accounting: exact for cut ports
-            # too, whose local latency is zero (the true latency is baked
-            # into the boundary arrival time).
-            obs.prop_ns += self._loop.now - obs.last_finish_ns
         packet.hop += 1
         if packet.at_destination():
             self._deliver_local(node, packet)
@@ -567,8 +514,8 @@ class RackNetwork:
         stack = self.stack_at[node]
         if stack is None:
             raise SimulationError(f"no host stack installed at node {node}")
-        if self._auditor is not None:
-            self._auditor.on_local_deliver(node, packet)
+        if self._probe is not None:
+            self._probe.local_deliver(node, packet)
         stack.deliver(packet)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .flows import SimFlow
 from .metrics import SimMetrics
 from .network import FifoQueue, RackNetwork
 from .packets import data_packet_size
+from .probe import build_probe
 from .stacks.pfq import BackpressureQueue, PfqCoordinator, PfqStack
 from .stacks.r2c2 import PerNodeControlPlane, R2C2Stack, SharedControlPlane
 from .stacks.r2c2_reliable import R2C2ReliableStack
@@ -147,67 +148,22 @@ def run_simulation(
     if len(flows) != len(trace):
         raise SimulationError("duplicate flow ids in trace")
 
-    obs_session = None
-    flight = None
-    if config.obs or config.flight:
-        from ..obs import FlightBatchObserver, FlightRecorder, ObsSession
-
-        if config.obs:
-            obs_session = ObsSession()
-        if config.flight:
-            flight = FlightRecorder()
-            loop.attach_batch_observer(FlightBatchObserver(flight))
-
-    auditor = None
-    if config.audit:
-        # Imported lazily: repro.validation imports this module for its
-        # differential oracles, so a top-level import would be circular.
-        from ..validation import InvariantAuditor
-
-        auditor = InvariantAuditor(strict=config.audit_strict, telemetry=telemetry)
-        auditor.attach_loop(loop)
-        auditor.flight = flight
-
+    probe = build_probe(config, telemetry, loop)
     probes = None
-    if telemetry is not None and telemetry.trace and telemetry.config.trace_eventloop:
-        from ..telemetry import EventLoopTracer
-
-        loop.attach_batch_observer(EventLoopTracer(telemetry.trace))
-
     started_wall = time.perf_counter()
     try:
         if config.stack == "r2c2":
             network, control = _build_r2c2(
-                topology,
-                loop,
-                flows,
-                metrics,
-                config,
-                provider,
-                auditor,
-                telemetry,
-                obs=obs_session,
-                flight=flight,
+                topology, loop, flows, metrics, config, provider, probe, telemetry
             )
         elif config.stack == "tcp":
-            network = _build_tcp(
-                topology, loop, flows, metrics, config, auditor,
-                obs=obs_session, flight=flight,
-            )
+            network = _build_tcp(topology, loop, flows, metrics, config, probe)
             control = None
         else:
-            network = _build_pfq(topology, loop, flows, metrics, config, auditor)
+            network = _build_pfq(topology, loop, flows, metrics, config, probe)
             control = None
         if telemetry is not None and telemetry.enabled:
             probes = telemetry.link_probes(network)
-        if auditor is not None:
-            for stack in network.stack_at:
-                if stack is not None:
-                    stack.auditor = auditor
-            if control is not None:
-                control.auditor = auditor
-        if flight is not None and control is not None:
-            control.flight = flight
 
         for arrival in trace:
             flow = flows[arrival.flow_id]
@@ -231,12 +187,8 @@ def run_simulation(
             if loop.pending() == 0:
                 break
     except Exception as exc:
-        # Attach the flight dump to the crash so fuzzers and campaign
-        # runners can preserve the last moments without re-running.
-        if flight is not None and not hasattr(exc, "repro_flight"):
-            exc.repro_flight = flight.dump(
-                reason=f"{type(exc).__name__}: {exc}"
-            )
+        if probe is not None:
+            probe.crash_dump(exc)
         raise
 
     metrics.flows = list(flows.values())
@@ -255,18 +207,12 @@ def run_simulation(
         metrics.recompute_overheads = [s.cpu_overhead for s in stats]
         metrics.epochs_skipped = sum(1 for s in stats if s.skipped)
         metrics.epochs_recomputed = len(stats) - metrics.epochs_skipped
-    if auditor is not None:
-        metrics.audit = auditor.final_check(
-            flows=flows.values(), drained=(loop.pending() == 0)
-        )
+    if probe is not None:
+        probe.collect(metrics, flows.values(), drained=(loop.pending() == 0))
     if telemetry is not None and telemetry.enabled:
         if probes is not None:
             probes.sample(loop.now)  # final sample, even for tiny runs
         _finalize_telemetry(telemetry, metrics)
-    if obs_session is not None:
-        metrics.flow_obs = obs_session.results()
-    if flight is not None:
-        metrics.flight_dump = flight.dump()
     return metrics
 
 
@@ -313,13 +259,11 @@ def _build_r2c2(
     metrics,
     config,
     provider,
-    auditor=None,
+    probe=None,
     telemetry=None,
     owned_nodes=None,
     boundary=None,
     fib_telemetry=True,
-    obs=None,
-    flight=None,
 ):
     """Wire up the R2C2 stack; ``owned_nodes``/``boundary`` restrict the
     build to one shard's slice of the fabric (see :mod:`repro.distsim`).
@@ -371,10 +315,9 @@ def _build_r2c2(
         on_drop=on_drop,
         loss_rate=config.loss_rate,
         loss_seed=seed,
-        auditor=auditor,
         owned_nodes=owned_nodes,
         boundary=boundary,
-        flight=flight,
+        probe=probe,
     )
     network_holder["net"] = network
     provider = provider if provider is not None else WeightProvider(topology)
@@ -392,6 +335,7 @@ def _build_r2c2(
             controller_config,
             telemetry=telemetry,
             nodes=owned_nodes,
+            probe=probe,
         )
     else:
         controller = RateController(
@@ -401,15 +345,13 @@ def _build_r2c2(
             config=controller_config,
             telemetry=telemetry,
         )
-        control = SharedControlPlane(loop, network, controller)
+        control = SharedControlPlane(loop, network, controller, probe)
     common = dict(
         mtu_payload=config.mtu_payload,
         seed=seed,
         n_trees=config.n_broadcast_trees,
         metrics=metrics,
-        telemetry=telemetry,
-        obs=obs,
-        flight=flight,
+        probe=probe,
     )
     nodes = topology.nodes() if owned_nodes is None else sorted(owned_nodes)
     for node in nodes:
@@ -426,8 +368,7 @@ def _build_r2c2(
 
 
 def _build_tcp(
-    topology, loop, flows, metrics, config, auditor=None, owned_nodes=None,
-    boundary=None, obs=None, flight=None,
+    topology, loop, flows, metrics, config, probe=None, owned_nodes=None, boundary=None
 ):
     limit = config.tcp_queue_limit_bytes
     network = RackNetwork(
@@ -436,10 +377,9 @@ def _build_tcp(
         queue_factory=lambda: FifoQueue(limit_bytes=limit),
         loss_rate=config.loss_rate,
         loss_seed=config.effective_seed(),
-        auditor=auditor,
         owned_nodes=owned_nodes,
         boundary=boundary,
-        flight=flight,
+        probe=probe,
     )
     ecmp = EcmpSinglePath(topology)
     nodes = topology.nodes() if owned_nodes is None else sorted(owned_nodes)
@@ -452,13 +392,12 @@ def _build_tcp(
             ecmp,
             mtu_payload=config.mtu_payload,
             metrics=metrics,
-            obs=obs,
-            flight=flight,
+            probe=probe,
         )
     return network
 
 
-def _build_pfq(topology, loop, flows, metrics, config, auditor=None):
+def _build_pfq(topology, loop, flows, metrics, config, probe=None):
     coordinator = PfqCoordinator()
     packet_bytes = data_packet_size(config.mtu_payload)
     high = config.pfq_high_packets * packet_bytes
@@ -467,7 +406,7 @@ def _build_pfq(topology, loop, flows, metrics, config, auditor=None):
         loop,
         topology,
         queue_factory=lambda: BackpressureQueue(coordinator, high, low),
-        auditor=auditor,
+        probe=probe,
     )
     from ..routing.base import make_protocol
 
@@ -483,5 +422,6 @@ def _build_pfq(topology, loop, flows, metrics, config, auditor=None):
             mtu_payload=config.mtu_payload,
             seed=config.effective_seed(),
             metrics=metrics,
+            probe=probe,
         )
     return network

@@ -21,13 +21,15 @@ class HostStack(ABC):
     arrives.
     """
 
-    def __init__(self, node: NodeId, loop: EventLoop, network: RackNetwork) -> None:
+    def __init__(
+        self, node: NodeId, loop: EventLoop, network: RackNetwork, probe=None
+    ) -> None:
         self.node = node
         self.loop = loop
         self.network = network
-        #: optional invariant auditor (repro.validation); installed by the
-        #: runner when auditing is enabled, None otherwise.
-        self.auditor = None
+        #: the run's observation surface (repro.sim.probe); None on every
+        #: default run, so each site costs one attribute test.
+        self._probe = probe
 
     @abstractmethod
     def start_flow(self, flow: SimFlow) -> None:
@@ -37,10 +39,16 @@ class HostStack(ABC):
     def deliver(self, packet: SimPacket) -> None:
         """Handle a packet addressed to (or broadcast reaching) this node."""
 
-    def _audit_flow(self, flow: SimFlow) -> None:
-        """Report receiver-side flow progress to the auditor, if attached."""
-        if self.auditor is not None:
-            self.auditor.on_flow_progress(flow, self.loop.now)
+    def _received(self, flow: SimFlow, packet: SimPacket, complete: bool) -> None:
+        """The receive epilogue every stack shares: stamp the completion
+        the first time *complete* holds, then report the delivery."""
+        probe = self._probe
+        if complete and flow.completed_ns is None:
+            flow.completed_ns = self.loop.now
+            if probe is not None:
+                probe.flow_complete(flow, self.node)
+        if probe is not None:
+            probe.delivered(flow, packet)
 
     def on_epoch(self) -> None:
         """Hook invoked after each control-plane recomputation (optional)."""

@@ -135,8 +135,9 @@ class PfqStack(HostStack):
         mtu_payload: int = 1500,
         seed: int = 0,
         metrics=None,
+        probe=None,
     ) -> None:
-        super().__init__(node, loop, network)
+        super().__init__(node, loop, network, probe)
         self._coordinator = coordinator
         self._flows = flows_by_id
         self._protocol = protocol
@@ -209,6 +210,4 @@ class PfqStack(HostStack):
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
         flow.record_in_order(packet.seq)
         flow.bytes_received += packet.payload
-        if flow.bytes_received >= flow.size_bytes and flow.completed_ns is None:
-            flow.completed_ns = self.loop.now
-        self._audit_flow(flow)
+        self._received(flow, packet, flow.bytes_received >= flow.size_bytes)

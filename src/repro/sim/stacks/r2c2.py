@@ -34,7 +34,6 @@ from ...congestion.controller import ControllerConfig, RateController
 from ...congestion.flowstate import FlowSpec
 from ...errors import SimulationError
 from ...lru import BoundedLru
-from ...telemetry.trace import TRACK_BROADCAST, TRACK_PACKETS
 from ...types import NodeId
 from ..engine import EventLoop
 from ..flows import SimFlow
@@ -55,7 +54,7 @@ _EVENT_START = 1
 _EVENT_FINISH = 2
 _EVENT_DEMAND = 3
 
-#: Human-readable event names for telemetry labels/trace args.
+#: Human-readable event names the probe's broadcast sites are told.
 _EVENT_NAMES = {_EVENT_START: "start", _EVENT_FINISH: "finish", _EVENT_DEMAND: "demand"}
 
 
@@ -67,17 +66,16 @@ class SharedControlPlane:
         loop: EventLoop,
         network: RackNetwork,
         controller: RateController,
+        probe=None,
     ) -> None:
         self.loop = loop
         self.network = network
         self.controller = controller
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
-        #: optional invariant auditor (repro.validation); checks every
-        #: recomputed allocation against link capacities when installed.
-        self.auditor = None
-        #: optional crash flight recorder (repro.obs.flight).
-        self.flight = None
+        #: the run's observation surface (repro.sim.probe): every
+        #: recomputed allocation is reported to it.
+        self._probe = probe
 
     @property
     def provider(self):
@@ -104,15 +102,11 @@ class SharedControlPlane:
 
         def tick() -> None:
             self.controller.recompute(self.loop.now)
-            if self.auditor is not None:
-                self.auditor.audit_allocation(self.controller.allocation)
-            if self.flight is not None:
+            if self._probe is not None:
                 allocation = self.controller.allocation
-                self.flight.record(
-                    "controller",
-                    "epoch",
-                    self.loop.now,
-                    flows=0 if allocation is None else len(allocation.rates_bps),
+                self._probe.allocation(allocation)
+                self._probe.control_epoch(
+                    flows=0 if allocation is None else len(allocation.rates_bps)
                 )
             for stack in self._stacks:
                 stack.on_epoch()
@@ -169,6 +163,7 @@ class PerNodeControlPlane:
         config: ControllerConfig,
         telemetry=None,
         nodes=None,
+        probe=None,
     ) -> None:
         self.loop = loop
         self.network = network
@@ -199,10 +194,8 @@ class PerNodeControlPlane:
         self.controller = self.controllers[0]
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
-        #: optional invariant auditor (repro.validation).
-        self.auditor = None
-        #: optional crash flight recorder (repro.obs.flight).
-        self.flight = None
+        #: the run's observation surface (repro.sim.probe).
+        self._probe = probe
 
     @property
     def provider(self):
@@ -228,14 +221,13 @@ class PerNodeControlPlane:
             return
 
         def tick() -> None:
+            probe = self._probe
             for controller in self.controllers:
                 controller.recompute(self.loop.now)
-                if self.auditor is not None:
-                    self.auditor.audit_allocation(controller.allocation)
-            if self.flight is not None:
-                self.flight.record(
-                    "controller", "epoch", self.loop.now, nodes=len(self.controllers)
-                )
+                if probe is not None:
+                    probe.allocation(controller.allocation)
+            if probe is not None:
+                probe.control_epoch(nodes=len(self.controllers))
             for stack in self._stacks:
                 stack.on_epoch()
             self.loop.schedule(interval, tick)
@@ -307,16 +299,10 @@ class R2C2Stack(HostStack):
         seed: int = 0,
         n_trees: int = 4,
         metrics=None,
-        telemetry=None,
-        obs=None,
-        flight=None,
+        probe=None,
     ) -> None:
-        super().__init__(node, loop, network)
+        super().__init__(node, loop, network, probe)
         self.control = control
-        #: optional causal-tracing session (repro.obs) and crash flight
-        #: recorder; None on every default path.
-        self._obs = obs
-        self._flight = flight
         self._flows = flows_by_id
         self._mtu = mtu_payload
         # Test-only planted fault (the fuzzer's end-to-end exercise): with
@@ -330,31 +316,6 @@ class R2C2Stack(HostStack):
         self._n_trees = n_trees
         self._next_tree = node  # stagger tree choice across nodes
         self._metrics = metrics
-        # Telemetry instruments, resolved once (see repro.telemetry); all
-        # instruments are shared registry objects, so per-stack increments
-        # aggregate rack-wide.  Falsy when telemetry is off.
-        if telemetry is not None:
-            registry = telemetry.metrics
-            # ``or None`` collapses disabled (falsy null) sinks to None so
-            # the per-packet guards below test None at C speed instead of
-            # calling a Python-level __bool__.
-            self._ctr_bcast_events = {
-                _EVENT_START: registry.counter("broadcast.announcements", event="start"),
-                _EVENT_FINISH: registry.counter("broadcast.announcements", event="finish"),
-                _EVENT_DEMAND: registry.counter("broadcast.announcements", event="demand"),
-            } if registry else None
-            self._ctr_bcast_wire_bytes = registry.counter("broadcast.wire_bytes") or None
-            self._ctr_bcast_wire_packets = registry.counter("broadcast.wire_packets") or None
-            self._ctr_bcast_retransmits = registry.counter("broadcast.retransmissions") or None
-            self._tel_trace = telemetry.trace or None
-            self._pkt_sample_every = telemetry.config.packet_sample_every
-        else:
-            self._ctr_bcast_events = None
-            self._ctr_bcast_wire_bytes = None
-            self._ctr_bcast_wire_packets = None
-            self._ctr_bcast_retransmits = None
-            self._tel_trace = None
-            self._pkt_sample_every = 0
         self._active_local: Set[int] = set()
         self._stalled: Set[int] = set()
         self._bcast_seq = 0
@@ -387,16 +348,8 @@ class R2C2Stack(HostStack):
             tenant=flow.tenant,
         )
         self.control.on_flow_started(spec, self.node)
-        if self._flight is not None:
-            self._flight.record(
-                "stack",
-                "flow_start",
-                self.loop.now,
-                flow=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size_bytes,
-            )
+        if self._probe is not None:
+            self._probe.flow_start(flow)
         self._broadcast(flow, _EVENT_START, spec)
         self._active_local.add(flow.flow_id)
         if flow.app_rate_bps is not None:
@@ -419,20 +372,9 @@ class R2C2Stack(HostStack):
     def _send_broadcast(self, flow: SimFlow, event: int, data, seq: int) -> None:
         tree_id = self._next_tree % self._n_trees
         self._next_tree += 1
-        if self._ctr_bcast_events is not None:
-            self._ctr_bcast_events[event].inc()
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "announce",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={
-                    "event": _EVENT_NAMES.get(event, event),
-                    "flow": flow.flow_id,
-                    "node": self.node,
-                    "tree": tree_id,
-                },
+        if self._probe is not None:
+            self._probe.bcast_announce(
+                _EVENT_NAMES[event], flow.flow_id, self.node, tree_id
             )
         packet = SimPacket(
             kind=KIND_BROADCAST,
@@ -455,38 +397,20 @@ class R2C2Stack(HostStack):
             return  # aged out of the replay window
         flow, event, data = pending
         self.broadcast_retransmissions += 1
-        if self._ctr_bcast_retransmits:
-            self._ctr_bcast_retransmits.inc()
-        if self._flight is not None:
-            self._flight.record(
-                "stack",
-                "broadcast_retransmit",
-                self.loop.now,
-                flow=flow.flow_id,
-                dropped_at=dropped_at,
-                seq=seq,
-            )
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "retransmit",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={"flow": flow.flow_id, "dropped_at": dropped_at, "seq": seq},
-            )
+        if self._probe is not None:
+            self._probe.bcast_retransmit(flow.flow_id, dropped_at, seq)
         self._send_broadcast(flow, event, data, seq)
 
     def _emit(self, flow: SimFlow) -> None:
         if flow.sender_done or flow.flow_id not in self._active_local:
             return
+        probe = self._probe
         rate = self.control.rate_for(flow.flow_id, self.node)
+        if probe is not None:
+            probe.pacing(flow.flow_id, rate <= 0)
         if rate <= 0:
             self._stalled.add(flow.flow_id)
-            if self._obs is not None:
-                self._obs.on_stall(flow.flow_id, self.loop.now)
             return
-        if self._obs is not None:
-            self._obs.on_resume(flow.flow_id, self.loop.now)
         payload = min(self._mtu, flow.remaining_bytes)
         available = flow.produced_bytes(self.loop.now) - flow.bytes_sent
         if available < payload:
@@ -495,8 +419,8 @@ class R2C2Stack(HostStack):
             assert flow.app_rate_bps is not None
             needed = payload - available
             delay = max(1, int(needed * 8 * 1e9 / flow.app_rate_bps))
-            if self._obs is not None:
-                self._obs.on_host_wait(flow.flow_id, delay)
+            if probe is not None:
+                probe.host_wait(flow.flow_id, delay)
             self.loop.schedule(delay, lambda f=flow: self._emit(f))
             return
         size = data_packet_size(payload)
@@ -515,8 +439,8 @@ class R2C2Stack(HostStack):
         )
         flow.next_seq += 1
         flow.bytes_sent += payload
-        if self._obs is not None:
-            self._obs.on_inject(flow, packet, self.loop.now)
+        if probe is not None:
+            probe.inject(flow, packet)
         self.network.inject(self.node, packet)
 
         if flow.sender_done:
@@ -556,14 +480,8 @@ class R2C2Stack(HostStack):
             self.control.on_flow_reannounced(spec, self.node)
             self._broadcast(flow, _EVENT_START, spec)
             count += 1
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "reannounce_round",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={"node": self.node, "flows": count},
-            )
+        if self._probe is not None:
+            self._probe.reannounce_round(self.node, count)
         return count
 
     def on_epoch(self) -> None:
@@ -599,9 +517,8 @@ class R2C2Stack(HostStack):
                 if self._metrics is not None:
                     self._metrics.broadcast_bytes += packet.size_bytes
                     self._metrics.broadcast_packets += 1
-                if self._ctr_bcast_wire_bytes:
-                    self._ctr_bcast_wire_bytes.inc(packet.size_bytes)
-                    self._ctr_bcast_wire_packets.inc()
+                if self._probe is not None:
+                    self._probe.bcast_receipt(packet.size_bytes)
             # Shared mode: no-op (the sender already applied the event);
             # per-node mode: this delivery is when the node's table learns.
             self.control.apply_broadcast(self.node, packet.src, packet.payload)
@@ -621,20 +538,8 @@ class R2C2Stack(HostStack):
             return
         if self._metrics is not None:
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
-        if (
-            self._tel_trace
-            and self._pkt_sample_every
-            and packet.seq % self._pkt_sample_every == 0
-        ):
-            # Sampled packet lifecycle: injection -> delivery as a span.
-            self._tel_trace.complete(
-                f"flow {packet.flow_id}",
-                "packet",
-                packet.sent_ns,
-                self.loop.now - packet.sent_ns,
-                tid=TRACK_PACKETS,
-                args={"seq": packet.seq, "bytes": packet.size_bytes},
-            )
+        if self._probe is not None:
+            self._probe.packet_span(packet)
         flow.record_in_order(packet.seq)
         flow.bytes_received += packet.payload
         done_at = flow.size_bytes
@@ -642,16 +547,4 @@ class R2C2Stack(HostStack):
             # Planted fault: completion fires once the flow is within one
             # MTU of done, i.e. one segment early for multi-segment flows.
             done_at = max(1, flow.size_bytes - self._mtu)
-        if flow.bytes_received >= done_at and flow.completed_ns is None:
-            flow.completed_ns = self.loop.now
-            if self._flight is not None:
-                self._flight.record(
-                    "stack",
-                    "flow_complete",
-                    self.loop.now,
-                    flow=flow.flow_id,
-                    node=self.node,
-                )
-        if packet.obs is not None and self._obs is not None:
-            self._obs.on_delivered(flow, packet, self.loop.now)
-        self._audit_flow(flow)
+        self._received(flow, packet, flow.bytes_received >= done_at)

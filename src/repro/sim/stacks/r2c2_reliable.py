@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict
 
 from ...errors import SimulationError
-from ...telemetry.trace import TRACK_PACKETS
 from ...transport.reliability import AckInfo, ReliableReceiver, ReliableSender
 from ...types import NodeId, usec
 from ..flows import SimFlow
@@ -61,14 +60,13 @@ class R2C2ReliableStack(R2C2Stack):
         sender = self._senders[flow.flow_id]
         if sender.all_acked:
             return
+        probe = self._probe
         rate = self.control.rate_for(flow.flow_id, self.node)
+        if probe is not None:
+            probe.pacing(flow.flow_id, rate <= 0)
         if rate <= 0:
             self._stalled.add(flow.flow_id)
-            if self._obs is not None:
-                self._obs.on_stall(flow.flow_id, self.loop.now)
             return
-        if self._obs is not None:
-            self._obs.on_resume(flow.flow_id, self.loop.now)
 
         seq = sender.next_segment(self.loop.now)
         if seq is None:
@@ -77,8 +75,8 @@ class R2C2ReliableStack(R2C2Stack):
             wake = sender.next_timeout_ns(self.loop.now)
             if wake is not None:
                 delay = max(1, wake - self.loop.now)
-                if self._obs is not None:
-                    self._obs.on_rto_wait(flow.flow_id, delay)
+                if probe is not None:
+                    probe.rto_wait(flow.flow_id, delay)
                 self.loop.schedule(delay, lambda f=flow: self._emit(f))
             return
 
@@ -104,8 +102,8 @@ class R2C2ReliableStack(R2C2Stack):
             flow.bytes_sent += payload
         else:
             self.retransmitted_bytes += payload
-        if self._obs is not None:
-            self._obs.on_inject(flow, packet, self.loop.now)
+        if probe is not None:
+            probe.inject(flow, packet)
         self.network.inject(flow.src, packet)
 
         # Retransmissions pay the same token cost: pacing applies to bytes
@@ -141,19 +139,8 @@ class R2C2ReliableStack(R2C2Stack):
             raise SimulationError(f"packet for unknown flow {packet.flow_id}")
         if self._metrics is not None:
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
-        if (
-            self._tel_trace
-            and self._pkt_sample_every
-            and packet.seq % self._pkt_sample_every == 0
-        ):
-            self._tel_trace.complete(
-                f"flow {packet.flow_id}",
-                "packet",
-                packet.sent_ns,
-                self.loop.now - packet.sent_ns,
-                tid=TRACK_PACKETS,
-                args={"seq": packet.seq, "bytes": packet.size_bytes},
-            )
+        if self._probe is not None:
+            self._probe.packet_span(packet)
         receiver = self._receivers.get(packet.flow_id)
         if receiver is None:
             # The sender writes flow.total_segments at start_flow, but in a
@@ -169,19 +156,7 @@ class R2C2ReliableStack(R2C2Stack):
         if receiver.on_segment(packet.seq):
             flow.record_in_order(packet.seq)
             flow.bytes_received += packet.payload
-            if receiver.complete and flow.completed_ns is None:
-                flow.completed_ns = self.loop.now
-                if self._flight is not None:
-                    self._flight.record(
-                        "stack",
-                        "flow_complete",
-                        self.loop.now,
-                        flow=flow.flow_id,
-                        node=self.node,
-                    )
-        if packet.obs is not None and self._obs is not None:
-            self._obs.on_delivered(flow, packet, self.loop.now)
-        self._audit_flow(flow)
+        self._received(flow, packet, receiver.complete)
         ack_info = receiver.ack_info()
         ack = SimPacket(
             kind=KIND_ACK,

@@ -94,20 +94,16 @@ class TcpStack(HostStack):
         ecmp: EcmpSinglePath,
         mtu_payload: int = 1500,
         metrics=None,
-        obs=None,
-        flight=None,
+        probe=None,
     ) -> None:
-        super().__init__(node, loop, network)
+        # TCP has no explicit pacing timers, so for causal tracing all
+        # sender-side residence lands in the pacing remainder (ACK-clocked
+        # sending); only injection and delivery are probe sites.
+        super().__init__(node, loop, network, probe)
         self._flows = flows_by_id
         self._ecmp = ecmp
         self._mtu = mtu_payload
         self._metrics = metrics
-        # Optional causal tracing / flight recorder (repro.obs).  TCP has
-        # no explicit pacing timers, so all sender-side residence lands in
-        # the pacing remainder (ACK-clocked sending); only injection and
-        # delivery need hooks.
-        self._obs = obs
-        self._flight = flight
         self._senders: Dict[int, _TcpSender] = {}
         self._recv_segments: Dict[int, Set[int]] = {}
 
@@ -152,8 +148,8 @@ class TcpStack(HostStack):
         if seg not in sender.send_times:
             sender.flow.bytes_sent += payload
         sender.send_times[seg] = self.loop.now
-        if self._obs is not None:
-            self._obs.on_inject(sender.flow, packet, self.loop.now)
+        if self._probe is not None:
+            self._probe.inject(sender.flow, packet)
         self.network.inject(self.node, packet)
 
     def _arm_timer(self, sender: _TcpSender) -> None:
@@ -170,14 +166,8 @@ class TcpStack(HostStack):
             return
         # Timeout: collapse the window and go back to the first unacked
         # segment.
-        if self._flight is not None:
-            self._flight.record(
-                "stack",
-                "tcp_rto",
-                self.loop.now,
-                flow=sender.flow.flow_id,
-                cum_acked=sender.cum_acked,
-            )
+        if self._probe is not None:
+            self._probe.tcp_rto(sender.flow.flow_id, sender.cum_acked)
         sender.ssthresh = max(sender.cwnd / 2.0, 2.0)
         sender.cwnd = 2.0
         sender.dup_acks = 0
@@ -258,19 +248,7 @@ class TcpStack(HostStack):
             segments.add(packet.seq)
             flow.bytes_received += packet.payload
             flow.record_in_order(packet.seq)
-            if flow.bytes_received >= flow.size_bytes and flow.completed_ns is None:
-                flow.completed_ns = self.loop.now
-                if self._flight is not None:
-                    self._flight.record(
-                        "stack",
-                        "flow_complete",
-                        self.loop.now,
-                        flow=flow.flow_id,
-                        node=self.node,
-                    )
-        if packet.obs is not None and self._obs is not None:
-            self._obs.on_delivered(flow, packet, self.loop.now)
-        self._audit_flow(flow)
+        self._received(flow, packet, flow.bytes_received >= flow.size_bytes)
         # Cumulative ACK: number of in-order segments received.
         ack_no = flow.expected_seq
         ack = SimPacket(

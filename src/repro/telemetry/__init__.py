@@ -58,7 +58,6 @@ from .trace import (
     TRACK_PACKETS,
     TRACK_SIM,
     TRACK_VALIDATION,
-    EventLoopTracer,
     NullTrace,
     TraceRecorder,
     canonical_trace_events,
@@ -69,7 +68,6 @@ __all__ = [
     "BYTE_BUCKETS",
     "canonical_trace_events",
     "Counter",
-    "EventLoopTracer",
     "Gauge",
     "Histogram",
     "LinkProbeSet",

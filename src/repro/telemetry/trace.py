@@ -223,30 +223,6 @@ class TraceRecorder:
             fh.write("\n")
 
 
-class EventLoopTracer:
-    """Adapter between :meth:`EventLoop.attach_batch_observer` and a trace.
-
-    Each event-loop batch (one ``run``/``run_batch`` call that processed at
-    least one event) becomes a span on the "event loop" track, annotated
-    with its event count.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: TraceRecorder) -> None:
-        self._trace = trace
-
-    def on_batch(self, start_ns: int, end_ns: int, processed: int) -> None:
-        self._trace.complete(
-            "batch",
-            "eventloop",
-            start_ns,
-            end_ns - start_ns,
-            tid=TRACK_SIM,
-            args={"events": processed},
-        )
-
-
 class NullTrace:
     """Falsy recorder whose every method is a no-op (tracing disabled)."""
 

@@ -1,24 +1,25 @@
 """Runtime invariant auditor for the packet simulator.
 
-The auditor is a passive observer wired into three layers:
+The auditor is a passive subscriber of the simulator's probe
+(:mod:`repro.sim.probe`), which feeds it facts from three layers:
 
-* the :class:`~repro.sim.engine.EventLoop` (via ``attach_loop``) — checks
-  that the simulation clock never moves backwards and that events sharing a
-  timestamp execute in scheduling order (FIFO causality);
-* the :class:`~repro.sim.network.RackNetwork` and its output ports (via the
-  ``auditor=`` constructor argument) — checks packet and byte conservation
-  per port, that no port ever serializes two packets concurrently (which is
-  exactly what "load above line rate" would look like in this simulator),
-  and that every propagated packet eventually arrives;
+* the :class:`~repro.sim.engine.EventLoop` — checks that the simulation
+  clock never moves backwards and that events sharing a timestamp execute
+  in scheduling order (FIFO causality);
+* the :class:`~repro.sim.network.RackNetwork` and its output ports — checks
+  packet and byte conservation per port, that no port ever serializes two
+  packets concurrently (which is exactly what "load above line rate" would
+  look like in this simulator), and that every propagated packet eventually
+  arrives;
 * the host stacks and the control plane — checks monotone flow completion
   (received bytes never shrink, completion is set exactly once and never
   before the flow started) and that every rate allocation the control plane
   produces respects headroom-adjusted link capacities.
 
-All hooks are disabled by simply not attaching an auditor; the instrumented
-code then pays one ``is not None`` branch per event, which is noise next to
-the work each event performs.  A constructed auditor can also be paused
-with :attr:`enabled`.
+A run without ``SimConfig(audit=True)`` has no auditor (and, unless another
+subscriber is on, no probe); the instrumented code then pays one ``is not
+None`` branch per site, which is noise next to the work each event
+performs.  A constructed auditor can also be paused with :attr:`enabled`.
 
 In ``strict`` mode (default) any violation raises
 :class:`~repro.errors.InvariantViolation` at the point of detection; in
@@ -123,16 +124,12 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach_loop(self, loop) -> None:
-        """Observe *loop*'s events (clock monotonicity, FIFO causality)."""
-        self._loop = loop
-        loop.attach_observer(self)
-
     def attach_network(self, network) -> None:
-        """Called by :class:`~repro.sim.network.RackNetwork` on construction."""
+        """Called (via the probe) when a
+        :class:`~repro.sim.network.RackNetwork` finishes construction;
+        *network*'s event loop becomes the auditor's clock."""
         self._network = network
-        if self._loop is None:
-            self._loop = network._loop
+        self._loop = network._loop
 
     # ------------------------------------------------------------------
     # Violation plumbing

@@ -8,6 +8,7 @@ from repro.congestion import (
     RateController,
     WeightProvider,
 )
+from repro.lru import BoundedLru
 from repro.types import usec
 
 
@@ -135,7 +136,7 @@ class TestContentKey:
     def test_shared_cache_hits_across_controllers(self, torus2d):
         """Two controllers with equal tables share one water-fill result."""
         provider = WeightProvider(torus2d)
-        cache = {}
+        cache = BoundedLru(16)
         a = RateController(torus2d, node=0, provider=provider, allocation_cache=cache)
         b = RateController(torus2d, node=1, provider=provider, allocation_cache=cache)
         for spec in [FlowSpec(i, i, i + 4) for i in range(3)]:

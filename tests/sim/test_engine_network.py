@@ -16,6 +16,19 @@ from repro.sim import (
 from repro.types import transmission_time_ns
 
 
+class _EventProbe:
+    """The engine-facing slice of a probe: asks for every event."""
+
+    def __init__(self, seen):
+        self._seen = seen
+
+    def engine_event(self, at_ns, prio, seq):
+        self._seen.append((at_ns, prio, seq))
+
+    def engine_batch(self, start_ns, end_ns, processed):
+        pass
+
+
 class TestEventLoop:
     def test_ordering(self):
         loop = EventLoop()
@@ -103,15 +116,11 @@ class TestEventLoopBatch:
         loop = EventLoop()
         seen = []
 
-        class Observer:
-            def on_event(self, at_ns, prio, seq):
-                seen.append((at_ns, prio, seq))
-
-        loop.attach_observer(Observer())
+        loop.attach_probe(_EventProbe(seen))
         loop.schedule(5, lambda: None)
         loop.schedule(5, lambda: None)
         assert loop.run_batch() == 2
-        assert len(seen) == 2  # observer still sees every event
+        assert len(seen) == 2  # a per-event probe still sees every event
 
     def test_run_batch_respects_max_events(self):
         loop = EventLoop()
@@ -196,12 +205,8 @@ class TestEventLoopTimeValidation:
     def test_observer_sees_every_event(self):
         seen = []
 
-        class Observer:
-            def on_event(self, at_ns, prio, seq):
-                seen.append((at_ns, prio, seq))
-
         loop = EventLoop()
-        loop.attach_observer(Observer())
+        loop.attach_probe(_EventProbe(seen))
         loop.schedule(5, lambda: None)
         loop.schedule(5, lambda: None)
         loop.schedule(2, lambda: None)

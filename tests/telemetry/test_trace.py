@@ -8,7 +8,6 @@ from repro.telemetry import (
     NULL_TRACE,
     TRACK_CONTROLLER,
     TRACK_SIM,
-    EventLoopTracer,
     TraceRecorder,
 )
 
@@ -70,14 +69,6 @@ class TestTraceRecorder:
         assert len(trace) == 8
         assert trace.truncated
         assert trace.to_document()["otherData"]["truncated"] is True
-
-    def test_eventloop_tracer_adapter(self):
-        trace = TraceRecorder()
-        EventLoopTracer(trace).on_batch(1_000, 4_000, 7)
-        (event,) = non_meta(trace)
-        assert event["name"] == "batch"
-        assert event["dur"] == 3.0
-        assert event["args"] == {"events": 7}
 
 
 class TestNullTrace:

@@ -13,6 +13,7 @@ from repro.sim import (
     SimPacket,
     run_simulation,
 )
+from repro.sim.probe import SimProbe
 from repro.topology import TorusTopology
 from repro.types import gbps
 from repro.validation import InvariantAuditor
@@ -124,8 +125,7 @@ class TestInjectedDataPlaneBug:
         topo = TorusTopology((3, 3), capacity_bps=gbps(10))
         loop = EventLoop()
         auditor = InvariantAuditor(strict=True)
-        auditor.attach_loop(loop)
-        network = RackNetwork(loop, topo, auditor=auditor)
+        network = RackNetwork(loop, topo, probe=SimProbe(loop, auditor=auditor))
         port = network.port(0, 1)
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 0, 8000, path=(0, 1)))
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 1, 8000, path=(0, 1)))
@@ -137,8 +137,7 @@ class TestInjectedDataPlaneBug:
         topo = TorusTopology((3, 3), capacity_bps=gbps(10))
         loop = EventLoop()
         auditor = InvariantAuditor(strict=True)
-        auditor.attach_loop(loop)
-        network = RackNetwork(loop, topo, auditor=auditor)
+        network = RackNetwork(loop, topo, probe=SimProbe(loop, auditor=auditor))
 
         class Sink:
             def deliver(self, packet):
