@@ -16,26 +16,29 @@ Run:  python examples/interrack_fabric.py
 import random
 
 from repro.congestion import FlowSpec, WeightProvider, waterfill
-from repro.interrack import (
-    HierarchicalRouting,
-    ring_of_racks,
-    switched_multirack,
+from repro.routing import HierarchicalRouting
+from repro.sim import SimConfig, run_simulation
+from repro.topology import FabricSpec, synthesize
+from repro.types import gbps
+from repro.wire import (
+    DataPacket,
     tunnel_overhead_fraction,
     tunnel_packet,
     untunnel_packet,
 )
-from repro.sim import SimConfig, run_simulation
-from repro.topology import TorusTopology
-from repro.types import gbps
-from repro.wire import DataPacket
 from repro.workloads import FixedSize, poisson_trace
+
+#: Two 4x4 torus racks, two 40 Gbps gateway ports per rack.
+TWO_RACKS = dict(
+    rack="torus", rack_dims=(4, 4), n_racks=2, gateway_ports=2,
+    bridge_capacity_bps=gbps(40),
+)
 
 
 def design_a_direct_cables() -> None:
-    racks = [TorusTopology((4, 4)) for _ in range(2)]
-    fabric = ring_of_racks(racks, cables_per_side=2, bridge_capacity_bps=gbps(40))
+    fabric = synthesize(FabricSpec(design="ring", **TWO_RACKS)).topology
     print(f"Design A: {fabric.name}, {fabric.n_nodes} nodes, "
-          f"{len(fabric.bridge_links()) // 2} cables @ 40 Gbps, "
+          f"{len(fabric.gateway_links()) // 2} cables @ 40 Gbps, "
           f"oversubscription {fabric.oversubscription_ratio():.1f}x")
 
     hier = HierarchicalRouting(fabric)
@@ -60,11 +63,10 @@ def design_a_direct_cables() -> None:
 
 
 def design_b_switched_tunnel() -> None:
-    racks = [TorusTopology((4, 4)) for _ in range(2)]
-    topo, switch = switched_multirack(
-        racks, uplinks_per_rack=2, switch_capacity_bps=gbps(40)
-    )
-    print(f"\nDesign B: {topo.name}, aggregation switch is node {switch}")
+    topo = synthesize(
+        FabricSpec(design="switched", bridge_latency_ns=1000, **TWO_RACKS)
+    ).topology
+    print(f"\nDesign B: {topo.name}, aggregation switch is node {topo.n_hosts}")
 
     packet = DataPacket(
         flow_id=7, src=5, dst=25, seq=0, route_ports=(1, 2), route_index=0,

@@ -8,6 +8,7 @@ from .channel_load import (
     max_channel_utilization,
     saturation_throughput,
     throughput_table,
+    tier_load_report,
     tiered_channel_loads,
 )
 from .stats import (
@@ -39,5 +40,6 @@ __all__ = [
     "percentile",
     "saturation_throughput",
     "throughput_table",
+    "tier_load_report",
     "tiered_channel_loads",
 ]

@@ -20,12 +20,18 @@ bottlenecks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..routing.base import RoutingProtocol
-from ..workloads.patterns import TrafficMatrix, TrafficPattern
+from ..errors import ReproError
+from ..routing.base import RoutingProtocol, make_protocol
+from ..workloads.patterns import (
+    COMPOSED_PATTERNS,
+    STANDARD_PATTERNS,
+    TrafficMatrix,
+    TrafficPattern,
+)
 from ..workloads.worstcase import worst_case_throughput
 
 #: Tier label for links inside a rack (and all links of plain topologies).
@@ -103,19 +109,12 @@ def throughput_table(
 def link_tiers(topology) -> List[str]:
     """Tier label per directed link, indexed by link id.
 
-    Composed graphs advertise their gateway links through an
-    ``is_bridge_link`` (:class:`~repro.interrack.topology.MultiRackFabric`)
-    or ``is_gateway_link`` (:class:`~repro.topology.synth.FatTreeFabric`)
-    predicate; every other link — and every link of a plain single-rack
-    topology — is ``TIER_INTRA``.
+    The gateway cables of a :class:`~repro.topology.composed.ComposedFabric`
+    are ``TIER_GATEWAY``; every other link — and every link of a plain
+    single-rack topology — is ``TIER_INTRA``.
     """
-    probe: Optional[Callable[[int], bool]] = getattr(
-        topology, "is_bridge_link", None
-    ) or getattr(topology, "is_gateway_link", None)
-    if probe is None:
-        return [TIER_INTRA] * topology.n_links
     return [
-        TIER_GATEWAY if probe(link.link_id) else TIER_INTRA
+        TIER_GATEWAY if topology.is_gateway_link(link.link_id) else TIER_INTRA
         for link in topology.links
     ]
 
@@ -164,6 +163,24 @@ def tiered_channel_loads(
             overall = tier["saturation"]
             bottleneck = name
     return {"tiers": by_tier, "saturation": overall, "bottleneck": bottleneck}
+
+
+def tier_load_report(
+    topology, protocol_name: str, pattern_name: str
+) -> Dict[str, object]:
+    """:func:`tiered_channel_loads` for a protocol and traffic pattern given
+    by name, JSON-portable: an unloaded tier's infinite saturation becomes
+    ``None``.  This is the ``tier_load`` section of fabric manifests and
+    ``synth`` task results."""
+    pattern = COMPOSED_PATTERNS.get(pattern_name) or STANDARD_PATTERNS.get(pattern_name)
+    if pattern is None:
+        raise ReproError(f"unknown traffic pattern {pattern_name!r}")
+    protocol = make_protocol(protocol_name, topology)
+    report = tiered_channel_loads(protocol, pattern.matrix(topology))
+    for entry in (report, *report["tiers"].values()):
+        if entry["saturation"] == float("inf"):
+            entry["saturation"] = None
+    return report
 
 
 def max_channel_utilization(

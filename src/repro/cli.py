@@ -35,13 +35,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .analysis import format_table, throughput_table
-from .topology import (
-    HypercubeTopology,
-    MeshTopology,
-    TorusTopology,
-    count_shortest_paths,
-)
+from .analysis import format_table, throughput_table, tier_load_report
+from .topology import TorusTopology, build_topology, count_shortest_paths
 
 
 def _parse_dims(text: str) -> tuple:
@@ -56,18 +51,8 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
-def _build_topology(kind: str, dims: tuple):
-    if kind == "torus":
-        return TorusTopology(dims)
-    if kind == "mesh":
-        return MeshTopology(dims)
-    if kind == "hypercube":
-        return HypercubeTopology(dims[0])
-    raise argparse.ArgumentTypeError(f"unknown topology {kind!r}")
-
-
 def cmd_info(args) -> int:
-    topo = _build_topology(args.topology, args.dims)
+    topo = build_topology(args.topology, args.dims)
     print(f"topology:        {topo.name}")
     print(f"nodes:           {topo.n_nodes}")
     print(f"directed links:  {topo.n_links}")
@@ -91,7 +76,7 @@ def cmd_rates(args) -> int:
     from .core import R2C2Config, Rack
     from .types import usec
 
-    topo = _build_topology(args.topology, args.dims)
+    topo = build_topology(args.topology, args.dims)
     rack = Rack(topo, R2C2Config(headroom=args.headroom))
     rng_pairs = []
     import random
@@ -121,7 +106,7 @@ def _sim_setup(args, obs: bool = False, flight: bool = False):
     from .sim import SimConfig
     from .workloads import ParetoSizes, poisson_trace
 
-    topo = _build_topology(args.topology, args.dims)
+    topo = build_topology(args.topology, args.dims)
     trace = poisson_trace(
         topo,
         args.flows,
@@ -651,7 +636,7 @@ def cmd_serve(args) -> int:
     from .congestion import WeightProvider
     from .service import ServiceState, serve_forever
 
-    topo = _build_topology(args.topology, args.dims)
+    topo = build_topology(args.topology, args.dims)
     state = ServiceState(
         topo,
         headroom=args.headroom,
@@ -703,29 +688,6 @@ def _synth_spec_from_args(args):
     )
 
 
-def _synth_tier_load(fabric, protocol_name: str, pattern_name: str):
-    """Per-tier channel loads for a synthesized fabric, JSON-sanitized."""
-    from .analysis import tiered_channel_loads
-    from .routing.base import make_protocol
-    from .workloads.patterns import COMPOSED_PATTERNS, STANDARD_PATTERNS
-
-    from .errors import ReproError
-
-    pattern = COMPOSED_PATTERNS.get(pattern_name) or STANDARD_PATTERNS.get(
-        pattern_name
-    )
-    if pattern is None:
-        raise ReproError(f"unknown traffic pattern {pattern_name!r}")
-    protocol = make_protocol(protocol_name, fabric.topology)
-    tier_load = tiered_channel_loads(protocol, pattern.matrix(fabric.topology))
-    if tier_load["saturation"] == float("inf"):
-        tier_load["saturation"] = None
-    for tier in tier_load["tiers"].values():
-        if tier["saturation"] == float("inf"):
-            tier["saturation"] = None
-    return tier_load
-
-
 def cmd_synth_generate(args) -> int:
     import json
     from pathlib import Path
@@ -739,8 +701,8 @@ def cmd_synth_generate(args) -> int:
     if args.protocol:
         manifest["protocol"] = args.protocol
         manifest["pattern"] = args.pattern
-        manifest["tier_load"] = _synth_tier_load(
-            fabric, args.protocol, args.pattern
+        manifest["tier_load"] = tier_load_report(
+            fabric.topology, args.protocol, args.pattern
         )
     text = json.dumps(manifest, indent=2, sort_keys=True)
     if args.out:
@@ -783,7 +745,9 @@ def cmd_synth_describe(args) -> int:
     print(f"spec fingerprint:  {spec.fingerprint()}")
     print(f"fabric fingerprint: {fabric.fingerprint}")
     if args.protocol:
-        _print_tier_load(_synth_tier_load(fabric, args.protocol, args.pattern))
+        _print_tier_load(
+            tier_load_report(fabric.topology, args.protocol, args.pattern)
+        )
     return 0
 
 

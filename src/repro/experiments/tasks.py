@@ -43,39 +43,24 @@ class InjectedWorkerFailure(RuntimeError):
     """A deliberately injected worker failure (chaos/retry testing)."""
 
 
-def _build_topology(task: Task):
-    from ..topology import (
-        FoldedClosTopology,
-        HypercubeTopology,
-        MeshTopology,
-        TorusTopology,
-    )
+def _task_topology(task: Task):
+    """The fabric a task runs on: a synthesized one for ``topology="synth"``,
+    else the scenario's rack kind (link latency and the clos switch radix
+    ride in params)."""
+    from ..topology import build_topology, synthesize
 
-    params = task.scenario.params_dict
-    kwargs = {}
-    if task.scenario.capacity_bps is not None:
-        kwargs["capacity_bps"] = task.scenario.capacity_bps
-    if "latency_ns" in params:
-        kwargs["latency_ns"] = int(params["latency_ns"])
-    kind = task.scenario.topology
-    if kind == "synth":
-        from ..topology.synth import synthesize
-
+    scenario = task.scenario
+    if scenario.topology == "synth":
         return synthesize(_synth_spec(task)).topology
-    if kind == "torus":
-        return TorusTopology(task.scenario.dims, **kwargs)
-    if kind == "mesh":
-        return MeshTopology(task.scenario.dims, **kwargs)
-    if kind == "hypercube":
-        return HypercubeTopology(task.scenario.dims[0], **kwargs)
-    if kind == "clos":
-        # dims = (n_hosts,); the switch radix rides in params.
-        return FoldedClosTopology(
-            n_hosts=task.scenario.dims[0],
-            radix=int(params.get("radix", 8)),
-            **kwargs,
-        )
-    raise ExperimentError(f"task {task.key}: unknown topology {kind!r}")
+    params = scenario.params_dict
+    latency_ns = params.get("latency_ns")
+    return build_topology(
+        scenario.topology,
+        scenario.dims,
+        capacity_bps=scenario.capacity_bps,
+        latency_ns=None if latency_ns is None else int(latency_ns),
+        radix=int(params.get("radix", 8)),
+    )
 
 
 def _synth_spec(task: Task):
@@ -156,7 +141,7 @@ def _run_routing(task: Task) -> Dict[str, Any]:
     from ..workloads import STANDARD_PATTERNS
     from ..workloads.worstcase import worst_case_throughput
 
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     protocol_name = task.scenario.param("protocol")
     pattern_name = task.scenario.param("pattern")
     if protocol_name is None or pattern_name is None:
@@ -227,7 +212,7 @@ def _make_trace(task: Task, topology):
 
         rng = random.Random(derive_seed(trace_seed, "hostpairs"))
         sizes = _make_sizes(params)
-        n_hosts = getattr(topology, "n_hosts", topology.n_nodes)
+        n_hosts = topology.n_hosts
         if n_hosts < 2:
             raise ExperimentError(f"task {task.key}: hostpairs needs >= 2 hosts")
         gap_ns = max(1, int(params.get("tau_ns", 5_000)))
@@ -258,7 +243,7 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
     from ..telemetry import Telemetry, TelemetryConfig
 
     params = task.scenario.params_dict
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     topology, failed_links = _apply_failure_storm(task, topology)
     trace = _make_trace(task, topology)
     # The flight recorder is an out-of-band diagnostic channel: its dump
@@ -372,7 +357,7 @@ def _run_selection(task: Task) -> Dict[str, Any]:
     from ..workloads import permutation_load_trace
 
     params = task.scenario.params_dict
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     load = float(params.get("load", 0.25))
     search_seed = int(params.get("search_seed", task.seed))
     trace = permutation_load_trace(
@@ -419,7 +404,7 @@ def _run_crossval(task: Task) -> Dict[str, Any]:
     from ..workloads import FixedSize, poisson_trace
 
     params = task.scenario.params_dict
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     trace_seed = int(params.get("trace_seed", task.seed))
     trace = poisson_trace(
         topology,
@@ -452,7 +437,7 @@ def _run_churn(task: Task) -> Dict[str, Any]:
     from ..service import run_churn
 
     params = task.scenario.params_dict
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     fallback_at = params.get("fallback_at")
     fail_seed = None
     if fallback_at is not None:
@@ -476,11 +461,8 @@ def _run_churn(task: Task) -> Dict[str, Any]:
 
 
 def _run_synth(task: Task) -> Dict[str, Any]:
-    from ..analysis import tiered_channel_loads
-    from ..routing.base import make_protocol
-    from ..topology import bisection_bandwidth_bps
-    from ..topology.synth import synthesize
-    from ..workloads.patterns import COMPOSED_PATTERNS, STANDARD_PATTERNS
+    from ..analysis import tier_load_report
+    from ..topology import bisection_bandwidth_bps, synthesize
 
     params = task.scenario.params_dict
     spec = _synth_spec(task)
@@ -497,24 +479,9 @@ def _run_synth(task: Task) -> Dict[str, Any]:
     protocol_name = params.get("protocol")
     if protocol_name:
         pattern_name = params.get("pattern", "rack-shift")
-        pattern = COMPOSED_PATTERNS.get(pattern_name) or STANDARD_PATTERNS.get(
-            pattern_name
-        )
-        if pattern is None:
-            raise ExperimentError(
-                f"task {task.key}: unknown pattern {pattern_name!r}"
-            )
-        protocol = make_protocol(protocol_name, topology)
-        tier_load = tiered_channel_loads(protocol, pattern.matrix(topology))
-        # An unloaded tier has infinite saturation; keep the JSON portable.
-        if tier_load["saturation"] == float("inf"):
-            tier_load["saturation"] = None
-        for tier in tier_load["tiers"].values():
-            if tier["saturation"] == float("inf"):
-                tier["saturation"] = None
         result["protocol"] = protocol_name
         result["pattern"] = pattern_name
-        result["tier_load"] = tier_load
+        result["tier_load"] = tier_load_report(topology, protocol_name, pattern_name)
     return result
 
 

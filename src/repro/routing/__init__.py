@@ -7,7 +7,11 @@ single-path ECMP used by the TCP baseline.
 Protocols are registered with one-byte wire ids so they can be named in
 broadcast packets::
 
-    rps = 0, dor = 1, vlb = 2, wlb = 3, ecmp = 4
+    rps = 0, dor = 1, vlb = 2, wlb = 3, ecmp = 4,
+    hier = 6, hier_wlb = 7, hier_vlb = 8
+
+The three hierarchical protocols (:mod:`repro.routing.hierarchical`) route
+across the racks of a switchless composed fabric (paper §6).
 """
 
 from .base import (
@@ -19,6 +23,7 @@ from .base import (
 )
 from .dor import DestinationTagRouting
 from .ecmp import EcmpSinglePath
+from .hierarchical import HierarchicalRouting, HierarchicalVLB, HierarchicalWLB
 from .spraying import RandomPacketSpraying
 from .valiant import ValiantLoadBalancing, translation_map
 from .weights import (
@@ -34,6 +39,9 @@ from .wlb import WeightedLoadBalancing
 __all__ = [
     "DestinationTagRouting",
     "EcmpSinglePath",
+    "HierarchicalRouting",
+    "HierarchicalVLB",
+    "HierarchicalWLB",
     "RandomPacketSpraying",
     "RoutingProtocol",
     "ValiantLoadBalancing",

@@ -23,15 +23,16 @@ import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RoutingError
-from ..routing.base import RoutingProtocol, make_protocol, register_protocol
-from ..routing.weights import merge_weights, sample_spray_path, spray_link_weights
+from ..topology.composed import ComposedFabric
 from ..types import LinkId, NodeId
-from .topology import MultiRackFabric
+from .base import RoutingProtocol, make_protocol, register_protocol
+from .weights import merge_weights, sample_spray_path, spray_link_weights
 
 
 @register_protocol
 class HierarchicalRouting(RoutingProtocol):
-    """Gateway-segmented routing on a :class:`MultiRackFabric`."""
+    """Gateway-segmented routing on a switchless
+    :class:`~repro.topology.composed.ComposedFabric`."""
 
     name = "hier"
     protocol_id = 6
@@ -43,20 +44,20 @@ class HierarchicalRouting(RoutingProtocol):
 
     def __init__(self, topology) -> None:
         super().__init__(topology)
-        if not isinstance(topology, MultiRackFabric):
+        if not isinstance(topology, ComposedFabric) or topology.n_switches:
             raise RoutingError(
-                "hierarchical routing requires a MultiRackFabric, "
-                f"got {topology.name}"
+                "hierarchical routing requires a switchless composed fabric "
+                f"(host-to-host gateway cables), got {topology.name}"
             )
-        self._fabric: MultiRackFabric = topology
+        self._fabric: ComposedFabric = topology
         # (rack_a, rack_b) -> list of (egress gateway in a, ingress in b).
         self._cables: Dict[Tuple[int, int], List[Tuple[NodeId, NodeId]]] = {}
-        for link in topology.bridge_links():
+        for link in topology.gateway_links():
             pair = (topology.rack_of(link.src), topology.rack_of(link.dst))
             self._cables.setdefault(pair, []).append((link.src, link.dst))
         self._weights_cache: Dict[tuple, Mapping[LinkId, float]] = {}
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
-        # Rack-graph adjacency in bridge insertion order (BFS parent choice,
+        # Rack-graph adjacency in cable insertion order (BFS parent choice,
         # and hence legacy "hier" weights, must not change).
         self._rack_adjacency: Dict[int, List[int]] = {}
         for a, b in self._cables:

@@ -10,19 +10,24 @@ Public surface:
 * :func:`bisection_channel_count`, :func:`bisection_bandwidth_bps`.
 * :class:`Partition` / :func:`partition_topology` — shard cuts for the
   parallel simulation engine (:mod:`repro.distsim`).
+* :func:`build_topology` — the one ``kind, dims`` -> rack topology
+  dispatcher.
+* :class:`ComposedFabric` — racks + optional switches + gateway cables, the
+  one multi-rack fabric class (:mod:`repro.topology.composed`).
 * :class:`FabricSpec` / :func:`synthesize` — automated inter-rack fabric
   synthesis under port/cost budgets (:mod:`repro.topology.synth`).
 """
 
 from .base import DEFAULT_CAPACITY_BPS, DEFAULT_LATENCY_NS, GraphTopology, Topology
 from .bisection import bisection_bandwidth_bps, bisection_channel_count
+from .build import build_topology
 from .clos import FoldedClosTopology
+from .composed import ComposedFabric
 from .hypercube import HypercubeTopology
 from .partition import Partition, partition_topology
 from .synth import (
     SYNTH_DESIGNS,
     FabricSpec,
-    FatTreeFabric,
     SynthesizedFabric,
     synthesize,
 )
@@ -37,10 +42,10 @@ from .paths import (
 from .torus import MeshTopology, TorusTopology
 
 __all__ = [
+    "ComposedFabric",
     "DEFAULT_CAPACITY_BPS",
     "DEFAULT_LATENCY_NS",
     "FabricSpec",
-    "FatTreeFabric",
     "FoldedClosTopology",
     "GraphTopology",
     "HypercubeTopology",
@@ -53,6 +58,7 @@ __all__ = [
     "TorusTopology",
     "bisection_bandwidth_bps",
     "bisection_channel_count",
+    "build_topology",
     "count_shortest_paths",
     "enumerate_shortest_paths",
     "is_minimal_path",

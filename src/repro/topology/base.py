@@ -19,7 +19,7 @@ coordinates and analytic distances where available.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from ..types import Link, LinkId, NodeId, gbps
@@ -35,11 +35,13 @@ class Topology:
     """An immutable directed-graph topology.
 
     Construction takes the number of nodes and an iterable of directed
-    ``(src, dst)`` edges.  Every edge receives the same capacity and latency;
-    heterogeneous fabrics can be expressed by subclassing and overriding
-    :meth:`_build_links`, but the rack fabrics the paper studies are
-    homogeneous ("all network links inside the rack have the same capacity",
-    §3.2).
+    ``(src, dst)`` edges.  Every edge receives the same capacity and latency
+    — the rack fabrics the paper studies are homogeneous ("all network links
+    inside the rack have the same capacity", §3.2) — except the directed
+    links named in *link_params*, a ``(src, dst) -> (capacity_bps,
+    latency_ns)`` mapping.  That is how composed multi-rack fabrics give
+    their gateway cables their own parameters, and how failure views keep
+    them.
     """
 
     def __init__(
@@ -49,6 +51,7 @@ class Topology:
         capacity_bps: float = DEFAULT_CAPACITY_BPS,
         latency_ns: int = DEFAULT_LATENCY_NS,
         name: str = "graph",
+        link_params: Optional[Mapping[Tuple[NodeId, NodeId], Tuple[float, int]]] = None,
     ) -> None:
         if n_nodes <= 0:
             raise TopologyError(f"topology needs at least one node, got {n_nodes}")
@@ -74,6 +77,16 @@ class Topology:
             seen.add((src, dst))
             out_adj[src].append(dst)
 
+        default = (self._capacity_bps, self._latency_ns)
+        exceptions: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
+        for edge, (capacity, latency) in (link_params or {}).items():
+            if edge not in seen or capacity <= 0 or latency < 0:
+                raise TopologyError(
+                    f"link parameters ({capacity}, {latency}) for {edge} need an "
+                    "existing edge, positive capacity and non-negative latency"
+                )
+            exceptions[edge] = (float(capacity), int(latency))
+
         # Ports are assigned in sorted-neighbor order so that the mapping is
         # deterministic and identical on every node that rebuilds it.
         links: List[Link] = []
@@ -84,8 +97,9 @@ class Topology:
             neighbors.append(tuple(out_adj[node]))
             for dst in out_adj[node]:
                 link_id = len(links)
-                links.append(Link(link_id, node, dst, self._capacity_bps, self._latency_ns))
-                link_index[(node, dst)] = link_id
+                edge = (node, dst)
+                links.append(Link(link_id, node, dst, *exceptions.get(edge, default)))
+                link_index[edge] = link_id
 
         in_adj: List[List[NodeId]] = [[] for _ in range(n_nodes)]
         for link in links:
@@ -122,17 +136,34 @@ class Topology:
 
     @property
     def capacity_bps(self) -> float:
-        """Per-link capacity in bits per second (homogeneous fabric)."""
+        """Default per-link capacity in bits per second (every link of a
+        homogeneous fabric; the rack links of a composed one)."""
         return self._capacity_bps
 
     @property
     def latency_ns(self) -> int:
-        """Per-link propagation latency in nanoseconds."""
+        """Default per-link propagation latency in nanoseconds."""
         return self._latency_ns
 
     def nodes(self) -> range:
         """Iterable of all node ids."""
         return range(self._n_nodes)
+
+    @property
+    def n_hosts(self) -> int:
+        """Number of traffic endpoints.  Every node of a direct-connect
+        fabric is one; fabrics with switch nodes number their hosts first
+        and override this."""
+        return self._n_nodes
+
+    def hosts(self) -> range:
+        """Iterable of the host node ids (``0 .. n_hosts-1``)."""
+        return range(self.n_hosts)
+
+    def is_gateway_link(self, link_id: LinkId) -> bool:
+        """True if the link is an inter-rack gateway cable.  A single rack
+        has none; :class:`~repro.topology.composed.ComposedFabric` does."""
+        return False
 
     def neighbors(self, node: NodeId) -> Tuple[NodeId, ...]:
         """Out-neighbors of *node* in ascending order (port order)."""
@@ -303,21 +334,13 @@ class Topology:
     def without_links(self, failed: Iterable[Tuple[NodeId, NodeId]]) -> "Topology":
         """A copy of this topology with the given directed links removed.
 
-        Node ids are preserved; the result is a plain :class:`Topology`, so
+        Node ids are preserved and every surviving link keeps its own
+        capacity and latency; the result is a plain :class:`Topology`, so
         coordinate-based routing no longer applies to it.
         """
         failed_set = set(failed)
-        edges = [
-            (link.src, link.dst)
-            for link in self._links
-            if (link.src, link.dst) not in failed_set
-        ]
-        return Topology(
-            self._n_nodes,
-            edges,
-            capacity_bps=self._capacity_bps,
-            latency_ns=self._latency_ns,
-            name=f"{self._name}-degraded",
+        return self._view(
+            link for link in self._links if (link.src, link.dst) not in failed_set
         )
 
     def without_nodes(self, failed: Iterable[NodeId]) -> "Topology":
@@ -327,17 +350,28 @@ class Topology:
         (and hence flow/table indexing everywhere else) is preserved.
         """
         failed_set = set(failed)
-        edges = [
-            (link.src, link.dst)
+        return self._view(
+            link
             for link in self._links
             if link.src not in failed_set and link.dst not in failed_set
-        ]
+        )
+
+    def _view(self, surviving: Iterable[Link]) -> "Topology":
+        default = (self._capacity_bps, self._latency_ns)
+        edges = []
+        link_params = {}
+        for link in surviving:
+            edge = (link.src, link.dst)
+            edges.append(edge)
+            if (link.capacity_bps, link.latency_ns) != default:
+                link_params[edge] = (link.capacity_bps, link.latency_ns)
         return Topology(
             self._n_nodes,
             edges,
             capacity_bps=self._capacity_bps,
             latency_ns=self._latency_ns,
             name=f"{self._name}-degraded",
+            link_params=link_params,
         )
 
     # ------------------------------------------------------------------

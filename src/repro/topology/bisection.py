@@ -14,6 +14,7 @@ import itertools
 from ..errors import TopologyError
 from .base import Topology
 from .clos import FoldedClosTopology
+from .composed import ComposedFabric
 from .hypercube import HypercubeTopology
 from .torus import MeshTopology, TorusTopology
 
@@ -55,15 +56,12 @@ def bisection_bandwidth_bps(topology: Topology) -> float:
     """Aggregate capacity (bits/s) across the bisection, one direction summed
     with the other (i.e. counting every crossing directed channel once).
 
-    Composed multi-rack graphs (heterogeneous link capacities, too many
-    nodes for the brute-force fallback) provide their own estimate through
-    a ``composed_bisection_bps()`` hook — see
-    :meth:`repro.interrack.topology.MultiRackFabric.composed_bisection_bps`
-    and :meth:`repro.topology.synth.FatTreeFabric.composed_bisection_bps`.
+    Composed multi-rack fabrics (heterogeneous link capacities, too many
+    nodes for the brute-force fallback) provide their own closed forms —
+    see :meth:`repro.topology.composed.ComposedFabric.composed_bisection_bps`.
     """
-    hook = getattr(topology, "composed_bisection_bps", None)
-    if hook is not None:
-        return float(hook())
+    if isinstance(topology, ComposedFabric):
+        return topology.composed_bisection_bps()
     return bisection_channel_count(topology) * topology.capacity_bps
 
 

@@ -101,10 +101,6 @@ class FoldedClosTopology(Topology):
         """Switch radix the fabric was built from."""
         return self._radix
 
-    def hosts(self) -> range:
-        """Ids of the host nodes."""
-        return range(self._n_hosts)
-
     def switches(self) -> range:
         """Ids of all switch nodes (leaves then spines)."""
         return range(self._n_hosts, self.n_nodes)

@@ -18,12 +18,10 @@ volume) and shard balance.  Strategies:
 * folded Clos: hosts stay with their leaf, leaves are split into contiguous
   ranges, spines into contiguous ranges — the subtree cut (only leaf-spine
   links cross);
-* multi-rack fabrics (anything exposing ``rack_of``/``n_racks``, i.e.
-  :class:`~repro.interrack.topology.MultiRackFabric` and synthesized
-  :class:`~repro.topology.synth.FatTreeFabric`): racks are grouped into
-  contiguous ranges so only gateway cables cross shards and the
-  conservative window's lookahead becomes the gateway latency — the
-  natural minimum cut of a composed graph;
+* multi-rack fabrics (:class:`~repro.topology.composed.ComposedFabric`):
+  racks are grouped into contiguous ranges so only gateway cables cross
+  shards and the conservative window's lookahead becomes the gateway
+  latency — the natural minimum cut of a composed graph;
 * anything else (including the plain :class:`~repro.topology.Topology`
   failure views return): contiguous node-id blocks.
 
@@ -39,6 +37,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..errors import TopologyError
 from ..types import Link, NodeId
 from .base import Topology
+from .clos import FoldedClosTopology
+from .composed import ComposedFabric
 
 
 class Partition:
@@ -148,9 +148,9 @@ def partition_topology(topology: Topology, k: int, strategy: str = "auto") -> Pa
         )
 
     if strategy == "auto":
-        if _is_multirack(topology):
+        if isinstance(topology, ComposedFabric):
             strategy = "rack"
-        elif _is_clos(topology):
+        elif isinstance(topology, FoldedClosTopology):
             strategy = "subtree"
         elif topology.dims is not None:
             strategy = "slab"
@@ -192,41 +192,31 @@ def _slab_assignment(topology: Topology, k: int) -> List[int]:
     ]
 
 
-def _is_multirack(topology: Topology) -> bool:
-    return hasattr(topology, "rack_of") and hasattr(topology, "n_racks")
-
-
 def _rack_assignment(topology: Topology, k: int) -> List[int]:
     """Rack-aligned cut: racks grouped into ``k`` contiguous ranges.
 
     Only gateway cables cross shards, so the conservative window's
-    lookahead equals the gateway latency.  Works for any topology exposing
-    ``rack_of``/``n_racks`` — :class:`~repro.interrack.topology.
-    MultiRackFabric` (where it cuts exactly the bridge links) and
-    :class:`~repro.topology.synth.FatTreeFabric` (whose switches are
-    spread round-robin over rack groups by its ``rack_of``).  With more
-    shards than racks a rack would have to straddle shards, so we fall
-    back to id blocks — which for rack-contiguous node ids is still a
-    near-rack-aligned cut.
+    lookahead equals the gateway latency.  The switches of a
+    :class:`~repro.topology.composed.ComposedFabric` belong to no rack and
+    are spread evenly over the shards; every link of theirs is a gateway
+    cable, so the cut stays inside the gateway tier.  With more shards than
+    racks a rack would have to straddle shards, so we fall back to id
+    blocks — which for rack-contiguous node ids is still a near-rack-aligned
+    cut.
 
     Note failure views return plain :class:`Topology` objects without rack
-    attributes; "auto" then degrades to blocks, which preserves the same
+    structure; "auto" then degrades to blocks, which preserves the same
     contiguous-id structure.
     """
-    if not _is_multirack(topology):
+    if not isinstance(topology, ComposedFabric):
         raise TopologyError(f"{topology.name} is not a multi-rack fabric")
     n_racks = topology.n_racks
     if k > n_racks:
         return _block_assignment(topology.n_nodes, k)
-    return [topology.rack_of(node) * k // n_racks for node in topology.nodes()]
-
-
-def _is_clos(topology: Topology) -> bool:
-    return (
-        hasattr(topology, "leaf_of")
-        and hasattr(topology, "n_leaves")
-        and hasattr(topology, "n_spines")
-    )
+    n_switches = topology.n_switches
+    return [topology.rack_of(host) * k // n_racks for host in topology.hosts()] + [
+        rank * k // n_switches for rank in range(n_switches)
+    ]
 
 
 def _subtree_assignment(topology: Topology, k: int) -> List[int]:
@@ -236,7 +226,7 @@ def _subtree_assignment(topology: Topology, k: int) -> List[int]:
     cross shards; if there are fewer leaves than shards the topology is too
     small for a subtree cut and we fall back to id blocks.
     """
-    if not _is_clos(topology):
+    if not isinstance(topology, FoldedClosTopology):
         raise TopologyError(f"{topology.name} is not a folded Clos")
     n_leaves = topology.n_leaves
     if k > n_leaves:

@@ -1,22 +1,23 @@
 """Automated inter-rack fabric synthesis (ROADMAP: "scale past the rack").
 
-The paper's §6 leaves inter-rack networking as future work; the seed's
-:mod:`repro.interrack` hand-wires two designs (a ring of racks and one
-aggregation switch).  This module *synthesizes* inter-rack fabrics from a
-declarative :class:`FabricSpec` under explicit port and cost budgets,
-following the two families retrieved in PAPERS.md:
+The paper's §6 leaves inter-rack networking as future work and sketches
+two designs (direct gateway cables, an aggregation switch).  This module
+*synthesizes* inter-rack fabrics from a declarative :class:`FabricSpec`
+under explicit port and cost budgets, and is the only builder of
+:class:`~repro.topology.composed.ComposedFabric` instances besides
+hand-wiring one.  Four designs, following the two families retrieved in
+PAPERS.md plus the paper's own sketches:
 
 * ``fattree`` — Solnushkin-style automated two-layer fat-tree design: given
   a switch radix and per-rack uplink budget, enumerate the feasible
   (downlinks, uplinks) port splits of the edge layer, reject candidates
   that miss the oversubscription target, and pick the cheapest under the
-  cost model.  Emits a :class:`FatTreeFabric` (racks + edge + core nodes).
+  cost model.  Edge switches follow the hosts, core switches the edge.
 * ``flat`` — RNG / Space-Shuffle-style flat direct-connect fabric: a seeded
   random regular graph over racks (pairing model, redrawn until simple and
-  connected), emitted as an :class:`~repro.interrack.topology.
-  MultiRackFabric` bridge list.  Deterministic per seed.
-* ``ring`` / ``switched`` — the seed's hand-wired designs re-expressed as
-  synth specs, so every design shares one budget/cost/fingerprint surface.
+  connected), wired with host-to-host cables.  Deterministic per seed.
+* ``ring`` — racks in a ring, parallel host-to-host cables per side.
+* ``switched`` — every rack uplinked to one aggregation switch.
 
 Every synthesis is deterministic: the same spec (same seed) produces the
 same bridge list and the same content :attr:`SynthesizedFabric.fingerprint`
@@ -30,16 +31,17 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
-from ..types import Link, LinkId, NodeId
+from ..types import NodeId
 from .base import Topology
+from .build import build_topology
+from .composed import ComposedFabric
 
 __all__ = [
     "FabricSpec",
-    "FatTreeFabric",
     "SynthesizedFabric",
     "SYNTH_DESIGNS",
     "synthesize",
@@ -48,25 +50,14 @@ __all__ = [
 #: Designs :func:`synthesize` knows how to generate.
 SYNTH_DESIGNS = ("fattree", "flat", "ring", "switched")
 
+#: What a design function hands :func:`synthesize`: the topology name, the
+#: switch count, the gateway wiring (``SynthesizedFabric.bridges``) and the
+#: design's figures of merit.
+_Wiring = Tuple[str, int, Sequence[Tuple[int, ...]], Dict[str, Any]]
+
 #: How many pairing-model redraws the flat design attempts before declaring
 #: the (n_racks, degree) combination infeasible for this seed.
 _FLAT_MAX_ATTEMPTS = 200
-
-
-def _build_rack(kind: str, dims: Tuple[int, ...], capacity_bps: Optional[float]):
-    from .hypercube import HypercubeTopology
-    from .torus import MeshTopology, TorusTopology
-
-    kwargs = {}
-    if capacity_bps is not None:
-        kwargs["capacity_bps"] = capacity_bps
-    if kind == "torus":
-        return TorusTopology(dims, **kwargs)
-    if kind == "mesh":
-        return MeshTopology(dims, **kwargs)
-    if kind == "hypercube":
-        return HypercubeTopology(dims[0], **kwargs)
-    raise TopologyError(f"unknown rack topology kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -160,150 +151,15 @@ class FabricSpec:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class FatTreeFabric(Topology):
-    """Racks composed through a two-layer (edge + core) fat tree.
-
-    Node ids: hosts first (``rack * rack_size + local``, exactly the
-    :class:`~repro.interrack.topology.MultiRackFabric` arithmetic), then the
-    ``n_edge`` edge switches, then the ``n_core`` core switches.  Uplink and
-    core links carry the gateway capacity/latency; host links the rack's.
-    """
-
-    def __init__(
-        self,
-        racks: Sequence[Topology],
-        n_edge: int,
-        n_core: int,
-        uplinks: Sequence[Tuple[NodeId, NodeId]],
-        corelinks: Sequence[Tuple[NodeId, NodeId]],
-        gateway_capacity_bps: float,
-        gateway_latency_ns: int,
-    ) -> None:
-        self._racks = list(racks)
-        self._rack_size = racks[0].n_nodes
-        self._n_hosts = len(racks) * self._rack_size
-        self._n_edge = n_edge
-        self._n_core = n_core
-        edges: List[Tuple[NodeId, NodeId]] = []
-        for rack_idx, rack in enumerate(racks):
-            base = rack_idx * self._rack_size
-            for link in rack.links:
-                edges.append((base + link.src, base + link.dst))
-        gateway_pairs = list(uplinks) + list(corelinks)
-        for a, b in gateway_pairs:
-            edges.append((a, b))
-            edges.append((b, a))
-        super().__init__(
-            self._n_hosts + n_edge + n_core,
-            edges,
-            capacity_bps=racks[0].capacity_bps,
-            latency_ns=racks[0].latency_ns,
-            name=f"fattree({len(racks)}x{racks[0].name}+{n_edge}e+{n_core}c)",
-        )
-        gateway_ids: List[LinkId] = []
-        links = list(self._links)
-        for a, b in gateway_pairs:
-            for src, dst in ((a, b), (b, a)):
-                link_id = self.link_id(src, dst)
-                old = links[link_id]
-                links[link_id] = Link(
-                    link_id, old.src, old.dst, gateway_capacity_bps, gateway_latency_ns
-                )
-                gateway_ids.append(link_id)
-        self._links = tuple(links)
-        self._gateway_link_set = frozenset(gateway_ids)
-        self._gateway_link_ids = tuple(sorted(gateway_ids))
-        self._gateway_capacity = float(gateway_capacity_bps)
-
-    # -- rack arithmetic (MultiRackFabric-compatible for hosts) ---------
-    @property
-    def n_racks(self) -> int:
-        """Number of racks hanging off the edge layer."""
-        return len(self._racks)
-
-    @property
-    def rack_size(self) -> int:
-        """Hosts per rack."""
-        return self._rack_size
-
-    @property
-    def n_hosts(self) -> int:
-        """Host nodes (ids below the switch range)."""
-        return self._n_hosts
-
-    @property
-    def n_edge(self) -> int:
-        """Edge-layer switch count."""
-        return self._n_edge
-
-    @property
-    def n_core(self) -> int:
-        """Core-layer switch count."""
-        return self._n_core
-
-    def hosts(self) -> range:
-        """Host node ids (the traffic endpoints)."""
-        return range(self._n_hosts)
-
-    def is_switch(self, node: NodeId) -> bool:
-        """True for edge/core switch nodes."""
-        self._check_node(node)
-        return node >= self._n_hosts
-
-    def rack_of(self, node: NodeId) -> int:
-        """The rack a host belongs to; switches are spread round-robin so
-        rack-aligned partitions stay balanced and total."""
-        self._check_node(node)
-        if node < self._n_hosts:
-            return node // self._rack_size
-        n = self.n_racks
-        if node < self._n_hosts + self._n_edge:
-            rank = node - self._n_hosts
-            return rank * n // max(self._n_edge, 1)
-        rank = node - self._n_hosts - self._n_edge
-        return rank * n // max(self._n_core, 1)
-
-    def local_id(self, node: NodeId) -> NodeId:
-        """A host's id inside its rack."""
-        self._check_node(node)
-        if node >= self._n_hosts:
-            raise TopologyError(f"node {node} is a switch, not a rack host")
-        return node % self._rack_size
-
-    def is_gateway_link(self, link_id: LinkId) -> bool:
-        """True for rack-edge uplinks and edge-core links."""
-        return link_id in self._gateway_link_set
-
-    def gateway_links(self) -> List[Link]:
-        """All uplink/core links (both directions), in link-id order."""
-        return [self._links[i] for i in self._gateway_link_ids]
-
-    def composed_bisection_bps(self) -> float:
-        """Closed-form bisection estimate from the design parameters.
-
-        A balanced host split routes crossing traffic rack->edge->core->
-        edge->rack, so the cut is limited by the thinner of the two gateway
-        stages available to one half: half the rack uplinks or half the
-        edge-core cables (both directions counted, matching
-        :func:`repro.topology.bisection.bisection_bandwidth_bps`).
-        """
-        uplink_cables = sum(
-            1 for link in self.gateway_links()
-            if link.src < self._n_hosts or link.dst < self._n_hosts
-        ) // 2
-        core_cables = len(self._gateway_link_ids) // 2 - uplink_cables
-        return min(uplink_cables, core_cables) * self._gateway_capacity
-
-
 @dataclass(frozen=True)
 class SynthesizedFabric:
     """One synthesis result: the fabric, its wiring and its cost report."""
 
     spec: FabricSpec
-    topology: Topology
-    #: Gateway wiring.  ``flat``/``ring``: MultiRackFabric bridge tuples
-    #: ``(rack_a, local_a, rack_b, local_b)``; ``fattree``/``switched``:
-    #: global ``(node, switch)`` pairs.
+    topology: ComposedFabric
+    #: Gateway wiring.  ``flat``/``ring``: ``(rack_a, local_a, rack_b,
+    #: local_b)`` host-to-host cables; ``fattree``/``switched``: global
+    #: ``(node, switch)`` pairs.
     bridges: Tuple[Tuple[int, ...], ...]
     #: Deterministic figures of merit: switches, cables, ports, cost,
     #: achieved oversubscription, budget verdicts.
@@ -348,32 +204,43 @@ def synthesize(spec: FabricSpec) -> SynthesizedFabric:
     Raises :class:`~repro.errors.TopologyError` when no fabric satisfies
     the port, radix, oversubscription or cost budget.
     """
-    racks = [_build_rack(spec.rack, spec.rack_dims, spec.capacity_bps)] * spec.n_racks
-    rack = racks[0]
+    rack = build_topology(spec.rack, spec.rack_dims, capacity_bps=spec.capacity_bps)
+    if rack.n_hosts != rack.n_nodes:
+        raise TopologyError(f"{spec.rack} racks have switches; compose direct-connect racks")
     gateway_cap = (
         spec.bridge_capacity_bps
         if spec.bridge_capacity_bps is not None
         else rack.capacity_bps
     )
-    if spec.design == "flat":
-        fabric = _synthesize_flat(spec, racks, gateway_cap)
-    elif spec.design == "ring":
-        fabric = _synthesize_ring(spec, racks, gateway_cap)
-    elif spec.design == "fattree":
-        fabric = _synthesize_fattree(spec, racks, gateway_cap)
-    else:
-        fabric = _synthesize_switched(spec, racks, gateway_cap)
-    report = fabric.report
+    wire = {
+        "fattree": _wire_fattree,
+        "flat": _wire_flat,
+        "ring": _wire_ring,
+        "switched": _wire_switched,
+    }[spec.design]
+    name, n_switches, bridges, report = wire(spec, rack, gateway_cap)
+    cables = bridges
+    if not n_switches:  # host-to-host cables, as (rack_a, local_a, rack_b, local_b)
+        size = rack.n_nodes
+        cables = [(ra * size + la, rb * size + lb) for ra, la, rb, lb in bridges]
+    topology = ComposedFabric(
+        [rack] * spec.n_racks,
+        cables,
+        n_switches=n_switches,
+        gateway_capacity_bps=gateway_cap,
+        gateway_latency_ns=spec.bridge_latency_ns,
+        name=name,
+    )
     report["gateway_capacity_bps"] = float(gateway_cap)
-    report["n_nodes"] = fabric.topology.n_nodes
-    report["n_links"] = fabric.topology.n_links
+    report["n_nodes"] = topology.n_nodes
+    report["n_links"] = topology.n_links
     report["n_racks"] = spec.n_racks
     report["rack_size"] = spec.rack_size
     report["cost"] = (
         report["switches"] * spec.switch_cost + report["cables"] * spec.cable_cost
     )
     _enforce_budgets(spec, report)
-    return fabric
+    return SynthesizedFabric(spec, topology, tuple(bridges), report)
 
 
 def _enforce_budgets(spec: FabricSpec, report: Dict[str, Any]) -> None:
@@ -485,33 +352,35 @@ def _flat_rack_graph(n_racks: int, degree: int, seed: int) -> List[Tuple[int, in
     return sorted(fallback)
 
 
-def _direct_report(
-    spec: FabricSpec, ports_per_rack: int, cables: int, gateway_cap: float
-) -> Dict[str, Any]:
-    rack = spec.rack_size
-    cap = _rack_capacity(spec)
-    return {
+def _rack_oversubscription(rack: Topology, ports: int, gateway_cap: float) -> float:
+    """Rack injection capacity over the capacity of its *ports* gateway ports."""
+    return (rack.n_nodes * rack.capacity_bps) / (ports * gateway_cap)
+
+
+def _single_stage_wiring(
+    spec: FabricSpec,
+    rack: Topology,
+    gateway_cap: float,
+    label: str,
+    n_switches: int,
+    bridges: Sequence[Tuple[int, ...]],
+    ports_per_rack: int,
+) -> _Wiring:
+    """The wiring of a design whose only gateway stage is the racks' own
+    ports (flat, ring, switched)."""
+    report = {
         "design": spec.design,
-        "switches": 0,
-        "cables": cables,
+        "switches": n_switches,
+        "cables": len(bridges),
         "gateway_ports_per_rack": ports_per_rack,
-        "oversubscription": (rack * cap) / (ports_per_rack * gateway_cap),
+        "oversubscription": _rack_oversubscription(rack, ports_per_rack, gateway_cap),
     }
+    return f"{label}({spec.n_racks}x{rack.name})", n_switches, bridges, report
 
 
-def _rack_capacity(spec: FabricSpec) -> float:
-    if spec.capacity_bps is not None:
-        return float(spec.capacity_bps)
-    from .base import DEFAULT_CAPACITY_BPS
-
-    return DEFAULT_CAPACITY_BPS
-
-
-def _synthesize_flat(
-    spec: FabricSpec, racks: Sequence[Topology], gateway_cap: float
-) -> SynthesizedFabric:
-    from ..interrack.topology import MultiRackFabric
-
+def _wire_flat(
+    spec: FabricSpec, rack: Topology, gateway_cap: float
+) -> _Wiring:
     degree = spec.gateway_ports
     rack_edges = _flat_rack_graph(spec.n_racks, degree, spec.seed)
     # Rack r's i-th cable attaches at its i-th strided gateway local.
@@ -522,21 +391,12 @@ def _synthesize_flat(
         bridges.append((a, locals_of[next_port[a]], b, locals_of[next_port[b]]))
         next_port[a] += 1
         next_port[b] += 1
-    topology = MultiRackFabric(
-        racks,
-        bridges,
-        bridge_capacity_bps=gateway_cap,
-        bridge_latency_ns=spec.bridge_latency_ns,
-    )
-    report = _direct_report(spec, degree, len(bridges), gateway_cap)
-    return SynthesizedFabric(spec, topology, tuple(bridges), report)
+    return _single_stage_wiring(spec, rack, gateway_cap, "multirack", 0, bridges, degree)
 
 
-def _synthesize_ring(
-    spec: FabricSpec, racks: Sequence[Topology], gateway_cap: float
-) -> SynthesizedFabric:
-    from ..interrack.topology import MultiRackFabric
-
+def _wire_ring(
+    spec: FabricSpec, rack: Topology, gateway_cap: float
+) -> _Wiring:
     per_side = spec.gateway_ports // 2 if spec.n_racks > 2 else spec.gateway_ports
     if per_side < 1:
         raise TopologyError(
@@ -550,27 +410,18 @@ def _synthesize_ring(
         for cable in range(per_side):
             bridges.append((rack_idx, locals_of[cable], nxt, locals_of[cable]))
         if spec.n_racks == 2:
-            break
-    topology = MultiRackFabric(
-        racks,
-        bridges,
-        bridge_capacity_bps=gateway_cap,
-        bridge_latency_ns=spec.bridge_latency_ns,
-    )
+            break  # avoid duplicating the single pair's cables
     ports = per_side if spec.n_racks == 2 else 2 * per_side
-    report = _direct_report(spec, ports, len(bridges), gateway_cap)
-    return SynthesizedFabric(spec, topology, tuple(bridges), report)
+    return _single_stage_wiring(spec, rack, gateway_cap, "multirack", 0, bridges, ports)
 
 
-def _synthesize_fattree(
-    spec: FabricSpec, racks: Sequence[Topology], gateway_cap: float
-) -> SynthesizedFabric:
+def _wire_fattree(
+    spec: FabricSpec, rack: Topology, gateway_cap: float
+) -> _Wiring:
     """Solnushkin-style two-layer design: enumerate edge-port splits, keep
     the candidates meeting the oversubscription target, take the cheapest."""
     n_uplinks = spec.n_racks * spec.gateway_ports
-    rack_oversub = (spec.rack_size * _rack_capacity(spec)) / (
-        spec.gateway_ports * gateway_cap
-    )
+    rack_oversub = _rack_oversubscription(rack, spec.gateway_ports, gateway_cap)
     best = None
     radix = spec.switch_radix
     for down in range(1, radix):
@@ -611,15 +462,6 @@ def _synthesize_fattree(
             pair = (n_hosts + edge_rank, core)
             if pair not in corelinks:  # parallel cables collapse to one link
                 corelinks.append(pair)
-    topology = FatTreeFabric(
-        racks,
-        n_edge,
-        n_core,
-        uplinks,
-        corelinks,
-        gateway_capacity_bps=gateway_cap,
-        gateway_latency_ns=spec.bridge_latency_ns,
-    )
     report = {
         "design": "fattree",
         "switches": n_edge + n_core,
@@ -631,38 +473,33 @@ def _synthesize_fattree(
         "gateway_ports_per_rack": spec.gateway_ports,
         "oversubscription": achieved,
     }
-    bridges = tuple(tuple(pair) for pair in uplinks + corelinks)
-    return SynthesizedFabric(spec, topology, bridges, report)
+    name = f"fattree({spec.n_racks}x{rack.name}+{n_edge}e+{n_core}c)"
+    return name, n_edge + n_core, uplinks + corelinks, report
 
 
-def _synthesize_switched(
-    spec: FabricSpec, racks: Sequence[Topology], gateway_cap: float
-) -> SynthesizedFabric:
-    from ..interrack.topology import switched_multirack
-
+def _wire_switched(
+    spec: FabricSpec, rack: Topology, gateway_cap: float
+) -> _Wiring:
+    """Racks bridged by one aggregation switch (the Ethernet-tunnel option,
+    :mod:`repro.wire.tunnel`).  The paper notes this "would dramatically
+    increase costs" for high-radix, terabit-backplane switches — which the
+    oversubscription report makes visible."""
     uplinks = spec.gateway_ports
     if spec.n_racks * uplinks > spec.switch_radix:
         raise TopologyError(
             f"switched: {spec.n_racks} racks x {uplinks} uplinks exceed the "
             f"radix-{spec.switch_radix} aggregation switch"
         )
-    topology, switch = switched_multirack(
-        racks,
-        uplinks_per_rack=uplinks,
-        switch_capacity_bps=gateway_cap,
-        switch_latency_ns=spec.bridge_latency_ns,
+    size = spec.rack_size
+    switch = spec.n_racks * size
+    stride = max(1, size // uplinks)
+    # More uplinks than rack nodes wrap onto the same gateways: one cable each.
+    locals_of = sorted({(uplink * stride) % size for uplink in range(uplinks)})
+    bridges = [
+        (rack_idx * size + local, switch)
+        for rack_idx in range(spec.n_racks)
+        for local in locals_of
+    ]
+    return _single_stage_wiring(
+        spec, rack, gateway_cap, "switched-multirack", 1, bridges, uplinks
     )
-    bridges = tuple(
-        (link.src, link.dst)
-        for link in topology.links
-        if link.dst == switch
-    )
-    report = {
-        "design": "switched",
-        "switches": 1,
-        "cables": len(bridges),
-        "gateway_ports_per_rack": uplinks,
-        "oversubscription": (spec.rack_size * _rack_capacity(spec))
-        / (uplinks * gateway_cap),
-    }
-    return SynthesizedFabric(spec, topology, bridges, report)

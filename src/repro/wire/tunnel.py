@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import WireFormatError
-from ..wire.checksum import internet_checksum
+from .checksum import internet_checksum
 
 #: Ethernet II framing constants.
 ETHERNET_HEADER_BYTES = 14  # dst MAC + src MAC + EtherType

@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import ReproError
 from ..topology.base import Topology
+from ..topology.composed import ComposedFabric
 from ..types import NodeId
 
 #: A traffic matrix: ``{(src, dst): fraction}`` with per-source fractions
@@ -188,23 +189,20 @@ class RackShiftPattern(TrafficPattern):
     The multi-rack analogue of tornado traffic: all load crosses rack
     boundaries in the same rotational direction, stressing the gateway tier
     of composed fabrics (see :mod:`repro.topology.synth`).  Requires a
-    topology exposing ``rack_of``/``n_racks``/``rack_size``; switches of a
-    fat-tree composition (ids at or above ``n_hosts``) neither send nor
-    receive.  The matrix support is O(N) — one pair per host — which keeps
-    Fig. 2-style analysis feasible at 10k nodes where uniform's O(N²)
+    :class:`~repro.topology.composed.ComposedFabric`; its switches neither
+    send nor receive.  The matrix support is O(N) — one pair per host — which
+    keeps Fig. 2-style analysis feasible at 10k nodes where uniform's O(N²)
     support is not.
     """
 
     name = "rack-shift"
 
     def matrix(self, topology: Topology) -> TrafficMatrix:
-        n_racks = getattr(topology, "n_racks", None)
-        rack_size = getattr(topology, "rack_size", None)
-        if n_racks is None or rack_size is None:
+        if not isinstance(topology, ComposedFabric):
             raise ReproError("rack-shift traffic needs a multi-rack fabric")
-        n_hosts = getattr(topology, "n_hosts", topology.n_nodes)
+        n_racks, rack_size = topology.n_racks, topology.rack_size
         out: TrafficMatrix = {}
-        for src in range(n_hosts):
+        for src in topology.hosts():
             rack, local = divmod(src, rack_size)
             dst = ((rack + 1) % n_racks) * rack_size + local
             if dst != src:

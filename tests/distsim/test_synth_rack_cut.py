@@ -70,7 +70,7 @@ def test_rack_cut_is_what_the_engine_uses():
     assert plan.assignment == partition_topology(topology, 4, "rack").assignment
     assert plan.lookahead_ns() == 500  # spec.bridge_latency_ns
     for link in plan.cut_edges():
-        assert topology.is_bridge_link(link.link_id)
+        assert topology.is_gateway_link(link.link_id)
     # Each shard is a whole number of racks.
     for shard in plan.shards():
         racks = {topology.rack_of(node) for node in shard}

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import Campaign, Scenario
-from repro.experiments.tasks import _apply_failure_storm, _build_topology, _make_trace
+from repro.experiments.tasks import _apply_failure_storm, _task_topology, _make_trace
 from repro.fuzz import (
     SAFETY_HORIZON_NS,
     assemble,
@@ -39,7 +39,7 @@ def _check_runnable(scenario: Scenario) -> None:
     campaign = Campaign(name="probe", scenarios=(scenario,), seed=1)
     (task,) = campaign.expand()
     if scenario.kind == "churn":
-        topology = _build_topology(task)
+        topology = _task_topology(task)
         # Bounded replay: the fuzz loop's safety contract for this kind.
         assert 0 < int(params["n_ops"]) <= 500
         assert 0 < int(params["max_flows"]) <= 64
@@ -54,7 +54,7 @@ def _check_runnable(scenario: Scenario) -> None:
         from repro.experiments.tasks import _make_objective
         from repro.routing.base import make_protocol
 
-        topology = _build_topology(task)
+        topology = _task_topology(task)
         _make_objective(params)  # must resolve
         for protocol in params["protocols"]:
             make_protocol(protocol, topology)  # every candidate routable
@@ -76,7 +76,7 @@ def _check_runnable(scenario: Scenario) -> None:
         audit_strict=bool(params.get("audit_strict", False)),
         seed=int(params.get("sim_seed", 0)),
     )
-    topology = _build_topology(task)
+    topology = _task_topology(task)
     topology, _failed = _apply_failure_storm(task, topology)
     trace = _make_trace(task, topology)
     assert len(trace) >= 1

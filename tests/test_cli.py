@@ -151,6 +151,26 @@ class TestSynth:
         assert "per-tier channel load:" in out
         assert "<-- bottleneck" in out
 
+    @pytest.mark.parametrize("command", ("describe", "generate"))
+    def test_switched_design_reports_bisection_and_gateway_tier(self, command, capsys):
+        # 4 x 9 hosts + 1 switch: past the 16-node brute-force bisection.
+        assert main(
+            [
+                "synth", command, "--design", "switched", "--racks", "4",
+                "--rack-dims", "3x3", "--gateway-ports", "2", "--protocol", "rps",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        if command == "describe":
+            assert "bisection:         80.0 Gbps" in out
+            assert "gateway  links=    16" in out
+        else:
+            import json
+
+            manifest = json.loads(out)
+            assert manifest["bisection_gbps"] == 80.0
+            assert manifest["tier_load"]["tiers"]["gateway"]["links"] == 16
+
     def test_generate_manifest_and_report(self, tmp_path, capsys):
         manifest = tmp_path / "fabric.json"
         argv = [

@@ -15,7 +15,6 @@ SUBPACKAGES = (
     "repro.distsim",
     "repro.experiments",
     "repro.fuzz",
-    "repro.interrack",
     "repro.maze",
     "repro.obs",
     "repro.routing",

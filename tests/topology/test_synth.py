@@ -14,11 +14,10 @@ from repro.analysis import (
     tiered_channel_loads,
 )
 from repro.errors import TopologyError
-from repro.interrack import MultiRackFabric
 from repro.routing.base import make_protocol
 from repro.topology import (
+    ComposedFabric,
     FabricSpec,
-    FatTreeFabric,
     SYNTH_DESIGNS,
     TorusTopology,
     bisection_bandwidth_bps,
@@ -77,7 +76,7 @@ class TestDesigns:
     def test_direct_designs_emit_multirack(self, design):
         fabric = synthesize(_spec(design=design))
         topo = fabric.topology
-        assert isinstance(topo, MultiRackFabric)
+        assert isinstance(topo, ComposedFabric) and topo.n_switches == 0
         # The emitted bridge list is exactly the fabric's wiring: every
         # bridge maps to a pair of directed links via the id arithmetic.
         for rack_a, local_a, rack_b, local_b in fabric.bridges:
@@ -115,15 +114,18 @@ class TestDesigns:
 
 
 class TestFatTreeFabric:
+    """The ``fattree`` design: a ComposedFabric with edge and core switches."""
+
     @pytest.fixture()
     def fabric(self):
         return synthesize(_spec(design="fattree", oversubscription=1e9))
 
     def test_node_id_arithmetic(self, fabric):
         topo = fabric.topology
-        assert isinstance(topo, FatTreeFabric)
+        assert isinstance(topo, ComposedFabric)
         assert topo.n_hosts == 16
-        assert topo.n_nodes == 16 + topo.n_edge + topo.n_core
+        assert topo.n_switches == fabric.report["n_edge"] + fabric.report["n_core"]
+        assert topo.n_nodes == 16 + topo.n_switches
         for node in topo.hosts():
             assert topo.rack_of(node) == node // topo.rack_size
             assert topo.local_id(node) == node % topo.rack_size
@@ -132,6 +134,8 @@ class TestFatTreeFabric:
             assert topo.is_switch(node)
             with pytest.raises(TopologyError):
                 topo.local_id(node)
+            with pytest.raises(TopologyError):
+                topo.rack_of(node)
 
     def test_gateway_links_are_the_switch_tier(self, fabric):
         topo = fabric.topology
@@ -197,7 +201,7 @@ class TestRackPartition:
         # auto strategy resolves to the rack-aligned cut on multi-rack fabrics
         assert plan.assignment == partition_topology(topo, k, "rack").assignment
         for link in plan.cut_edges():
-            assert topo.is_bridge_link(link.link_id)
+            assert topo.is_gateway_link(link.link_id)
 
     def test_rack_cut_lookahead_is_gateway_latency(self):
         topo = synthesize(_spec(design="flat", seed=2)).topology
@@ -218,7 +222,7 @@ class TestTieredLoads:
         assert len(tiers) == topo.n_links
         assert set(tiers) == {TIER_INTRA, TIER_GATEWAY}
         n_gateway = sum(1 for t in tiers if t == TIER_GATEWAY)
-        assert n_gateway == len(topo.bridge_links())  # both directions
+        assert n_gateway == len(topo.gateway_links())  # both directions
 
     def test_gateway_is_the_bottleneck_under_rack_shift(self):
         topo = synthesize(_spec(design="ring")).topology
