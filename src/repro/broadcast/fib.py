@@ -1,20 +1,22 @@
 """The broadcast forwarding information base (paper §3.2).
 
 Every rack node holds a FIB indexed by ``<src-address, tree-id>`` yielding
-the set of next-hop nodes a broadcast packet must be forwarded to.  The FIB
-is precomputed from the per-source broadcast trees; forwarding is then a
-single dictionary lookup per hop, cheap enough for an on-chip
-implementation.
+the set of next-hop nodes a broadcast packet must be forwarded to.  A node
+only ever needs its own rows of the trees broadcasts actually travel, so the
+rack-wide view here resolves a tree the first time something asks for it and
+shares it with every other FIB on the same topology
+(:func:`~repro.broadcast.tree.shared_broadcast_tree`); forwarding is then a
+table lookup per hop, cheap enough for an on-chip implementation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import BroadcastError
 from ..topology.base import Topology
 from ..types import NodeId
-from .tree import BroadcastTree, build_broadcast_trees
+from .tree import BroadcastTree, shared_broadcast_tree
 
 
 class BroadcastFib:
@@ -25,54 +27,15 @@ class BroadcastFib:
         n_trees: Trees enumerated per source.
         seed: Tie-breaking seed for tree construction (all nodes must agree
             on it, exactly like they agree on the topology).
-        telemetry: Optional :class:`~repro.telemetry.Telemetry`; FIB
-            installation is accounted as ``broadcast.fib_updates`` (entries
-            written, including rebuild overwrites) and the
-            ``broadcast.fib_entries`` gauge (entries currently installed).
     """
 
-    def __init__(
-        self, topology: Topology, n_trees: int = 4, seed: int = 0, telemetry=None
-    ) -> None:
+    def __init__(self, topology: Topology, n_trees: int = 4, seed: int = 0) -> None:
         if n_trees < 1:
             raise BroadcastError(f"need at least one tree per source, got {n_trees}")
         self._topology = topology
+        self._n_nodes = topology.n_nodes
         self._n_trees = n_trees
         self._seed = seed
-        if telemetry is not None:
-            self._ctr_updates = telemetry.metrics.counter("broadcast.fib_updates") or None
-            self._gauge_entries = telemetry.metrics.gauge("broadcast.fib_entries") or None
-        else:
-            self._ctr_updates = None
-            self._gauge_entries = None
-        self._trees: Dict[Tuple[NodeId, int], BroadcastTree] = {}
-        # node -> (src, tree_id) -> next hops
-        self._tables: List[Dict[Tuple[NodeId, int], Tuple[NodeId, ...]]] = [
-            {} for _ in range(topology.n_nodes)
-        ]
-        self._build()
-
-    def _build(self) -> None:
-        """(Re)compute every tree and install the per-node FIB entries."""
-        self._trees.clear()
-        for table in self._tables:
-            table.clear()
-        installed = 0
-        for src in self._topology.nodes():
-            for tree in build_broadcast_trees(
-                self._topology, src, self._n_trees, self._seed
-            ):
-                self._trees[(src, tree.tree_id)] = tree
-                for node in self._topology.nodes():
-                    children = tree.children(node)
-                    if children:
-                        self._tables[node][(src, tree.tree_id)] = children
-                        installed += 1
-        if self._ctr_updates:
-            self._ctr_updates.inc(installed)
-            self._gauge_entries.set(
-                sum(len(table) for table in self._tables)
-            )
 
     @property
     def n_trees(self) -> int:
@@ -81,10 +44,9 @@ class BroadcastFib:
 
     def tree(self, src: NodeId, tree_id: int) -> BroadcastTree:
         """The tree object for ``(src, tree_id)``."""
-        try:
-            return self._trees[(src, tree_id)]
-        except KeyError:
-            raise BroadcastError(f"unknown broadcast tree ({src}, {tree_id})") from None
+        if not (0 <= src < self._n_nodes and 0 <= tree_id < self._n_trees):
+            raise BroadcastError(f"unknown broadcast tree ({src}, {tree_id})")
+        return shared_broadcast_tree(self._topology, src, tree_id, self._seed)
 
     def trees_for(self, src: NodeId) -> List[BroadcastTree]:
         """All trees rooted at *src*."""
@@ -95,11 +57,9 @@ class BroadcastFib:
     ) -> Tuple[NodeId, ...]:
         """FIB lookup: where *node* forwards a broadcast from *src* on
         *tree_id*.  Empty tuple at leaves."""
-        if not (0 <= node < self._topology.n_nodes):
+        if not (0 <= node < self._n_nodes):
             raise BroadcastError(f"unknown node {node}")
-        if (src, tree_id) not in self._trees:
-            raise BroadcastError(f"unknown broadcast tree ({src}, {tree_id})")
-        return self._tables[node].get((src, tree_id), ())
+        return self.tree(src, tree_id).children(node)
 
     def delivery_order(
         self, src: NodeId, tree_id: int
@@ -122,5 +82,11 @@ class BroadcastFib:
         return order
 
     def fib_entry_count(self, node: NodeId) -> int:
-        """Number of FIB entries at *node* (memory-footprint checks)."""
-        return len(self._tables[node])
+        """Number of FIB entries at *node* (memory-footprint checks): the
+        ``<src, tree-id>`` rows with at least one next hop."""
+        return sum(
+            1
+            for src in range(self._n_nodes)
+            for tree_id in range(self._n_trees)
+            if self.next_hops(node, src, tree_id)
+        )

@@ -130,6 +130,27 @@ def build_broadcast_tree(
     return BroadcastTree(topology, root, tree_id, parent)
 
 
+def shared_broadcast_tree(
+    topology: Topology, root: NodeId, tree_id: int = 0, seed: int = 0
+) -> BroadcastTree:
+    """The memoized :func:`build_broadcast_tree` result on *topology*.
+
+    A tree is a pure function of ``(topology, root, tree_id, seed)`` — its
+    tie-breaking stream is seeded from exactly those — so every FIB on the
+    same topology object (each simulation run, each virtual shard, each
+    per-node plane) resolves the same instance, in whatever order broadcasts
+    first use them.  Like the shortest-path DAGs, the memo is the topology's
+    own :attr:`~repro.topology.base.Topology.derived` table and is released
+    with it.
+    """
+    derived = topology.derived
+    key = ("broadcast-tree", seed, root, tree_id)
+    tree = derived.get(key)
+    if tree is None:
+        tree = derived[key] = build_broadcast_tree(topology, root, tree_id, seed)
+    return tree
+
+
 def build_broadcast_trees(
     topology: Topology, root: NodeId, n_trees: int = 4, seed: int = 0
 ) -> List[BroadcastTree]:

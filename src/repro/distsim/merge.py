@@ -160,8 +160,9 @@ def merge_telemetry_snapshots(snapshots: Sequence[Optional[dict]]) -> Optional[d
 
     Counters and histograms are sums of per-shard increments and go through
     :func:`repro.telemetry.merge_snapshots`.  Gauges are not additive: each
-    is kept when all writers agree (deterministic replicas, e.g.
-    ``broadcast.fib_entries``) and collapsed to the maximum otherwise.
+    is kept when all writers agree (deterministic replicas, e.g. the
+    per-node controllers' ``controller.table_flows``) and collapsed to the
+    maximum otherwise.
     """
     present = [s for s in snapshots if s]
     if not present:

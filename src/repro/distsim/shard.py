@@ -136,10 +136,6 @@ class ShardSim:
                 telemetry=self.telemetry,
                 owned_nodes=owned_sorted,
                 boundary=self._boundary,
-                # Every shard builds an identical FIB; only shard 0 records
-                # its (build-time) instruments so the merged registry counts
-                # them once, like a serial run.
-                fib_telemetry=(shard_id == 0),
             )
         elif config.stack == "tcp":
             self.network = _build_tcp(

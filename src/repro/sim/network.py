@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..broadcast.fib import BroadcastFib
 from ..core.seeds import derive_seed
@@ -342,7 +342,11 @@ class RackNetwork:
         #: stack_at[node] is installed by the runner; it must expose
         #: deliver(packet) for packets terminating at the node.
         self.stack_at: List[Optional[object]] = [None] * topology.n_nodes
-        self._ports: Dict[Tuple[NodeId, NodeId], OutputPort] = {}
+        #: ports[src][dst], filled in link order (ascending src, then dst):
+        #: every per-port statistic is reported in this iteration order.
+        self._ports: Dict[NodeId, Dict[NodeId, OutputPort]] = {
+            node: {} for node in topology.nodes()
+        }
         for link in topology.links:
             if owned is not None and link.src not in owned:
                 continue
@@ -363,7 +367,7 @@ class RackNetwork:
                 if loss_rate > 0
                 else None
             )
-            self._ports[(link.src, link.dst)] = OutputPort(
+            self._ports[link.src][link.dst] = OutputPort(
                 loop,
                 link.src,
                 link.dst,
@@ -393,13 +397,13 @@ class RackNetwork:
     def port(self, src: NodeId, dst: NodeId) -> OutputPort:
         """The output port for directed link src -> dst."""
         try:
-            return self._ports[(src, dst)]
+            return self._ports[src][dst]
         except KeyError:
             raise SimulationError(f"no link {src} -> {dst}") from None
 
     def ports(self) -> List[OutputPort]:
         """All output ports (stats collection)."""
-        return list(self._ports.values())
+        return [port for by_dst in self._ports.values() for port in by_dst.values()]
 
     def _make_deliver(self, node: NodeId):
         return lambda packet: self.arrived(node, packet)
@@ -462,22 +466,33 @@ class RackNetwork:
             raise SimulationError("broadcast sent but no FIB configured")
         if is_source:
             self._deliver_local(node, packet)
+        children = self._fib.next_hops(node, packet.src, packet.tree_id)
+        if not children:
+            # A leaf of the tree, as a third to a half of all deliveries are.
+            return True
+        ports = self._ports[node]
         ok = True
         pending: list = []
-        for child in self._fib.next_hops(node, packet.src, packet.tree_id):
+        for child in children:
+            port = ports.get(child)
+            if port is None:
+                raise SimulationError(f"no link {node} -> {child}")
+            # Positional (kind, flow_id, src, dst, seq, size_bytes, path,
+            # tree_id, payload, sent_ns): one copy per tree edge is the bulk
+            # of a per-node run's port sends.
             copy = SimPacket(
-                kind=packet.kind,
-                flow_id=packet.flow_id,
-                src=packet.src,
-                dst=packet.dst,
-                seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                path=(node, child),
-                tree_id=packet.tree_id,
-                payload=packet.payload,
-                sent_ns=packet.sent_ns,
+                packet.kind,
+                packet.flow_id,
+                packet.src,
+                packet.dst,
+                packet.seq,
+                packet.size_bytes,
+                (node, child),
+                packet.tree_id,
+                packet.payload,
+                packet.sent_ns,
             )
-            ok = self.port(node, child).send_batched(copy, pending) and ok
+            ok = port.send_batched(copy, pending) and ok
         self._schedule_transmissions(pending)
         return ok
 
@@ -527,8 +542,8 @@ class RackNetwork:
         The telemetry link probes sample this on a cadence; iteration
         order is the (deterministic) port construction order.
         """
-        for (src, dst), port in self._ports.items():
-            yield src, dst, port.bytes_sent, port.queue.occupancy_bytes, port.drops
+        for port in self.ports():
+            yield port.src, port.dst, port.bytes_sent, port.queue.occupancy_bytes, port.drops
 
     def link_capacity_bps(self, src: NodeId, dst: NodeId) -> float:
         """Line rate of directed link src -> dst."""

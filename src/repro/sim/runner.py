@@ -263,25 +263,14 @@ def _build_r2c2(
     telemetry=None,
     owned_nodes=None,
     boundary=None,
-    fib_telemetry=True,
 ):
     """Wire up the R2C2 stack; ``owned_nodes``/``boundary`` restrict the
-    build to one shard's slice of the fabric (see :mod:`repro.distsim`).
-
-    Every shard builds an identical FIB, so ``fib_telemetry=False`` lets all
-    shards but one skip the (build-time) FIB instruments — the merged
-    registry then carries them exactly once, like a serial run.
-    """
+    build to one shard's slice of the fabric (see :mod:`repro.distsim`)."""
     from ..routing.weights import deterministic_minimal_path
     from .packets import DROP_NOTE_SIZE_BYTES, KIND_BROADCAST, KIND_DROP_NOTE, SimPacket
 
     seed = config.effective_seed()
-    fib = BroadcastFib(
-        topology,
-        n_trees=config.n_broadcast_trees,
-        seed=seed,
-        telemetry=telemetry if fib_telemetry else None,
-    )
+    fib = BroadcastFib(topology, n_trees=config.n_broadcast_trees, seed=seed)
     network_holder = {}
 
     def on_drop(node, packet):

@@ -110,6 +110,19 @@ class Topology:
         self._neighbors = tuple(neighbors)
         self._in_neighbors = tuple(tuple(sorted(a)) for a in in_adj)
         self._dist_cache: Dict[NodeId, List[int]] = {}
+        #: Pure functions of this graph that other layers memoise on it
+        #: (shortest-path DAGs, broadcast trees), keyed by a tuple whose
+        #: first element names the kind.  Owned by the instance so that it
+        #: dies with the topology — the values point back at it, which would
+        #: pin a weak key in any module-level table.
+        self._derived: Dict[tuple, object] = {}
+
+    def __getstate__(self) -> dict:
+        """Pickle the graph without its derived data (a spawn-context shard
+        resolves what it uses)."""
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -148,6 +161,12 @@ class Topology:
     def nodes(self) -> range:
         """Iterable of all node ids."""
         return range(self._n_nodes)
+
+    @property
+    def derived(self) -> Dict[tuple, object]:
+        """This instance's memo of derived structures (see ``__init__``).
+        Failure views are new instances and start empty."""
+        return self._derived
 
     @property
     def n_hosts(self) -> int:

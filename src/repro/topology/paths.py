@@ -12,7 +12,6 @@ paths.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import TopologyError
@@ -51,30 +50,22 @@ class ShortestPathDag:
         return hops
 
 
-#: topology -> {dst: ShortestPathDag}; weak keys so discarded topologies
-#: (parameter sweeps, tests) release their DAGs.
-_DAG_CACHE: "weakref.WeakKeyDictionary[Topology, Dict[NodeId, ShortestPathDag]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def shared_dag(topology: Topology, dst: NodeId) -> ShortestPathDag:
     """The memoized shortest-path DAG toward *dst* on *topology*.
 
     Per-packet path sampling builds a DAG per call when constructed
     directly — one BFS plus a cold next-hop memo for every data packet.
     Sharing the instance per ``(topology, dst)`` amortizes both across the
-    whole simulation.  Topologies are immutable after construction, so the
-    cache never needs invalidation.
+    whole simulation.  The memo is the topology's own
+    :attr:`~repro.topology.base.Topology.derived` table: a DAG points back
+    at its topology, so it must be released with it, and topologies are
+    immutable after construction, so it never needs invalidation.
     """
-    per_topo = _DAG_CACHE.get(topology)
-    if per_topo is None:
-        per_topo = {}
-        _DAG_CACHE[topology] = per_topo
-    dag = per_topo.get(dst)
+    derived = topology.derived
+    key = ("dag", dst)
+    dag = derived.get(key)
     if dag is None:
-        dag = ShortestPathDag(topology, dst)
-        per_topo[dst] = dag
+        dag = derived[key] = ShortestPathDag(topology, dst)
     return dag
 
 

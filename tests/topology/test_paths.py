@@ -105,3 +105,33 @@ class TestPathValidation:
     def test_path_links(self, torus2d):
         links = path_links(torus2d, [0, 1, 5])
         assert links == [torus2d.link_id(0, 1), torus2d.link_id(1, 5)]
+
+
+class TestDerivedDataLifetime:
+    """Shared DAGs and broadcast trees are memoised on the topology itself,
+    so they are released with it and never travel with it."""
+
+    def test_discarded_topology_is_released(self):
+        import gc
+        import weakref
+
+        from repro.broadcast import BroadcastFib
+        from repro.topology.paths import shared_dag
+
+        topology = TorusTopology((4, 4))
+        assert shared_dag(topology, 3) is shared_dag(topology, 3)
+        BroadcastFib(topology).tree(2, 1)
+        ref = weakref.ref(topology)
+        del topology
+        gc.collect()
+        assert ref() is None
+
+    def test_pickling_drops_derived_data(self, torus2d):
+        import pickle
+
+        from repro.topology.paths import shared_dag
+
+        shared_dag(torus2d, 3)
+        clone = pickle.loads(pickle.dumps(torus2d))
+        assert torus2d.derived and clone.derived == {}
+        assert clone.links == torus2d.links and clone.dims == torus2d.dims
