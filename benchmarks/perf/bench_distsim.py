@@ -145,7 +145,7 @@ def main() -> int:
             record_entry(doc, name, __doc__.splitlines()[0], entry)
     if args.record and not args.quick:
         save_history(out, doc)
-        print(f"recorded under rev {args.rev!r} in {out}")
+        print(f"recorded to {out}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -15,7 +15,8 @@ JSON schema::
         "<scenario>": {
           "description": "...",
           "history": [
-            {"rev": "...", "median_s": ..., ...metrics...},
+            {"rev": "...", "commit": "...", "dirty": ..., "cpus": ...,
+             "python": "...", "numpy": "...", "median_s": ..., ...metrics...},
             ...
           ]
         }
@@ -31,17 +32,26 @@ Conventions:
   ``REGRESSION_FACTOR`` (default 3x) — generous enough to absorb CI
   hardware noise, tight enough to catch accidental algorithmic slowdowns.
 * ``--out FILE`` / ``--rev LABEL`` control where and under which label a
-  full run is recorded.
+  full run is recorded.  Every recorded row is stamped by
+  :func:`record_entry` with where it was measured (:func:`provenance`):
+  the short commit, whether ``src/`` had uncommitted changes, the CPUs the
+  process may run on, and the Python and numpy versions.  A row without
+  that is not evidence; the placeholder label ``"HEAD"`` is refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "src"))
 
@@ -65,8 +75,9 @@ def make_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="JSON history file (default: the benchmark's "
                              "BENCH_*.json in the repo root)")
-    parser.add_argument("--rev", default="HEAD",
-                        help="label recorded with this run's history entry")
+    parser.add_argument("--rev", default=None,
+                        help="label recorded with this run's history entry "
+                             "(default: the short commit)")
     parser.add_argument("--record", action="store_true",
                         help="append this run to the history file")
     return parser
@@ -88,7 +99,37 @@ def load_history(path: Path, benchmark: str) -> dict:
     return {"benchmark": benchmark, "scenarios": {}}
 
 
+def provenance() -> dict:
+    """Where a row is being measured: the checked-out commit, whether the
+    measured code (``src/``) differs from it, the CPUs this process may use,
+    and the interpreter and numpy versions.  An exported tree (no git)
+    reads ``"unversioned"`` — never the literal ``"HEAD"``."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(REPO_ROOT), *args], capture_output=True, text=True,
+            check=True, timeout=20).stdout.strip()
+    try:
+        commit, dirty = git("rev-parse", "--short", "HEAD"), bool(
+            git("status", "--porcelain", "--", "src"))
+    except (OSError, subprocess.SubprocessError):
+        commit, dirty = "unversioned", None
+    return {
+        "commit": commit,
+        "dirty": dirty,
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def record_entry(doc: dict, scenario: str, description: str, entry: dict) -> None:
+    """Append *entry* to *scenario*'s history, stamped with
+    :func:`provenance`; ``entry["rev"]`` is the caller's label and defaults
+    to the commit."""
+    if entry.get("rev") == "HEAD":
+        raise ValueError('"HEAD" names no revision; pass --rev <label> or omit it')
+    stamp = provenance()
+    entry.update(stamp, rev=entry.get("rev") or stamp["commit"])
     slot = doc["scenarios"].setdefault(
         scenario, {"description": description, "history": []}
     )

@@ -51,6 +51,12 @@ class BroadcastTree:
         """Next hops a broadcast packet is forwarded to from *node*."""
         return self._children[node]
 
+    @property
+    def children_table(self) -> Tuple[Tuple[NodeId, ...], ...]:
+        """:meth:`children` of every node, indexed by node id — what a
+        forwarder that resolved the tree once indexes per hop."""
+        return self._children
+
     def edges(self) -> List[Tuple[NodeId, NodeId]]:
         """All (parent, child) edges of the tree."""
         return [

@@ -164,10 +164,10 @@ class ShardSim:
         # trace order, restricted to flows this shard sends.
         for arrival in trace:
             if arrival.src in self.owned:
-                flow = self.flows[arrival.flow_id]
                 self.loop.schedule_at(
                     arrival.start_ns,
-                    lambda f=flow: self.network.stack_at[f.src].start_flow(f),
+                    self.network.stack_at[arrival.src].start_flow,
+                    self.flows[arrival.flow_id],
                 )
 
     # ------------------------------------------------------------------
@@ -215,13 +215,13 @@ class ShardSim:
             # barrier synchronization plus message routing.
             sync["blocked_s"] += entered - self._last_round_exit
         arrived = self.network.arrived
+        check_node = self.network.check_node
         schedule_at = self.loop.schedule_at
         n_nodes = self._n_nodes
         for arrival_ns, src, dst, packet in messages:
+            check_node(dst)
             schedule_at(
-                arrival_ns,
-                lambda d=dst, p=packet: arrived(d, p),
-                link_prio(src, dst, n_nodes),
+                arrival_ns, arrived, dst, packet, prio=link_prio(src, dst, n_nodes)
             )
         self.loop.run_window(end_ns)
         if at_grid and self.probes is not None:

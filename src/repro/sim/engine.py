@@ -11,6 +11,13 @@ sharded execution (:mod:`repro.distsim`) byte-identical to a serial run:
 the relative order of two same-instant deliveries at different nodes is a
 property of the links involved, not of which event loop scheduled first.
 
+An event record carries its callee's arguments — the heap entry is
+``(timestamp, priority, sequence, action, args)`` and the loop runs
+``action(*args)`` — so the per-packet callers (port finish and delivery,
+pacing and retransmission timers, flow arrivals, shard boundary arrivals)
+schedule a bound method and a packet or flow, never a closure built for
+one event.
+
 An optional *probe* (:mod:`repro.sim.probe`) is told about every batch
 of events a ``run`` call processed and — when a subscriber such as the
 invariant auditor asks for it (``probe.engine_event`` is set) — about
@@ -21,10 +28,10 @@ no probe attached the cost is a single ``is not None`` test per batch.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
-from typing import Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -53,13 +60,19 @@ def _as_time_ns(value, what: str) -> int:
         ) from None
 
 
+def _run_all(actions: Sequence[Callable[[], None]]) -> None:
+    """The action of a :meth:`EventLoop.schedule_batch` event."""
+    for action in actions:
+        action()
+
+
 class EventLoop:
     """The simulation clock and event queue."""
 
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: List[Tuple[int, int, int, Callable[[], None]]] = []
+        self._queue: List[Tuple[int, int, int, Callable[..., None], tuple]] = []
         self._events_processed = 0
         self._probe = None
 
@@ -86,28 +99,33 @@ class EventLoop:
         self._probe = probe
 
     def schedule(
-        self, delay_ns: int, action: Callable[[], None], prio: int = 0
+        self, delay_ns: int, action: Callable[..., None], *args, prio: int = 0
     ) -> None:
-        """Run *action* ``delay_ns`` nanoseconds from now.
+        """Run ``action(*args)`` ``delay_ns`` nanoseconds from now.
 
         *prio* orders same-instant events (ascending) before the FIFO
         sequence number does; events with equal priority keep FIFO order.
         """
-        delay_ns = _as_time_ns(delay_ns, "delay")
+        if type(delay_ns) is not int:
+            delay_ns = _as_time_ns(delay_ns, "delay")
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
-        self.schedule_at(self._now + delay_ns, action, prio)
+        heappush(
+            self._queue, (self._now + delay_ns, prio, self._seq, action, args)
+        )
+        self._seq += 1
 
     def schedule_at(
-        self, at_ns: int, action: Callable[[], None], prio: int = 0
+        self, at_ns: int, action: Callable[..., None], *args, prio: int = 0
     ) -> None:
-        """Run *action* at absolute time *at_ns* (see :meth:`schedule`)."""
-        at_ns = _as_time_ns(at_ns, "timestamp")
+        """Run ``action(*args)`` at absolute time *at_ns* (see :meth:`schedule`)."""
+        if type(at_ns) is not int:
+            at_ns = _as_time_ns(at_ns, "timestamp")
         if at_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at {at_ns} ns, current time is {self._now} ns"
             )
-        heapq.heappush(self._queue, (at_ns, prio, self._seq, action))
+        heappush(self._queue, (at_ns, prio, self._seq, action, args))
         self._seq += 1
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -134,15 +152,15 @@ class EventLoop:
         while self._queue:
             if max_events is not None and processed >= max_events:
                 break
-            at_ns, prio, seq, action = self._queue[0]
+            at_ns, prio, seq, action, args = self._queue[0]
             if until_ns is not None and at_ns > until_ns:
                 self._now = until_ns
                 break
-            heapq.heappop(self._queue)
+            heappop(self._queue)
             self._now = at_ns
             if on_event is not None:
                 on_event(at_ns, prio, seq)
-            action()
+            action(*args)
             processed += 1
         else:
             if until_ns is not None and self._now < until_ns:
@@ -175,23 +193,23 @@ class EventLoop:
                     f"cannot run until {until_ns} ns, current time is {self._now} ns"
                 )
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         batch_start = self._now
         processed = 0
         if until_ns is None:
             while queue:
-                at_ns, _prio, _seq, action = pop(queue)
+                at_ns, _prio, _seq, action, args = pop(queue)
                 self._now = at_ns
-                action()
+                action(*args)
                 processed += 1
         else:
             while queue:
                 at_ns = queue[0][0]
                 if at_ns > until_ns:
                     break
-                _, _prio, _seq, action = pop(queue)
+                _, _prio, _seq, action, args = pop(queue)
                 self._now = at_ns
-                action()
+                action(*args)
                 processed += 1
             if self._now < until_ns:
                 self._now = until_ns
@@ -214,13 +232,8 @@ class EventLoop:
             return
         if len(actions) == 1:
             self.schedule(delay_ns, actions[0])
-            return
-
-        def fire() -> None:
-            for action in actions:
-                action()
-
-        self.schedule(delay_ns, fire)
+        else:
+            self.schedule(delay_ns, _run_all, actions)
 
     def run_until(self, until_ns: int, max_events: Optional[int] = None) -> int:
         """Run strictly up to *until_ns*, leaving the clock there.

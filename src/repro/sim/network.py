@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..broadcast.fib import BroadcastFib
 from ..core.seeds import derive_seed
@@ -184,6 +186,9 @@ class OutputPort:
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
         self._busy = False
+        #: serialization time per packet size seen (a handful: MTU, ACK,
+        #: broadcast and each flow's tail), so a hop does not re-divide.
+        self._tx_ns: Dict[int, int] = {}
         # Statistics.
         self.max_occupancy_bytes = 0
         self.bytes_sent = 0
@@ -192,8 +197,15 @@ class OutputPort:
         self.wire_losses = 0
         self.busy_ns = 0
 
-    def _accept(self, packet: SimPacket) -> bool:
-        """Enqueue *packet*, or count and report the drop."""
+    def send(self, packet: SimPacket, pending: Optional[list] = None) -> bool:
+        """Queue a packet for transmission; returns False on drop.
+
+        With a *pending* list (the :meth:`send_batched` form), a
+        transmission this starts is not scheduled: its ``(duration_ns,
+        finish_callback)`` is appended to *pending* and the caller
+        coalesces the same-duration finishes of a broadcast fan-out into
+        one event-loop entry.
+        """
         probe = self._probe
         if not self.queue.enqueue(packet):
             self.drops += 1
@@ -207,57 +219,45 @@ class OutputPort:
         occupancy = self.queue.occupancy_bytes
         if occupancy > self.max_occupancy_bytes:
             self.max_occupancy_bytes = occupancy
-        return True
-
-    def send(self, packet: SimPacket) -> bool:
-        """Queue a packet for transmission; returns False on drop."""
-        if not self._accept(packet):
-            return False
         if not self._busy:
-            self._start_next()
+            self._transmit(pending)
         return True
 
-    def send_batched(self, packet: SimPacket, pending: list) -> bool:
-        """Like :meth:`send`, but hand the finish event to the caller.
+    #: The fan-out's name for ``send(packet, pending)``: one method, so the
+    #: accept logic exists once; two names, so a tracer that wraps entry
+    #: points by name tells broadcast copies from unicast sends.
+    send_batched = send
 
-        If accepting *packet* starts a transmission, its ``(duration_ns,
-        finish_callback)`` is appended to *pending* instead of being
-        scheduled — the caller coalesces same-duration finishes of a
-        broadcast fan-out into one event-loop entry.
-        """
-        if not self._accept(packet):
-            return False
-        if not self._busy:
-            begun = self._begin()
-            if begun is not None:
-                duration, head = begun
-                pending.append((duration, lambda p=head: self._finish(p)))
-        return True
+    def _transmit(self, pending: Optional[list] = None) -> None:
+        """Dequeue the next packet, if any, and start serializing it.
 
-    def _begin(self):
-        """Dequeue and start transmitting the next packet, if any.
-
-        Returns ``(duration_ns, packet)`` with the finish *not yet
-        scheduled*, or ``None`` when the queue is empty.
+        The one place a transmission starts, whatever freed the
+        transmitter: an arrival at an idle port, the previous packet's
+        finish, or :meth:`kick`.  The finish event is scheduled, or — for
+        :meth:`send_batched` — appended to *pending* for the caller to
+        schedule.
         """
         packet = self.queue.dequeue()
         if packet is None:
             self._busy = False
-            return None
+            return
         self._busy = True
-        duration = transmission_time_ns(packet.size_bytes, self._capacity_bps)
+        size = packet.size_bytes
+        try:
+            duration = self._tx_ns[size]
+        except KeyError:
+            duration = self._tx_ns[size] = transmission_time_ns(
+                size, self._capacity_bps
+            )
         self.busy_ns += duration
-        self.bytes_sent += packet.size_bytes
+        self.bytes_sent += size
         self.packets_sent += 1
         if self._probe is not None:
             self._probe.tx_start(self, packet, duration)
-        return duration, packet
-
-    def _start_next(self) -> None:
-        begun = self._begin()
-        if begun is not None:
-            duration, packet = begun
-            self._loop.schedule(duration, lambda p=packet: self._finish(p))
+        if pending is None:
+            self._loop.schedule(duration, self._finish, packet)
+        else:
+            pending.append((duration, partial(self._finish, packet)))
 
     def _finish(self, packet: SimPacket) -> None:
         if (
@@ -276,14 +276,14 @@ class OutputPort:
             if self._probe is not None:
                 self._probe.tx_finish(self, packet)
             self._loop.schedule(
-                self._latency_ns, lambda p=packet: self._deliver(p), self.prio
+                self._latency_ns, self._deliver, packet, prio=self.prio
             )
-        self._start_next()
+        self._transmit()
 
     def kick(self) -> None:
         """Restart transmission after a pause/resume changed the queue."""
         if not self._busy:
-            self._start_next()
+            self._transmit()
 
     @property
     def busy(self) -> bool:
@@ -332,13 +332,15 @@ class RackNetwork:
         self._loop = loop
         self._topology = topology
         self._fib = fib
-        self._on_drop = on_drop
         self._probe = probe
         owned = None if owned_nodes is None else set(owned_nodes)
         if owned is not None and boundary is None:
             raise SimulationError("owned_nodes requires a boundary callback")
         self._owned = owned
         self._boundary = boundary
+        #: (src, tree_id) -> that tree's children table, indexed by node;
+        #: fetched from the FIB when a broadcast first travels the tree.
+        self._children: Dict[Tuple[NodeId, int], tuple] = {}
         #: stack_at[node] is installed by the runner; it must expose
         #: deliver(packet) for packets terminating at the node.
         self.stack_at: List[Optional[object]] = [None] * topology.n_nodes
@@ -351,12 +353,12 @@ class RackNetwork:
             if owned is not None and link.src not in owned:
                 continue
             if owned is not None and link.dst not in owned:
-                deliver = self._make_boundary_deliver(
-                    link.src, link.dst, link.latency_ns
+                deliver = partial(
+                    self._cross_boundary, link.src, link.dst, link.latency_ns
                 )
                 latency_ns = 0
             else:
-                deliver = self._make_deliver(link.dst)
+                deliver = partial(self.arrived, link.dst)
                 latency_ns = link.latency_ns
             # Wire-loss draws come from a per-port stream keyed by the
             # link's identity: each port's sequence depends only on its own
@@ -375,7 +377,7 @@ class RackNetwork:
                 latency_ns,
                 queue_factory(),
                 deliver=deliver,
-                on_drop=self._make_drop_handler(link.src),
+                on_drop=None if on_drop is None else partial(on_drop, link.src),
                 loss_rate=loss_rate,
                 loss_rng=loss_rng,
                 prio=link_prio(link.src, link.dst, topology.n_nodes),
@@ -405,11 +407,10 @@ class RackNetwork:
         """All output ports (stats collection)."""
         return [port for by_dst in self._ports.values() for port in by_dst.values()]
 
-    def _make_deliver(self, node: NodeId):
-        return lambda packet: self.arrived(node, packet)
-
-    def _make_boundary_deliver(self, src: NodeId, dst: NodeId, latency_ns: int):
-        """Deliver closure for a cut port: emit a timestamped message.
+    def _cross_boundary(
+        self, src: NodeId, dst: NodeId, latency_ns: int, packet: SimPacket
+    ) -> None:
+        """Deliver hook of a cut port: emit a timestamped message.
 
         Fires at transmission-finish time (the port's scheduling latency is
         zero); the true arrival instant is computed here so the remote shard
@@ -418,46 +419,63 @@ class RackNetwork:
         event sorts against the destination shard's same-instant events
         exactly as the serial engine's propagation event would.
         """
-        return lambda packet: self._boundary(
-            self._loop.now + latency_ns, src, dst, packet
-        )
-
-    def _make_drop_handler(self, node: NodeId):
-        if self._on_drop is None:
-            return None
-        return lambda packet: self._on_drop(node, packet)
+        self._boundary(self._loop.now + latency_ns, src, dst, packet)
 
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
+    def check_node(self, node: NodeId) -> None:
+        """Raise unless *node* is a node of this fabric.
+
+        Forwarding indexes per-node tables without a range check per hop
+        (a negative id would silently wrap to the far end of the table), so
+        every id that enters from outside the fabric's own wiring —
+        :meth:`inject`, a shard's boundary arrivals — is checked once here.
+        """
+        if not 0 <= node < self._topology.n_nodes:
+            raise SimulationError(f"unknown node {node}")
+
     def inject(self, node: NodeId, packet: SimPacket) -> bool:
         """A host at *node* hands a packet to its switching element."""
+        self.check_node(node)
         if packet.kind == KIND_BROADCAST:
             return self._forward_broadcast(node, packet, is_source=True)
         return self._forward_data(node, packet)
 
     def arrived(self, node: NodeId, packet: SimPacket) -> None:
         """A packet finished propagating to *node*."""
-        if self._probe is not None:
-            self._probe.arrive(node, packet)
-        if packet.kind == KIND_BROADCAST:
-            self._deliver_local(node, packet)
+        probe = self._probe
+        if probe is not None:
+            probe.arrive(node, packet)
+        broadcast = packet.kind == KIND_BROADCAST
+        if not broadcast:
+            path = packet.path
+            hop = packet.hop = packet.hop + 1
+            if path is None or hop != len(path) - 1:
+                self._forward_data(node, packet)
+                return
+        stack = self.stack_at[node]
+        if stack is None:
+            raise SimulationError(f"no host stack installed at node {node}")
+        if probe is not None:
+            probe.local_deliver(node, packet)
+        stack.deliver(packet)
+        if broadcast:
             self._forward_broadcast(node, packet, is_source=False)
-            return
-        packet.hop += 1
-        if packet.at_destination():
-            self._deliver_local(node, packet)
-        else:
-            self._forward_data(node, packet)
 
     def _forward_data(self, node: NodeId, packet: SimPacket) -> bool:
-        if packet.path is None:
+        path = packet.path
+        if path is None:
             raise SimulationError("data packet without a source route")
-        if packet.current_node() != node:
+        hop = packet.hop
+        if path[hop] != node:
             raise SimulationError(
-                f"packet at node {node} but route says {packet.current_node()}"
+                f"packet at node {node} but route says {path[hop]}"
             )
-        return self.port(node, packet.next_node()).send(packet)
+        port = self._ports[node].get(path[hop + 1])
+        if port is None:
+            raise SimulationError(f"no link {node} -> {path[hop + 1]}")
+        return port.send(packet)
 
     def _forward_broadcast(
         self, node: NodeId, packet: SimPacket, is_source: bool
@@ -466,7 +484,14 @@ class RackNetwork:
             raise SimulationError("broadcast sent but no FIB configured")
         if is_source:
             self._deliver_local(node, packet)
-        children = self._fib.next_hops(node, packet.src, packet.tree_id)
+        src = packet.src
+        tree_id = packet.tree_id
+        try:
+            children = self._children[src, tree_id][node]
+        except KeyError:
+            table = self._fib.tree(src, tree_id).children_table
+            self._children[src, tree_id] = table
+            children = table[node]
         if not children:
             # A leaf of the tree, as a third to a half of all deliveries are.
             return True
@@ -479,21 +504,22 @@ class RackNetwork:
                 raise SimulationError(f"no link {node} -> {child}")
             # Positional (kind, flow_id, src, dst, seq, size_bytes, path,
             # tree_id, payload, sent_ns): one copy per tree edge is the bulk
-            # of a per-node run's port sends.
+            # of a run's port sends.
             copy = SimPacket(
                 packet.kind,
                 packet.flow_id,
-                packet.src,
+                src,
                 packet.dst,
                 packet.seq,
                 packet.size_bytes,
                 (node, child),
-                packet.tree_id,
+                tree_id,
                 packet.payload,
                 packet.sent_ns,
             )
             ok = port.send_batched(copy, pending) and ok
-        self._schedule_transmissions(pending)
+        if pending:
+            self._schedule_transmissions(pending)
         return ok
 
     def _schedule_transmissions(self, pending: list) -> None:
@@ -504,14 +530,12 @@ class RackNetwork:
         the same instant, so the finish callbacks share one event-loop
         entry.  The sort is stable, keeping FIFO order within a group.
         """
-        if not pending:
-            return
         loop = self._loop
         if len(pending) == 1:
             duration, fire = pending[0]
             loop.schedule(duration, fire)
             return
-        pending.sort(key=lambda item: item[0])
+        pending.sort(key=itemgetter(0))
         i = 0
         n = len(pending)
         while i < n:

@@ -32,7 +32,8 @@ class SimPacket:
 
     Attributes mirror the R2C2 wire formats; ``path`` is the explicit node
     route (source routing), with ``hop`` the index of the node the packet
-    currently sits at.
+    currently sits at — :class:`~repro.sim.network.RackNetwork` advances it
+    and indexes the route per hop.
     """
 
     __slots__ = (
@@ -77,20 +78,6 @@ class SimPacket:
         #: optional causal-tracing record (repro.obs.PacketObs); None on
         #: every default path — hot-path hooks guard on ``is not None``.
         self.obs = None
-
-    def current_node(self) -> NodeId:
-        """Node the packet is at (along its source route)."""
-        assert self.path is not None
-        return self.path[self.hop]
-
-    def next_node(self) -> NodeId:
-        """Next hop along the source route."""
-        assert self.path is not None
-        return self.path[self.hop + 1]
-
-    def at_destination(self) -> bool:
-        """True if the packet has reached the end of its route."""
-        return self.path is not None and self.hop == len(self.path) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -166,10 +166,10 @@ def run_simulation(
             probes = telemetry.link_probes(network)
 
         for arrival in trace:
-            flow = flows[arrival.flow_id]
             loop.schedule_at(
                 arrival.start_ns,
-                lambda f=flow: network.stack_at[f.src].start_flow(f),
+                network.stack_at[arrival.src].start_flow,
+                flows[arrival.flow_id],
             )
 
         horizon = config.horizon_ns

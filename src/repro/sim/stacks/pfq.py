@@ -198,7 +198,7 @@ class PfqStack(HostStack):
         capacity = topology.capacity_bps * max(1, topology.degree(flow.src))
         delay = max(1, int(size * 8 * 1e9 / capacity))
         self._emitting.add(flow.flow_id)
-        self.loop.schedule(delay, lambda f=flow: self._emit(f))
+        self.loop.schedule(delay, self._emit, flow)
 
     def deliver(self, packet: SimPacket) -> None:
         if packet.kind != KIND_DATA:

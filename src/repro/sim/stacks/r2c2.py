@@ -324,6 +324,9 @@ class R2C2Stack(HostStack):
         #: recently sent broadcasts, for §3.2 drop-triggered retransmission
         #: (seq -> (flow, event, data)); bounded replay window.
         self._bcast_pending: Dict[int, tuple] = {}
+        #: the shared provider's name -> routing-protocol lookup, resolved
+        #: once: `_emit` asks it per packet.
+        self._protocol = control.provider.protocol
         self.broadcast_retransmissions = 0
         control.register(self)
 
@@ -421,10 +424,10 @@ class R2C2Stack(HostStack):
             delay = max(1, int(needed * 8 * 1e9 / flow.app_rate_bps))
             if probe is not None:
                 probe.host_wait(flow.flow_id, delay)
-            self.loop.schedule(delay, lambda f=flow: self._emit(f))
+            self.loop.schedule(delay, self._emit, flow)
             return
         size = data_packet_size(payload)
-        protocol = self.control.provider.protocol(flow.protocol)
+        protocol = self._protocol(flow.protocol)
         path = protocol.sample_path(flow.src, flow.dst, self._rng, flow.flow_id)
         packet = SimPacket(
             kind=KIND_DATA,
@@ -453,7 +456,7 @@ class R2C2Stack(HostStack):
             # Token-bucket pacing: the next packet may start once this one's
             # bits have been paid for at the allocated rate.
             delay = max(1, int(size * 8 * 1e9 / rate))
-            self.loop.schedule(delay, lambda f=flow: self._emit(f))
+            self.loop.schedule(delay, self._emit, flow)
 
     def reannounce_ongoing(self) -> int:
         """§3.2 failure recovery: re-broadcast every ongoing local flow.

@@ -77,13 +77,13 @@ class R2C2ReliableStack(R2C2Stack):
                 delay = max(1, wake - self.loop.now)
                 if probe is not None:
                     probe.rto_wait(flow.flow_id, delay)
-                self.loop.schedule(delay, lambda f=flow: self._emit(f))
+                self.loop.schedule(delay, self._emit, flow)
             return
 
         payload = self._segment_payload(flow, seq)
         first_transmission = seq >= flow.next_seq
         size = data_packet_size(payload)
-        protocol = self.control.provider.protocol(flow.protocol)
+        protocol = self._protocol(flow.protocol)
         path = protocol.sample_path(flow.src, flow.dst, self._rng, flow.flow_id)
         packet = SimPacket(
             kind=KIND_DATA,
@@ -109,7 +109,7 @@ class R2C2ReliableStack(R2C2Stack):
         # Retransmissions pay the same token cost: pacing applies to bytes
         # on the wire, not to "useful" bytes.
         delay = max(1, int(size * 8 * 1e9 / rate))
-        self.loop.schedule(delay, lambda f=flow: self._emit(f))
+        self.loop.schedule(delay, self._emit, flow)
 
     def _finish_if_done(self, flow: SimFlow) -> None:
         sender = self._senders.get(flow.flow_id)

@@ -154,9 +154,8 @@ class TcpStack(HostStack):
 
     def _arm_timer(self, sender: _TcpSender) -> None:
         sender.timer_epoch += 1
-        epoch = sender.timer_epoch
         self.loop.schedule(
-            int(sender.rto_ns), lambda s=sender, e=epoch: self._on_rto(s, e)
+            int(sender.rto_ns), self._on_rto, sender, sender.timer_epoch
         )
 
     def _on_rto(self, sender: _TcpSender, epoch: int) -> None:

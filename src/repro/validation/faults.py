@@ -66,7 +66,7 @@ class FaultSchedule:
         Returns the number of events installed.
         """
         for event in self._events:
-            loop.schedule_at(event.at_ns, lambda e=event: handler(e))
+            loop.schedule_at(event.at_ns, handler, event)
         return len(self._events)
 
 

@@ -131,7 +131,7 @@ class TestInjectedDataPlaneBug:
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 1, 8000, path=(0, 1)))
         assert port.busy
         with pytest.raises(InvariantViolation, match="line rate"):
-            port._start_next()  # the injected bug: ignores the busy flag
+            port._transmit()  # the injected bug: ignores the busy flag
 
     def test_normal_back_to_back_sends_are_fine(self):
         topo = TorusTopology((3, 3), capacity_bps=gbps(10))
