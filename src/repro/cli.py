@@ -23,7 +23,7 @@ Commands:
 * ``serve``     — run the long-lived control-plane daemon: incremental
   max-min allocation served over the binary control protocol
   (flow announce/finish, allocation queries, telemetry snapshot
-  subscriptions), with atomic snapshot/restore across restarts.
+  subscriptions), durable across restarts by checkpoint + op journal.
 
 The CLI is a thin veneer over the library; every command maps to a few
 lines of public API (printed with ``--show-code`` for discoverability).
@@ -646,7 +646,9 @@ def cmd_serve(args) -> int:
     if state.restored:
         print(
             f"restored {state.incremental.n_flows} flow(s) from {args.snapshot} "
-            f"(seq {state.seq})"
+            f"(checkpoint seq {state.seq - state.journal_records} + "
+            f"{state.journal_records} journal record(s)"
+            + (", 1 torn tail dropped)" if state.torn_tails else ")")
         )
     print(f"serving {topo.name} on {args.host} (headroom {args.headroom:g})")
     serve_forever(
@@ -1062,8 +1064,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--headroom", type=float, default=0.05,
                          help="capacity fraction reserved from allocation")
     p_serve.add_argument("--snapshot", default=None,
-                         help="flow-table snapshot path: restored on start "
-                              "when present, rewritten after every mutation")
+                         help="flow-table checkpoint + op-journal path: "
+                              "replayed on start when present, one fsynced "
+                              "record appended per mutation")
     p_serve.add_argument("--seconds", type=float, default=None,
                          help="exit after this many seconds (default: run "
                               "until SIGTERM/SIGINT)")

@@ -206,13 +206,16 @@ class IncrementalWaterfill:
 
     def add_flow(self, spec: FlowSpec) -> None:
         """Announce *spec*; re-announcing a live id updates it in place."""
-        if spec.flow_id in self._specs:
-            self.remove_flow(spec.flow_id)
         if not (0 <= spec.src < self._topology.n_nodes):
             raise CongestionControlError(f"flow {spec.flow_id}: bad src {spec.src}")
         if not (0 <= spec.dst < self._topology.n_nodes):
             raise CongestionControlError(f"flow {spec.flow_id}: bad dst {spec.dst}")
-        affected = self._affected_set(seed_links=self._links_of(spec), extra=())
+        # Everything that can reject the spec runs before the table is
+        # touched: a refused re-announce leaves the live flow as it was.
+        links = self._links_of(spec)
+        if spec.flow_id in self._specs:
+            self.remove_flow(spec.flow_id)
+        affected = self._affected_set(seed_links=links, extra=())
         self._install(spec)
         affected.add(spec.flow_id)
         self._patch_or_recompute(affected, op="add")

@@ -6,9 +6,9 @@ system:
 
 * :class:`~repro.service.state.ServiceState` — the daemon's transport-free
   core: an :class:`~repro.congestion.IncrementalWaterfill` flow table,
-  operation counters, query-latency reservoir, and atomic
-  snapshot/restore so a SIGKILLed daemon resumes without reannouncement
-  (allocation answers stay byte-identical).
+  operation counters, query-latency reservoir, and a checkpoint + op
+  journal (one fsynced record per mutation) so a SIGKILLed daemon resumes
+  without reannouncement (allocation answers stay byte-identical).
 * :class:`~repro.service.daemon.ControlDaemon` — the ``repro serve``
   asyncio listener speaking the length-prefixed control messages of
   :mod:`repro.wire.control` (FLOW_ANNOUNCE / FLOW_FINISH / ALLOC_QUERY /

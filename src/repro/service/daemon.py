@@ -17,8 +17,9 @@ Readiness handshake: ``serve()`` optionally writes the bound port to a
 ``port_file`` (atomically) only *after* the listener is accepting, so
 supervisors and tests can discover an ephemeral port without polling the
 socket.  Shutdown: SIGTERM/SIGINT (or ``max_seconds``) stops the loop
-gracefully; because every mutation already persisted a snapshot, SIGKILL
-at any point is also recoverable.
+gracefully and folds the journal into a final checkpoint; because every
+mutation was journaled and fsynced before its ack, SIGKILL at any point
+is also recoverable (the restart replays the tail).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class ControlDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Close the listener and all connections."""
+        """Close the listener and all connections, then checkpoint."""
         if self._server is None:
             return
         self._server.close()
@@ -79,6 +80,7 @@ class ControlDaemon:
         for writer, _ in self._subscribers:
             writer.close()
         self._subscribers.clear()
+        self.state.checkpoint()
 
     def request_stop(self) -> None:
         """Ask :meth:`serve` to exit (signal-handler safe)."""
@@ -130,10 +132,10 @@ class ControlDaemon:
             self._conn_tasks.add(task)
         try:
             while True:
-                body = await self._read_frame(reader)
-                if body is None:
-                    break
                 try:
+                    body = await self._read_frame(reader)
+                    if body is None:
+                        break
                     message = ctl.decode_control(body)
                 except WireFormatError as exc:
                     await self._send(

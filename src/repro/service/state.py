@@ -3,33 +3,48 @@
 :class:`ServiceState` is everything the ``repro serve`` daemon knows,
 minus the sockets: the live :class:`~repro.congestion.IncrementalWaterfill`
 flow table, operation counters, the query-latency reservoir, and the
-snapshot/restore plumbing.  Keeping it transport-free lets the churn
+checkpoint/journal plumbing.  Keeping it transport-free lets the churn
 oracle, the fuzzer's churn executor and the in-process daemon tests drive
 the exact code path the asyncio daemon serves, without event loops.
 
-Durability: when constructed with a ``snapshot_path``, every mutation
-persists the full flow table and the *exact* float rates/loads via
-:func:`~repro.core.ioutil.atomic_write_json` (write → fsync → rename).
-JSON round-trips Python floats losslessly, so a daemon that is SIGKILLed
-and restarted from its snapshot answers allocation queries byte-for-byte
-identically to one that never died.
+Durability: a ``snapshot_path`` names one append-only file.  Line 1 is a
+checkpoint — the full flow table and the *exact* float rates/loads as
+compact single-line JSON; every later line is one applied mutation
+(``{"seq", "op": "announce", "spec"}`` / ``{"seq", "op": "finish",
+"flow_id"}``), appended and fsynced before the mutation is acked.
+:meth:`ServiceState.restore` loads line 1 verbatim and re-applies the tail
+through the ordinary ``announce`` / ``finish`` path.  That is bit-exact —
+the allocator orders all work by sorted flow id and reads only what the
+checkpoint restores exactly, and specs use the checkpoint's own lossless
+codec (``spec_to_dict``; the wire frames would quantize them) — so a daemon
+SIGKILLed at any point and restarted answers allocation queries
+byte-for-byte identically to one that never died.  A checkpoint
+(:func:`~repro.core.ioutil.atomic_write_bytes`: tmp → fsync → rename)
+replaces checkpoint *and* tail in one rename; it is written when the file is
+first created, whenever the tail would outgrow the live flow table (replay
+never costs more than re-announcing the table) and on a graceful stop.  No
+descriptor stays open between mutations: dropping a state without any
+``close()`` loses and leaks nothing.  DESIGN §6g has the crash argument.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from pathlib import Path
 from typing import Optional
 
-from ..congestion import FlowSpec, IncrementalWaterfill
+from ..congestion import FlowSpec, IncrementalWaterfill, spec_from_dict, spec_to_dict
+from ..core.ioutil import atomic_write_bytes
 from ..errors import ServiceError
 from ..routing import protocol_class
 from ..sim.metrics import LatencyReservoir
 from ..topology.base import Topology
 from ..wire.control import AllocReply, FlowAnnounce
 
-#: Snapshot file layout version.
-SNAPSHOT_SCHEMA = 1
+#: Snapshot file layout version (2 = checkpoint line + op journal).
+SNAPSHOT_SCHEMA = 2
 
 
 def spec_from_announce(msg: FlowAnnounce) -> FlowSpec:
@@ -50,12 +65,37 @@ def spec_from_announce(msg: FlowAnnounce) -> FlowSpec:
     )
 
 
+def _record_line(seq: int, op: str, arg) -> bytes:
+    """One journal line: *op* is the :class:`ServiceState` method that was
+    applied, *arg* its argument (a spec for ``announce``, an id for ``finish``)."""
+    body = {"spec": spec_to_dict(arg)} if op == "announce" else {"flow_id": arg}
+    return json.dumps({"seq": seq, "op": op, **body}).encode() + b"\n"
+
+
+def _parse_record(line: bytes):
+    """``(seq, op, arg)`` back from :func:`_record_line`; raises on anything else."""
+    record = json.loads(line)
+    op = record["op"]
+    if op == "announce":
+        return record["seq"], op, spec_from_dict(record["spec"])
+    if op == "finish":
+        return record["seq"], op, int(record["flow_id"])
+    raise ValueError(f"unknown journal op {op!r}")
+
+
 class ServiceState:
-    """Flow table + incremental allocator + counters + snapshot plumbing.
+    """Flow table + incremental allocator + counters + journal plumbing.
 
     Attributes:
-        seq: Mutation sequence number (monotonic; restored from snapshot).
-        announces / finishes / queries: Operation counters.
+        seq: Mutation sequence number (monotonic; durable).
+        announces / finishes / queries: Operation counters.  ``seq``,
+            ``announces``, flow-changing ``finishes`` and the allocator's
+            incremental/fallback counts are replayed exactly after a
+            crash; ``queries`` and finishes of unknown flows are not
+            journaled, so they restore as of the last checkpoint.
+        journal_records: Records in the file's tail — the replay debt.
+        checkpoints: Checkpoints this instance has written.
+        torn_tails: Half-written final records dropped by :meth:`restore`.
         query_latency: Wall-clock reservoir over :meth:`query` service
             times (telemetry only — never part of allocation answers).
     """
@@ -79,6 +119,12 @@ class ServiceState:
         self.finishes = 0
         self.queries = 0
         self.restored = False
+        self.journal_records = 0
+        self.checkpoints = 0
+        self.torn_tails = 0
+        #: the file that holds exactly this state (checkpoint + tail), if any
+        self._journal_file: Optional[Path] = None
+        self._replaying = False
         self.query_latency = LatencyReservoir(seed=0)
         # Telemetry instruments resolved once; ``or None`` keeps the hot
         # path a cheap falsy test when telemetry is disabled.
@@ -108,7 +154,7 @@ class ServiceState:
         self.announces += 1
         if self._ctr_announces:
             self._ctr_announces.inc()
-        self._after_mutation(before)
+        self._after_mutation(before, "announce", spec)
         return was_new
 
     def finish(self, flow_id: int) -> bool:
@@ -119,7 +165,7 @@ class ServiceState:
         if self._ctr_finishes:
             self._ctr_finishes.inc()
         if known:
-            self._after_mutation(before)
+            self._after_mutation(before, "finish", flow_id)
         return known
 
     def query(self, flow_id: int) -> AllocReply:
@@ -140,7 +186,7 @@ class ServiceState:
         self.query_latency.record(time.perf_counter_ns() - started)
         return reply
 
-    def _after_mutation(self, fallbacks_before: int) -> None:
+    def _after_mutation(self, fallbacks_before: int, op: str, arg) -> None:
         self.seq += 1
         if self._gauge_flows:
             self._gauge_flows.set(self.incremental.n_flows)
@@ -149,7 +195,32 @@ class ServiceState:
                 self._ctr_fallbacks.inc()
         elif self._ctr_incremental:
             self._ctr_incremental.inc()
-        if self._snapshot_path is not None:
+        if self._snapshot_path is not None and not self._replaying:
+            self._persist(op, arg)
+
+    def _persist(self, op: str, arg) -> None:
+        """Make the mutation just applied durable before it is acked."""
+        path = self._snapshot_path
+        # A failed write may leave half a record or a file one op behind, and
+        # nothing may be appended after either: the file is disowned until
+        # this write is known good (the next mutation then checkpoints).
+        owned, self._journal_file = self._journal_file == path, None
+        if not owned or self.journal_records >= self.incremental.n_flows:
+            # No file yet, or one more record would make replay cost more
+            # than re-announcing the table: the checkpoint covers this op.
+            self.save_snapshot(path)
+            return
+        with open(path, "ab") as fh:
+            fh.write(_record_line(self.seq, op, arg))
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._journal_file = path
+        self.journal_records += 1
+
+    def checkpoint(self) -> None:
+        """Fold a non-empty journal tail into a fresh checkpoint (graceful
+        stop: a clean restart then replays nothing)."""
+        if self._snapshot_path is not None and self.journal_records:
             self.save_snapshot(self._snapshot_path)
 
     # ------------------------------------------------------------------ #
@@ -157,7 +228,10 @@ class ServiceState:
     # ------------------------------------------------------------------ #
 
     def telemetry_snapshot(self) -> dict:
-        """The SNAPSHOT_EVENT payload: counters, ratios, latency summary."""
+        """The SNAPSHOT_EVENT payload: counters, ratios, latency summary,
+        journal state (``journal_records`` is the replay debt a kill right
+        now would leave).  Which counters survive a kill exactly is in the
+        class docstring."""
         stats = self.incremental.stats()
         alloc = self.incremental.allocation()
         return {
@@ -173,65 +247,108 @@ class ServiceState:
             "aggregate_throughput_bps": alloc.aggregate_throughput_bps(),
             "max_link_utilization": alloc.max_link_utilization(),
             "query_latency": self.query_latency.to_dict(),
+            "journal_records": self.journal_records,
+            "checkpoints": self.checkpoints,
+            "torn_tails": self.torn_tails,
         }
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore
     # ------------------------------------------------------------------ #
 
-    def save_snapshot(self, path) -> None:
-        """Atomically persist the full state to *path*."""
-        from ..core.ioutil import atomic_write_json
-
+    def _fabric(self) -> dict:
+        """What a checkpoint must agree with the serving daemon on."""
         topology = self.incremental.topology
-        atomic_write_json(
-            Path(path),
-            {
-                "schema": SNAPSHOT_SCHEMA,
-                "seq": self.seq,
-                "headroom": self._headroom,
-                "topology": {
-                    "kind": type(topology).__name__,
-                    "n_nodes": topology.n_nodes,
-                    "n_links": topology.n_links,
-                },
-                "counters": {
-                    "announces": self.announces,
-                    "finishes": self.finishes,
-                    "queries": self.queries,
-                },
-                "alloc": self.incremental.state_dict(),
+        return {
+            "headroom": self._headroom,
+            "topology": {
+                "kind": type(topology).__name__,
+                "n_nodes": topology.n_nodes,
+                "n_links": topology.n_links,
             },
-        )
+        }
+
+    def save_snapshot(self, path) -> None:
+        """Write a checkpoint: atomically replace *path* — checkpoint and
+        journal tail in one rename — with the full state on one line."""
+        path = Path(path)
+        data = {
+            "schema": SNAPSHOT_SCHEMA,
+            "seq": self.seq,
+            **self._fabric(),
+            "counters": {
+                "announces": self.announces,
+                "finishes": self.finishes,
+                "queries": self.queries,
+            },
+            "alloc": self.incremental.state_dict(),
+        }
+        atomic_write_bytes(path, json.dumps(data, sort_keys=True).encode() + b"\n")
+        self.checkpoints += 1
+        self.journal_records = 0
+        self._journal_file = path
 
     def restore(self, path) -> None:
-        """Load a :meth:`save_snapshot` file; rates restore bit-exactly."""
-        import json
+        """Load the checkpoint of a :meth:`save_snapshot` file verbatim, then
+        replay its journal tail; rates restore bit-exactly.
 
+        Records must continue the checkpoint's ``seq`` without a gap.  Only
+        the *final* line may be damaged (no newline, or not a record — all
+        a kill mid-append can leave): it is cut off the file and counted
+        in :attr:`torn_tails`.  Anything else wrong is a
+        :class:`~repro.errors.ServiceError` naming the line.
+        """
+        path = Path(path)
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"cannot read snapshot {path}: {exc}") from exc
-        if data.get("schema") != SNAPSHOT_SCHEMA:
+            raw = path.read_bytes()
+            # What follows the last newline is a record cut short (normally
+            # b""); a file without one whole line has no checkpoint at all.
+            *lines, cut = raw.split(b"\n")
+            data = json.loads(lines[0])
+            schema = data.get("schema")
+        except (OSError, ValueError, IndexError, AttributeError) as exc:
             raise ServiceError(
-                f"snapshot schema {data.get('schema')!r} != {SNAPSHOT_SCHEMA}"
-            )
-        topology = self.incremental.topology
-        topo = data.get("topology", {})
-        if (topo.get("n_nodes"), topo.get("n_links")) != (
-            topology.n_nodes,
-            topology.n_links,
-        ):
+                f"cannot read snapshot {path}: line 1 is not a schema-"
+                f"{SNAPSHOT_SCHEMA} checkpoint ({exc}); a schema-1 file (one "
+                "indented document rewritten per mutation) is no longer read"
+            ) from exc
+        if schema != SNAPSHOT_SCHEMA:
+            raise ServiceError(f"snapshot schema {schema!r} != {SNAPSHOT_SCHEMA}")
+        fabric = {key: data.get(key) for key in ("headroom", "topology")}
+        if fabric != self._fabric():
             raise ServiceError(
-                f"snapshot topology {topo} does not match the serving fabric "
-                f"({topology.n_nodes} nodes / {topology.n_links} links)"
+                f"snapshot {path} was taken on {fabric}, "
+                f"this state serves {self._fabric()}"
             )
         self.incremental.load_state(data["alloc"])
-        self.seq = int(data.get("seq", 0))
+        self.seq = checkpoint_seq = int(data.get("seq", 0))
         counters = data.get("counters", {})
         self.announces = int(counters.get("announces", 0))
         self.finishes = int(counters.get("finishes", 0))
         self.queries = int(counters.get("queries", 0))
+        torn = len(cut)
+        self._replaying = True
+        try:
+            for lineno, line in enumerate(lines[1:], start=2):
+                try:
+                    seq, op, arg = _parse_record(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    if lineno == len(lines) and not torn:
+                        torn = len(line) + 1
+                        break
+                    raise ServiceError(f"{path}: line {lineno} is not a journal record") from exc
+                if seq != self.seq + 1:
+                    raise ServiceError(
+                        f"{path}: line {lineno} has seq {seq!r}, expected {self.seq + 1}"
+                    )
+                getattr(self, op)(arg)
+        finally:
+            self._replaying = False
+        self.journal_records = self.seq - checkpoint_seq
+        if torn:
+            os.truncate(path, len(raw) - torn)
+            self.torn_tails += 1
+        self._journal_file = path
         self.restored = True
         if self._gauge_flows:
             self._gauge_flows.set(self.incremental.n_flows)

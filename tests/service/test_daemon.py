@@ -7,7 +7,9 @@ subprocesses, no sleeps: the client's first connect only happens after
 """
 
 import asyncio
+import logging
 import math
+import shutil
 
 import pytest
 
@@ -138,6 +140,31 @@ class TestProtocolErrors:
 
         _drive(state, script)
 
+    def test_oversized_length_prefix_gets_error_and_close(self, state, caplog):
+        """A length prefix beyond MAX_FRAME_SIZE is answered like any other
+        malformed frame (it used to escape the connection task: the client
+        read EOF and asyncio logged an unhandled exception)."""
+
+        def script(port):
+            with ServiceClient("127.0.0.1", port) as bystander:
+                bystander.announce(1, src=0, dst=4)
+                with ServiceClient("127.0.0.1", port) as client:
+                    client._sock.sendall((ctl.MAX_FRAME_SIZE + 1).to_bytes(4, "big"))
+                    err = client.recv()
+                    assert isinstance(err, ctl.ControlError)
+                    assert err.code == ctl.ERR_MALFORMED
+                    assert "MAX_FRAME_SIZE" in err.message
+                    with pytest.raises(ServiceError):
+                        client.recv()
+                # Other connections, old and new, are still served.
+                assert bystander.query(1).known
+                with ServiceClient("127.0.0.1", port) as late:
+                    assert late.query(1).known
+
+        with caplog.at_level(logging.ERROR):
+            _drive(state, script)
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
     def test_server_only_message_rejected(self, state):
         def script(port):
             with ServiceClient("127.0.0.1", port) as client:
@@ -175,24 +202,37 @@ class TestProtocolErrors:
 
 
 class TestDurability:
-    def test_every_mutation_persists_a_snapshot(self, tmp_path):
+    def test_every_mutation_is_on_disk_before_its_ack(self, tmp_path):
+        """Every mutation is on disk before its ack: after each ack a copy
+        of the file — what a SIGKILL right then would leave — restores to
+        exactly that mutation.  The graceful stop then folds the journal
+        tail into a checkpoint, so a clean restart replays nothing."""
         snap = tmp_path / "state.json"
-        state = ServiceState(
-            TorusTopology((3, 3)), headroom=0.0, snapshot_path=str(snap)
-        )
+        topology = TorusTopology((3, 3))
+        state = ServiceState(topology, headroom=0.0, snapshot_path=str(snap))
+
+        def on_disk(tag):
+            copy = tmp_path / f"killed-{tag}.json"
+            shutil.copyfile(snap, copy)
+            return ServiceState(topology, headroom=0.0, snapshot_path=str(copy))
 
         def script(port):
             with ServiceClient("127.0.0.1", port) as client:
                 client.announce(1, src=0, dst=4)
+                assert on_disk("a").seq == 1
                 client.announce(2, src=1, dst=5)
+                client.announce(3, src=2, dst=6)
+                killed = on_disk("b")
+                assert killed.seq == 3 and killed.journal_records == 2
+                assert killed.incremental.state_dict() == state.incremental.state_dict()
                 client.finish(1)
+                killed = on_disk("c")
+                assert killed.seq == 4 and not killed.incremental.has_flow(1)
 
         _drive(state, script)
-        assert snap.exists()
-        restored = ServiceState(
-            TorusTopology((3, 3)), headroom=0.0, snapshot_path=str(snap)
-        )
-        assert restored.restored
-        assert restored.seq == state.seq == 3
-        assert restored.incremental.n_flows == 1
+        assert state.journal_records == 0 and snap.read_bytes().count(b"\n") == 1
+        restored = ServiceState(topology, headroom=0.0, snapshot_path=str(snap))
+        assert restored.restored and restored.journal_records == 0
+        assert restored.seq == state.seq == 4
+        assert restored.incremental.n_flows == 2
         assert restored.query(2).encode() == state.query(2).encode()

@@ -5,6 +5,11 @@ path, announce flows, SIGKILL the process (no shutdown hook runs), start
 a fresh daemon from the same snapshot — and every ALLOC_REPLY must be
 byte-identical both to the pre-kill answers and to an uninterrupted
 in-process reference that replayed the same announcements.
+
+The script makes more mutations than there are live flows (finishes and
+re-announces included), so the kill lands after at least one compaction
+and on a non-empty journal tail: the restart has to load a checkpoint
+*and* replay records.  A SIGTERM, by contrast, leaves an empty tail.
 """
 
 import os
@@ -69,20 +74,46 @@ def _serve(tmp_path, tag):
     return process, port
 
 
-def _announce_all(client):
-    for fid, src, dst, protocol, weight, demand in _FLOWS:
-        client.announce(
-            fid, src=src, dst=dst, protocol=protocol, weight=weight, demand_bps=demand
-        )
+#: After ``_FLOWS``: finishes, demand/weight re-announces and a come-back —
+#: ``("finish", flow_id)`` or an announce row shaped like those of ``_FLOWS``.
+#: 15 mutations over at most 6 live flows.
+_CHURN = (
+    ("finish", 2),
+    (3, 1, 5, "rps", 1.0, 4_000 * 1e6),
+    ("finish", 5),
+    (7, 4, 0, "ecmp", 2.0, float("inf")),
+    (1, 0, 4, "ecmp", 0.5, 1_000 * 1e6),
+    ("finish", 6),
+    (2, 0, 4, "rps", 1.0, float("inf")),
+    (4, 2, 8, "ecmp", 1.5, 3_000 * 1e6),
+    (8, 7, 3, "rps", 1.0, float("inf")),
+)
+_SCRIPT = _FLOWS + _CHURN
+_LIVE = (1, 2, 3, 4, 7, 8)
+
+
+def _run_script(client):
+    for row in _SCRIPT:
+        if row[0] == "finish":
+            assert client.finish(row[1]).code == 0
+        else:
+            fid, src, dst, protocol, weight, demand = row
+            client.announce(
+                fid, src=src, dst=dst, protocol=protocol, weight=weight, demand_bps=demand
+            )
 
 
 def _reference_replies():
     """Uninterrupted in-process run over the identical (wire-quantized)
-    announcements, encoding replies exactly like the daemon does."""
-    state = ServiceState(TorusTopology(_DIMS), headroom=_HEADROOM)
-    for fid, src, dst, protocol, weight, demand in _FLOWS:
-        from repro.routing import protocol_class
+    script, encoding replies exactly like the daemon does."""
+    from repro.routing import protocol_class
 
+    state = ServiceState(TorusTopology(_DIMS), headroom=_HEADROOM)
+    for row in _SCRIPT:
+        if row[0] == "finish":
+            state.finish(row[1])
+            continue
+        fid, src, dst, protocol, weight, demand = row
         message = FlowAnnounce(
             flow_id=fid,
             src=src,
@@ -93,24 +124,35 @@ def _reference_replies():
         )
         decoded = FlowAnnounce.decode(message.encode())
         state.announce(spec_from_announce(decoded))
-    return [state.query(fid).encode() for fid, *_ in _FLOWS]
+    assert tuple(spec.flow_id for spec in state.incremental.flows()) == _LIVE
+    return [state.query(fid).encode() for fid in _LIVE]
+
+
+def _tail_records(tmp_path):
+    return (tmp_path / "snapshot.json").read_bytes().count(b"\n") - 1
 
 
 def test_sigkill_then_restore_is_byte_identical(tmp_path):
-    flow_ids = [fid for fid, *_ in _FLOWS]
+    flow_ids = list(_LIVE)
 
     process, port = _serve(tmp_path, "first")
     try:
         with ServiceClient("127.0.0.1", port) as client:
-            _announce_all(client)
+            _run_script(client)
             before = client.query_many_raw(flow_ids)
-        # SIGKILL: no graceful shutdown, no final snapshot write.
+            with ServiceClient("127.0.0.1", port) as sub:
+                journal = sub.subscribe(max_events=1).payload
+        # SIGKILL: no graceful shutdown, no final checkpoint.
         process.kill()
         process.wait(timeout=30)
     finally:
         if process.poll() is None:
             process.kill()
             process.wait()
+    # The kill landed past a compaction (the first checkpoint is the file's
+    # creation) and on records only a replay can recover.
+    assert journal["checkpoints"] >= 2
+    assert _tail_records(tmp_path) == journal["journal_records"] > 0
 
     process, port = _serve(tmp_path, "second")
     try:
@@ -122,6 +164,8 @@ def test_sigkill_then_restore_is_byte_identical(tmp_path):
     finally:
         process.terminate()
         process.wait(timeout=30)
+    # SIGTERM is a graceful stop: the tail is folded into a checkpoint.
+    assert _tail_records(tmp_path) == 0
 
     assert after == before, "restored allocation answers differ from pre-kill"
     assert before == _reference_replies(), (
