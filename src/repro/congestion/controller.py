@@ -86,6 +86,10 @@ class RecomputeStats:
     """Wall-clock accounting of one rate recomputation (Figure 8).
 
     Attributes:
+        duration_ns: Wall-clock cost of the epoch.  When the table contents
+            were already filled — by the arrival that preceded the epoch, or
+            by another node sharing the allocation memo — this is the cost
+            of a lookup, not of a water-fill.
         skipped: True when the epoch was short-circuited because the flow
             table had not changed since the last allocation — the recorded
             duration is then just the cost of the generation check.
@@ -148,11 +152,14 @@ class RateController:
             self._ctr_skipped = None
             self._gauge_flows = None
             self._trace = None
-        # Optional cross-controller memo: rack nodes with identical tables
-        # compute identical allocations, so simulations running one
-        # controller per node share this LRU (keyed by table contents) and
-        # pay for each distinct water-fill once.
-        self._allocation_cache = allocation_cache
+        # Allocation memo keyed by table contents.  Rack nodes with
+        # identical tables compute identical allocations, so simulations
+        # running one controller per node pass a shared LRU and pay for each
+        # distinct water-fill once; a controller on its own remembers its
+        # last fill, so the epoch after an arrival's fill is a lookup.
+        self._allocation_cache = (
+            allocation_cache if allocation_cache is not None else BoundedLru(1)
+        )
         self._table = FlowTable()
         self._effective_cap = None  # headroom-adjusted capacities, lazy
         self._allocation: Optional[RateAllocation] = None
@@ -337,7 +344,7 @@ class RateController:
         return self._effective_cap
 
     def _cached_waterfill(self, flows) -> RateAllocation:
-        """Water-fill with optional cross-controller memoization.
+        """Water-fill memoized on the table contents.
 
         The memo key is O(1): the table's order-independent content
         fingerprint plus the headroom.  Controllers on different nodes whose
@@ -347,14 +354,6 @@ class RateController:
         passed straight through (``headroom=0.0``), which is mathematically
         identical to recomputing it per fill.
         """
-        if self._allocation_cache is None:
-            return waterfill(
-                self._topology,
-                flows,
-                self._provider,
-                headroom=0.0,
-                capacities=self._effective_capacities(),
-            )
         key = (self._config.headroom,) + self._table.content_key
         allocation = self._allocation_cache.get(key)
         if allocation is None:

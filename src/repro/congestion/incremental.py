@@ -17,8 +17,8 @@ allocation as ground state and patches it:
    max-min conditions survive the change untouched.
 2. **Refill.**  The affected flows are re-filled from zero over the
    *residual* capacity (link capacity minus the load of unaffected flows)
-   using the same :func:`~repro.congestion.waterfill.fill_matrix` freeze
-   rounds as the batch path — O(affected links), not O(rack).
+   using the same :func:`~repro.congestion.waterfill.fill_matrix` passes
+   as the batch path — O(affected links), not O(rack).
 3. **Certification.**  The patched allocation is accepted only when it is
    provably the global max-min optimum: feasibility on every touched link,
    and no refilled flow bottlenecks on a link where an *unaffected* flow

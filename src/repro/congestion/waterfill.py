@@ -18,11 +18,17 @@ priority level on the capacity left over by more important levels.
 The implementation is matrix-form: each priority level's flows are the rows
 of a CSR weight matrix over links (assembled once and cached inside the
 :class:`~repro.congestion.linkweights.WeightProvider`, keyed by the flow
-set's routing signature), the per-link denominators and live counts are
-``bincount`` reductions over the matrix, and every freeze round is a
-boolean-mask update — no Python-level per-flow loops survive on the hot
-path.  Overall O(N·L + nnz) as before, but with the constant factors of
-vectorized numpy rather than interpreted bookkeeping.
+set's routing signature) and no Python-level per-flow loop survives on the
+hot path.  The fill itself (:func:`fill_matrix`) does not step a global
+water level flow by flow.  It tracks, per link, the capacity frozen flows
+have not claimed and the summed contributions of the unfrozen ones; their
+quotient is the level at which the link saturates, and it moves only when a
+flow *on that link* freezes.  One pass then either freezes every flow whose
+demand binds before the first link saturates — all of them at once, because
+freezing a flow can only push saturation levels up — or freezes the flows
+on the link(s) saturating first.  The work is therefore one pass per
+*binding constraint*: a table of host-limited flows (§3.3.2) with a few
+dozen capacity-bound ones costs a few dozen passes, not one per flow.
 """
 
 from __future__ import annotations
@@ -42,9 +48,6 @@ from .linkweights import WeightProvider
 #: Relative tolerance for deciding that a link is saturated.
 _REL_TOL = 1e-9
 
-#: Shared empty index array for rounds that freeze nothing in a category.
-_EMPTY_ROWS = np.empty(0, dtype=np.int64)
-
 
 @dataclass
 class RateAllocation:
@@ -56,7 +59,8 @@ class RateAllocation:
             flow froze at its demand (host-limited) or uses no links.
         link_load_bps: Aggregate allocated load per link id.
         link_capacity_bps: The (headroom-adjusted) capacity the fill used.
-        iterations: Number of freeze rounds executed (all priority levels).
+        iterations: Number of fill passes executed (all priority levels);
+            see :func:`fill_matrix`.
     """
 
     rates_bps: Dict[FlowId, float]
@@ -176,8 +180,6 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     of iterating ``indptr[i]:indptr[i+1]`` per frozen flow.
     """
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     shifts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
     return np.repeat(starts - shifts, counts) + np.arange(total, dtype=np.int64)
 
@@ -191,10 +193,22 @@ def fill_matrix(
 ):
     """Water-fill the flows of *matrix* (one per row) onto *residual* capacity.
 
-    This is the freeze-round primitive shared by the batch :func:`waterfill`
-    (one call per priority level) and the single-flow-churn refill path of
+    This is the fill primitive shared by the batch :func:`waterfill` (one
+    call per priority level) and the single-flow-churn refill path of
     :class:`repro.congestion.incremental.IncrementalWaterfill` (one call per
     affected component).  It is pure: none of the inputs are mutated.
+
+    The fill keeps, per link, ``slack`` (capacity not claimed by *frozen*
+    flows) and ``denom`` (summed contributions of *unfrozen* flows), so a
+    link saturates at the absolute level ``slack / denom`` whatever happens
+    on other links.  Each pass takes the lowest such level, ``sat_min``.
+    Every unfrozen flow whose demand level ``demand / phi`` is at or below
+    it freezes at its demand in that one pass: freezing a flow only lowers
+    ``denom``, which only raises saturation levels, so no link can saturate
+    before those demands bind.  When no demand binds first, the links at
+    ``sat_min`` freeze their unfrozen flows at ``phi * sat_min``.  The pass
+    count is therefore bounded by the *binding constraints* (saturating
+    links, plus the demand batches between them), not by the flow count.
 
     Args:
         matrix: A :class:`~repro.congestion.linkweights.LevelMatrix` whose
@@ -207,9 +221,9 @@ def fill_matrix(
             (``src == dst`` flows); batch fills pass the fabric link rate.
 
     Returns:
-        ``(rate_arr, bn_arr, rounds)`` — allocated rate per row, bottleneck
+        ``(rate_arr, bn_arr, passes)`` — allocated rate per row, bottleneck
         link id per row (``-1`` when demand-frozen or link-less), and the
-        number of freeze rounds executed.
+        number of passes executed.
     """
     n_links = residual.size
     n_flows = matrix.n_flows
@@ -218,159 +232,103 @@ def fill_matrix(
     if n_flows == 0:
         return rate_arr, bn_arr, 0
 
-    with np.errstate(invalid="ignore"):
-        demand_level = np.where(np.isfinite(demand), demand / phi, np.inf)
-
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    row_nnz = matrix.row_nnz
     # ``contrib`` scales each row by its flow's allocation weight: the load
     # flow f puts on each link per unit of fill level t (its rate being
     # phi_f * t).
-    contrib = matrix.data * np.repeat(phi, matrix.row_nnz)
-    # Sum of unfrozen contributions per link, plus an exact count of
-    # unfrozen flows per link: floating-point dust left by incremental
-    # subtraction must not make an all-frozen link look like a (tiny)
-    # bottleneck.
-    denom = np.bincount(matrix.indices, weights=contrib, minlength=n_links)
-    live_count = np.bincount(matrix.indices, minlength=n_links)
-
-    unfrozen = np.ones(n_flows, dtype=bool)
-    # Flows that touch no links (src == dst) are only demand- or
-    # capacity-bound; freeze them immediately.
-    empty_rows = matrix.row_nnz == 0
-    if empty_rows.any():
-        rate_arr[empty_rows] = np.minimum(demand[empty_rows], linkless_cap)
-        unfrozen[empty_rows] = False
+    contrib = data * np.repeat(phi, row_nnz)
+    denom = np.bincount(indices, weights=contrib, minlength=n_links)
+    # Exact count of unfrozen flows per link: floating-point dust left in
+    # ``denom`` by subtraction must not make an all-frozen link look like a
+    # (tiny) bottleneck.
+    live = np.bincount(indices, minlength=n_links)
+    slack = residual.astype(np.float64)  # astype copies
 
     #: fill level at which each *unfrozen* flow's demand binds; frozen
-    #: flows are masked to +inf so one vectorized min covers the round.
-    demand_gate = np.where(unfrozen, demand_level, np.inf)
+    #: flows are masked to +inf so one vectorized min covers the pass.
+    with np.errstate(invalid="ignore"):
+        demand_gate = np.where(np.isfinite(demand), demand / phi, np.inf)
+    # Flows that touch no links (src == dst) are only demand- or
+    # capacity-bound; they start out frozen.
+    unfrozen = row_nnz > 0
+    if not unfrozen.all():
+        empty_rows = ~unfrozen
+        rate_arr[empty_rows] = np.minimum(demand[empty_rows], linkless_cap)
+        demand_gate[empty_rows] = np.inf
 
-    level = 0.0  # current fill level t
-    slack = residual.astype(np.float64).copy()
-    rounds = 0
+    #: level at which each link saturates; +inf once nobody unfrozen is on it
+    sat = np.full(n_links, np.inf)
+    np.divide(slack, denom, out=sat, where=denom > 0.0)
+
+    passes = 0
     n_live = int(unfrozen.sum())
-    t_rel = np.empty(n_links, dtype=np.float64)  # reused across rounds
-    indptr = matrix.indptr
-    indices = matrix.indices
-
     while n_live:
-        rounds += 1
-        # Fill level *increment* at which each link saturates (relative to
-        # the current level; slack >= 0 and denom > 0 keep it nonnegative).
-        pos = denom > 0.0
-        t_rel.fill(np.inf)
-        np.divide(slack, denom, out=t_rel, where=pos)
+        passes += 1
+        sat_min = float(sat.min())
+        if demand_gate.min() <= sat_min:
+            if math.isinf(sat_min):
+                # Neither a link nor a demand binds (zero-weight links
+                # only): a configuration error, not an infinite rate.
+                raise CongestionControlError(
+                    "water-fill diverged: unfrozen flows with no binding constraint"
+                )
+            frozen = np.flatnonzero(demand_gate <= sat_min)
+            rate_arr[frozen] = demand[frozen]
+            unfrozen[frozen] = False
+        else:
+            # Everyone crossing a link saturating at sat_min, found through
+            # the CSC pattern (link -> crossing rows).  Ascending link order
+            # keeps the "first link wins" bottleneck attribution.
+            tol = _REL_TOL * max(1.0, sat_min)
+            parts = []
+            for link in np.flatnonzero(sat <= sat_min + tol).tolist():
+                rows = matrix.flows_on_link(link)
+                rows = rows[unfrozen[rows]]
+                if rows.size:
+                    rate_arr[rows] = phi[rows] * sat_min
+                    bn_arr[rows] = link
+                    unfrozen[rows] = False
+                    parts.append(rows)
+            frozen = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        demand_gate[frozen] = np.inf
+        n_live -= int(frozen.size)
+        if not n_live:
+            break
 
-        t_rel_min = float(t_rel.min(initial=math.inf))
-        dem_min = float(demand_gate.min(initial=math.inf))
-        t_star = min(level + t_rel_min, dem_min)
-        if math.isinf(t_star):
-            # No capacity constraint and no finite demand: flows are
-            # unconstrained, which only happens with zero-weight links —
-            # treat as a configuration error rather than allocating infinity.
-            raise CongestionControlError(
-                "water-fill diverged: unfrozen flows with no binding constraint"
-            )
-
-        tol = _REL_TOL * max(1.0, abs(t_star))
-        frozen_parts: List[np.ndarray] = []
-
-        # Demand-frozen flows this round (frozen rows are masked to +inf).
-        dem_rows = _EMPTY_ROWS
-        if dem_min <= t_star + tol:
-            dem_rows = np.flatnonzero(demand_gate <= t_star + tol)
-            rate_arr[dem_rows] = demand[dem_rows]
-            unfrozen[dem_rows] = False
-            frozen_parts.append(dem_rows)
-
-        # Capacity-frozen flows: everyone crossing a link saturating at t*,
-        # found through the CSC pattern (link -> crossing rows).  Iterating
-        # saturated links in ascending order keeps the "first link wins"
-        # bottleneck attribution of the scalar implementation.
-        if t_rel_min <= (t_star - level) + tol:
-            for link in np.flatnonzero(t_rel <= (t_star - level) + tol):
-                rows_l = matrix.flows_on_link(link)
-                rows_l = rows_l[unfrozen[rows_l]]
-                if rows_l.size == 0:
-                    continue
-                rate_arr[rows_l] = phi[rows_l] * t_star
-                bn_arr[rows_l] = link
-                unfrozen[rows_l] = False
-                frozen_parts.append(rows_l)
-
-        if not frozen_parts:
-            raise CongestionControlError("water-fill made no progress")
-        frozen_idx = (
-            frozen_parts[0]
-            if len(frozen_parts) == 1
-            else np.concatenate(frozen_parts)
-        )
-
-        # Advance the water level.
-        delta = t_star - level
-        if delta > 0:
-            slack -= denom * delta
-            np.maximum(slack, 0.0, out=slack)
-            level = t_star
-
-        # Refund factor per demand-frozen flow: one that froze below the
-        # water level keeps consuming its allocation, but the unused share
-        # returns to the pool.
-        refund = None
-        if dem_rows.size:
-            implied = phi[dem_rows] * level
-            refunding = demand[dem_rows] < implied - tol
-            if refunding.any():
-                refund = np.zeros(dem_rows.size, dtype=np.float64)
-                refund[refunding] = (implied[refunding] - demand[dem_rows][refunding]) / phi[
-                    dem_rows[refunding]
-                ]
-
-        # Retire the frozen rows: subtract their contributions from the
-        # per-link denominators and live counts.  Most rounds freeze only a
+        # Retire the frozen rows: their load leaves ``slack``, their
+        # contributions leave ``denom``.  Most link passes freeze only a
         # handful of flows, where per-row fancy-index updates (link ids are
         # unique within a CSR row) beat full-width bincount passes.
-        if frozen_idx.size <= 4:
-            touched_parts = []
-            for i in frozen_idx.tolist():
+        if frozen.size <= 4:
+            parts = []
+            for i in frozen.tolist():
                 seg = slice(indptr[i], indptr[i + 1])
                 cols = indices[seg]
+                slack[cols] -= data[seg] * rate_arr[i]
                 denom[cols] -= contrib[seg]
-                live_count[cols] -= 1
-                touched_parts.append(cols)
-            if refund is not None:
-                for pos_r, i in enumerate(dem_rows.tolist()):
-                    if refund[pos_r] > 0.0:
-                        seg = slice(indptr[i], indptr[i + 1])
-                        slack[indices[seg]] += contrib[seg] * refund[pos_r]
-            touched = (
-                touched_parts[0]
-                if len(touched_parts) == 1
-                else np.concatenate(touched_parts)
-            ) if touched_parts else _EMPTY_ROWS
+                live[cols] -= 1
+                parts.append(cols)
+            touched = parts[0] if len(parts) == 1 else np.concatenate(parts)
         else:
-            take = _ragged_ranges(indptr[frozen_idx], matrix.row_nnz[frozen_idx])
-            touched = indices[take]
-            denom -= np.bincount(touched, weights=contrib[take], minlength=n_links)
-            live_count -= np.bincount(touched, minlength=n_links)
-            if refund is not None:
-                take_r = _ragged_ranges(indptr[dem_rows], matrix.row_nnz[dem_rows])
-                vals = contrib[take_r] * np.repeat(refund, matrix.row_nnz[dem_rows])
-                slack += np.bincount(
-                    indices[take_r], weights=vals, minlength=n_links
-                )
+            counts = row_nnz[frozen]
+            take = _ragged_ranges(indptr[frozen], counts)
+            cols = indices[take]
+            claim = data[take] * np.repeat(rate_arr[frozen], counts)
+            slack -= np.bincount(cols, weights=claim, minlength=n_links)
+            denom -= np.bincount(cols, weights=contrib[take], minlength=n_links)
+            live -= np.bincount(cols, minlength=n_links)
+            touched = slice(None)
+        # New saturation levels where something changed (subtraction dust
+        # must not turn into a negative level).
+        left = np.maximum(slack[touched], 0.0)
+        slack[touched] = left
+        d = denom[touched]
+        level = np.full(left.size, np.inf)
+        np.divide(left, d, out=level, where=(live[touched] > 0) & (d > 0.0))
+        sat[touched] = level
 
-        # Clear floating-point dust on the links we touched: a frozen-out
-        # link must not reappear as a (tiny) bottleneck.
-        if touched.size:
-            d = denom[touched]
-            np.maximum(d, 0.0, out=d)
-            d[live_count[touched] <= 0] = 0.0
-            denom[touched] = d
-
-        demand_gate[frozen_idx] = np.inf
-        n_live -= int(frozen_idx.size)
-
-    return rate_arr, bn_arr, rounds
+    return rate_arr, bn_arr, passes
 
 
 def _fill_one_level(
@@ -386,8 +344,8 @@ def _fill_one_level(
 
     Assembles the level's (cached) CSR/CSC weight matrix, runs
     :func:`fill_matrix`, and commits the results: mutates ``load``,
-    ``rates`` and ``bottleneck`` in place; returns the number of freeze
-    rounds.
+    ``rates`` and ``bottleneck`` in place; returns the number of fill
+    passes.
     """
     n_links = residual.size
     n_flows = len(flows)
@@ -400,7 +358,7 @@ def _fill_one_level(
     demand = np.fromiter(
         (spec.demand_bps for spec in flows), dtype=np.float64, count=n_flows
     )
-    rate_arr, bn_arr, rounds = fill_matrix(
+    rate_arr, bn_arr, passes = fill_matrix(
         matrix, phi, demand, residual, linkless_cap=topology.capacity_bps
     )
 
@@ -416,4 +374,4 @@ def _fill_one_level(
     for fid, rate, bn in zip(flow_ids, rate_arr.tolist(), bn_arr.tolist()):
         rates[fid] = rate
         bottleneck[fid] = None if bn < 0 else bn
-    return rounds
+    return passes

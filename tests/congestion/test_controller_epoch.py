@@ -7,6 +7,7 @@ from repro.congestion import (
     FlowSpec,
     RateController,
     WeightProvider,
+    waterfill,
 )
 from repro.lru import BoundedLru
 from repro.types import usec
@@ -146,3 +147,71 @@ class TestContentKey:
         alloc_b = b.recompute(usec(500))
         assert alloc_b is alloc_a  # second controller reused the memo
         assert len(cache) == 1
+
+
+class TestArrivalFillIsTheEpochFill:
+    """Under ``local_waterfill`` an arrival fills the whole table; the epoch
+    that finds the table as that arrival left it reuses the fill."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        """Every allocation ``waterfill`` hands the controller, in order."""
+        from repro.congestion import controller
+
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(controller_waterfill(*args, **kwargs))
+            return made[-1]
+
+        controller_waterfill = controller.waterfill
+        monkeypatch.setattr(controller, "waterfill", counting)
+        return made
+
+    @staticmethod
+    def _standing(ctrl):
+        for i in range(4):
+            ctrl.on_flow_started(FlowSpec(i, i, i + 4, demand_bps=(i + 1) * 1e9), now_ns=0)
+        ctrl.recompute(usec(500))
+
+    def test_arrival_then_epoch_is_one_fill(self, torus2d, fills):
+        ctrl = make(torus2d)
+        self._standing(ctrl)
+        del fills[:]
+        ctrl.on_flow_started(FlowSpec(9, 0, 5), now_ns=usec(600))
+        young = ctrl.rate_for(9)
+        allocation = ctrl.recompute(usec(1000))
+        assert len(fills) == 1
+        assert allocation is fills[0]  # the object the young rate was read from
+        assert ctrl.rate_for(9) == young == allocation.rates_bps[9]
+        stats = ctrl.stats[-1]
+        assert not stats.skipped  # an epoch was served, by lookup
+        assert stats.n_flows == 5 and stats.at_ns == usec(1000)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda ctrl: ctrl.on_demand_update(2, 0.5e9),
+            lambda ctrl: ctrl.on_flow_finished(1, usec(700)),
+            lambda ctrl: ctrl.on_flow_started(FlowSpec(10, 1, 6), usec(700)),
+        ],
+        ids=["demand", "finish", "arrival"],
+    )
+    def test_a_table_change_in_between_forces_a_second_fill(self, torus2d, fills, mutate):
+        ctrl = make(torus2d)
+        self._standing(ctrl)
+        del fills[:]
+        ctrl.on_flow_started(FlowSpec(9, 0, 5), now_ns=usec(600))
+        mutate(ctrl)
+        allocation = ctrl.recompute(usec(1000))
+        assert len(fills) == 2
+        assert allocation is fills[1]
+        forced = waterfill(torus2d, ctrl.table.snapshot(), WeightProvider(torus2d), headroom=0.05)
+        assert allocation.rates_bps == forced.rates_bps
+
+    def test_private_memo_holds_one_allocation(self, torus2d):
+        ctrl = make(torus2d)
+        self._standing(ctrl)
+        ctrl.on_demand_update(0, 2e9)
+        ctrl.recompute(usec(1000))
+        assert len(ctrl._allocation_cache) == 1

@@ -1,0 +1,97 @@
+"""The level-matrix cache's bounds and the CSC permutation's fast path."""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.congestion import FlowSpec, WeightProvider
+from repro.congestion import linkweights
+from repro.congestion.linkweights import LevelMatrix
+from repro.topology import TorusTopology
+
+
+#: ``LevelMatrix.build`` sorts 16-bit keys up to this many links.
+RADIX_KEY_LINKS = 1 << 16
+
+
+def _rps_population(topology, n_flows, seed):
+    rng = random.Random(seed)
+    flows = []
+    for flow_id in range(n_flows):
+        src, dst = rng.sample(range(topology.n_nodes), 2)
+        flows.append(FlowSpec(flow_id, src, dst, "rps"))
+    return flows
+
+
+class TestMatrixCacheBudget:
+    def test_churning_512_flow_table_stays_under_the_byte_budget(self):
+        """200 membership changes at 512 rps flows on 8x8x8 build 200
+        distinct ~1.1 MB matrices; the entry bound alone would keep 128."""
+        topology = TorusTopology((8, 8, 8))
+        provider = WeightProvider(topology)
+        flows = _rps_population(topology, 512, seed=7)
+        rng = random.Random(8)
+        one_matrix = 0
+        for step in range(200):
+            src, dst = rng.sample(range(topology.n_nodes), 2)
+            flows[rng.randrange(len(flows))] = FlowSpec(1000 + step, src, dst, "rps")
+            one_matrix = max(one_matrix, provider.level_matrix(flows).nbytes())
+        assert one_matrix > 2**20  # the population is as big as intended
+        vectors = sum(idx.nbytes + val.nbytes for idx, val in provider._cache.values())
+        held = provider.memory_footprint_bytes() - vectors
+        assert held == provider._matrix_cache.nbytes
+        assert one_matrix <= held <= linkweights._MATRIX_CACHE_BYTES
+        assert len(provider._matrix_cache) < linkweights._MATRIX_CACHE_BOUND
+
+        # Demands are not part of the key: a demand-only re-fill still hits.
+        hits = provider._matrix_cache.hits
+        cached = provider.level_matrix(flows)
+        assert provider.level_matrix([f.with_demand(1e9) for f in flows]) is cached
+        assert provider._matrix_cache.hits == hits + 2
+
+    def test_small_matrices_are_bounded_by_entries(self, torus2d):
+        provider = WeightProvider(torus2d)
+        for flow_id in range(linkweights._MATRIX_CACHE_BOUND + 20):
+            provider.level_matrix([FlowSpec(flow_id, 0, 5, "ecmp")])
+        assert len(provider._matrix_cache) == linkweights._MATRIX_CACHE_BOUND
+
+
+def _int64_csc(matrix):
+    """The CSC pattern as the plain int64 stable sort builds it."""
+    order = np.argsort(matrix.indices, kind="stable")
+    col_rows = np.repeat(np.arange(matrix.n_flows, dtype=np.int64), matrix.row_nnz)[order]
+    col_indptr = np.zeros(matrix.n_links + 1, dtype=np.int64)
+    np.cumsum(np.bincount(matrix.indices, minlength=matrix.n_links), out=col_indptr[1:])
+    return col_rows, col_indptr
+
+
+class TestCscPermutation:
+    @pytest.mark.parametrize("dims, n_flows", [((4, 4, 4), 64), ((8, 8, 8), 512)])
+    def test_radix_keys_give_the_int64_permutation(self, dims, n_flows):
+        topology = TorusTopology(dims)
+        assert topology.n_links <= RADIX_KEY_LINKS
+        provider = WeightProvider(topology)
+        matrix = provider.level_matrix(_rps_population(topology, n_flows, seed=3))
+        col_rows, col_indptr = _int64_csc(matrix)
+        assert np.array_equal(matrix.col_rows, col_rows)
+        assert np.array_equal(matrix.col_indptr, col_indptr)
+
+    def test_fabrics_past_the_key_width_use_the_int64_sort(self):
+        """Link ids above 65,535 would wrap in a 16-bit key."""
+        n_links = RADIX_KEY_LINKS + 10
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(40):
+            idx = np.sort(rng.choice(n_links, size=30, replace=False)).astype(np.int64)
+            rows.append((idx, rng.random(30)))
+        # Ids 3 and 65,539 collide modulo 2**16: a wrapped key would
+        # interleave their rows.
+        rows.append((np.array([3, 65_539], dtype=np.int64), np.array([0.5, 0.5])))
+        matrix = LevelMatrix.build(rows, n_links)
+        col_rows, col_indptr = _int64_csc(matrix)
+        assert np.array_equal(matrix.col_rows, col_rows)
+        assert np.array_equal(matrix.col_indptr, col_indptr)
+        assert matrix.flows_on_link(65_539).tolist() == [
+            i for i, (idx, _) in enumerate(rows) if 65_539 in idx
+        ]

@@ -71,3 +71,76 @@ class TestBoundedLru:
         lru["c"] = 3
         lru["d"] = 4  # evicts "a": values() did not refresh it
         assert "a" not in lru
+
+
+class TestByteBudget:
+    """``max_bytes`` bounds the summed ``sizeof`` of the values as well."""
+
+    def test_budget_and_sizeof_go_together(self):
+        with pytest.raises(ValueError):
+            BoundedLru(4, max_bytes=10)
+        with pytest.raises(ValueError):
+            BoundedLru(4, sizeof=len)
+
+    def test_eviction_by_bytes(self):
+        lru = BoundedLru(100, max_bytes=10, sizeof=len)
+        lru["a"] = "xxxx"
+        lru["b"] = "xxxx"
+        assert lru.nbytes == 8
+        lru["c"] = "xxxx"  # 12 bytes: the oldest entry goes
+        assert list(lru.keys()) == ["b", "c"]
+        assert lru.nbytes == 8
+        lru["d"] = "xxxxxxxxx"  # 9 bytes: both others must go
+        assert list(lru.keys()) == ["d"]
+        assert lru.nbytes == 9
+
+    def test_eviction_by_count_still_applies(self):
+        lru = BoundedLru(2, max_bytes=1000, sizeof=len)
+        for key in "abc":
+            lru[key] = "x"
+        assert list(lru.keys()) == ["b", "c"]
+        assert lru.nbytes == 2
+
+    def test_newest_entry_survives_alone_over_budget(self):
+        lru = BoundedLru(4, max_bytes=3, sizeof=len)
+        lru["small"] = "x"
+        lru["huge"] = "xxxxxxxx"
+        assert list(lru.keys()) == ["huge"]
+        assert lru.nbytes == 8
+        lru["next"] = "xx"  # the oversized entry is evictable like any other
+        assert list(lru.keys()) == ["next"]
+        assert lru.nbytes == 2
+
+    def test_hit_refreshes_against_byte_eviction(self):
+        lru = BoundedLru(100, max_bytes=8, sizeof=len)
+        lru["a"] = "xxxx"
+        lru["b"] = "xxxx"
+        assert lru.get("a") == "xxxx"
+        lru["c"] = "xxxx"
+        assert list(lru.keys()) == ["a", "c"]
+
+    def test_replacing_a_live_key_adjusts_the_total(self):
+        lru = BoundedLru(4, max_bytes=100, sizeof=len)
+        lru["a"] = "xxxxxx"
+        lru["b"] = "xx"
+        lru["a"] = "x"
+        assert lru.nbytes == 3
+        assert list(lru.keys()) == ["b", "a"]  # reassignment refreshes
+
+    def test_pop_and_clear_reset_the_total(self):
+        lru = BoundedLru(4, max_bytes=100, sizeof=len)
+        lru["a"] = "xxx"
+        lru["b"] = "xx"
+        assert lru.pop("a") == "xxx"
+        assert lru.nbytes == 2
+        assert lru.pop("a", "gone") == "gone"
+        assert lru.nbytes == 2
+        lru.clear()
+        assert lru.nbytes == 0 and len(lru) == 0
+        lru["c"] = "x"
+        assert lru.nbytes == 1
+
+    def test_count_only_cache_reports_zero_bytes(self):
+        lru = BoundedLru(2)
+        lru["a"] = "xxxx"
+        assert lru.nbytes == 0
