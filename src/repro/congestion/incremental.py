@@ -14,20 +14,28 @@ allocation as ground state and patches it:
    The closure guarantees the key invariant: *every saturated link touched
    by an affected flow has all of its flows in the affected set*, so each
    unaffected flow's bottleneck link carries no affected flow and its
-   max-min conditions survive the change untouched.
+   max-min conditions survive the change untouched.  The search gives up
+   once the set's rows hold more than ``max(_PATCH_NNZ_FLOOR,
+   _PATCH_NNZ_SHARE * table non-zeros)`` non-zeros: past that measured
+   crossover (a sprayed table, where a flow shares links with most others)
+   the scratch fill is cheaper, and the op is an ``affected_set`` fallback.
 2. **Refill.**  The affected flows are re-filled from zero over the
    *residual* capacity (link capacity minus the load of unaffected flows)
-   using the same :func:`~repro.congestion.waterfill.fill_matrix` passes
-   as the batch path — O(affected links), not O(rack).
+   by the passes of :func:`~repro.congestion.waterfill.fill_matrix` in
+   plain floats over the touched links only (dicts keyed by link id, no
+   rack-wide vector) — O(affected non-zeros), not O(rack).  Sums run in
+   row order, saturating links are visited in ascending id and frozen rows
+   retire as the kernel retires them, so a patch is bit-equal to the kernel
+   on the same rows (``tests/service/test_golden_allocations.py``).
 3. **Certification.**  The patched allocation is accepted only when it is
    provably the global max-min optimum: feasibility on every touched link,
    and no refilled flow bottlenecks on a link where an *unaffected* flow
    holds a higher fill level (weighted max-min is unique, so a certified
    candidate *is* the scratch allocation).  Any violation — or any change
    the patch logic does not model (priorities, routing-weight changes,
-   failure-view flips) — falls back to a full recompute, counted in
-   :attr:`IncrementalWaterfill.fallback_recomputes` so telemetry can track
-   the incremental-vs-fallback ratio.
+   failure-view flips) — falls back to a full recompute, counted per
+   reason in :attr:`IncrementalWaterfill.fallback_reasons` so telemetry can
+   track the incremental-vs-fallback ratio.
 
 The correctness gate is the churn oracle in :mod:`repro.validation.churn`:
 scratch ≡ incremental (≤1e-6) after every operation of seeded 10k-op
@@ -37,7 +45,7 @@ churn sequences.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -45,14 +53,8 @@ from ..errors import CongestionControlError
 from ..topology.base import Topology
 from ..types import FlowId, LinkId
 from .flowstate import FlowSpec
-from .linkweights import LevelMatrix, WeightProvider
-from .waterfill import (
-    RateAllocation,
-    _REL_TOL,
-    effective_capacities,
-    fill_matrix,
-    waterfill,
-)
+from .linkweights import WeightProvider
+from .waterfill import RateAllocation, _REL_TOL, effective_capacities, waterfill
 
 #: Links whose free capacity is below this fraction of capacity are treated
 #: as saturated when growing the affected set.  Slightly looser than the
@@ -63,6 +65,15 @@ _SAT_TOL = 4.0 * _REL_TOL
 #: Tolerance for the optimality certificate (relative to the fill level /
 #: link capacity under comparison).  Violations trigger a full recompute.
 _CERT_TOL = 16.0 * _REL_TOL
+
+#: An affected set is patched while its rows hold at most ``max(floor, share
+#: * table non-zeros)`` non-zeros; beyond, the scratch fill is cheaper.  From
+#: ``bench_service_churn.py``'s crossover table (DESIGN §6a; 512 flows, 8x8x8):
+#: on the ecmp tables (3.0k nnz) the patch meets the scratch fill at 0.9-1.6k
+#: affected non-zeros (the daemon op lists stay under 400) ...
+_PATCH_NNZ_FLOOR = 1024
+#: ... and on the rps tables (40k nnz) at 2.0-3.6k, 5-9 % of the table.
+_PATCH_NNZ_SHARE = 0.05
 
 
 def spec_to_dict(spec: FlowSpec) -> dict:
@@ -99,9 +110,10 @@ class IncrementalWaterfill:
     """Maintain a weighted max-min allocation across single-flow churn.
 
     The mutating operations (:meth:`add_flow`, :meth:`remove_flow`,
-    :meth:`update_demand`) try the O(affected) incremental patch first and
-    fall back to a full scratch recompute whenever the patch cannot be
-    certified optimal; :meth:`update_protocol` and :meth:`rebuild` always
+    :meth:`update_demand`) patch when the affected set is small — the
+    strategy is chosen from its size, see the module docstring — and fall
+    back to a full scratch recompute when it is not or when the patch cannot
+    be certified optimal; :meth:`update_protocol` and :meth:`rebuild` always
     recompute (they change link memberships in ways the patch does not
     model).  After every operation :meth:`allocation` returns exactly what
     :func:`~repro.congestion.waterfill.waterfill` would compute from
@@ -123,12 +135,10 @@ class IncrementalWaterfill:
         self._topology = topology
         self._provider = provider if provider is not None else WeightProvider(topology)
         self._headroom = float(headroom)
-        self._cap = effective_capacities(topology, headroom, capacities)
-        self._specs: Dict[FlowId, FlowSpec] = {}
+        self._set_capacities(effective_capacities(topology, headroom, capacities))
+        self._clear_table()
         self._rates: Dict[FlowId, float] = {}
         self._bottleneck: Dict[FlowId, Optional[LinkId]] = {}
-        self._rows: Dict[FlowId, tuple] = {}  # flow -> (link_idx, fraction) arrays
-        self._link_flows: Dict[LinkId, Set[FlowId]] = {}
         self._load = np.zeros(topology.n_links, dtype=np.float64)
         self._rounds = 0
         self.incremental_ops = 0
@@ -212,32 +222,32 @@ class IncrementalWaterfill:
             raise CongestionControlError(f"flow {spec.flow_id}: bad dst {spec.dst}")
         # Everything that can reject the spec runs before the table is
         # touched: a refused re-announce leaves the live flow as it was.
-        links = self._links_of(spec)
+        row = self._provider.weights_for(spec)
         if spec.flow_id in self._specs:
-            self.remove_flow(spec.flow_id)
-        affected = self._affected_set(seed_links=links, extra=())
-        self._install(spec)
-        affected.add(spec.flow_id)
-        self._patch_or_recompute(affected, op="add")
+            self._remove(spec.flow_id, successor=spec)
+        links = self._install(spec, row)
+        self._patch_or_recompute(self._affected_set(spec.flow_id, links))
 
     def remove_flow(self, flow_id: FlowId) -> bool:
         """Finish *flow_id*; returns ``False`` when it was not announced."""
-        spec = self._specs.get(flow_id)
-        if spec is None:
+        if flow_id not in self._specs:
             return False
-        # Affected set and saturation are judged on the pre-removal load;
-        # then the departed flow's own contribution leaves the load vector
-        # before the refill (it is no longer in the flow table).
-        affected = self._affected_set(seed_links=self._rows[flow_id][0], extra=())
-        affected.discard(flow_id)
-        idx, frac = self._rows[flow_id]
-        old_rate = self._rates.get(flow_id, 0.0)
-        if old_rate:
-            self._load[idx] -= frac * old_rate
-            np.maximum(self._load, 0.0, out=self._load)
-        self._uninstall(flow_id)
-        self._patch_or_recompute(affected, op="remove")
+        self._remove(flow_id)
         return True
+
+    def _remove(self, flow_id: FlowId, successor: Optional[FlowSpec] = None) -> None:
+        # Affected set and saturation are judged on the pre-removal load; then
+        # the departed flow's contribution leaves the loads the patch works on.
+        links, fracs = self._rows[flow_id]
+        work = self._affected_set(flow_id, links)
+        old_rate = self._rates.get(flow_id, 0.0)
+        self._uninstall(flow_id, successor)
+        if work is not None:
+            affected, loads = work
+            affected.discard(flow_id)
+            for link, frac in zip(links, fracs):
+                loads[link] = max(loads[link] - frac * old_rate, 0.0)
+        self._patch_or_recompute(work)
 
     def update_demand(self, flow_id: FlowId, demand_bps: float) -> bool:
         """Change one flow's demand; returns ``False`` when unknown."""
@@ -247,9 +257,7 @@ class IncrementalWaterfill:
         if spec.demand_bps == demand_bps:
             return True
         self._specs[flow_id] = spec.with_demand(demand_bps)
-        affected = self._affected_set(seed_links=self._rows[flow_id][0], extra=())
-        affected.add(flow_id)
-        self._patch_or_recompute(affected, op="demand")
+        self._patch_or_recompute(self._affected_set(flow_id, self._rows[flow_id][0]))
         return True
 
     def update_protocol(self, flow_id: FlowId, protocol: str) -> bool:
@@ -281,12 +289,10 @@ class IncrementalWaterfill:
                 )
             self._topology = topology
             self._provider = WeightProvider(topology)
-        self._cap = effective_capacities(self._topology, self._headroom, capacities)
+        self._set_capacities(effective_capacities(self._topology, self._headroom, capacities))
         self._load = np.zeros(self._topology.n_links, dtype=np.float64)
         specs = self.flows()
-        self._specs.clear()
-        self._rows.clear()
-        self._link_flows.clear()
+        self._clear_table()
         for spec in specs:
             self._install(spec)
         self._full_recompute("rebuild")
@@ -323,9 +329,7 @@ class IncrementalWaterfill:
                 f"snapshot has {load.size} link loads, topology has "
                 f"{self._topology.n_links} links"
             )
-        self._specs.clear()
-        self._rows.clear()
-        self._link_flows.clear()
+        self._clear_table()
         for data in state["flows"]:
             self._install(spec_from_dict(data))
         self._rates = {int(k): float(v) for k, v in state["rates"].items()}
@@ -347,192 +351,248 @@ class IncrementalWaterfill:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _links_of(self, spec: FlowSpec) -> np.ndarray:
-        idx, _ = self._provider.weights_for(spec)
-        return idx
+    def _set_capacities(self, cap: np.ndarray) -> None:
+        # Plain floats, once per capacity vector: the patch reads them per link.
+        self._cap = cap
+        self._caps = cap.tolist()
+        self._sat_slack = [_SAT_TOL * max(1.0, c) for c in self._caps]
+        self._cert_slack = [_CERT_TOL * max(1.0, c) for c in self._caps]
 
-    def _install(self, spec: FlowSpec) -> None:
-        idx, frac = self._provider.weights_for(spec)
+    def _clear_table(self) -> None:
+        self._specs: Dict[FlowId, FlowSpec] = {}
+        self._rows: Dict[FlowId, tuple] = {}  # flow -> (link ids, fractions) lists
+        self._link_flows: Dict[LinkId, Set[FlowId]] = {}
+        self._nnz = 0  # non-zeros of the table: the sum of its row lengths
+        self._prioritized = 0  # flows with a non-zero priority
+
+    def _install(self, spec: FlowSpec, row=None) -> List[int]:
+        idx, frac = row if row is not None else self._provider.weights_for(spec)
+        links = idx.tolist()
         self._specs[spec.flow_id] = spec
-        self._rows[spec.flow_id] = (idx, frac)
-        for link in idx.tolist():
+        self._rows[spec.flow_id] = (links, frac.tolist())
+        self._nnz += len(links)
+        self._prioritized += spec.priority != 0
+        for link in links:
             self._link_flows.setdefault(link, set()).add(spec.flow_id)
+        return links
 
-    def _uninstall(self, flow_id: FlowId) -> None:
-        idx, _ = self._rows.pop(flow_id)
-        del self._specs[flow_id]
-        for link in idx.tolist():
-            members = self._link_flows.get(link)
-            if members is not None:
-                members.discard(flow_id)
-                if not members:
-                    del self._link_flows[link]
+    def _uninstall(self, flow_id: FlowId, successor: Optional[FlowSpec] = None) -> None:
+        links, _ = self._rows.pop(flow_id)
+        spec = self._specs.pop(flow_id)
+        self._nnz -= len(links)
+        self._prioritized -= spec.priority != 0
+        self._provider._forget(spec, unless=successor)
+        for link in links:
+            members = self._link_flows[link]
+            members.discard(flow_id)
+            if not members:
+                del self._link_flows[link]
         self._rates.pop(flow_id, None)
         self._bottleneck.pop(flow_id, None)
 
-    def _saturated(self, link: int) -> bool:
-        cap = self._cap[link]
-        return (cap - self._load[link]) <= _SAT_TOL * max(1.0, cap)
-
-    def _affected_set(self, seed_links: Iterable[int], extra: Iterable[FlowId]) -> Set[FlowId]:
-        """Closure of flows whose rates may change.
+    def _affected_set(self, changed: FlowId, seed_links: List[int]):
+        """Closure of flows whose rates may change, with the loads it read.
 
         Seeds: every flow on a link of the changed flow.  Propagation: from
         each affected flow through its *saturated* links to all flows on
-        those links, to fixpoint.
+        those links, to fixpoint.  Returns ``(affected, loads)``, ``loads``
+        mapping each link of the seed and of an affected flow to its load
+        (one fancy-index read per wave), or ``None`` past the patch budget.
         """
-        affected: Set[FlowId] = set(extra)
-        queue: List[FlowId] = list(affected)
-        for link in np.asarray(seed_links).tolist():
-            for fid in self._link_flows.get(link, ()):
-                if fid not in affected:
-                    affected.add(fid)
-                    queue.append(fid)
-        while queue:
-            fid = queue.pop()
-            idx, _ = self._rows[fid]
-            for link in idx.tolist():
-                if not self._saturated(link):
-                    continue
-                for other in self._link_flows.get(link, ()):
-                    if other not in affected:
-                        affected.add(other)
-                        queue.append(other)
-        return affected
+        rows, link_flows = self._rows, self._link_flows
+        caps, sat_slack = self._caps, self._sat_slack
+        budget = max(_PATCH_NNZ_FLOOR, _PATCH_NNZ_SHARE * self._nnz)
+        affected: Set[FlowId] = {changed}  # a link-less flow is on no seed link
+        loads: Dict[int, float] = {}
+        nnz = 0
+        fresh, seeding = seed_links, True
+        while fresh:
+            wave = []
+            for link, load in zip(fresh, self._load[fresh].tolist()):
+                loads[link] = load
+                if seeding or caps[link] - load <= sat_slack[link]:
+                    for fid in link_flows.get(link, ()):
+                        if fid not in affected:
+                            affected.add(fid)
+                            wave.append(fid)
+                            nnz += len(rows[fid][0])
+                            if nnz > budget:
+                                return None
+            fresh, seeding = [], False
+            for fid in wave:
+                for link in rows[fid][0]:
+                    if link not in loads:
+                        loads[link] = 0.0  # claimed; read with the next wave
+                        fresh.append(link)
+        return affected, loads
 
-    def _patch_or_recompute(self, affected: Set[FlowId], op: str) -> None:
-        if any(spec.priority != 0 for spec in self._specs.values()):
+    def _patch_or_recompute(self, work) -> None:
+        if self._prioritized:
             # Priority levels consume capacity hierarchically; the patch
             # models a single level only.
             self._full_recompute("priorities")
-            return
-        if self._try_patch(affected):
+        elif work is None:
+            self._full_recompute("affected_set")
+        elif self._try_patch(*work):
             self.incremental_ops += 1
         else:
             self._full_recompute("certification")
 
-    def _try_patch(self, affected: Set[FlowId]) -> bool:
+    def _try_patch(self, affected: Set[FlowId], loads: Dict[int, float]) -> bool:
         """Refill *affected* on residual capacity; certify; commit.
 
-        Returns ``False`` (state untouched except the flow-table change
-        already applied) when the certificate fails.
+        ``fill_matrix``'s operations in its order: per-link sums accumulate
+        in row (flow id) order like ``bincount``, and rows retire as it
+        retires them.  Returns ``False`` (state untouched except the
+        flow-table change already applied) when the certificate fails.
         """
-        aff = sorted(fid for fid in affected if fid in self._specs)
-        n_links = self._topology.n_links
-
-        # Load contributed by the affected flows under their *old* rates.
-        aff_load = np.zeros(n_links, dtype=np.float64)
-        for fid in aff:
-            idx, frac = self._rows[fid]
-            old = self._rates.get(fid, 0.0)
-            if old:
-                aff_load[idx] += frac * old
-        base_load = self._load - aff_load
-        np.maximum(base_load, 0.0, out=base_load)
-        residual = np.maximum(self._cap - base_load, 0.0)
-
-        if aff:
-            rows = [self._rows[fid] for fid in aff]
-            matrix = LevelMatrix.build(rows, n_links)
-            n_aff = len(aff)
-            phi = np.fromiter(
-                (self._specs[fid].weight for fid in aff), dtype=np.float64, count=n_aff
-            )
-            demand = np.fromiter(
-                (self._specs[fid].demand_bps for fid in aff),
-                dtype=np.float64,
-                count=n_aff,
-            )
-            rate_arr, bn_arr, rounds = fill_matrix(
-                matrix, phi, demand, residual,
-                linkless_cap=self._topology.capacity_bps,
-            )
-            new_aff_load = np.zeros(n_links, dtype=np.float64)
-            if matrix.indices.size:
-                new_aff_load = np.bincount(
-                    matrix.indices,
-                    weights=matrix.data * np.repeat(rate_arr, matrix.row_nnz),
-                    minlength=n_links,
-                )
-            touched = np.unique(matrix.indices)
-        else:
-            rate_arr = np.zeros(0, dtype=np.float64)
-            bn_arr = np.zeros(0, dtype=np.int64)
-            rounds = 0
-            new_aff_load = np.zeros(n_links, dtype=np.float64)
-            touched = np.empty(0, dtype=np.int64)
-
-        new_load = base_load + new_aff_load
-
-        if not self._certify(aff, rate_arr, bn_arr, new_load, touched, affected):
-            return False
-
-        # Commit.
+        specs, rows, caps = self._specs, self._rows, self._caps
+        aff = sorted(affected)
+        phi = [specs[fid].weight for fid in aff]
+        demand = [specs[fid].demand_bps for fid in aff]
+        rate, bn = [None] * len(aff), [-1] * len(aff)  # None: not frozen yet
+        gate = [math.inf] * len(aff)  # level at which an unfrozen row's demand binds
+        # Per touched link: the affected rows on it (ascending), their load at
+        # the old rates (then: what the unaffected flows load), and the summed
+        # contributions of the unfrozen rows.
+        on_link, base, denom = {}, {}, {}
         for pos, fid in enumerate(aff):
-            self._rates[fid] = float(rate_arr[pos])
-            bn = int(bn_arr[pos])
-            self._bottleneck[fid] = None if bn < 0 else bn
-        self._load = new_load
-        self._rounds += rounds
+            links, fracs = rows[fid]
+            if not links:
+                rate[pos] = min(demand[pos], self._topology.capacity_bps)
+                continue
+            if demand[pos] < math.inf:
+                gate[pos] = demand[pos] / phi[pos]
+            old, w = self._rates.get(fid, 0.0), phi[pos]
+            for link, frac in zip(links, fracs):
+                members = on_link.get(link)
+                if members is None:
+                    on_link[link] = [pos]
+                    base[link] = frac * old
+                    denom[link] = frac * w
+                else:
+                    members.append(pos)
+                    base[link] += frac * old
+                    denom[link] += frac * w
+        # ... the capacity frozen rows have not claimed, the exact count of
+        # unfrozen rows (``denom`` keeps dust) and the level it saturates at.
+        slack, live, sat = {}, {}, {}
+        for link, members in on_link.items():
+            rest = loads[link] - base[link]
+            base[link] = rest = rest if rest > 0.0 else 0.0
+            left = caps[link] - rest
+            slack[link] = left = left if left > 0.0 else 0.0
+            live[link] = len(members)
+            sat[link] = left / denom[link] if denom[link] > 0.0 else math.inf
+
+        passes, n_live = 0, rate.count(None)
+        while n_live:
+            passes += 1
+            sat_min = min(sat.values())
+            if min(gate) <= sat_min:
+                if sat_min == math.inf:
+                    raise CongestionControlError(
+                        "water-fill diverged: unfrozen flows with no binding constraint")
+                frozen = [pos for pos, level in enumerate(gate) if level <= sat_min]
+                for pos in frozen:
+                    rate[pos] = demand[pos]
+            else:
+                ceiling = sat_min + _REL_TOL * max(1.0, sat_min)
+                frozen = []
+                for link in sorted([l for l, level in sat.items() if level <= ceiling]):
+                    for pos in on_link[link]:
+                        if rate[pos] is None:  # first link wins
+                            rate[pos] = phi[pos] * sat_min
+                            bn[pos] = link
+                            frozen.append(pos)
+            for pos in frozen:
+                gate[pos] = math.inf
+            n_live -= len(frozen)
+            if not n_live:
+                break
+            # fill_matrix retires up to four rows one by one and more
+            # through a summed claim; the two round differently.
+            summed = len(frozen) > 4
+            claim, gone, touched = {}, {}, []
+            for pos in frozen:
+                links, fracs = rows[aff[pos]]
+                r, w = rate[pos], phi[pos]
+                touched += links
+                if summed:
+                    for link, frac in zip(links, fracs):
+                        claim[link] = claim.get(link, 0.0) + frac * r
+                        gone[link] = gone.get(link, 0.0) + frac * w
+                else:
+                    for link, frac in zip(links, fracs):
+                        slack[link] -= frac * r
+                        denom[link] -= frac * w
+            for link, load in claim.items():
+                slack[link] -= load
+                denom[link] -= gone[link]
+            for link in touched:  # once per retired row on the link
+                live[link] -= 1
+                left = slack[link]
+                if left < 0.0:
+                    left = slack[link] = 0.0
+                d = denom[link]
+                sat[link] = left / d if live[link] > 0 and d > 0.0 else math.inf
+
+        new_load = dict.fromkeys(on_link, 0.0)
+        for pos, fid in enumerate(aff):
+            links, fracs = rows[fid]
+            r = rate[pos]
+            for link, frac in zip(links, fracs):
+                new_load[link] += frac * r
+        for link, load in new_load.items():
+            new_load[link] = base[link] + load
+
+        if not self._certify(affected, zip(bn, rate, phi), new_load):
+            return False
+        for fid, r, link in zip(aff, rate, bn):
+            self._rates[fid] = r
+            self._bottleneck[fid] = None if link < 0 else link
+        loads.update(new_load)
+        if loads:
+            self._load[list(loads)] = list(loads.values())
+        self._rounds += passes
         return True
 
-    def _certify(
-        self,
-        aff: List[FlowId],
-        rate_arr: np.ndarray,
-        bn_arr: np.ndarray,
-        new_load: np.ndarray,
-        touched: np.ndarray,
-        affected: Set[FlowId],
-    ) -> bool:
+    def _certify(self, affected: Set[FlowId], refilled, new_load: Dict[int, float]) -> bool:
         """Prove the patched allocation is the global max-min optimum.
 
-        Three checks, any failure rejects the patch:
+        Three checks over the touched links, any failure rejects the patch:
 
         * feasibility on every touched link;
+        * no unaffected flow's bottleneck link lost its saturation;
         * each refilled flow frozen on link *l* holds the maximal fill
           level among all flows on *l* (otherwise true max-min would take
-          capacity from the higher-level unaffected flow);
-        * no unaffected flow's bottleneck link lost its saturation.
+          capacity from the higher-level unaffected flow).
         """
-        touched_list = touched.tolist()
-        for link in touched_list:
-            cap = self._cap[link]
-            if new_load[link] > cap + _CERT_TOL * max(1.0, cap):
+        caps, cert_slack, link_flows = self._caps, self._cert_slack, self._link_flows
+        for link, load in new_load.items():
+            if load > caps[link] + cert_slack[link]:
                 return False
-
-        for pos, fid in enumerate(aff):
-            link = int(bn_arr[pos])
+            if load < caps[link] - cert_slack[link]:
+                for other in link_flows[link]:
+                    if other not in affected and self._bottleneck.get(other) == link:
+                        return False
+        top: Dict[int, float] = {}  # link -> highest level an unaffected flow holds
+        for link, r, w in refilled:
             if link < 0:
                 continue
-            phi = self._specs[fid].weight
-            level = rate_arr[pos] / phi
-            for other in self._link_flows.get(link, ()):
-                if other in affected:
-                    continue
-                other_level = self._rates[other] / self._specs[other].weight
-                if other_level > level + _CERT_TOL * max(1.0, level):
-                    return False
-
-        for link in touched_list:
-            cap = self._cap[link]
-            if new_load[link] >= cap - _CERT_TOL * max(1.0, cap):
-                continue
-            for other in self._link_flows.get(link, ()):
-                if other not in affected and self._bottleneck.get(other) == link:
-                    # An unaffected flow believed this link was its binding
-                    # constraint, but the patch left headroom on it.
-                    return False
+            if link not in top:
+                top[link] = max(
+                    [self._rates[o] / self._specs[o].weight
+                     for o in link_flows[link] if o not in affected],
+                    default=0.0,
+                )
+            level = r / w
+            if top[link] > level + _CERT_TOL * max(1.0, level):
+                return False
         return True
 
     def _full_recompute(self, reason: str) -> None:
-        alloc = waterfill(
-            self._topology,
-            self.flows(),
-            self._provider,
-            headroom=0.0,
-            capacities=self._cap,
-        )
+        alloc = self.scratch_allocation()
         self._rates = dict(alloc.rates_bps)
         self._bottleneck = dict(alloc.bottleneck_link)
         self._load = alloc.link_load_bps

@@ -18,7 +18,7 @@ reuses the assembled matrix and pays only for the vectorized fill passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,6 +168,15 @@ class WeightProvider:
             cached = (idx, val)
             self._cache[key] = cached
         return cached
+
+    def _forget(self, spec: FlowSpec, unless: Optional[FlowSpec] = None) -> None:
+        """Drop a retired flow's row if it is keyed by flow id — a long-lived
+        table would otherwise keep one per flow ever seen; pair-keyed rows
+        are bounded by n².  *unless* is the spec re-announced under the same
+        id: a row it still uses stays."""
+        key = self._row_key(spec)
+        if self._flow_keyed[spec.protocol] and (unless is None or self._row_key(unless) != key):
+            self._cache.pop(key, None)
 
     def level_matrix(self, flows: Sequence[FlowSpec]) -> LevelMatrix:
         """The assembled CSR/CSC weight matrix for *flows*, cached.

@@ -171,6 +171,7 @@ def churn_case(
         n_flows=peak_flows,
         max_rel_error=worst,
         per_flow_rel_error=worst_per_flow,
+        patch_share=incremental.stats()["incremental_ratio"],
     )
 
 

@@ -53,6 +53,8 @@ class DifferentialCase:
     n_flows: int
     max_rel_error: float
     per_flow_rel_error: Dict[FlowId, float] = field(default_factory=dict)
+    #: churn cases: share of ops the incremental patch served (not scratch)
+    patch_share: Optional[float] = None
 
 
 @dataclass
@@ -88,6 +90,9 @@ class DifferentialReport:
         """One-line human summary."""
         worst = self.worst()
         detail = f", worst seed {worst.seed}" if worst is not None else ""
+        shares = [c.patch_share for c in self.cases if c.patch_share is not None]
+        if shares:
+            detail += f", min patch share {min(shares):.3f}"
         return (
             f"{self.name}: {self.n_cases} cases, max rel error "
             f"{self.max_rel_error:.3g} (tolerance {self.tolerance:.3g}{detail})"

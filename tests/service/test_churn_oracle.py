@@ -28,6 +28,8 @@ class TestChurnOracle:
         )
         assert case.max_rel_error <= CHURN_TOLERANCE, case.max_rel_error
         assert case.n_flows > 0
+        # the oracle bites the patch, not the scratch fill behind it
+        assert case.patch_share >= 0.5, case.patch_share
 
     def test_report_over_seeds_with_periodic_fallbacks(self):
         report = churn_report(
@@ -36,6 +38,8 @@ class TestChurnOracle:
         assert report.ok, report.max_rel_error
         assert report.n_cases == 6
         assert report.max_rel_error <= CHURN_TOLERANCE
+        assert min(case.patch_share for case in report.cases) >= 0.5
+        assert "min patch share" in report.summary()
 
     def test_failure_view_flip_regression(self):
         """A mid-sequence failure-view flip (failed links change route
