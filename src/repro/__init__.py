@@ -25,7 +25,6 @@ __version__ = "1.0.0"
 
 from .errors import (
     BroadcastError,
-    CampaignInterrupted,
     CongestionControlError,
     EmulationError,
     ExperimentError,
@@ -40,7 +39,6 @@ from .errors import (
 
 __all__ = [
     "BroadcastError",
-    "CampaignInterrupted",
     "CongestionControlError",
     "EmulationError",
     "ExperimentError",

@@ -146,7 +146,6 @@ def cmd_simulate(args) -> int:
                 trace,
                 config,
                 shards=args.shards,
-                executor=args.shard_executor,
                 telemetry_config=telemetry_config,
             )
             return result.metrics, result.telemetry_snapshot, result
@@ -183,7 +182,7 @@ def cmd_simulate(args) -> int:
           f"{len(trace)} flows, {metrics.duration_ns / 1e6:.2f} ms simulated, "
           f"{metrics.wallclock_s:.1f} s wall")
     if sharded is not None:
-        print(f"  sharded: K={sharded.shards} ({sharded.executor}), "
+        print(f"  sharded: K={sharded.shards}, "
               f"sizes {'/'.join(str(s) for s in sharded.shard_sizes)}, "
               f"{sharded.cut_links} cut links, "
               f"lookahead {sharded.lookahead_ns} ns, "
@@ -192,8 +191,7 @@ def cmd_simulate(args) -> int:
         sync = sharded.sync_profile
         if sync is not None:
             util = sync.get("lookahead_utilization")
-            print(f"  sync: blocked {sync['blocked_s']:.3f} s, "
-                  f"executing {sync['exec_s']:.3f} s, "
+            print(f"  sync: executing {sync['exec_s']:.3f} s, "
                   f"mean window {sync['mean_window_ns']:.0f} ns, "
                   f"lookahead utilization "
                   f"{'n/a' if util is None else f'{util:.1%}'}")
@@ -246,10 +244,7 @@ def cmd_explain_flow(args) -> int:
     if args.shards > 1:
         from .distsim import run_sharded_simulation
 
-        result = run_sharded_simulation(
-            topo, trace, config,
-            shards=args.shards, executor=args.shard_executor,
-        )
+        result = run_sharded_simulation(topo, trace, config, shards=args.shards)
         flow_obs = result.metrics.flow_obs or {}
         duration_ns = result.metrics.duration_ns
     else:
@@ -324,14 +319,13 @@ def cmd_report(args) -> int:
             print(f"  mean window         {sync['mean_window_ns']:>13,.0f} ns")
         if util is not None:
             print(f"  lookahead util      {util:>15.1%}")
-        print(f"  blocked wall        {sync.get('blocked_s', 0.0):>14.3f} s")
         print(f"  executing wall      {sync.get('exec_s', 0.0):>14.3f} s")
         for shard in sync.get("shards") or ():
             if not shard:
                 continue
             print(f"    shard: rounds={shard['rounds']:,} "
                   f"in={shard['boundary_in']:,} out={shard['boundary_out']:,} "
-                  f"blocked={shard['blocked_s']:.3f}s exec={shard['exec_s']:.3f}s")
+                  f"exec={shard['exec_s']:.3f}s")
     if series:
         print(f"series: {len(series)} recorded "
               f"(per-link time series; inspect the JSON directly)")
@@ -819,13 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="r2c2 rate-control placement; sharded r2c2 runs "
                             "require per_node")
         p.add_argument("--shards", type=int, default=1,
-                       help="split the simulation across N event loops "
-                            "(repro.distsim); results are byte-identical "
-                            "to a serial run")
-        p.add_argument("--shard-executor", choices=("virtual", "process"),
-                       default="process",
-                       help="sharded back end: in-process loops (virtual) "
-                            "or one worker process per shard (process)")
+                       help="re-run the simulation as N in-process event "
+                            "loops (repro.distsim): a determinism check "
+                            "whose results are byte-identical to a serial "
+                            "run, not a way to go faster")
 
     p_sim = sub.add_parser("simulate", help="run the packet-level simulator")
     add_sim_args(p_sim)

@@ -15,7 +15,7 @@ from .demand import DemandEstimator
 from .flowstate import FlowSpec, FlowTable
 from .incremental import IncrementalWaterfill, spec_from_dict, spec_to_dict
 from .linkweights import WeightProvider
-from .mp_reference import PathFlow, maxmin_rates, minimal_path_flows
+from .mp_reference import PathFlow, maxmin_rates
 from .policies import (
     AllocationPolicy,
     DeadlinePriority,
@@ -45,7 +45,6 @@ __all__ = [
     "effective_capacities",
     "maxmin_rates",
     "fill_matrix",
-    "minimal_path_flows",
     "normalize_weights",
     "spec_from_dict",
     "spec_to_dict",

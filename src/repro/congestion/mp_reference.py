@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 
 from ..errors import CongestionControlError
 from ..topology.base import Topology
-from ..topology.paths import enumerate_shortest_paths, path_links
+from ..topology.paths import path_links
 from ..types import FlowId, NodeId
 
 _TOL = 1e-7
@@ -39,22 +39,6 @@ class PathFlow:
             raise CongestionControlError(f"flow {flow_id} needs at least one path")
         self.flow_id = flow_id
         self.paths: List[List[NodeId]] = [list(p) for p in paths]
-
-
-def minimal_path_flows(
-    topology: Topology,
-    pairs: Sequence[Tuple[FlowId, NodeId, NodeId]],
-    max_paths_per_flow: int = 64,
-) -> List[PathFlow]:
-    """Build :class:`PathFlow` objects from (id, src, dst) triples using all
-    (or the first *max_paths_per_flow*) minimal paths."""
-    flows = []
-    for flow_id, src, dst in pairs:
-        paths = list(
-            enumerate_shortest_paths(topology, src, dst, limit=max_paths_per_flow)
-        )
-        flows.append(PathFlow(flow_id, paths))
-    return flows
 
 
 def maxmin_rates(

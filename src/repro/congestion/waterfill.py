@@ -77,10 +77,6 @@ class RateAllocation:
         """Sum of all flow rates — the utility metric of §3.4's examples."""
         return float(sum(self.rates_bps.values()))
 
-    def min_rate_bps(self) -> float:
-        """Lowest allocated rate (tail throughput utility)."""
-        return min(self.rates_bps.values()) if self.rates_bps else 0.0
-
     def max_link_utilization(self) -> float:
         """Highest link load divided by adjusted capacity."""
         with np.errstate(divide="ignore", invalid="ignore"):

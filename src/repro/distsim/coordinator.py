@@ -24,7 +24,7 @@ Protocol (synchronous conservative windows):
    injected arrival sorts against the destination shard's local events
    exactly as the serial propagation event would; the canonical sort
    merely keeps same-link injections FIFO and the injection order
-   deterministic across executors.
+   deterministic.
 
 Termination replicates the serial loop decision-for-decision: at each grid
 boundary, stop when every flow has completed, when no events remain
@@ -45,7 +45,6 @@ from ..sim.runner import SimConfig, _default_horizon, _finalize_telemetry
 from ..topology.base import Topology
 from ..topology.partition import Partition
 from ..workloads.generator import FlowArrival
-from .executors import make_executor
 from ..obs import ObsSession
 from ..telemetry.trace import merge_trace_documents
 from .merge import (
@@ -55,6 +54,7 @@ from .merge import (
     merge_recompute,
     merge_telemetry_snapshots,
 )
+from .shard import ShardSim
 
 
 @dataclass
@@ -67,16 +67,15 @@ class DistSimResult:
     #: private registry, so the merged *snapshot* is the deliverable here.
     telemetry_snapshot: Optional[dict]
     shards: int
-    executor: str
     lookahead_ns: Optional[int]
     rounds: int = 0
     boundary_messages: int = 0
     shard_sizes: Tuple[int, ...] = ()
     cut_links: int = 0
     #: Synchronization-protocol profile (rounds, window sizes, lookahead
-    #: utilization, per-shard blocked/executing wall time).  Wall-clock
-    #: quantities live here, never in :attr:`metrics` — the merged
-    #: ``SimMetrics`` must stay byte-identical to the serial run's.
+    #: utilization, per-shard boundary traffic and executing wall time).
+    #: Wall-clock quantities live here, never in :attr:`metrics` — the
+    #: merged ``SimMetrics`` must stay byte-identical to the serial run's.
     sync_profile: Optional[dict] = None
     #: Merged Chrome trace document (``None`` when tracing was off).
     trace_document: Optional[dict] = None
@@ -98,7 +97,7 @@ def validate_sharded_config(config: SimConfig, telemetry_config=None) -> None:
     (see :func:`repro.telemetry.trace.merge_trace_documents`).
 
     Wire loss (``loss_rate > 0``) and auditing (``audit=True``) are
-    simulation semantics, not executor policy, and *do* shard: loss draws
+    simulation semantics, not execution policy, and *do* shard: loss draws
     come from per-port RNG streams keyed by link identity, and each shard
     runs its own auditor whose report the coordinator merges
     (:func:`repro.validation.auditor.merge_audit_reports`).
@@ -130,12 +129,12 @@ def run_sharded_simulation(
     trace: Sequence[FlowArrival],
     config: Optional[SimConfig] = None,
     shards: int = 2,
-    executor="virtual",
     telemetry_config=None,
     partition: Optional[Partition] = None,
     partition_strategy: str = "auto",
 ) -> DistSimResult:
-    """Simulate *trace* on *topology* split across *shards* event loops.
+    """Simulate *trace* on *topology* split across *shards* event loops,
+    all stepped in the calling process.
 
     Byte-identical to :func:`repro.sim.runner.run_simulation` for the same
     config and seeds (see :func:`repro.distsim.merge.canonical_metrics`
@@ -145,8 +144,6 @@ def run_sharded_simulation(
     Args:
         shards: Number of shards (K >= 1; K=1 degenerates to a serial run
             under the windowed protocol — useful for protocol tests).
-        executor: ``"virtual"`` (in-process), ``"process"``
-            (multiprocessing), or an executor instance.
         telemetry_config: Optional :class:`~repro.telemetry.
             TelemetryConfig`.  The merged metrics snapshot is returned in
             :attr:`DistSimResult.telemetry_snapshot`; with ``trace=True``
@@ -167,8 +164,6 @@ def run_sharded_simulation(
 
     if partition is None:
         partition = topology.partition(shards, strategy=partition_strategy)
-    if isinstance(executor, str):
-        executor = make_executor(executor)
 
     lookahead = partition.lookahead_ns()
     if lookahead is not None and lookahead < 1:
@@ -190,92 +185,94 @@ def run_sharded_simulation(
         metrics=SimMetrics(),
         telemetry_snapshot=None,
         shards=partition.k,
-        executor=getattr(executor, "name", type(executor).__name__),
         lookahead_ns=lookahead,
         shard_sizes=tuple(len(partition.nodes_of(s)) for s in range(partition.k)),
         cut_links=len(partition.cut_edges()),
     )
 
-    try:
-        shard_next = executor.start(
-            topology, trace, config, partition, telemetry_config
+    shard_sims = [
+        ShardSim(
+            topology, trace, config, shard_id, partition.nodes_of(shard_id),
+            telemetry_config,
         )
-        pending: List[List[Tuple[int, int, int, int, int, int, object]]] = [
-            [] for _ in range(partition.k)
+        for shard_id in range(partition.k)
+    ]
+    shard_next = [shard.next_event_time() for shard in shard_sims]
+    pending: List[List[Tuple[int, int, int, int, int, int, object]]] = [
+        [] for _ in range(partition.k)
+    ]
+    now = 0
+    next_grid = min(chunk, horizon)
+    duration: Optional[int] = None
+    window_sum_ns = 0
+    util_sum = 0.0
+    util_rounds = 0
+    while duration is None:
+        t_min: Optional[int] = None
+        for t in shard_next:
+            if t is not None and (t_min is None or t < t_min):
+                t_min = t
+        for route in pending:
+            for message in route:
+                if t_min is None or message[0] < t_min:
+                    t_min = message[0]
+        if lookahead is None or t_min is None:
+            end_ns = next_grid
+        else:
+            end_ns = min(t_min + lookahead - 1, next_grid)
+        at_grid = end_ns == next_grid
+
+        messages_by_shard = []
+        for shard_id in range(partition.k):
+            # Canonical injection order: arrival, then emission time
+            # (the serial tie-breaker), then source shard, then
+            # emission index.
+            route = sorted(
+                pending[shard_id],
+                key=lambda m: (m[0], m[1], m[3], m[2]),
+            )
+            messages_by_shard.append([(m[0], m[4], m[5], m[6]) for m in route])
+        pending = [[] for _ in range(partition.k)]
+
+        reports = [
+            shard.run_round(end_ns, messages, at_grid)
+            for shard, messages in zip(shard_sims, messages_by_shard)
         ]
-        now = 0
-        next_grid = min(chunk, horizon)
-        duration: Optional[int] = None
-        window_sum_ns = 0
-        util_sum = 0.0
-        util_rounds = 0
-        while duration is None:
-            t_min: Optional[int] = None
-            for t in shard_next:
-                if t is not None and (t_min is None or t < t_min):
-                    t_min = t
-            for route in pending:
-                for message in route:
-                    if t_min is None or message[0] < t_min:
-                        t_min = message[0]
-            if lookahead is None or t_min is None:
-                end_ns = next_grid
-            else:
-                end_ns = min(t_min + lookahead - 1, next_grid)
-            at_grid = end_ns == next_grid
+        result.rounds += 1
+        window_ns = end_ns - now
+        window_sum_ns += window_ns
+        if lookahead is not None:
+            # How much of the safe lookahead horizon each round
+            # actually advanced; grid caps can make this exceed 1.
+            util_sum += min(1.0, window_ns / lookahead)
+            util_rounds += 1
+        now = end_ns
 
-            messages_by_shard = []
-            for shard_id in range(partition.k):
-                # Canonical injection order: arrival, then emission time
-                # (the serial tie-breaker), then source shard, then
-                # emission index.
-                route = sorted(
-                    pending[shard_id],
-                    key=lambda m: (m[0], m[1], m[3], m[2]),
+        completed_total = 0
+        for src_shard, (outbox, next_time, completed) in enumerate(reports):
+            shard_next[src_shard] = next_time
+            if completed is not None:
+                completed_total += completed
+            for arrival_ns, emit_ns, emit_idx, src, dst, packet in outbox:
+                result.boundary_messages += 1
+                pending[partition.shard_of(dst)].append(
+                    (arrival_ns, emit_ns, emit_idx, src_shard, src, dst, packet)
                 )
-                messages_by_shard.append([(m[0], m[4], m[5], m[6]) for m in route])
-            pending = [[] for _ in range(partition.k)]
 
-            reports = executor.run_round(end_ns, messages_by_shard, at_grid)
-            result.rounds += 1
-            window_ns = end_ns - now
-            window_sum_ns += window_ns
-            if lookahead is not None:
-                # How much of the safe lookahead horizon each round
-                # actually advanced; grid caps can make this exceed 1.
-                util_sum += min(1.0, window_ns / lookahead)
-                util_rounds += 1
-            now = end_ns
+        if at_grid:
+            if completed_total == n_flows:
+                duration = now
+            elif all(t is None for t in shard_next) and not any(pending):
+                duration = now
+            elif now >= horizon:
+                duration = now
+            else:
+                next_grid = min(now + chunk, horizon)
 
-            completed_total = 0
-            for src_shard, (outbox, next_time, completed) in enumerate(reports):
-                shard_next[src_shard] = next_time
-                if completed is not None:
-                    completed_total += completed
-                for arrival_ns, emit_ns, emit_idx, src, dst, packet in outbox:
-                    result.boundary_messages += 1
-                    pending[partition.shard_of(dst)].append(
-                        (arrival_ns, emit_ns, emit_idx, src_shard, src, dst, packet)
-                    )
-
-            if at_grid:
-                if completed_total == n_flows:
-                    duration = now
-                elif all(t is None for t in shard_next) and not any(pending):
-                    duration = now
-                elif now >= horizon:
-                    duration = now
-                else:
-                    next_grid = min(now + chunk, horizon)
-
-        shard_results = executor.finalize(duration)
-    finally:
-        executor.close()
+    shard_results = [shard.finalize(duration) for shard in shard_sims]
 
     _merge_results(result, topology, trace, config, duration, shard_results)
-    shard_syncs = [
-        s.get("sync") for s in sorted(shard_results, key=lambda r: r["shard_id"])
-    ]
+    shard_syncs = [s["sync"] for s in shard_results]
     result.sync_profile = {
         "rounds": result.rounds,
         "boundary_messages": result.boundary_messages,
@@ -286,8 +283,7 @@ def run_sharded_simulation(
         "lookahead_utilization": (
             util_sum / util_rounds if util_rounds else None
         ),
-        "blocked_s": sum(s["blocked_s"] for s in shard_syncs if s),
-        "exec_s": sum(s["exec_s"] for s in shard_syncs if s),
+        "exec_s": sum(s["exec_s"] for s in shard_syncs),
         "shards": shard_syncs,
     }
     result.metrics.wallclock_s = time.perf_counter() - started_wall
@@ -302,8 +298,8 @@ def _merge_results(
     duration_ns: int,
     shard_results: List[dict],
 ) -> None:
-    """Assemble the serial-equivalent ``SimMetrics`` (and telemetry)."""
-    shard_results = sorted(shard_results, key=lambda r: r["shard_id"])
+    """Assemble the serial-equivalent ``SimMetrics`` (and telemetry) from
+    the per-shard result dicts, given in shard order."""
     senders: Dict[int, tuple] = {}
     receivers: Dict[int, tuple] = {}
     for shard in shard_results:

@@ -12,10 +12,8 @@ sequence numbers assign identically), except that
   (:meth:`run_round`) instead of free-running.
 
 The coordinator (:mod:`repro.distsim.coordinator`) owns all global
-decisions — window sizing, message routing, termination, merging — so this
-class stays executor-agnostic: the in-process executor calls it directly
-and the multiprocessing executor drives the identical object over a pipe
-(:func:`shard_worker`).
+decisions — window sizing, message routing, termination, merging — and
+steps every shard in the calling process, one after the other.
 """
 
 from __future__ import annotations
@@ -79,9 +77,9 @@ class ShardSim:
             # series), so shards skip them.  Traces *are* recorded when
             # asked: every shard keeps per-event (ts_ns, seq) order
             # metadata and the coordinator merges the streams
-            # deterministically — but only executor-independent tracks
+            # deterministically — but only window-independent tracks
             # (see telemetry.trace.MERGEABLE_TRACKS), so event-loop batch
-            # spans (windowed rounds, an executor artifact) and link-probe
+            # spans (windowed rounds, a sharding artifact) and link-probe
             # counters (per-shard partial aggregates) stay out.
             from ..telemetry import Telemetry, TelemetryConfig
 
@@ -98,17 +96,15 @@ class ShardSim:
             )
 
         # Per-round synchronization accounting (the distsim sync profiler):
-        # wall-clock blocked/executing split plus boundary-message traffic.
-        # Wall-clock quantities stay on the DistSimResult — never in the
-        # merged SimMetrics — so result dicts remain executor-independent.
+        # boundary-message traffic plus the wall clock spent executing
+        # windows (the load-balance number).  Wall-clock quantities stay on
+        # the DistSimResult — never in the merged SimMetrics.
         self._sync = {
             "rounds": 0,
             "boundary_in": 0,
             "boundary_out": 0,
-            "blocked_s": 0.0,
             "exec_s": 0.0,
         }
-        self._last_round_exit: Optional[float] = None
 
         # The same single wiring point as the serial runner: the probe's
         # subscribers observe this shard's event loop, network slice and
@@ -210,10 +206,6 @@ class ShardSim:
         """
         entered = time.perf_counter()
         sync = self._sync
-        if self._last_round_exit is not None:
-            # The gap since the previous round ended is coordinator wait:
-            # barrier synchronization plus message routing.
-            sync["blocked_s"] += entered - self._last_round_exit
         arrived = self.network.arrived
         check_node = self.network.check_node
         schedule_at = self.loop.schedule_at
@@ -231,12 +223,10 @@ class ShardSim:
         completed = None
         if at_grid:
             completed = sum(1 for f in self._recv_flows if f.completed_ns is not None)
-        exited = time.perf_counter()
         sync["rounds"] += 1
         sync["boundary_in"] += len(messages)
         sync["boundary_out"] += len(outbox)
-        sync["exec_s"] += exited - entered
-        self._last_round_exit = exited
+        sync["exec_s"] += time.perf_counter() - entered
         return outbox, self.loop.next_event_time(), completed
 
     def finalize(self, duration_ns: int) -> dict:
@@ -273,7 +263,6 @@ class ShardSim:
             audit = auditor.report()
         reservoir = self.metrics.packet_latency
         return {
-            "shard_id": self.shard_id,
             "senders": {
                 a.flow_id: sender_state(self.flows[a.flow_id])
                 for a in self._trace
@@ -314,40 +303,3 @@ class ShardSim:
             "flow_obs": obs.results() if obs is not None else None,
             "sync": dict(self._sync),
         }
-
-
-def shard_worker(conn, topology, trace, config, shard_id, owned_nodes, telemetry_config):
-    """Child-process entry point for :class:`ProcessShardExecutor`.
-
-    A tiny command loop over a duplex pipe: ``("round", end_ns, messages,
-    at_grid)`` → round report, ``("finalize", duration_ns)`` → result dict,
-    ``("stop",)`` → exit.  Any exception is shipped back as ``("error",
-    repr)`` so the coordinator can fail loudly instead of deadlocking.
-    """
-    try:
-        shard = ShardSim(
-            topology, trace, config, shard_id, owned_nodes, telemetry_config
-        )
-        conn.send(("ready", shard.next_event_time()))
-        while True:
-            command = conn.recv()
-            tag = command[0]
-            if tag == "round":
-                _, end_ns, messages, at_grid = command
-                conn.send(("ok", shard.run_round(end_ns, messages, at_grid)))
-            elif tag == "finalize":
-                conn.send(("ok", shard.finalize(command[1])))
-            elif tag == "stop":
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", f"unknown command {tag!r}"))
-                return
-    except EOFError:  # pragma: no cover - parent died
-        return
-    except Exception as exc:  # noqa: BLE001 - relayed to the coordinator
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-    finally:
-        conn.close()

@@ -87,20 +87,6 @@ class ExperimentError(ReproError):
     """
 
 
-class CampaignInterrupted(ExperimentError):
-    """A campaign stopped before finishing every task.
-
-    Raised by the executor when an injected kill fires (crash-simulation
-    hooks, ``--max-tasks``) — completed tasks are already persisted in the
-    result cache, so a subsequent run resumes where this one stopped.
-    """
-
-    def __init__(self, message: str, completed: int = 0, remaining: int = 0):
-        super().__init__(message)
-        self.completed = completed
-        self.remaining = remaining
-
-
 class ServiceError(ReproError):
     """Raised by the :mod:`repro.service` control-plane daemon.
 

@@ -284,7 +284,6 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
             trace,
             config,
             shards=task.scenario.shards,
-            executor=params.get("shard_executor", "virtual"),
             telemetry_config=telemetry_config,
             partition_strategy=params.get("partition_strategy", "auto"),
         )

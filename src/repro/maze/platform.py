@@ -144,13 +144,3 @@ class MazePlatform:
         for server in self.servers:
             out.extend(server.max_queue_occupancies())
         return out
-
-    def quiescent(self) -> bool:
-        """True when nothing is queued or in flight anywhere."""
-        if self._in_flight or self._blocked:
-            return False
-        return all(
-            out.queued_bytes == 0
-            for server in self.servers
-            for out in server.out_links.values()
-        )

@@ -29,7 +29,7 @@ criterion; the construction owes 0.)
 
 All quantities are integer simulated nanoseconds — no wall clock — so the
 decomposition of a sharded run is byte-identical to the serial run's:
-``PacketObs`` pickles across shard boundaries with its packet, sender-side
+``PacketObs`` crosses shard boundaries on its packet, sender-side
 cumulative waits travel *on* the packet as injection-time snapshots, and
 completion-side assembly happens wherever the destination node lives.
 

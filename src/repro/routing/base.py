@@ -70,11 +70,6 @@ class RoutingProtocol(ABC):
         rate by to obtain its load on that link.
         """
 
-    def max_path_hops(self) -> int:
-        """Upper bound on path length, used to validate route encodability."""
-        diameter = self._topology.diameter()
-        return diameter if self.minimal else 2 * diameter
-
     def _check_endpoints(self, src: NodeId, dst: NodeId) -> None:
         n = self._topology.n_nodes
         if not (0 <= src < n and 0 <= dst < n):

@@ -98,10 +98,6 @@ class PfqCoordinator:
         self._pause.pop(flow_id, None)
         self._resume.pop(flow_id, None)
 
-    def is_paused(self, flow_id: int) -> bool:
-        """True while any queue holds too much of this flow."""
-        return self._congested_count.get(flow_id, 0) > 0
-
     def queue_congested(self, flow_id: int) -> None:
         count = self._congested_count.get(flow_id, 0) + 1
         self._congested_count[flow_id] = count

@@ -25,7 +25,6 @@ Two control-plane models share one interface:
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -305,13 +304,6 @@ class R2C2Stack(HostStack):
         self.control = control
         self._flows = flows_by_id
         self._mtu = mtu_payload
-        # Test-only planted fault (the fuzzer's end-to-end exercise): with
-        # REPRO_PLANT_BUG=early-completion the receiver declares a flow
-        # complete one MTU short and tears down accounting for anything
-        # arriving after, so multi-segment flows end under-accounted and
-        # the invariant auditor's flow check must trip.  Read once at
-        # construction so behavior cannot flip mid-run.
-        self._planted_bug = os.environ.get("REPRO_PLANT_BUG", "")
         self._rng = random.Random((seed << 16) ^ node)
         self._n_trees = n_trees
         self._next_tree = node  # stagger tree choice across nodes
@@ -534,20 +526,10 @@ class R2C2Stack(HostStack):
         flow = self._flows.get(packet.flow_id)
         if flow is None:
             raise SimulationError(f"packet for unknown flow {packet.flow_id}")
-        if self._planted_bug == "early-completion" and flow.completed_ns is not None:
-            # Planted fault: "torn down" receiver state discards
-            # post-completion segments (paired with the early completion
-            # threshold below).
-            return
         if self._metrics is not None:
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
         if self._probe is not None:
             self._probe.packet_span(packet)
         flow.record_in_order(packet.seq)
         flow.bytes_received += packet.payload
-        done_at = flow.size_bytes
-        if self._planted_bug == "early-completion":
-            # Planted fault: completion fires once the flow is within one
-            # MTU of done, i.e. one segment early for multi-segment flows.
-            done_at = max(1, flow.size_bytes - self._mtu)
-        self._received(flow, packet, flow.bytes_received >= done_at)
+        self._received(flow, packet, flow.bytes_received >= flow.size_bytes)

@@ -22,7 +22,7 @@ from ...errors import SimulationError
 from ...transport.reliability import AckInfo, ReliableReceiver, ReliableSender
 from ...types import NodeId, usec
 from ..flows import SimFlow
-from ..packets import ACK_SIZE_BYTES, KIND_ACK, KIND_BROADCAST, KIND_DATA, SimPacket, data_packet_size
+from ..packets import ACK_SIZE_BYTES, KIND_ACK, KIND_DATA, SimPacket, data_packet_size
 from .r2c2 import _EVENT_FINISH, R2C2Stack
 
 
@@ -126,14 +126,14 @@ class R2C2ReliableStack(R2C2Stack):
     # Receiving
     # ------------------------------------------------------------------
     def deliver(self, packet: SimPacket) -> None:
-        if packet.kind == KIND_BROADCAST:
-            super().deliver(packet)
-            return
         if packet.kind == KIND_ACK:
             self._on_ack(packet)
             return
         if packet.kind != KIND_DATA:
-            raise SimulationError(f"unexpected packet kind {packet.kind}")
+            # Only data and ACKs differ here: broadcasts, §3.2 drop notes
+            # and the unknown-kind error are the base stack's.
+            super().deliver(packet)
+            return
         flow = self._flows.get(packet.flow_id)
         if flow is None:
             raise SimulationError(f"packet for unknown flow {packet.flow_id}")

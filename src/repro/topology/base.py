@@ -117,13 +117,6 @@ class Topology:
         #: pin a weak key in any module-level table.
         self._derived: Dict[tuple, object] = {}
 
-    def __getstate__(self) -> dict:
-        """Pickle the graph without its derived data (a spawn-context shard
-        resolves what it uses)."""
-        state = self.__dict__.copy()
-        state["_derived"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ lookahead``, so all shards may safely run ``lookahead`` beyond the global
 minimum next-event time.
 
 Cut placement never affects simulation *results* (the sharded engine is
-exact regardless of the cut); it only affects *speed*, via cut size (message
-volume) and shard balance.  Strategies:
+exact regardless of the cut); it only affects how many rounds and boundary
+messages the run takes, via cut size and shard balance.  Strategies:
 
 * coordinate topologies (torus/mesh/hypercube): contiguous slabs along the
   longest dimension — the classic plane cut, minimizing cut size for

@@ -32,21 +32,6 @@ def gbps(value: float) -> float:
     return value * 1e9
 
 
-def mbps(value: float) -> float:
-    """Return *value* megabits per second expressed in bits per second."""
-    return value * 1e6
-
-
-def kib(value: float) -> int:
-    """Return *value* kibibytes expressed in bytes."""
-    return int(value * 1024)
-
-
-def mib(value: float) -> int:
-    """Return *value* mebibytes expressed in bytes."""
-    return int(value * 1024 * 1024)
-
-
 def usec(value: float) -> int:
     """Return *value* microseconds expressed in integer nanoseconds."""
     return int(value * 1_000)
@@ -55,11 +40,6 @@ def usec(value: float) -> int:
 def msec(value: float) -> int:
     """Return *value* milliseconds expressed in integer nanoseconds."""
     return int(value * 1_000_000)
-
-
-def sec(value: float) -> int:
-    """Return *value* seconds expressed in integer nanoseconds."""
-    return int(value * NS_PER_SEC)
 
 
 def transmission_time_ns(size_bytes: int, capacity_bps: float) -> int:

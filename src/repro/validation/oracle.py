@@ -12,9 +12,9 @@ Four pairings, mirroring how the paper validates its own stack:
   the report carries the maximum relative rate error).
 * :func:`sim_vs_maze_case` — the packet simulator against the Maze
   emulation platform (Figure 7's cross-validation, randomized).
-* :func:`sharded_vs_serial_case` — the sharded parallel simulator
+* :func:`sharded_vs_serial_case` — the sharded simulator
   (:mod:`repro.distsim`) against the serial engine.  Unlike the other
-  oracles this one tolerates **zero** error: sharding is an executor
+  oracles this one tolerates **zero** error: sharding is a scheduling
   choice, never a semantics choice, so the canonical metrics digest and
   the merged telemetry snapshot must be *byte-identical* (a case reports
   error 0.0 or 1.0, nothing in between).
@@ -422,7 +422,7 @@ def _random_sharded_workload(seed: int, n_flows: int):
                 )
             )
             start_ns += rng.randrange(1, 20_000)
-    # Wire loss and auditing are simulation semantics, not executor policy,
+    # Wire loss and auditing are simulation semantics, not execution policy,
     # so the oracle space covers them: per-port loss RNG streams and merged
     # per-shard audit reports must reproduce the serial run exactly.  Lossy
     # r2c2 uses the reliable transport so flows still complete (the plain
@@ -446,7 +446,6 @@ def _random_sharded_workload(seed: int, n_flows: int):
 def sharded_vs_serial_case(
     seed: int,
     shards: int = 2,
-    executor: str = "virtual",
     n_flows: int = 30,
 ) -> DifferentialCase:
     """One exact-equality check of the sharded engine against the serial one.
@@ -475,7 +474,6 @@ def sharded_vs_serial_case(
         trace,
         config,
         shards=shards,
-        executor=executor,
         telemetry_config=TelemetryConfig(metrics=True, trace=False),
     )
 
@@ -495,7 +493,7 @@ def sharded_vs_serial_case(
         seed=seed,
         description=(
             f"sharded-vs-serial on {topology.name} ({config.stack}, "
-            f"K={shards}, {executor})"
+            f"K={shards})"
         ),
         n_flows=len(trace),
         max_rel_error=0.0 if equal else 1.0,
@@ -507,7 +505,6 @@ def sharded_vs_serial_report(
     n_cases: int = 6,
     seed: int = 0,
     shards: Tuple[int, ...] = (2, 4),
-    executor: str = "virtual",
     n_flows: int = 30,
 ) -> DifferentialReport:
     """Randomized sweep of :func:`sharded_vs_serial_case` (tolerance 0)."""
@@ -515,8 +512,6 @@ def sharded_vs_serial_report(
     for i in range(n_cases):
         for k in shards:
             report.cases.append(
-                sharded_vs_serial_case(
-                    seed * 1000 + i, shards=k, executor=executor, n_flows=n_flows
-                )
+                sharded_vs_serial_case(seed * 1000 + i, shards=k, n_flows=n_flows)
             )
     return report

@@ -25,7 +25,6 @@ from .patterns import (
 from .sizes import EmpiricalSizes, FixedSize, FlowSizeDistribution, ParetoSizes
 from .worstcase import (
     channel_pair_loads,
-    worst_case_pattern,
     worst_case_permutation,
     worst_case_throughput,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "poisson_trace",
     "trace_from_matrix",
     "uniform_random_pair",
-    "worst_case_pattern",
     "worst_case_permutation",
     "worst_case_throughput",
 ]

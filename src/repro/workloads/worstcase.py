@@ -21,7 +21,6 @@ from scipy.optimize import linear_sum_assignment
 from ..routing.base import RoutingProtocol
 from ..topology.base import Topology
 from ..types import NodeId
-from .patterns import PermutationPattern
 
 
 def channel_pair_loads(protocol: RoutingProtocol) -> np.ndarray:
@@ -68,12 +67,6 @@ def worst_case_permutation(
             worst_load = load
             worst_perm = {int(s): int(d) for s, d in zip(rows, cols) if s != d}
     return worst_perm, worst_load
-
-
-def worst_case_pattern(protocol: RoutingProtocol) -> PermutationPattern:
-    """The worst-case permutation wrapped as a traffic pattern."""
-    perm, _ = worst_case_permutation(protocol)
-    return PermutationPattern(perm, name=f"worst-case({protocol.name})")
 
 
 def worst_case_throughput(protocol: RoutingProtocol) -> float:

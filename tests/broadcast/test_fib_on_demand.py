@@ -159,7 +159,6 @@ class TestProcessHistoryIsInvisible:
             trace,
             config,
             shards=4,
-            executor="virtual",
             telemetry_config=TelemetryConfig(metrics=True, trace=False),
         )
         assert builds == []  # the four shards share the serial run's trees

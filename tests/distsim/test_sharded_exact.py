@@ -23,7 +23,7 @@ from repro.sim import SimConfig, run_simulation
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.topology import FoldedClosTopology, TorusTopology
 from repro.validation.oracle import sharded_vs_serial_report
-from repro.workloads import poisson_trace
+from repro.workloads import ParetoSizes, poisson_trace
 from repro.workloads.generator import FlowArrival
 
 pytestmark = pytest.mark.distsim
@@ -37,14 +37,13 @@ def _serial(topology, trace, config):
     return metrics, telemetry.metrics.snapshot()
 
 
-def _assert_exact(topology, trace, config, shards, executor="virtual"):
+def _assert_exact(topology, trace, config, shards):
     serial_metrics, serial_snapshot = _serial(topology, trace, config)
     sharded = run_sharded_simulation(
         topology,
         trace,
         config,
         shards=shards,
-        executor=executor,
         telemetry_config=TelemetryConfig(metrics=True, trace=False),
     )
     assert canonical_metrics(sharded.metrics) == canonical_metrics(serial_metrics)
@@ -95,12 +94,23 @@ def test_clos_byte_identical(shards):
     _assert_exact(topology, trace, config, shards)
 
 
-def test_process_executor_byte_identical():
-    """The multiprocessing back end produces the same bytes as in-process."""
+def test_reliable_finite_queue_byte_identical():
+    """Drop notes for broadcasts a full queue refused reach reliable
+    senders across the cut exactly as in the serial run."""
     topology = TorusTopology((4, 4))
-    trace = poisson_trace(topology, 30, 8_000, seed=5)
-    config = SimConfig(stack="r2c2", control_plane="per_node", seed=5)
-    _assert_exact(topology, trace, config, shards=2, executor="process")
+    sizes = ParetoSizes(mean_bytes=50 * 1024, shape=1.05, cap_bytes=500_000)
+    trace = poisson_trace(topology, 60, 2000, sizes, seed=0)
+    config = SimConfig(
+        stack="r2c2",
+        control_plane="per_node",
+        reliable=True,
+        queue_limit_bytes=1539,
+        horizon_ns=5_000_000,
+        audit=True,
+        seed=0,
+    )
+    result = _assert_exact(topology, trace, config, shards=2)
+    assert result.metrics.drops > 0 and result.metrics.audit.ok
 
 
 def test_single_shard_degenerates_to_serial():

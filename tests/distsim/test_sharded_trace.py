@@ -50,26 +50,9 @@ def test_merged_trace_content_identical_to_serial(shards):
         trace,
         config,
         shards=shards,
-        executor="virtual",
         telemetry_config=_telemetry_config(),
     )
     assert sharded.trace_document is not None
-    assert canonical_trace_events(
-        sharded.trace_document, tracks=MERGEABLE_TRACKS
-    ) == canonical_trace_events(serial_doc, tracks=MERGEABLE_TRACKS)
-
-
-def test_process_executor_traces_identically(tmp_path):
-    topology, trace, config = _workload()
-    serial_doc = _serial_document(topology, trace, config)
-    sharded = run_sharded_simulation(
-        topology,
-        trace,
-        config,
-        shards=2,
-        executor="process",
-        telemetry_config=_telemetry_config(),
-    )
     assert canonical_trace_events(
         sharded.trace_document, tracks=MERGEABLE_TRACKS
     ) == canonical_trace_events(serial_doc, tracks=MERGEABLE_TRACKS)
@@ -82,7 +65,6 @@ def test_untraced_sharded_run_has_no_document():
         trace,
         config,
         shards=2,
-        executor="virtual",
         telemetry_config=TelemetryConfig(metrics=True, trace=False),
     )
     assert sharded.trace_document is None

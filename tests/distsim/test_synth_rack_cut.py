@@ -51,7 +51,6 @@ def test_synth_fabric_byte_identical(design, shards):
         trace,
         config,
         shards=shards,
-        executor="virtual",
         telemetry_config=TelemetryConfig(metrics=True, trace=False),
     )
     assert canonical_metrics(sharded.metrics) == canonical_metrics(serial)

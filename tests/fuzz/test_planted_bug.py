@@ -1,16 +1,21 @@
 """End-to-end exercise: plant a receiver bug, fuzz, shrink, file, replay.
 
-``REPRO_PLANT_BUG=early-completion`` makes the R2C2 receiver declare
-completion one MTU early and discard later segments, so audited flows end
-under-accounted — exactly the class of bug the invariant auditor exists
-to catch.  The fuzzer must find it within a bounded budget, shrink it to
-a tiny reproducer, persist it to the corpus, and the corpus replay must
-flag it while the bug is planted and pass once it is gone.
+The ``planted_bug`` fixture patches the R2C2 receive path so the receiver
+declares completion one MTU early and discards later segments, so audited
+flows end under-accounted — exactly the class of bug the invariant auditor
+exists to catch.  The fault lives here, not in ``src/``: the fuzzer runs
+its scenarios in this process (``workers=1``), so a patched class is the
+planted bug and undoing the patch is the fix.  The fuzzer must find it
+within a bounded budget, shrink it to a tiny reproducer, persist it to the
+corpus, and the corpus replay must flag it while the bug is planted and
+pass once it is gone.
 """
 
 import pytest
 
 from repro.fuzz import Corpus, FuzzConfig, replay_entry, run_fuzz
+from repro.sim.packets import KIND_DATA
+from repro.sim.stacks.r2c2 import R2C2Stack
 
 pytestmark = pytest.mark.fuzz
 
@@ -19,7 +24,27 @@ _BUDGET = 60
 
 @pytest.fixture()
 def planted_bug(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANT_BUG", "early-completion")
+    real_deliver = R2C2Stack.deliver
+    real_received = R2C2Stack._received
+
+    def deliver(self, packet):
+        if packet.kind == KIND_DATA:
+            flow = self._flows.get(packet.flow_id)
+            if flow is not None and flow.completed_ns is not None:
+                # "Torn down" receiver state discards post-completion
+                # segments (paired with the early threshold below).
+                return
+        real_deliver(self, packet)
+
+    def _received(self, flow, packet, complete):
+        if type(self) is R2C2Stack:  # the reliable stack receives on its own path
+            # Completion fires once the flow is within one MTU of done,
+            # i.e. one segment early for multi-segment flows.
+            complete = flow.bytes_received >= max(1, flow.size_bytes - self._mtu)
+        real_received(self, flow, packet, complete)
+
+    monkeypatch.setattr(R2C2Stack, "deliver", deliver)
+    monkeypatch.setattr(R2C2Stack, "_received", _received)
 
 
 class TestPlantedBug:
@@ -65,8 +90,8 @@ class TestPlantedBug:
         verdicts = replay_entry(stored)
         assert any(v.oracle == "audit" and not v.ok for v in verdicts)
 
-        # ...and as passing once the bug is fixed (env cleared).
-        monkeypatch.delenv("REPRO_PLANT_BUG")
+        # ...and as passing once the bug is fixed (patch undone).
+        monkeypatch.undo()
         verdicts = replay_entry(stored)
         assert all(v.ok for v in verdicts), [
             (v.oracle, v.details) for v in verdicts if not v.ok

@@ -53,9 +53,7 @@ class TestExactDecomposition:
     def test_fig7_sharded_k4_matches_serial(self):
         topology, trace = _fig7_workload()
         serial = run_simulation(topology, trace, _fig7_config())
-        sharded = run_sharded_simulation(
-            topology, trace, _fig7_config(), shards=4, executor="virtual"
-        )
+        sharded = run_sharded_simulation(topology, trace, _fig7_config(), shards=4)
         assert sharded.metrics.flow_obs == serial.flow_obs
         for record in sharded.metrics.flow_obs.values():
             assert check_decomposition(record, tolerance_ns=0) is None

@@ -5,8 +5,8 @@ Every other byte-identity test compares two runs of the *same* commit
 that shifts every run the same way passes them all.  These pins are the
 cross-commit half: the SHA-256 of :func:`repro.distsim.canonical_metrics`
 and ``events_processed`` for a small fixed matrix — every stack, both
-control planes, the broadcast drop-note path, wire loss, host-limited
-flows, a torus and a Clos.  A PR that restructures the packet path must
+control planes, the broadcast drop-note path (plain and reliable), wire
+loss, host-limited flows, a torus and a Clos.  A PR that restructures the packet path must
 leave them untouched.
 
 The pins change only together with ``CACHE_SCHEMA_VERSION``
@@ -64,6 +64,10 @@ RUNS = {
     "r2c2-queue-1600-per-node": (TORUS, BURST, dict(queue_limit_bytes=1600, **PER_NODE)),
     "r2c2-reliable-loss": (
         TORUS, _trace(TORUS), dict(stack="r2c2", reliable=True, loss_rate=0.02)),
+    # The same full queues under the reliable transport: the drop note has
+    # to reach R2C2ReliableStack (it used to raise on packet kind 4).
+    "r2c2-reliable-queue-1600": (
+        TORUS, BURST, dict(stack="r2c2", reliable=True, queue_limit_bytes=1600)),
     "r2c2-host-limited": (TORUS, _host_limited(_trace(TORUS)), dict(stack="r2c2")),
     "tcp": (TORUS, _trace(TORUS), dict(stack="tcp")),
     "tcp-loss": (TORUS, _trace(TORUS), dict(stack="tcp", loss_rate=0.02)),
@@ -107,6 +111,12 @@ PINS = {
         "99db178162d2690cf2215fd3db9f36bc5c60a8ebb67ea74dfdf86ec509a67561",
         12969,
     ),
+    # Added with the drop-note fix and generated at that commit: the run
+    # raises at every earlier one.
+    "r2c2-reliable-queue-1600": (
+        "21f4f7e55cc2cbcbb0203c12c1897fa57be826bde2380d2f0f97e9be5214c518",
+        14143,
+    ),
     "r2c2-shared": (
         "14e142b0029e3362f771c85e4a93a211b3863533f5b0027bf0a0be17c7cc770e",
         8940,
@@ -145,17 +155,20 @@ def test_the_matrix_reaches_the_paths_it_names():
     # than that are retransmitted copies
     retransmitting = _run("r2c2-queue-1600-per-node")
     assert retransmitting.broadcast_packets > 2 * 15 * len(BURST)
+    reliable = _run("r2c2-reliable-queue-1600")
+    assert reliable.broadcast_packets > 2 * 15 * len(BURST)
+    assert reliable.completion_rate() == 1.0
     assert _run("r2c2-reliable-loss").wire_losses > 0
     assert _run("tcp-loss").wire_losses > 0
     assert _digest(_run("r2c2-host-limited")) != PINS["r2c2-shared"][0]
 
 
 def test_sharded_per_node_hits_the_serial_pin():
-    """K=4 virtual shards: same canonical metrics; the event count is the
-    executor's (batched finishes split across shards) and is not pinned."""
+    """K=4 shards: same canonical metrics; the event count is the sharded
+    engine's own (batched finishes split across shards) and is not pinned."""
     topology, trace, kwargs = RUNS["r2c2-per-node"]
     result = run_sharded_simulation(
-        topology, trace, SimConfig(seed=5, **kwargs), shards=4, executor="virtual"
+        topology, trace, SimConfig(seed=5, **kwargs), shards=4
     )
     assert _digest(result.metrics) == PINS["r2c2-per-node"][0]
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim import SimConfig, run_simulation
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.topology import TorusTopology
-from repro.workloads import FixedSize, FlowArrival, poisson_trace
+from repro.workloads import FixedSize, FlowArrival, ParetoSizes, poisson_trace
 
 
 class TestReliableStack:
@@ -52,6 +53,33 @@ class TestReliableStack:
         # bytes on the wire exceed unique payload: retransmissions happened.
         unique_payload = sum(f.size_bytes for f in metrics.flows)
         assert metrics.data_bytes_on_wire > unique_payload
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_queue_drop_note_is_acted_on(self, torus2d, seed):
+        """A 1,535-byte data packet fills the queue, so a 16-byte broadcast
+        behind it is dropped and a drop note (§3.2) goes back to its source.
+        The reliable stack used to die on it: ``unexpected packet kind 4``."""
+        sizes = ParetoSizes(mean_bytes=50 * 1024, shape=1.05, cap_bytes=500_000)
+        trace = poisson_trace(torus2d, 60, 2000, sizes, seed=seed)
+        telemetry = Telemetry(TelemetryConfig(metrics=True, trace=False))
+        metrics = run_simulation(
+            torus2d,
+            trace,
+            SimConfig(
+                stack="r2c2",
+                reliable=True,
+                queue_limit_bytes=1539,
+                horizon_ns=5_000_000,
+                audit=True,
+                seed=seed,
+            ),
+            telemetry=telemetry,
+        )
+        assert metrics.drops > 0
+        assert metrics.completion_rate() == 1.0
+        assert metrics.audit.ok, metrics.audit.violations
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["broadcast.retransmissions"] > 0  # acted on, not swallowed
 
     def test_loss_rate_validation(self, torus2d):
         from repro.errors import SimulationError

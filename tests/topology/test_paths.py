@@ -125,13 +125,3 @@ class TestDerivedDataLifetime:
         del topology
         gc.collect()
         assert ref() is None
-
-    def test_pickling_drops_derived_data(self, torus2d):
-        import pickle
-
-        from repro.topology.paths import shared_dag
-
-        shared_dag(torus2d, 3)
-        clone = pickle.loads(pickle.dumps(torus2d))
-        assert torus2d.derived and clone.derived == {}
-        assert clone.links == torus2d.links and clone.dims == torus2d.dims
