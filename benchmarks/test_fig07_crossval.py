@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import empirical_cdf, format_series, ks_distance
-from repro.maze import EmulationConfig, run_emulation
+from repro.maze import run_emulation
 from repro.sim import SimConfig, run_simulation
 from repro.topology import TorusTopology
 from repro.types import gbps
@@ -32,7 +32,7 @@ def run_pair():
         sizes=FixedSize(flow_bytes),
         seed=21,
     )
-    maze = run_emulation(topo, trace, EmulationConfig(seed=21))
+    maze = run_emulation(topo, trace, seed=21)
     sim = run_simulation(
         topo, trace, SimConfig(stack="r2c2", mtu_payload=8192, seed=21)
     )

@@ -12,7 +12,7 @@ Run:  python examples/emulation_crossval.py
 import numpy as np
 
 from repro.analysis import format_series, ks_distance
-from repro.maze import EmulationConfig, run_emulation
+from repro.maze import run_emulation
 from repro.sim import SimConfig, run_simulation
 from repro.topology import TorusTopology
 from repro.types import gbps
@@ -31,7 +31,7 @@ def main() -> None:
     )
     print(f"workload: {len(trace)} x 1 MB flows on {topology.name} @ 5 Gbps")
 
-    maze = run_emulation(topology, trace, EmulationConfig(seed=77))
+    maze = run_emulation(topology, trace, seed=77)
     print(f"maze emulation: {maze.duration_ns / 1e6:.1f} ms simulated, "
           f"{maze.wallclock_s:.1f} s wall, "
           f"{maze.broadcast_packets} broadcast deliveries")

@@ -14,7 +14,7 @@ Run:  python examples/multi_tenant_isolation.py
 from collections import defaultdict
 
 from repro.congestion import DeadlinePriority, TenantShares
-from repro.core import R2C2Config, Rack
+from repro.core import Rack
 from repro.topology import TorusTopology
 from repro.types import usec
 

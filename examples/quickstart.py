@@ -9,14 +9,15 @@ switch support, just broadcast flow events plus local computation.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import R2C2Config, Rack
+from repro.congestion import ControllerConfig
+from repro.core import Rack
 from repro.topology import TorusTopology
 from repro.types import usec
 
 
 def main() -> None:
     topology = TorusTopology((4, 4, 4))  # 64 nodes, 10 Gbps links
-    rack = Rack(topology, R2C2Config(headroom=0.05, recompute_interval_ns=usec(500)))
+    rack = Rack(topology, ControllerConfig(headroom=0.05, recompute_interval_ns=usec(500)))
 
     print(f"rack: {topology.name}, {topology.n_nodes} nodes, "
           f"{topology.n_links} links, diameter {topology.diameter()}")

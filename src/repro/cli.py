@@ -26,7 +26,7 @@ Commands:
   subscriptions), durable across restarts by checkpoint + op journal.
 
 The CLI is a thin veneer over the library; every command maps to a few
-lines of public API (printed with ``--show-code`` for discoverability).
+lines of public API.
 """
 
 from __future__ import annotations
@@ -73,11 +73,14 @@ def cmd_info(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    from .core import R2C2Config, Rack
+    from .congestion import ControllerConfig
+    from .core import Rack
     from .types import usec
 
     topo = build_topology(args.topology, args.dims)
-    rack = Rack(topo, R2C2Config(headroom=args.headroom))
+    rack = Rack(
+        topo, ControllerConfig(headroom=args.headroom, initial_rate_policy="mean_allocated")
+    )
     rng_pairs = []
     import random
 
@@ -580,7 +583,7 @@ def cmd_fuzz_shrink(args) -> int:
     from pathlib import Path
 
     from .experiments import Scenario
-    from .fuzz import Corpus, CorpusEntry, FuzzConfig
+    from .fuzz import Corpus, CorpusEntry
     from .fuzz.fuzzer import _evaluate, _failing_set
     from .fuzz.shrink import shrink_scenario
 
@@ -593,8 +596,7 @@ def cmd_fuzz_shrink(args) -> int:
     else:
         print(f"{args.target!r}: not a corpus entry id or spec file", file=sys.stderr)
         return 2
-    config = FuzzConfig(seed=args.seed)
-    verdicts, signature, _result = _evaluate(scenario, config.seed, True, config.shards)
+    verdicts, signature, _result = _evaluate(scenario, args.seed, True)
     failing = _failing_set(verdicts)
     if not failing:
         print(f"{scenario.name}: all oracles pass; nothing to shrink")
@@ -602,20 +604,18 @@ def cmd_fuzz_shrink(args) -> int:
     print(f"{scenario.name}: failing oracles {sorted(failing)}; shrinking")
 
     def still_fails(candidate):
-        cand_verdicts, _s, _r = _evaluate(candidate, config.seed, True, config.shards)
+        cand_verdicts, _s, _r = _evaluate(candidate, args.seed, True)
         return _failing_set(cand_verdicts) == failing
 
     shrunk = shrink_scenario(scenario, still_fails, max_evals=args.max_evals)
-    final_verdicts, final_signature, _r = _evaluate(
-        shrunk.scenario, config.seed, True, config.shards
-    )
+    final_verdicts, final_signature, _r = _evaluate(shrunk.scenario, args.seed, True)
     new_entry = CorpusEntry(
         scenario=shrunk.scenario,
         verdicts=final_verdicts,
         signature=final_signature,
         found_from=scenario.fingerprint(),
         shrink_steps=tuple(shrunk.steps),
-        root_seed=config.seed,
+        root_seed=args.seed,
     )
     path = corpus.add(new_entry)
     print(

@@ -8,8 +8,8 @@ immediately (they arrive by broadcast), but rates are only recomputed every
 Flows younger than one interval are deliberately *not* rate-limited — the
 paper argues batching "naturally filters out very short-lived flows, which
 would be pointless to rate-limit" and sizes the 5 % headroom to absorb them.
-Until its first epoch a young flow is capped only at the configured initial
-rate (one link's line rate by default).
+Until its first epoch a young flow runs at the rate its initial-rate policy
+grants.  ρ = 0 means no batching: every flow start and finish recomputes.
 
 The controller also records the wall-clock cost of every recomputation,
 which is the quantity Figure 8 reports.
@@ -33,16 +33,15 @@ from .waterfill import RateAllocation, effective_capacities, waterfill
 
 @dataclass
 class ControllerConfig:
-    """Tunables of the rate controller.
+    """The control loop of §3.3.2: the one description every model shares.
 
     Attributes:
         headroom: Link-capacity fraction withheld from allocation (§3.3.2);
             the paper uses 5 %.
         recompute_interval_ns: Batch recomputation period ρ; 500 µs default.
-        exempt_young_flows: Whether flows that have not yet seen an epoch
-            boundary ride the headroom uncapped (paper behaviour).  When
-            False every flow start triggers an immediate recomputation
-            (the §3.3.1 strawman).
+            With ρ > 0, flows that have not yet seen an epoch boundary ride
+            the headroom at their initial rate; ρ = 0 recomputes at every
+            flow start and finish (no young flows).
         initial_rate_policy: Rate granted to young flows (flows that have
             not yet been covered by an epoch).  The paper's §3.1 narrative
             is that "the sender computes the flow's fair allocation and
@@ -56,15 +55,11 @@ class ControllerConfig:
               last allocation, capped at one link's line rate.
             * ``"line_rate"``: blast at one link's capacity and let the
               headroom absorb it (the most literal batching-only reading).
-        initial_rate_bps: Explicit override for the young-flow rate; when
-            set, it wins over the policy.
     """
 
     headroom: float = 0.05
     recompute_interval_ns: int = usec(500)
-    exempt_young_flows: bool = True
     initial_rate_policy: str = "local_waterfill"
-    initial_rate_bps: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.recompute_interval_ns < 0:
@@ -206,8 +201,6 @@ class RateController:
 
     def initial_rate_bps(self) -> float:
         """The rate cap granted to flows before their first epoch."""
-        if self._config.initial_rate_bps is not None:
-            return self._config.initial_rate_bps
         capacity = self._topology.capacity_bps
         if (
             self._config.initial_rate_policy == "mean_allocated"
@@ -224,7 +217,7 @@ class RateController:
     def on_flow_started(self, spec: FlowSpec, now_ns: int = 0) -> None:
         """Record a flow start (local or learned by broadcast)."""
         self._table.add(spec)
-        if not self._config.exempt_young_flows:
+        if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
         elif self._config.initial_rate_policy == "local_waterfill":
             # §3.1: the sender computes the new flow's fair allocation right
@@ -236,7 +229,7 @@ class RateController:
         """Record a flow finish."""
         self._table.remove(flow_id)
         self._young_rates.pop(flow_id, None)
-        if not self._config.exempt_young_flows:
+        if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
 
     def on_demand_update(self, flow_id: FlowId, demand_bps: float) -> None:

@@ -5,14 +5,12 @@ durable file output (:mod:`.ioutil`) and deterministic seed derivation
 (:mod:`.seeds`).
 """
 
-from .config import R2C2Config
 from .ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
 from .node import R2C2Node
 from .rack import Rack
 from .seeds import SEED_MASK, derive_seed
 
 __all__ = [
-    "R2C2Config",
     "R2C2Node",
     "Rack",
     "SEED_MASK",

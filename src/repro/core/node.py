@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..broadcast.fib import BroadcastFib
 from ..broadcast.reliability import BroadcastSenderReliability, FailureRecovery
 from ..broadcast.tree import TreeSelector
-from ..congestion.controller import ControllerConfig, RateController
+from ..congestion.controller import RateController
 from ..congestion.flowstate import FlowSpec
-from ..congestion.linkweights import WeightProvider
 from ..errors import ReproError
 from ..routing.base import protocol_class
 from ..selection.genetic import GeneticConfig, GeneticSelector
@@ -33,32 +32,26 @@ from ..wire.packets import (
     BroadcastPacket,
     RouteUpdatePacket,
 )
-from .config import R2C2Config
+
+#: Protocol a new flow starts with (§3.4: "new flows start with minimal
+#: routing").
+_DEFAULT_PROTOCOL = "rps"
+#: Candidate protocols the routing-selection process may assign.
+_SELECTION_PROTOCOLS = ("rps", "vlb")
 
 
 class R2C2Node:
-    """The per-node brain: flow table, rate computation, route selection."""
+    """The per-node brain: flow table, rate computation, route selection.
 
-    def __init__(
-        self,
-        topology,
-        node: NodeId,
-        fib: BroadcastFib,
-        provider: Optional[WeightProvider] = None,
-        config: Optional[R2C2Config] = None,
-    ) -> None:
-        self.node = node
-        self.config = config or R2C2Config()
+    The node runs *controller* (whose ``node`` it is); a rack's nodes share
+    the controller's link-weight cache and allocation memo.
+    """
+
+    def __init__(self, topology, fib: BroadcastFib, controller: RateController) -> None:
+        self.node = controller.node
+        self.controller = controller
         self._topology = topology
-        self._fib = fib
-        self._provider = provider if provider is not None else WeightProvider(topology)
-        self.controller = RateController(
-            topology,
-            node,
-            provider=self._provider,
-            config=self.config.controller_config(),
-        )
-        self.tree_selector = TreeSelector(fib.trees_for(node))
+        self.tree_selector = TreeSelector(fib.trees_for(self.node))
         self.reliability = BroadcastSenderReliability()
         self.failure_recovery = FailureRecovery()
         self.broadcasts_sent = 0
@@ -83,7 +76,7 @@ class R2C2Node:
         its own flows, §3.3.2); remote nodes learn when the returned packet
         reaches them.
         """
-        protocol = protocol or self.config.default_protocol
+        protocol = protocol or _DEFAULT_PROTOCOL
         spec = FlowSpec(
             flow_id=flow_id,
             src=self.node,
@@ -159,7 +152,9 @@ class R2C2Node:
                 demand_bps=packet.demand_bps,
                 start_time_ns=now_ns,
             )
-            self.controller.on_flow_started(spec, now_ns)
+            # Only the sender rate-limits a flow: a remote node stores the
+            # spec without the young-flow admission path.
+            self.controller.table.add(spec)
         elif packet.event == EVENT_FLOW_FINISH:
             if packet.src != self.node:
                 self.controller.on_flow_finished(packet.flow_id, now_ns)
@@ -210,10 +205,10 @@ class R2C2Node:
         problem = SelectionProblem(
             self._topology,
             flows,
-            protocols=self.config.selection_protocols,
+            protocols=_SELECTION_PROTOCOLS,
             utility=utility,
-            provider=self._provider,
-            headroom=self.config.headroom,
+            provider=self.controller.provider,
+            headroom=self.controller.config.headroom,
         )
         current = problem.current_assignment()
         current_utility = problem.fitness(current)

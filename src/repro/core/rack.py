@@ -15,31 +15,48 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..broadcast.fib import BroadcastFib
 from ..broadcast.overhead import broadcast_bytes_total
+from ..congestion.controller import ControllerConfig, RateController
 from ..congestion.linkweights import WeightProvider
 from ..congestion.waterfill import RateAllocation
 from ..errors import ReproError
+from ..lru import BoundedLru
 from ..selection.genetic import GeneticConfig
 from ..selection.objective import UtilityMetric
 from ..topology.base import Topology
 from ..types import FlowId, NodeId
-from .config import R2C2Config
 from .node import R2C2Node
 
 
 class Rack:
-    """A whole rack running R2C2, with instantaneous control delivery."""
+    """A whole rack running R2C2, with instantaneous control delivery.
 
-    def __init__(self, topology: Topology, config: Optional[R2C2Config] = None) -> None:
+    Every node runs the control loop *config* describes; by default the
+    paper's 5 % headroom and 500 µs epochs, with young flows granted the
+    mean allocated rate.  Broadcasts use four trees per source.
+    """
+
+    def __init__(
+        self, topology: Topology, config: Optional[ControllerConfig] = None
+    ) -> None:
         self.topology = topology
-        self.config = config or R2C2Config()
-        self.fib = BroadcastFib(
-            topology,
-            n_trees=self.config.n_broadcast_trees,
-            seed=self.config.broadcast_seed,
-        )
+        self.config = config or ControllerConfig(initial_rate_policy="mean_allocated")
+        self.fib = BroadcastFib(topology)
         self.provider = WeightProvider(topology)
+        # Node views agree once a broadcast is delivered, so one memo lets
+        # an epoch cost one water-fill per distinct view, not one per node.
+        allocations = BoundedLru(topology.n_nodes)
         self.nodes: List[R2C2Node] = [
-            R2C2Node(topology, node, self.fib, self.provider, self.config)
+            R2C2Node(
+                topology,
+                self.fib,
+                RateController(
+                    topology,
+                    node,
+                    provider=self.provider,
+                    config=self.config,
+                    allocation_cache=allocations,
+                ),
+            )
             for node in topology.nodes()
         ]
         self._next_flow_id = 0

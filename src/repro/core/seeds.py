@@ -7,11 +7,9 @@ and (b) distinct from every other task's stream.  :func:`derive_seed`
 provides both by hashing the root seed together with a structured task key
 through SHA-256 and folding the digest into a 64-bit integer seed.
 
-The same helper backs per-run seeding in :mod:`repro.workloads.generator`,
-:class:`repro.sim.runner.SimConfig` and
-:class:`repro.maze.runner.EmulationConfig` (their ``seed_parts`` knobs), so
-library code and the campaign runner derive identical streams for
-identical keys.
+Campaign task seeds, the fuzzer's slot seeds and the named substreams a
+run splits off its own seed (per-link wire loss, failure storms, host-pair
+traffic, synthesized fabrics) all come from here.
 """
 
 from __future__ import annotations

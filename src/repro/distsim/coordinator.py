@@ -13,9 +13,9 @@ Protocol (synchronous conservative windows):
    latency.  Since no shard can act before ``T_min``, no new cross-shard
    arrival can land at or before ``E = T_min + L - 1``.
 3. Every shard therefore safely executes the window ``(now, E]``; windows
-   are additionally capped at the serial engine's progress-grid boundaries
-   (``progress_chunk_ns``), where termination checks and link-probe
-   samples happen exactly as the serial loop does them.
+   are additionally capped at the serial engine's 1 ms progress-grid
+   boundaries, where termination checks and link-probe samples happen
+   exactly as the serial loop does them.
 4. Boundary messages collected from round *r* are routed and injected at
    the start of round *r+1*, sorted by ``(arrival, emit_ns, src_shard,
    emit_idx)`` and scheduled with their cut link's delivery priority
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..sim.metrics import SimMetrics
-from ..sim.runner import SimConfig, _default_horizon, _finalize_telemetry
+from ..sim.runner import _PROGRESS_CHUNK_NS, SimConfig, _default_horizon, _finalize_telemetry
 from ..topology.base import Topology
 from ..topology.partition import Partition
 from ..workloads.generator import FlowArrival
@@ -177,7 +177,6 @@ def run_sharded_simulation(
     horizon = config.horizon_ns
     if horizon is None:
         horizon = _default_horizon(topology, trace)
-    chunk = max(config.progress_chunk_ns, 1)
     n_flows = len(trace)
 
     started_wall = time.perf_counter()
@@ -202,7 +201,7 @@ def run_sharded_simulation(
         [] for _ in range(partition.k)
     ]
     now = 0
-    next_grid = min(chunk, horizon)
+    next_grid = min(_PROGRESS_CHUNK_NS, horizon)
     duration: Optional[int] = None
     window_sum_ns = 0
     util_sum = 0.0
@@ -267,7 +266,7 @@ def run_sharded_simulation(
             elif now >= horizon:
                 duration = now
             else:
-                next_grid = min(now + chunk, horizon)
+                next_grid = min(now + _PROGRESS_CHUNK_NS, horizon)
 
     shard_results = [shard.finalize(duration) for shard in shard_sims]
 

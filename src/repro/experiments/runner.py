@@ -45,6 +45,9 @@ __all__ = ["ExecutorConfig", "CampaignResult", "run_campaign"]
 KILL_CAMPAIGN = "kill_campaign"
 WORKER_FAILURE = "worker_failure"
 
+#: Each retry waits this many times longer than the one before.
+_BACKOFF_FACTOR = 2.0
+
 
 @dataclass
 class ExecutorConfig:
@@ -54,7 +57,6 @@ class ExecutorConfig:
     task_timeout_s: Optional[float] = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     #: Raise instead of recording ``status="failed"`` when a task exhausts
     #: its retry budget.
     strict: bool = False
@@ -62,8 +64,6 @@ class ExecutorConfig:
     #: that fail).  Deliberately *outside* the scenario, so chaos testing
     #: never perturbs task fingerprints or cache keys.
     forced_failures: Dict[str, int] = field(default_factory=dict)
-    #: multiprocessing start method ("fork", "spawn", ...); None = default.
-    mp_start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -295,7 +295,7 @@ def _run_serial(tasks, config: ExecutorConfig, finish, fail, say) -> int:
                 if attempt >= config.max_retries:
                     fail(task, attempt + 1, f"{type(exc).__name__}: {exc}")
                     break
-                delay = config.backoff_s * (config.backoff_factor ** attempt)
+                delay = config.backoff_s * (_BACKOFF_FACTOR ** attempt)
                 say(
                     f"task {task.key}: attempt {attempt} failed "
                     f"({type(exc).__name__}); retrying in {delay:.2f}s"
@@ -327,16 +327,9 @@ class _PoolUnavailable(RuntimeError):
 
 
 def _run_pool(tasks, config: ExecutorConfig, finish, fail, say) -> int:
-    import multiprocessing
-
     retries = 0
-    mp_context = None
-    if config.mp_start_method is not None:
-        mp_context = multiprocessing.get_context(config.mp_start_method)
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers, mp_context=mp_context
-        )
+        pool = ProcessPoolExecutor(max_workers=config.workers)
     except (OSError, ValueError, PermissionError) as exc:
         raise _PoolUnavailable(str(exc)) from exc
 
@@ -354,7 +347,7 @@ def _run_pool(tasks, config: ExecutorConfig, finish, fail, say) -> int:
         if attempt >= config.max_retries:
             fail(task, attempt + 1, error)
             return
-        delay = config.backoff_s * (config.backoff_factor ** attempt)
+        delay = config.backoff_s * (_BACKOFF_FACTOR ** attempt)
         say(f"task {task.key}: attempt {attempt} failed ({error}); "
             f"retrying in {delay:.2f}s")
         time.sleep(delay)

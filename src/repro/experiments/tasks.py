@@ -398,7 +398,7 @@ def _run_selection(task: Task) -> Dict[str, Any]:
 
 def _run_crossval(task: Task) -> Dict[str, Any]:
     from ..analysis import ks_distance
-    from ..maze import EmulationConfig, run_emulation
+    from ..maze import run_emulation
     from ..sim import SimConfig, run_simulation
     from ..workloads import FixedSize, poisson_trace
 
@@ -412,7 +412,7 @@ def _run_crossval(task: Task) -> Dict[str, Any]:
         sizes=FixedSize(int(params.get("flow_bytes", 1_000_000))),
         seed=trace_seed,
     )
-    maze = run_emulation(topology, trace, EmulationConfig(seed=trace_seed))
+    maze = run_emulation(topology, trace, seed=trace_seed)
     sim = run_simulation(
         topology, trace, SimConfig(stack="r2c2", mtu_payload=8192, seed=trace_seed)
     )

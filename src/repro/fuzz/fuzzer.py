@@ -52,6 +52,14 @@ __all__ = ["FuzzConfig", "FuzzReport", "replay_entry", "run_fuzz"]
 
 #: Signature used for scenarios that crashed (no result to fingerprint).
 _CRASH_SIGNATURE = (("crash", 1),)
+#: Interesting-seed pool cap (oldest seeds retire first).
+_POOL_LIMIT = 64
+#: Chance a batch slot is freshly generated once the pool is warm.
+_FRESH_FRACTION = 0.25
+#: Shards of the sharded-vs-serial differential's re-execution.
+_DIFFERENTIAL_SHARDS = 2
+#: Predicate-evaluation budget per shrink.
+_SHRINK_EVALS = 80
 
 
 @dataclass
@@ -63,15 +71,8 @@ class FuzzConfig:
     #: re-executions ride on top).
     budget: int = 100
     batch_size: int = 10
-    #: Interesting-seed pool cap (oldest seeds retire first).
-    pool_limit: int = 64
-    #: Chance a batch slot is freshly generated once the pool is warm.
-    fresh_fraction: float = 0.25
     #: Run the sharded-vs-serial differential on new-coverage scenarios.
     differential: bool = True
-    shards: int = 2
-    #: Predicate-evaluation budget per shrink.
-    shrink_evals: int = 80
     #: Where to persist shrunk failures (None: in-memory only).
     corpus_dir: Optional[Union[str, Path]] = None
     #: Campaign executor workers (results are executor-independent).
@@ -134,7 +135,6 @@ def _evaluate(
     scenario: Scenario,
     root_seed: int,
     differential: bool,
-    shards: int,
     flight: bool = False,
 ) -> Tuple[List[OracleVerdict], Tuple, Optional[Dict[str, Any]]]:
     """Execute *scenario* serially and judge it with every oracle.
@@ -165,7 +165,7 @@ def _evaluate(
         )
     verdicts = sim_result_verdicts(result)
     if differential and sharding_eligible(scenario):
-        verdicts.append(_differential(scenario, task, result, shards))
+        verdicts.append(_differential(scenario, task, result))
     if flight_sink is not None and "dump" in flight_sink:
         for i, verdict in enumerate(verdicts):
             if not verdict.ok:
@@ -175,11 +175,11 @@ def _evaluate(
 
 
 def _differential(
-    scenario: Scenario, task: Task, serial_result: Dict[str, Any], shards: int
+    scenario: Scenario, task: Task, serial_result: Dict[str, Any]
 ) -> OracleVerdict:
     """Re-execute sharded (``shards`` is executor policy, same
     fingerprint and seed) and demand byte-identical results."""
-    sharded_task = replace(task, scenario=replace(scenario, shards=max(2, shards)))
+    sharded_task = replace(task, scenario=replace(scenario, shards=_DIFFERENTIAL_SHARDS))
     try:
         sharded_result = execute_task(sharded_task)
     except Exception as exc:
@@ -217,7 +217,7 @@ def run_fuzz(
             slot_seed = derive_seed(config.seed, "fuzz", index)
             name = f"fuzz-{index:05d}"
             picker = random.Random(derive_seed(config.seed, "pick", index))
-            if not pool or picker.random() < config.fresh_fraction:
+            if not pool or picker.random() < _FRESH_FRACTION:
                 batch.append(generate_scenario(slot_seed, name))
             else:
                 parent = pool[picker.randrange(len(pool))]
@@ -265,14 +265,11 @@ def run_fuzz(
                 ):
                     verdicts.append(
                         _differential(
-                            scenario,
-                            _task_for(scenario, config.seed),
-                            result,
-                            config.shards,
+                            scenario, _task_for(scenario, config.seed), result
                         )
                     )
                 pool.append(scenario)
-                if len(pool) > config.pool_limit:
+                if len(pool) > _POOL_LIMIT:
                     pool.pop(0)
 
             failing = _failing_set(verdicts)
@@ -307,17 +304,15 @@ def _shrink_and_record(
     ran_differential = "sharded_vs_serial" in failing
 
     def still_fails(candidate: Scenario) -> bool:
-        verdicts, _sig, _res = _evaluate(
-            candidate, config.seed, ran_differential, config.shards
-        )
+        verdicts, _sig, _res = _evaluate(candidate, config.seed, ran_differential)
         return _failing_set(verdicts) == failing
 
-    shrunk = shrink_scenario(scenario, still_fails, max_evals=config.shrink_evals)
+    shrunk = shrink_scenario(scenario, still_fails, max_evals=_SHRINK_EVALS)
     # Re-judge the reproducer so the corpus records its final verdicts and
     # signature (not the pre-shrink ones), with the flight recorder armed —
     # the filed entry carries the failing run's last-moments dump.
     verdicts, signature, _result = _evaluate(
-        shrunk.scenario, config.seed, ran_differential, config.shards, flight=True
+        shrunk.scenario, config.seed, ran_differential, flight=True
     )
     entry = CorpusEntry(
         scenario=shrunk.scenario,
@@ -348,7 +343,5 @@ def replay_entry(entry: CorpusEntry, root_seed: Optional[int] = None) -> List[Or
     ran_differential = any(
         v.oracle == "sharded_vs_serial" and not v.ok for v in entry.verdicts
     )
-    verdicts, _signature, _result = _evaluate(
-        entry.scenario, seed, ran_differential, shards=2
-    )
+    verdicts, _signature, _result = _evaluate(entry.scenario, seed, ran_differential)
     return verdicts

@@ -131,7 +131,7 @@ def _draw_selection(rng: random.Random, genome: Dict[str, Any]) -> None:
     genome["kind"] = rng.choice(_KIND_CHOICES)
     genome["objective"] = rng.choice(_OBJECTIVE_CHOICES)
     genome["load"] = rng.choice((0.1, 0.25, 0.5))
-    genome["selection_protocols"] = rng.choice(_SELECTION_PROTOCOL_CHOICES)
+    genome["protocols"] = rng.choice(_SELECTION_PROTOCOL_CHOICES)
 
 
 def _draw_churn(rng: random.Random, genome: Dict[str, Any]) -> None:
@@ -235,7 +235,7 @@ def assemble(genome: Dict[str, Any], name: str) -> Scenario:
                 "load": float(genome["load"]),
                 "selector": "genetic",
                 "objective": genome["objective"],
-                "protocols": list(genome["selection_protocols"]),
+                "protocols": list(genome["protocols"]),
                 # Small search budget: fuzzing wants many varied searches
                 # per CPU-second, not converged optimizations.
                 "max_generations": 6,
@@ -333,7 +333,7 @@ def genome_of(scenario: Scenario) -> Dict[str, Any]:
         "churn_flows": int(params.get("max_flows", 16)),
         "churn_fallback": "fallback_at" in params,
         "load": float(params.get("load", 0.25)),
-        "selection_protocols": tuple(params.get("protocols", ("rps", "vlb"))),
+        "protocols": tuple(params.get("protocols", ("rps", "vlb"))),
         "topology": scenario.topology,
         "dims": tuple(scenario.dims),
         "radix": int(params.get("radix", 8)),

@@ -11,13 +11,12 @@ their destination.
 from .platform import MazePlatform
 from .ratelimit import TokenBucket
 from .ringbuffer import DataRingBuffer, PointerRing
-from .runner import EmulationConfig, run_emulation
+from .runner import run_emulation
 from .server import SOURCE_APP, MazeOutLink, MazeServer
 from .stack import MazeR2C2Stack
 
 __all__ = [
     "DataRingBuffer",
-    "EmulationConfig",
     "MazeOutLink",
     "MazePlatform",
     "MazeR2C2Stack",

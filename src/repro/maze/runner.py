@@ -7,7 +7,6 @@ simulator produces, so the cross-validation can compare them directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..broadcast.fib import BroadcastFib
@@ -16,63 +15,43 @@ from ..congestion.linkweights import WeightProvider
 from ..errors import EmulationError
 from ..sim.flows import SimFlow
 from ..sim.metrics import SimMetrics
+from ..sim.runner import _default_horizon
 from ..topology.base import Topology
-from ..types import msec, usec
+from ..types import usec
 from ..workloads.generator import FlowArrival
 from .platform import MazePlatform
 from .stack import MazeR2C2Stack
 
 
-@dataclass
-class EmulationConfig:
-    """Knobs of one emulation run.
-
-    The defaults mirror the paper's Maze deployment: 8 KB packets, a 5 %
-    headroom and 500 µs recomputation interval.
-    """
-
-    step_ns: int = 1000
-    mtu_payload: int = 8192
-    headroom: float = 0.05
-    recompute_interval_ns: int = usec(500)
-    n_broadcast_trees: int = 4
-    initial_rate_policy: str = "mean_allocated"
-    seed: int = 0
-    #: Optional substream key (see :class:`repro.sim.runner.SimConfig`):
-    #: RNGs seed from ``derive_seed(seed, *seed_parts)``; the default
-    #: keeps the exact historical stream of ``seed``.
-    seed_parts: tuple = ()
-    horizon_ns: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.step_ns < 1:
-            raise EmulationError("step_ns must be >= 1")
-        self.seed_parts = tuple(self.seed_parts)
-
-    def effective_seed(self) -> int:
-        """The seed the run actually uses."""
-        from ..core.seeds import derive_seed
-
-        return derive_seed(self.seed, *self.seed_parts)
+#: Maze's deployment (§4.1): a 1 µs emulation step, 8 KB packets, the
+#: broadcast FIB's default four trees per source, and the paper's control
+#: loop with the cheap young-flow estimate.
+_STEP_NS = 1000
+_MTU_PAYLOAD = 8192
+_CONTROLLER_CONFIG = ControllerConfig(
+    headroom=0.05,
+    recompute_interval_ns=usec(500),
+    initial_rate_policy="mean_allocated",
+)
 
 
 def run_emulation(
     topology: Topology,
     trace: Sequence[FlowArrival],
-    config: Optional[EmulationConfig] = None,
+    seed: int = 0,
     provider: Optional[WeightProvider] = None,
     telemetry=None,
 ) -> SimMetrics:
     """Emulate *trace* on the Maze platform with the R2C2 stack.
 
     Args:
+        seed: Seeds the broadcast trees and every stack's path sampling.
         telemetry: Optional :class:`~repro.telemetry.Telemetry` session;
             records controller epochs, queue-occupancy probes and wire
             totals exactly like the packet simulator, so emulation and
             simulation snapshots are directly comparable (the Figure 7
             cross-validation, live).
     """
-    config = config or EmulationConfig()
     if not trace:
         raise EmulationError("empty flow trace")
     for arrival in trace:
@@ -81,24 +60,16 @@ def run_emulation(
 
     metrics = SimMetrics()
     flows: Dict[int, SimFlow] = {a.flow_id: SimFlow(a) for a in trace}
-    seed = config.effective_seed()
-    fib = BroadcastFib(topology, n_trees=config.n_broadcast_trees, seed=seed)
+    fib = BroadcastFib(topology, seed=seed)
     platform = MazePlatform(
-        topology,
-        fib=fib,
-        step_ns=config.step_ns,
-        slot_bytes=config.mtu_payload + 64,
+        topology, fib=fib, step_ns=_STEP_NS, slot_bytes=_MTU_PAYLOAD + 64
     )
     provider = provider if provider is not None else WeightProvider(topology)
     controller = RateController(
         topology,
         node=0,
         provider=provider,
-        config=ControllerConfig(
-            headroom=config.headroom,
-            recompute_interval_ns=config.recompute_interval_ns,
-            initial_rate_policy=config.initial_rate_policy,
-        ),
+        config=_CONTROLLER_CONFIG,
         telemetry=telemetry,
     )
     stacks: List[MazeR2C2Stack] = [
@@ -108,7 +79,7 @@ def run_emulation(
             controller,
             fib,
             flows,
-            mtu_payload=config.mtu_payload,
+            mtu_payload=_MTU_PAYLOAD,
             seed=seed,
             metrics=metrics,
         )
@@ -170,18 +141,10 @@ def run_emulation(
 
     platform.add_step_hook(step_hook)
 
-    horizon = config.horizon_ns
-    if horizon is None:
-        last_arrival = max(a.start_ns for a in trace)
-        total_bits = sum(a.size_bytes for a in trace) * 8
-        horizon = last_arrival + max(
-            int(total_bits / (topology.capacity_bps / 10) * 1e9), msec(50)
-        )
-
     started_wall = time.perf_counter()
     platform.run_until(
         lambda: all(f.completed for f in flows.values()),
-        max_ns=horizon,
+        max_ns=_default_horizon(topology, trace),
     )
 
     metrics.flows = list(flows.values())

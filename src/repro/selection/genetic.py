@@ -22,6 +22,9 @@ from typing import List, Optional, Tuple
 from ..errors import SelectionError
 from .search import Assignment, SearchResult, SelectionProblem
 
+#: Genotypes drawn per tournament (selection pressure).
+_TOURNAMENT_SIZE = 3
+
 
 @dataclass
 class GeneticConfig:
@@ -32,7 +35,6 @@ class GeneticConfig:
     elite_fraction: float = 0.1
     max_generations: int = 50
     patience: int = 10
-    tournament_size: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -44,8 +46,6 @@ class GeneticConfig:
             raise SelectionError("elite_fraction must be in (0, 1]")
         if self.max_generations < 1 or self.patience < 1:
             raise SelectionError("max_generations and patience must be >= 1")
-        if self.tournament_size < 1:
-            raise SelectionError("tournament_size must be >= 1")
 
 
 class GeneticSelector:
@@ -112,7 +112,7 @@ class GeneticSelector:
 
     def _tournament(self, scored, rng: random.Random) -> Assignment:
         """Pick the fittest of a random handful (selection pressure)."""
-        contenders = [scored[rng.randrange(len(scored))] for _ in range(self.config.tournament_size)]
+        contenders = [scored[rng.randrange(len(scored))] for _ in range(_TOURNAMENT_SIZE)]
         return max(contenders, key=lambda pair: pair[0])[1]
 
     @staticmethod

@@ -18,43 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..congestion.controller import ControllerConfig
 from ..congestion.flowstate import FlowSpec
 from ..congestion.linkweights import WeightProvider
 from ..congestion.waterfill import waterfill
 from ..errors import SimulationError
 from ..topology.base import Topology
-from ..types import FlowId, usec
+from ..types import FlowId
 from ..workloads.generator import FlowArrival
-
-
-@dataclass
-class FluidConfig:
-    """Fluid-simulation knobs.
-
-    ``recompute_interval_ns == 0`` is the ideal case: rates recomputed at
-    every flow arrival and departure, with no young-flow exemption.
-    """
-
-    headroom: float = 0.05
-    recompute_interval_ns: int = usec(500)
-    #: Young-flow rate policy, mirroring ControllerConfig:
-    #: "local_waterfill" (sender computes the new flow's allocation at flow
-    #: start, the §3.1 reading), "mean_allocated" (cheap estimate) or
-    #: "line_rate" (headroom absorbs the blast).
-    initial_rate_policy: str = "local_waterfill"
-    initial_rate_bps: Optional[float] = None  # explicit override
-
-    def __post_init__(self) -> None:
-        if self.recompute_interval_ns < 0:
-            raise SimulationError("recompute interval must be >= 0")
-        if self.initial_rate_policy not in (
-            "local_waterfill",
-            "mean_allocated",
-            "line_rate",
-        ):
-            raise SimulationError(
-                f"unknown initial_rate_policy {self.initial_rate_policy!r}"
-            )
 
 
 @dataclass
@@ -95,11 +66,11 @@ class FluidSimulator:
         self,
         topology: Topology,
         provider: Optional[WeightProvider] = None,
-        config: Optional[FluidConfig] = None,
+        config: Optional[ControllerConfig] = None,
     ) -> None:
         self._topology = topology
         self._provider = provider if provider is not None else WeightProvider(topology)
-        self._config = config or FluidConfig()
+        self._config = config or ControllerConfig()
         self.recomputations = 0
         self.sender_computations = 0
 
@@ -118,8 +89,6 @@ class FluidSimulator:
         last_mean_rate = capacity
 
         def initial_rate() -> float:
-            if config.initial_rate_bps is not None:
-                return config.initial_rate_bps
             if config.initial_rate_policy == "mean_allocated":
                 return min(capacity, last_mean_rate)
             return capacity
@@ -240,10 +209,12 @@ def average_rate_error(
     """Per-flow normalized |rate(ρ) − rate(0)| / rate(0) (Figures 15/16)."""
     provider = provider if provider is not None else WeightProvider(topology)
     ideal = FluidSimulator(
-        topology, provider, FluidConfig(headroom=headroom, recompute_interval_ns=0)
+        topology, provider, ControllerConfig(headroom=headroom, recompute_interval_ns=0)
     ).run(trace)
     actual = FluidSimulator(
-        topology, provider, FluidConfig(headroom=headroom, recompute_interval_ns=rho_ns)
+        topology,
+        provider,
+        ControllerConfig(headroom=headroom, recompute_interval_ns=rho_ns),
     ).run(trace)
     errors = []
     for flow_id, ideal_result in ideal.items():

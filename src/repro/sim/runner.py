@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 from ..broadcast.fib import BroadcastFib
 from ..congestion.controller import ControllerConfig, RateController
 from ..congestion.linkweights import WeightProvider
-from ..core.seeds import derive_seed
 from ..errors import SimulationError
 from ..routing.ecmp import EcmpSinglePath
 from ..topology.base import Topology
@@ -34,6 +33,13 @@ from .stacks.tcp import DEFAULT_TCP_QUEUE_LIMIT, TcpStack
 #: Stacks selectable in :class:`SimConfig`.
 STACKS = ("r2c2", "tcp", "pfq")
 
+#: Simulated time between the run loop's termination checks and telemetry
+#: link-probe samples (shared with the sharded engine's window grid).
+_PROGRESS_CHUNK_NS = msec(1)
+#: PFQ backpressure thresholds, in data packets of one MTU.
+_PFQ_HIGH_PACKETS = 3
+_PFQ_LOW_PACKETS = 1
+
 
 @dataclass
 class SimConfig:
@@ -48,12 +54,9 @@ class SimConfig:
     headroom: float = 0.05
     recompute_interval_ns: int = usec(500)
     n_broadcast_trees: int = 4
-    exempt_young_flows: bool = True
     #: Use the §6 reliability transport (numbered segments, SACKs,
     #: retransmission) for the R2C2 stack.
     reliable: bool = False
-    #: Retransmission timeout of the reliability transport.
-    rto_ns: int = usec(150)
     #: Probability that a transmitted data/ACK packet is corrupted on the
     #: wire (fault injection; broadcasts are exempt).
     loss_rate: float = 0.0
@@ -65,19 +68,9 @@ class SimConfig:
     #: (paper behaviour) measures unbounded queues; a finite limit enables
     #: the §3.2 broadcast drop-notification/retransmission path.
     queue_limit_bytes: Optional[int] = None
-    pfq_protocol: str = "rps"
-    pfq_high_packets: int = 3
-    pfq_low_packets: int = 1
-    tcp_queue_limit_bytes: int = DEFAULT_TCP_QUEUE_LIMIT
+    #: Seeds every RNG of the run (path sampling, wire loss, tree choice).
     seed: int = 0
-    #: Optional substream key: the run seeds its RNGs from
-    #: ``derive_seed(seed, *seed_parts)`` (SHA-256, stable across
-    #: processes).  Campaign tasks pass their task key here so sweep cells
-    #: draw independent streams from one campaign seed; the default keeps
-    #: the exact historical behaviour of ``seed``.
-    seed_parts: tuple = ()
     horizon_ns: Optional[int] = None
-    progress_chunk_ns: int = msec(1)
     #: Attach a :class:`~repro.validation.InvariantAuditor` to the run.
     #: Off by default: the instrumented code then pays only a per-hook
     #: ``is not None`` branch.
@@ -106,12 +99,6 @@ class SimConfig:
             raise SimulationError(
                 f"control_plane must be 'shared' or 'per_node', got {self.control_plane!r}"
             )
-        self.seed_parts = tuple(self.seed_parts)
-
-    def effective_seed(self) -> int:
-        """The seed the run actually uses (``seed`` routed through
-        :func:`repro.core.derive_seed` with ``seed_parts``)."""
-        return derive_seed(self.seed, *self.seed_parts)
 
 
 def run_simulation(
@@ -175,9 +162,8 @@ def run_simulation(
         horizon = config.horizon_ns
         if horizon is None:
             horizon = _default_horizon(topology, trace)
-        chunk = max(config.progress_chunk_ns, 1)
         while loop.now < horizon:
-            loop.run_batch(until_ns=min(loop.now + chunk, horizon))
+            loop.run_batch(until_ns=min(loop.now + _PROGRESS_CHUNK_NS, horizon))
             # Pulled (not scheduled) so telemetry never perturbs the event
             # heap or the termination conditions below.
             if probes is not None:
@@ -269,7 +255,7 @@ def _build_r2c2(
     from ..routing.weights import deterministic_minimal_path
     from .packets import DROP_NOTE_SIZE_BYTES, KIND_BROADCAST, KIND_DROP_NOTE, SimPacket
 
-    seed = config.effective_seed()
+    seed = config.seed
     fib = BroadcastFib(topology, n_trees=config.n_broadcast_trees, seed=seed)
     network_holder = {}
 
@@ -313,7 +299,6 @@ def _build_r2c2(
     controller_config = ControllerConfig(
         headroom=config.headroom,
         recompute_interval_ns=config.recompute_interval_ns,
-        exempt_young_flows=config.exempt_young_flows,
     )
     if config.control_plane == "per_node":
         control = PerNodeControlPlane(
@@ -346,7 +331,7 @@ def _build_r2c2(
     for node in nodes:
         if config.reliable:
             network.stack_at[node] = R2C2ReliableStack(
-                node, loop, network, control, flows, rto_ns=config.rto_ns, **common
+                node, loop, network, control, flows, **common
             )
         else:
             network.stack_at[node] = R2C2Stack(
@@ -359,13 +344,12 @@ def _build_r2c2(
 def _build_tcp(
     topology, loop, flows, metrics, config, probe=None, owned_nodes=None, boundary=None
 ):
-    limit = config.tcp_queue_limit_bytes
     network = RackNetwork(
         loop,
         topology,
-        queue_factory=lambda: FifoQueue(limit_bytes=limit),
+        queue_factory=lambda: FifoQueue(limit_bytes=DEFAULT_TCP_QUEUE_LIMIT),
         loss_rate=config.loss_rate,
-        loss_seed=config.effective_seed(),
+        loss_seed=config.seed,
         owned_nodes=owned_nodes,
         boundary=boundary,
         probe=probe,
@@ -389,8 +373,8 @@ def _build_tcp(
 def _build_pfq(topology, loop, flows, metrics, config, probe=None):
     coordinator = PfqCoordinator()
     packet_bytes = data_packet_size(config.mtu_payload)
-    high = config.pfq_high_packets * packet_bytes
-    low = config.pfq_low_packets * packet_bytes
+    high = _PFQ_HIGH_PACKETS * packet_bytes
+    low = _PFQ_LOW_PACKETS * packet_bytes
     network = RackNetwork(
         loop,
         topology,
@@ -399,7 +383,7 @@ def _build_pfq(topology, loop, flows, metrics, config, probe=None):
     )
     from ..routing.base import make_protocol
 
-    protocol = make_protocol(config.pfq_protocol, topology)
+    protocol = make_protocol("rps", topology)
     for node in topology.nodes():
         network.stack_at[node] = PfqStack(
             node,
@@ -409,7 +393,7 @@ def _build_pfq(topology, loop, flows, metrics, config, probe=None):
             flows,
             protocol,
             mtu_payload=config.mtu_payload,
-            seed=config.effective_seed(),
+            seed=config.seed,
             metrics=metrics,
             probe=probe,
         )

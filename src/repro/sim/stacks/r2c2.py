@@ -97,7 +97,7 @@ class SharedControlPlane:
         self._epoch_scheduled = True
         interval = self.controller.config.recompute_interval_ns
         if interval <= 0:
-            return  # strawman mode recomputes per event instead
+            return  # ρ = 0: the controller recomputes at every flow event
 
         def tick() -> None:
             self.controller.recompute(self.loop.now)

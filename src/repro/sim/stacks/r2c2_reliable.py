@@ -25,15 +25,15 @@ from ..flows import SimFlow
 from ..packets import ACK_SIZE_BYTES, KIND_ACK, KIND_DATA, SimPacket, data_packet_size
 from .r2c2 import _EVENT_FINISH, R2C2Stack
 
+#: Fixed retransmission timeout of the reliability transport.
+_RTO_NS = usec(150)
+
 
 class R2C2ReliableStack(R2C2Stack):
     """R2C2 data plane plus acknowledgement-based reliability."""
 
-    def __init__(self, *args, rto_ns: int = usec(150), **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if rto_ns <= 0:
-            raise SimulationError(f"rto must be positive, got {rto_ns}")
-        self._rto_ns = rto_ns
         self._senders: Dict[int, ReliableSender] = {}
         self._receivers: Dict[int, ReliableReceiver] = {}
         self.retransmitted_bytes = 0
@@ -43,7 +43,7 @@ class R2C2ReliableStack(R2C2Stack):
     # ------------------------------------------------------------------
     def start_flow(self, flow: SimFlow) -> None:
         n_segments = max(1, -(-flow.size_bytes // self._mtu))
-        self._senders[flow.flow_id] = ReliableSender(n_segments, self._rto_ns)
+        self._senders[flow.flow_id] = ReliableSender(n_segments, _RTO_NS)
         flow.total_segments = n_segments
         super().start_flow(flow)
 

@@ -29,12 +29,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..congestion.controller import ControllerConfig
 from ..congestion.flowstate import FlowSpec
 from ..congestion.linkweights import WeightProvider
 from ..congestion.mp_reference import PathFlow, maxmin_rates
 from ..congestion.waterfill import waterfill
 from ..errors import SimulationError
-from ..sim.fluid import FluidConfig, FluidSimulator
+from ..sim.fluid import FluidSimulator
 from ..sim.runner import SimConfig, run_simulation
 from ..topology.base import GraphTopology, Topology
 from ..types import FlowId, gbps, usec
@@ -263,7 +264,7 @@ def sim_vs_fluid_case(
         provider=provider,
     )
     fluid = FluidSimulator(
-        topology, provider, FluidConfig(headroom=headroom)
+        topology, provider, ControllerConfig(headroom=headroom)
     ).run(trace)
 
     per_flow = {}
@@ -320,7 +321,7 @@ def sim_vs_maze_case(
     time into steps and ships 8 KB slots), so the oracle reports the
     relative error of the *mean* per-flow rate, Figure 7 style.
     """
-    from ..maze.runner import EmulationConfig, run_emulation
+    from ..maze.runner import run_emulation
     from ..topology.torus import TorusTopology
     from ..workloads.generator import poisson_trace
     from ..workloads.sizes import FixedSize
@@ -333,7 +334,7 @@ def sim_vs_maze_case(
         sizes=FixedSize(size_bytes),
         seed=seed,
     )
-    maze = run_emulation(topology, trace, EmulationConfig(seed=seed))
+    maze = run_emulation(topology, trace, seed=seed)
     sim = run_simulation(
         topology, trace, SimConfig(stack="r2c2", mtu_payload=8192, seed=seed)
     )

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.seeds import derive_seed
 from ..errors import ReproError
 from ..topology.base import Topology
 from ..types import FlowId, NodeId
@@ -66,21 +65,15 @@ def poisson_trace(
     protocol: str = "rps",
     seed: int = 0,
     first_flow_id: int = 0,
-    seed_parts: Sequence = (),
 ) -> List[FlowArrival]:
     """The paper's default synthetic workload (§5.2).
 
     Poisson arrivals with the given mean inter-arrival time, uniformly
     random endpoints, Pareto(1.05, 100 KB) sizes unless overridden.
-
-    ``seed_parts`` names a derived substream of *seed* via
-    :func:`repro.core.derive_seed` — campaign tasks pass their task key so
-    every sweep cell draws an independent, cross-process-stable trace.
-    Empty parts (the default) keep the exact historical stream of *seed*.
     """
     if n_flows < 0:
         raise ReproError(f"n_flows must be >= 0, got {n_flows}")
-    rng = random.Random(derive_seed(seed, *seed_parts))
+    rng = random.Random(seed)
     sizes = sizes if sizes is not None else ParetoSizes()
     arrivals = arrivals if arrivals is not None else PoissonArrivals(mean_interarrival_ns)
     trace: List[FlowArrival] = []
@@ -107,18 +100,14 @@ def permutation_load_trace(
     protocol: str = "rps",
     seed: int = 0,
     start_ns: int = 0,
-    seed_parts: Sequence = (),
 ) -> List[FlowArrival]:
     """Figure 18's workload: a fraction *load* of nodes each source one
     long-running flow to a random distinct node, such that every node is
     the source and destination of at most one flow.
-
-    ``seed_parts`` selects a derived substream of *seed* (see
-    :func:`poisson_trace`).
     """
     if not (0.0 <= load <= 1.0):
         raise ReproError(f"load must be in [0, 1], got {load}")
-    rng = random.Random(derive_seed(seed, *seed_parts))
+    rng = random.Random(seed)
     n = topology.n_nodes
     n_flows = int(round(load * n))
     sources = rng.sample(range(n), n_flows)

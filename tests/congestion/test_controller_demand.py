@@ -64,7 +64,7 @@ class TestRateController:
         )
 
     def test_strawman_mode_recomputes_per_event(self, torus2d):
-        ctrl = self.make(torus2d, exempt_young_flows=False)
+        ctrl = self.make(torus2d, recompute_interval_ns=0)
         ctrl.on_flow_started(FlowSpec(1, 0, 5), now_ns=0)
         assert ctrl.allocation is not None  # recomputed immediately
 

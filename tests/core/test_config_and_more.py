@@ -1,37 +1,15 @@
-"""Remaining core-package behaviours: config validation, selection with a
-wider protocol set, and utilization accounting."""
+"""Remaining core-package behaviours: selection with a wider protocol set,
+utilization accounting and rack edge cases."""
 
 import pytest
 
 from repro.analysis import max_channel_utilization
-from repro.core import R2C2Config, Rack
-from repro.errors import ReproError
+from repro.congestion import ControllerConfig, FlowSpec
+from repro.core import Rack
 from repro.routing import RandomPacketSpraying
 from repro.selection import SelectionProblem, uniform_baseline
-from repro.congestion import FlowSpec
 from repro.types import usec
 from repro.workloads import UniformPattern
-
-
-class TestR2C2Config:
-    def test_defaults(self):
-        cfg = R2C2Config()
-        assert cfg.headroom == 0.05
-        assert cfg.recompute_interval_ns == usec(500)
-        assert cfg.default_protocol == "rps"
-        assert cfg.selection_protocols == ("rps", "vlb")
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            R2C2Config(n_broadcast_trees=0)
-        with pytest.raises(ReproError):
-            R2C2Config(selection_protocols=())
-
-    def test_controller_config_derivation(self):
-        cfg = R2C2Config(headroom=0.1, recompute_interval_ns=usec(100))
-        derived = cfg.controller_config()
-        assert derived.headroom == 0.1
-        assert derived.recompute_interval_ns == usec(100)
 
 
 class TestWiderSelection:
@@ -55,17 +33,6 @@ class TestWiderSelection:
         flows = [FlowSpec(0, 0, 5, protocol="ecmp")]  # not a candidate
         problem = SelectionProblem(torus2d, flows, protocols=("rps", "vlb"))
         assert problem.current_assignment() == (0,)
-
-    def test_rack_selection_with_three_protocols(self, torus2d):
-        rack = Rack(
-            torus2d, R2C2Config(selection_protocols=("rps", "vlb", "wlb"))
-        )
-        for src in (0, 1, 2):
-            rack.start_flow(src, 5)
-        rack.select_routes(min_improvement=0.0)
-        assert rack.tables_consistent()
-        protocols = {s.protocol for s in rack.active_flows()}
-        assert protocols <= {"rps", "vlb", "wlb"}
 
 
 class TestUtilizationAccounting:
@@ -106,7 +73,7 @@ class TestRackEdgeBehaviours:
         assert b > a  # ids are never reused
 
     def test_advance_time_multiple_epochs(self, torus2d):
-        rack = Rack(torus2d, R2C2Config(recompute_interval_ns=usec(100)))
+        rack = Rack(torus2d, ControllerConfig(recompute_interval_ns=usec(100)))
         rack.start_flow(0, 5)
         allocations = rack.advance_time(usec(1000))
         # One allocation per node for the *due* recomputation (epochs are

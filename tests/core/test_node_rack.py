@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import R2C2Config, Rack
+from repro.congestion import ControllerConfig
+from repro.core import Rack
 from repro.errors import ReproError
 from repro.types import usec
 
@@ -66,20 +67,57 @@ class TestRackFlows:
 
 class TestEpochs:
     def test_advance_time_triggers_epochs(self, torus2d):
-        rack = Rack(torus2d, R2C2Config(recompute_interval_ns=usec(100)))
+        rack = Rack(torus2d, ControllerConfig(recompute_interval_ns=usec(100)))
         fid = rack.start_flow(0, 5)
         allocations = rack.advance_time(usec(100))
         assert len(allocations) == torus2d.n_nodes
         assert rack.rate_of(fid) > 0
 
     def test_no_epoch_before_interval(self, torus2d):
-        rack = Rack(torus2d, R2C2Config(recompute_interval_ns=usec(100)))
+        rack = Rack(torus2d, ControllerConfig(recompute_interval_ns=usec(100)))
         rack.start_flow(0, 5)
         assert rack.advance_time(usec(50)) == []
 
     def test_time_cannot_reverse(self, torus2d):
         with pytest.raises(ReproError):
             Rack(torus2d).advance_time(-1)
+
+
+class TestOneFillPerView:
+    """A rack's nodes share one allocation memo and remote nodes only store
+    a flow start, so the rack pays one water-fill per distinct table view
+    rather than one per node."""
+
+    @staticmethod
+    def count_fills(monkeypatch):
+        import repro.congestion.controller as controller_module
+
+        calls = []
+        real = controller_module.waterfill
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "waterfill", counting)
+        return calls
+
+    def test_epoch_fills_once(self, torus3d, monkeypatch):
+        rack = Rack(torus3d)
+        rack.start_flow(0, 42)
+        rack.start_flow(1, 42, weight=2.0)
+        calls = self.count_fills(monkeypatch)
+        assert len(rack.advance_time(usec(500))) == torus3d.n_nodes
+        assert len(calls) <= 1
+        assert rack.rate_of(1) == pytest.approx(2 * rack.rate_of(0))
+
+    def test_local_waterfill_start_fills_once(self, torus3d, monkeypatch):
+        rack = Rack(torus3d, ControllerConfig(initial_rate_policy="local_waterfill"))
+        calls = self.count_fills(monkeypatch)
+        fid = rack.start_flow(0, 42)
+        assert len(calls) == 1
+        assert rack.tables_consistent()
+        assert rack.rate_of(fid) > 0
 
 
 class TestRouteSelection:

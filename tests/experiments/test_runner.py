@@ -124,7 +124,7 @@ def test_kill_campaign_fault_interrupts_after_threshold():
 
 
 def test_pool_timeout_abandons_and_records_failure():
-    campaign = probe_campaign(n_scenarios=1, replicates=1, sleep_s=5.0)
+    campaign = probe_campaign(n_scenarios=1, replicates=1, sleep_s=1.0)
     run = run_campaign(
         campaign,
         ExecutorConfig(

@@ -9,8 +9,7 @@ the invariant that justifies computing it once in the simulator.
 
 import pytest
 
-from repro.broadcast import BroadcastFib
-from repro.core import R2C2Config, Rack
+from repro.core import Rack
 from repro.sim import EventLoop, KIND_BROADCAST, RackNetwork, SimPacket
 
 
@@ -33,8 +32,7 @@ class TestControlEquivalence:
         # each node's control plane only from its own deliveries.
         rack = Rack(torus2d)  # provides per-node R2C2Node objects
         loop = EventLoop()
-        fib = BroadcastFib(torus2d, n_trees=rack.config.n_broadcast_trees)
-        net = RackNetwork(loop, torus2d, fib=fib)
+        net = RackNetwork(loop, torus2d, fib=rack.fib)
         for node in torus2d.nodes():
             net.stack_at[node] = _CollectingNodeStack(node, rack.nodes[node])
 

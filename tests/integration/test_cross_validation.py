@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import ks_distance
-from repro.maze import EmulationConfig, run_emulation
+from repro.maze import run_emulation
 from repro.sim import SimConfig, run_simulation
 from repro.topology import TorusTopology
 from repro.types import gbps
@@ -21,7 +21,7 @@ def crossval_pair():
         topo, n_flows=40, mean_interarrival_ns=150_000,
         sizes=FixedSize(1_000_000), seed=21,
     )
-    maze = run_emulation(topo, trace, EmulationConfig(seed=21))
+    maze = run_emulation(topo, trace, seed=21)
     sim = run_simulation(
         topo, trace, SimConfig(stack="r2c2", mtu_payload=8192, seed=21)
     )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import R2C2Config, Rack
+from repro.congestion import ControllerConfig
+from repro.core import Rack
 from repro.sim import SimConfig, run_simulation
 from repro.topology import FoldedClosTopology, HypercubeTopology, TorusTopology
 from repro.types import usec
@@ -13,7 +14,7 @@ class TestLifeOfAFlow:
     """§3.1's narrative, step by step."""
 
     def test_full_lifecycle(self, torus3d):
-        rack = Rack(torus3d, R2C2Config(recompute_interval_ns=usec(500)))
+        rack = Rack(torus3d, ControllerConfig(recompute_interval_ns=usec(500)))
         # 1. Flow starts; its announcement reaches every node.
         fid = rack.start_flow(0, 42)
         assert rack.tables_consistent()
@@ -34,7 +35,7 @@ class TestLifeOfAFlow:
         assert rack.rate_of(fid) >= rate * 0.99
 
     def test_headroom_reserved_end_to_end(self, torus2d):
-        rack = Rack(torus2d, R2C2Config(headroom=0.10))
+        rack = Rack(torus2d, ControllerConfig(headroom=0.10))
         rack.start_flow(0, 1)
         allocation = rack.recompute_all()
         assert allocation.link_capacity_bps.max() == pytest.approx(

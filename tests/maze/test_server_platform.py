@@ -4,7 +4,7 @@ import pytest
 
 from repro.broadcast import BroadcastFib
 from repro.errors import EmulationError
-from repro.maze import EmulationConfig, MazePlatform, run_emulation
+from repro.maze import MazePlatform, run_emulation
 from repro.topology import TorusTopology
 from repro.types import gbps
 from repro.wire.packets import BroadcastPacket, DataPacket, EVENT_FLOW_START
@@ -116,7 +116,7 @@ class TestEmulationRunner:
         trace = poisson_trace(
             topo, 10, 50_000, sizes=FixedSize(100_000), seed=4
         )
-        metrics = run_emulation(topo, trace, EmulationConfig(seed=4))
+        metrics = run_emulation(topo, trace, seed=4)
         assert metrics.completion_rate() == 1.0
         assert metrics.broadcast_bytes > 0
         for flow in metrics.flows:

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.fluid import FluidConfig, FluidSimulator, average_rate_error
+from repro.congestion import ControllerConfig
+from repro.sim.fluid import FluidSimulator, average_rate_error
 from repro.topology import GraphTopology, TorusTopology
 from repro.workloads import FixedSize, FlowArrival, poisson_trace
 
@@ -20,7 +20,7 @@ class TestFluidBasics:
     def test_single_flow_fct(self, pipe):
         # 100 bytes at 10 bps with no headroom: 80 seconds.
         sim = FluidSimulator(
-            pipe, config=FluidConfig(headroom=0.0, recompute_interval_ns=0)
+            pipe, config=ControllerConfig(headroom=0.0, recompute_interval_ns=0)
         )
         results = sim.run([FlowArrival(0, 0, 1, 100, 0, protocol="rps")])
         assert results[0].fct_ns == pytest.approx(80e9, rel=1e-6)
@@ -30,7 +30,7 @@ class TestFluidBasics:
         # Ideal mode: two equal flows split the pipe; when one finishes the
         # other takes the whole capacity.
         sim = FluidSimulator(
-            pipe, config=FluidConfig(headroom=0.0, recompute_interval_ns=0)
+            pipe, config=ControllerConfig(headroom=0.0, recompute_interval_ns=0)
         )
         trace = [
             FlowArrival(0, 0, 1, 100, 0, protocol="rps"),
@@ -44,7 +44,7 @@ class TestFluidBasics:
 
     def test_headroom_slows_flows(self, pipe):
         sim = FluidSimulator(
-            pipe, config=FluidConfig(headroom=0.5, recompute_interval_ns=0)
+            pipe, config=ControllerConfig(headroom=0.5, recompute_interval_ns=0)
         )
         results = sim.run([FlowArrival(0, 0, 1, 100, 0, protocol="rps")])
         assert results[0].average_rate_bps == pytest.approx(5.0)
@@ -54,7 +54,7 @@ class TestFluidBasics:
         # (line rate here: nothing was allocated before).
         sim = FluidSimulator(
             pipe,
-            config=FluidConfig(
+            config=ControllerConfig(
                 headroom=0.0,
                 recompute_interval_ns=10**12,
                 initial_rate_policy="line_rate",
@@ -68,7 +68,7 @@ class TestFluidBasics:
 
     def test_recomputation_counter(self, pipe):
         sim = FluidSimulator(
-            pipe, config=FluidConfig(headroom=0.0, recompute_interval_ns=0)
+            pipe, config=ControllerConfig(headroom=0.0, recompute_interval_ns=0)
         )
         sim.run(
             [
@@ -77,12 +77,6 @@ class TestFluidBasics:
             ]
         )
         assert sim.recomputations >= 3  # two arrivals + a departure
-
-    def test_config_validation(self):
-        with pytest.raises(SimulationError):
-            FluidConfig(recompute_interval_ns=-1)
-        with pytest.raises(SimulationError):
-            FluidConfig(initial_rate_policy="bogus")
 
 
 class TestRateError:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.fluid import FluidConfig, FluidSimulator
+from repro.congestion import ControllerConfig
+from repro.sim.fluid import FluidSimulator
 from repro.topology import GraphTopology
 from repro.workloads import FlowArrival
 
@@ -19,7 +20,7 @@ class TestYoungFlowPolicies:
         # present), not at line rate.
         sim = FluidSimulator(
             pipe,
-            config=FluidConfig(
+            config=ControllerConfig(
                 headroom=0.0,
                 recompute_interval_ns=10**12,
                 initial_rate_policy="local_waterfill",
@@ -39,7 +40,7 @@ class TestYoungFlowPolicies:
     def test_line_rate_policy_oversubscribes_between_epochs(self, pipe):
         sim = FluidSimulator(
             pipe,
-            config=FluidConfig(
+            config=ControllerConfig(
                 headroom=0.0,
                 recompute_interval_ns=10**12,
                 initial_rate_policy="line_rate",
@@ -60,7 +61,7 @@ class TestYoungFlowPolicies:
         for policy in ("local_waterfill", "mean_allocated", "line_rate"):
             sim = FluidSimulator(
                 pipe,
-                config=FluidConfig(
+                config=ControllerConfig(
                     headroom=0.0, recompute_interval_ns=0, initial_rate_policy=policy
                 ),
             )

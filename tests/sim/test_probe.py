@@ -24,7 +24,7 @@ from repro.sim.runner import _build_pfq, _build_r2c2, _build_tcp
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.topology import TorusTopology
 from repro.types import gbps
-from repro.workloads import ParetoSizes, poisson_trace
+from repro.workloads import FixedSize, ParetoSizes, poisson_trace
 
 TOPO = TorusTopology((3, 3), capacity_bps=gbps(10))
 
@@ -125,10 +125,13 @@ class TestPortSites:
         }
 
     def test_flight_survives_a_congested_tcp_run(self):
+        # 300 kB flows converging on 1 Gb/s links overflow TCP's drop-tail
+        # queues.
+        slow = TorusTopology((3, 3), capacity_bps=gbps(1))
         metrics = run_simulation(
-            TOPO,
-            _trace(),
-            SimConfig(stack="tcp", seed=5, tcp_queue_limit_bytes=8_000, flight=True),
+            slow,
+            poisson_trace(slow, 12, 5_000, sizes=FixedSize(300_000), seed=3),
+            SimConfig(stack="tcp", seed=5, flight=True),
         )
         assert metrics.drops > 0
         kinds = Counter(

@@ -56,13 +56,24 @@ class TestR2C2Stack:
         assert any(f.max_reorder_buffer > 0 for f in metrics.completed_flows())
 
     def test_strawman_mode(self, torus2d):
-        # exempt_young_flows=False recomputes on every event.
+        # ρ = 0 recomputes on every flow event (the §3.3.1 strawman).
         metrics = run_simulation(
             torus2d,
             small_trace(torus2d, 10),
-            SimConfig(stack="r2c2", exempt_young_flows=False),
+            SimConfig(stack="r2c2", recompute_interval_ns=0),
         )
         assert metrics.completion_rate() == 1.0
+
+    def test_zero_interval_recomputes_at_every_flow_event(self, torus2d):
+        # ρ = 0 has no epochs, so the young-flow exemption must be off too:
+        # otherwise every flow would keep its arrival-time rate for life.
+        metrics = run_simulation(
+            torus2d,
+            small_trace(torus2d, 30),
+            SimConfig(stack="r2c2", recompute_interval_ns=0),
+        )
+        assert metrics.completion_rate() == 1.0
+        assert metrics.epochs_recomputed == 2 * 30  # one per start, one per finish
 
 
 class TestTcpStack:
@@ -75,12 +86,11 @@ class TestTcpStack:
         assert metrics.ack_bytes > 0
 
     def test_recovers_from_drops(self):
-        # A tiny queue forces drops; TCP must still complete all flows.
+        # Converging 300 kB flows on 1 Gb/s links overflow the drop-tail
+        # queues; TCP must still complete all flows.
         topo = TorusTopology((3, 3), capacity_bps=gbps(1))
         trace = small_trace(topo, n_flows=12, tau_ns=5_000, size=300_000, seed=3)
-        metrics = run_simulation(
-            topo, trace, SimConfig(stack="tcp", tcp_queue_limit_bytes=8_000)
-        )
+        metrics = run_simulation(topo, trace, SimConfig(stack="tcp"))
         assert metrics.drops > 0
         assert metrics.completion_rate() == 1.0
 

@@ -1,6 +1,7 @@
 """Public-API hygiene: everything advertised in ``__all__`` exists, every
 public item carries a docstring, and subpackage imports are cycle-free."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -83,3 +84,29 @@ class TestVersionAndErrors:
                     continue
                 if inspect.isfunction(member):
                     assert member.__doc__, f"{cls.__name__}.{name} lacks a docstring"
+
+
+class TestControlLoopConfig:
+    """``ControllerConfig`` is the one description of §3.3.2's control loop:
+    the simulator, the fluid model, Maze and the rack facade all take it, and
+    the per-model config classes it replaced stay gone."""
+
+    def test_three_values(self):
+        from repro.congestion import ControllerConfig
+
+        assert [f.name for f in dataclasses.fields(ControllerConfig)] == [
+            "headroom",
+            "recompute_interval_ns",
+            "initial_rate_policy",
+        ]
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core", "R2C2Config"),
+            ("repro.maze", "EmulationConfig"),
+            ("repro.sim.fluid", "FluidConfig"),
+        ],
+    )
+    def test_folded_classes_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
