@@ -1,12 +1,19 @@
-"""Shared infrastructure for the figure-regeneration benchmarks.
+"""Shape assertions for the paper's evaluation (§5), over campaign results.
 
-Every benchmark regenerates one table or figure from the paper's evaluation
-(§5), printing the same rows/series the paper reports and appending them to
-``benchmarks/results/``.  Absolute numbers depend on the simulated scale;
-the *shape* (who wins, by what factor, where crossovers fall) is the claim
-being reproduced.
+``repro figures`` — :data:`repro.experiments.figures.FIGURES` — is the only
+producer of the ``benchmarks/results/*.txt`` tables.  The tests here check
+what each table reproduces: its *shape* (who wins, by what factor, where
+crossovers fall), since absolute numbers depend on the simulated scale.
+They read the same task results through the result cache the command
+fills, so after ::
 
-Scale is controlled by the ``REPRO_SCALE`` environment variable:
+    repro figures --check --workers 2
+    pytest benchmarks --ignore=benchmarks/r2c2bench
+
+the tests compute nothing new but the wall-clock cells.  Cache keys
+include a digest of the ``repro`` source, so after any code change the
+tests simulate the code that is running.  Scale is controlled by
+``REPRO_SCALE``:
 
 * ``small`` (default) — CI-friendly: 64-node racks, hundreds of flows.
 * ``medium`` — 216-node racks, thousands of flows.
@@ -15,30 +22,17 @@ Scale is controlled by the ``REPRO_SCALE`` environment variable:
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.congestion.linkweights import WeightProvider
-from repro.core import atomic_write_text
+from repro.experiments import FIGURES, ExecutorConfig, run_campaign
+from repro.experiments.scales import SCALE_ENV_VAR, SCALES, current_scale
 
-# The scale tables are owned by repro.experiments.scales (the campaign
-# runner shares them); re-exported here so benchmarks keep importing them
-# from conftest as before.
-from repro.experiments.scales import SCALE_ENV_VAR, SCALES, Scale
-from repro.experiments.scales import current_scale as _current_scale
-from repro.topology import TorusTopology
-from repro.types import usec
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-__all__ = ["RESULTS_DIR", "SCALES", "Scale", "current_scale", "emit", "sweep_run"]
-
-
-def current_scale() -> Scale:
-    """The scale selected by REPRO_SCALE (default: small)."""
-    return _current_scale()
+#: The result cache ``repro figures`` fills when run from the repo root.
+CACHE_DIR = Path(__file__).resolve().parent.parent / ".repro_cache"
 
 
 def pytest_configure(config):
@@ -51,54 +45,17 @@ def pytest_configure(config):
         )
 
 
-def emit(figure: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
-    banner = f"\n===== {figure} [scale={current_scale().name}] =====\n"
-    print(banner + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    atomic_write_text(RESULTS_DIR / f"{figure}.txt", banner + text + "\n")
-
-
 @pytest.fixture(scope="session")
-def scale() -> Scale:
+def scale():
     """The active experiment scale."""
     return current_scale()
 
 
-@pytest.fixture(scope="session")
-def eval_topology(scale):
-    """The evaluation rack: a 3D torus with 10 Gbps / 100 ns links (§5.2)."""
-    return TorusTopology(scale.torus_dims)
-
-
-@pytest.fixture(scope="session")
-def eval_provider(eval_topology):
-    """Session-shared link-weight cache (the expensive part of sweeps)."""
-    return WeightProvider(eval_topology)
-
-
-# ----------------------------------------------------------------------
-# Shared packet-simulation sweep (Figures 10-14 reuse these runs)
-# ----------------------------------------------------------------------
-_SWEEP_CACHE = {}
-
-
-def sweep_run(topology, provider, stack: str, tau_ns: int, n_flows: int, seed: int = 7):
-    """Memoized packet-simulation run for the τ sweep."""
-    from repro.sim import SimConfig, run_simulation
-    from repro.workloads import ParetoSizes, poisson_trace
-
-    key = (id(topology), stack, tau_ns, n_flows, seed)
-    if key not in _SWEEP_CACHE:
-        trace = poisson_trace(
-            topology,
-            n_flows,
-            tau_ns,
-            sizes=ParetoSizes(mean_bytes=100 * 1024, shape=1.05, cap_bytes=20_000_000),
-            seed=seed,
-        )
-        config = SimConfig(stack=stack, recompute_interval_ns=usec(500), seed=seed)
-        _SWEEP_CACHE[key] = run_simulation(
-            topology, trace, config, provider=provider if stack == "r2c2" else None
-        )
-    return _SWEEP_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def figure_results(name: str):
+    """Task results of figure *name* at the active scale, read from (or
+    computed into) the shared result cache; once per session, since
+    wall-clock cells are measured afresh rather than cached."""
+    campaign = FIGURES[name].build(current_scale())
+    config = ExecutorConfig(workers=1, strict=True)
+    return run_campaign(campaign, config, cache_dir=CACHE_DIR).results

@@ -6,63 +6,18 @@ broadcast deliveries, so visibility skew (microseconds of broadcast
 propagation vs 500 µs epochs) is modelled exactly.  This bench quantifies
 both the fidelity gap (≈0) and the cost of full fidelity (kept small by the
 shared allocation memo).
+
+The table's ``wall_s`` column is wall-clock, so ``repro figures --check``
+skips it.
 """
 
-import numpy as np
-import pytest
+from repro.experiments.figures import ablation_rows
 
-from repro.analysis import format_table
-from repro.sim import SimConfig, run_simulation
-from repro.workloads import ParetoSizes, poisson_trace
-
-from conftest import current_scale, emit
+from conftest import figure_results
 
 
-def test_ablation_control_plane_fidelity(benchmark, eval_topology, eval_provider):
-    scale = current_scale()
-    trace = poisson_trace(
-        eval_topology,
-        scale.n_flows // 2,
-        scale.tau_default_ns,
-        sizes=ParetoSizes(cap_bytes=20_000_000),
-        seed=31,
-    )
-
-    def sweep():
-        out = {}
-        for mode in ("shared", "per_node"):
-            out[mode] = run_simulation(
-                eval_topology,
-                trace,
-                SimConfig(stack="r2c2", control_plane=mode, seed=31),
-                provider=eval_provider,
-            )
-        return out
-
-    runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = {}
-    for mode, metrics in runs.items():
-        rows[mode] = [
-            metrics.fct_percentile_us(50),
-            metrics.fct_percentile_us(99),
-            metrics.queue_occupancy_percentile_kb(99),
-            metrics.wallclock_s,
-        ]
-    fs = np.sort([f.fct_ns() for f in runs["shared"].completed_flows()])
-    fp = np.sort([f.fct_ns() for f in runs["per_node"].completed_flows()])
-    median_gap = float(np.median(np.abs(fs - fp) / fs))
-
-    emit(
-        "ablation_control_plane",
-        format_table(
-            "Shared vs per-node control plane",
-            ["fct_p50_us", "fct_p99_us", "queue_p99_kb", "wall_s"],
-            rows,
-        )
-        + f"\n\nmedian per-flow FCT gap: {median_gap:.1%} — the visibility"
-        "\nskew the shared mode ignores is negligible against 500us epochs,"
-        "\nwhich is what justifies collapsing the controllers",
-    )
-    assert runs["shared"].completion_rate() == 1.0
-    assert runs["per_node"].completion_rate() == 1.0
-    assert median_gap < 0.05
+def test_ablation_control_plane_fidelity():
+    results = figure_results("ablations")
+    assert results["control/shared/r0"]["completion_rate"] == 1.0
+    assert results["control/per_node/r0"]["completion_rate"] == 1.0
+    assert ablation_rows(results)["median_gap"] < 0.05

@@ -12,178 +12,34 @@ Each ablation isolates one knob DESIGN.md calls out:
   (multi-tree load balancing of control bytes).
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis import format_series, format_table
-from repro.sim import SimConfig, run_simulation
-from repro.workloads import ParetoSizes, poisson_trace
+from repro.experiments.figures import ablation_rows
 
-from conftest import current_scale, emit
+from conftest import figure_results
 
 
 @pytest.fixture(scope="module")
-def ablation_trace(eval_topology):
-    scale = current_scale()
-    return poisson_trace(
-        eval_topology,
-        scale.n_flows // 2,
-        scale.tau_default_ns,
-        sizes=ParetoSizes(cap_bytes=20_000_000),
-        seed=23,
-    )
+def rows():
+    return ablation_rows(figure_results("ablations"))
 
 
-def test_ablation_young_flow_policy(benchmark, eval_topology, eval_provider, ablation_trace):
-    def sweep():
-        rows = {}
-        for policy in ("local_waterfill", "mean_allocated", "line_rate"):
-            metrics = _run_with_policy(
-                eval_topology, ablation_trace, eval_provider, policy
-            )
-            rows[policy] = (
-                metrics.fct_percentile_us(99),
-                metrics.queue_occupancy_percentile_kb(99),
-                metrics.mean_long_throughput_gbps(),
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "ablation_young_flow_policy",
-        format_table(
-            "Young-flow rate policy ablation",
-            ["fct_p99_us", "queue_p99_kb", "long_tput_gbps"],
-            {k: list(v) for k, v in rows.items()},
-        )
-        + "\n\nlocal_waterfill (the §3.1 reading) gives young flows their"
-        "\ncorrect — often multi-path, above-line-rate — allocation at"
-        "\narrival, so short flows finish faster; the cruder policies cap"
-        "\nyoung flows at one link's rate (under-serving at low concurrency"
-        "\nand over-serving at high concurrency, where the line-rate blast"
-        "\nis what the 5% headroom must absorb)",
-    )
+def test_ablation_young_flow_policy(rows):
+    policy = rows["policy"]
     # Sender-computed allocations serve short flows best.
-    assert rows["local_waterfill"][0] <= rows["line_rate"][0] * 1.05
-    assert rows["local_waterfill"][2] >= rows["line_rate"][2] * 0.9
+    assert policy["local_waterfill"][0] <= policy["line_rate"][0] * 1.05
+    assert policy["local_waterfill"][2] >= policy["line_rate"][2] * 0.9
 
 
-def _run_with_policy(topology, trace, provider, policy):
-    """run_simulation with a custom young-flow policy on the controller."""
-    from repro.broadcast.fib import BroadcastFib
-    from repro.congestion.controller import ControllerConfig, RateController
-    from repro.sim.engine import EventLoop
-    from repro.sim.metrics import SimMetrics
-    from repro.sim.network import FifoQueue, RackNetwork
-    from repro.sim.runner import _default_horizon
-    from repro.sim.flows import SimFlow
-    from repro.sim.stacks.r2c2 import R2C2Stack, SharedControlPlane
-    from repro.types import msec, usec
-
-    loop = EventLoop()
-    metrics = SimMetrics()
-    flows = {a.flow_id: SimFlow(a) for a in trace}
-    fib = BroadcastFib(topology, n_trees=4, seed=23)
-    network = RackNetwork(loop, topology, fib=fib, queue_factory=FifoQueue)
-    controller = RateController(
-        topology,
-        node=0,
-        provider=provider,
-        config=ControllerConfig(initial_rate_policy=policy),
-    )
-    control = SharedControlPlane(loop, network, controller)
-    for node in topology.nodes():
-        network.stack_at[node] = R2C2Stack(
-            node, loop, network, control, flows, seed=23, metrics=metrics
-        )
-    control.start_epochs()
-    for arrival in trace:
-        flow = flows[arrival.flow_id]
-        loop.schedule_at(
-            arrival.start_ns, lambda f=flow: network.stack_at[f.src].start_flow(f)
-        )
-    horizon = _default_horizon(topology, trace)
-    while loop.now < horizon:
-        loop.run(until_ns=min(loop.now + msec(1), horizon))
-        if all(f.completed for f in flows.values()):
-            break
-        if loop.pending() == 0:
-            break
-    metrics.flows = list(flows.values())
-    metrics.max_queue_occupancy_bytes = network.max_queue_occupancies()
-    return metrics
+def test_ablation_reliability_cost(rows):
+    reliability = rows["reliability"]
+    assert reliability["plain"][0] == 1.0
+    assert reliability["reliable"][0] == 1.0
+    assert reliability["reliable+1% loss"][0] == 1.0
+    assert reliability["plain"][2] == 0.0
+    assert reliability["reliable"][2] > 0.0
 
 
-def test_ablation_reliability_cost(benchmark, eval_topology, eval_provider, ablation_trace):
-    def sweep():
-        rows = {}
-        for label, reliable, loss in (
-            ("plain", False, 0.0),
-            ("reliable", True, 0.0),
-            ("reliable+1% loss", True, 0.01),
-        ):
-            metrics = run_simulation(
-                eval_topology,
-                ablation_trace,
-                SimConfig(stack="r2c2", reliable=reliable, loss_rate=loss, seed=23),
-                provider=eval_provider,
-            )
-            rows[label] = (
-                metrics.completion_rate(),
-                metrics.fct_percentile_us(99),
-                metrics.ack_bytes / max(metrics.data_bytes_on_wire, 1),
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "ablation_reliability",
-        format_table(
-            "Reliability transport ablation (§6)",
-            ["completion", "fct_p99_us", "ack_byte_ratio"],
-            {k: list(v) for k, v in rows.items()},
-        )
-        + "\n\nACKs serve reliability only; rates still come from the"
-        "\ncontroller, so the lossless overhead is pure ACK bandwidth",
-    )
-    assert rows["plain"][0] == 1.0
-    assert rows["reliable"][0] == 1.0
-    assert rows["reliable+1% loss"][0] == 1.0
-    assert rows["plain"][2] == 0.0
-    assert rows["reliable"][2] > 0.0
-
-
-def test_ablation_broadcast_trees(benchmark, eval_topology, eval_provider, ablation_trace):
-    def sweep():
-        rows = {}
-        for n_trees in (1, 4, 8):
-            metrics = run_simulation(
-                eval_topology,
-                ablation_trace,
-                SimConfig(stack="r2c2", n_broadcast_trees=n_trees, seed=23),
-                provider=eval_provider,
-            )
-            rows[n_trees] = (
-                metrics.broadcast_bytes,
-                metrics.fct_percentile_us(99),
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    trees = sorted(rows)
-    emit(
-        "ablation_broadcast_trees",
-        format_series(
-            "Broadcast-tree fan-out ablation",
-            "n_trees",
-            trees,
-            {
-                "broadcast_bytes": [float(rows[t][0]) for t in trees],
-                "fct_p99_us": [rows[t][1] for t in trees],
-            },
-        )
-        + "\n\ntotal broadcast bytes are tree-count-invariant (every tree"
-        "\nhas n-1 edges); multi-tree choice only spreads them over links",
-    )
-    byte_counts = {rows[t][0] for t in trees}
+def test_ablation_broadcast_trees(rows):
+    byte_counts = {bytes_ for bytes_, _fct in rows["trees"].values()}
     assert max(byte_counts) - min(byte_counts) <= 0.01 * max(byte_counts)

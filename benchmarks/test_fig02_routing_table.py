@@ -13,42 +13,17 @@ Paper values (fractions of capacity):
 
 This one is exact analysis (channel loads + worst-case matchings), so it is
 independent of REPRO_SCALE and should match the paper closely.
-
-Runs as a ``repro.experiments`` campaign (serial, in-process, uncached) —
-the same spec ``repro sweep fig02`` executes in parallel; the campaign
-runner guarantees identical results either way.
 """
 
 import pytest
 
-from repro.experiments import ExecutorConfig, current_scale, run_campaign
-from repro.experiments.figures import FIG02_PAPER as PAPER
-from repro.experiments.figures import FIGURES, fig02_table
+from repro.experiments.figures import FIG02_PATTERNS, fig02_table
 
-from conftest import emit
-
-PATTERN_ORDER = (
-    "nearest-neighbor",
-    "uniform",
-    "bit-complement",
-    "transpose",
-    "tornado",
-    "worst-case",
-)
+from conftest import figure_results
 
 
-def run_fig02_campaign():
-    campaign = FIGURES["fig02"].build(current_scale())
-    return run_campaign(campaign, ExecutorConfig(workers=1, strict=True)).results
-
-
-def test_fig02_routing_throughput_table(benchmark):
-    results = benchmark.pedantic(run_fig02_campaign, rounds=1, iterations=1)
-    table = fig02_table(results)
-
-    scale = current_scale()
-    for stem, text in FIGURES["fig02"].aggregate(results, scale).items():
-        emit(stem, text)
+def test_fig02_routing_throughput_table():
+    table = fig02_table(figure_results("fig02"))
 
     # Shape assertions: the paper's qualitative structure.
     assert table["nearest-neighbor"]["rps"] == pytest.approx(4.0, abs=0.05)
@@ -56,7 +31,7 @@ def test_fig02_routing_throughput_table(benchmark):
     assert table["tornado"]["rps"] == pytest.approx(1 / 3, abs=0.02)
     assert table["tornado"]["wlb"] == pytest.approx(0.53, abs=0.03)
     # VLB is flat at 0.5 everywhere.
-    for pattern in PATTERN_ORDER:
+    for pattern in FIG02_PATTERNS:
         assert table[pattern]["vlb"] == pytest.approx(0.5, abs=0.06)
     # No single algorithm wins everywhere: minimal routing dominates on
     # local traffic, VLB dominates the worst case.

@@ -10,100 +10,19 @@ a large constant factor over the paper's C++, so absolute percentages are
 higher; the reproduced claims are the *shape* (overhead falls superlinearly
 as ρ grows, because batching both amortizes cost and filters short flows)
 and the existence of a feasibility cliff at small ρ.
+
+Every cell is wall-clock, so ``repro figures --check`` skips this table;
+the trend below is what is checked.
 """
 
-import time
+from repro.experiments.figures import fig08_rows
 
-import numpy as np
-import pytest
-
-from repro.analysis import format_series
-from repro.congestion import FlowSpec, waterfill
-from repro.types import usec
-from repro.workloads import ParetoSizes, poisson_trace
-
-from conftest import current_scale, emit
-
-RHO_SWEEP_US = (100, 250, 500, 1000, 2000)
+from conftest import figure_results
 
 
-def replay_overheads(topology, provider, rho_ns, trace, finish_ns):
-    """Replay flow arrivals/finishes; time a water-fill at each epoch.
-
-    ``finish_ns[i]`` approximates each flow's departure (size at fair rate);
-    at every epoch the active set is the flows alive at that instant — the
-    batching design only ever sees flows that cross an epoch boundary.
-    """
-    overheads = []
-    horizon = max(finish_ns) if len(finish_ns) else 0
-    epoch = rho_ns
-    arrivals = sorted(zip((a.start_ns for a in trace), trace))
-    while epoch <= horizon:
-        active = [
-            FlowSpec(a.flow_id, a.src, a.dst, a.protocol)
-            for (start, a), end in zip(arrivals, finish_ns)
-            if start <= epoch < end
-        ]
-        started = time.perf_counter_ns()
-        if active:
-            waterfill(topology, active, provider, headroom=0.05)
-        duration = time.perf_counter_ns() - started
-        overheads.append(duration / rho_ns)
-        epoch += rho_ns
-    return overheads
-
-
-def test_fig08_recompute_cpu_overhead(benchmark, eval_topology, eval_provider):
-    scale = current_scale()
-    trace = poisson_trace(
-        eval_topology,
-        scale.n_flows,
-        scale.tau_default_ns,
-        sizes=ParetoSizes(cap_bytes=20_000_000),
-        seed=8,
-    )
-    # Approximate finish times: size at a nominal fair rate of 1 Gbps.
-    finish_ns = [
-        a.start_ns + int(a.size_bytes * 8 / 1e9 * 1e9) for a in trace
-    ]
-
-    results = {}
-    for rho_us in RHO_SWEEP_US:
-        overheads = replay_overheads(
-            eval_topology, eval_provider, usec(rho_us), trace, finish_ns
-        )
-        if overheads:
-            results[rho_us] = (
-                float(np.percentile(overheads, 50)),
-                float(np.percentile(overheads, 99)),
-            )
-
-    # Benchmark one representative water-fill so pytest-benchmark reports a
-    # clean timing number for the core operation.
-    active = [
-        FlowSpec(a.flow_id, a.src, a.dst, a.protocol) for a in trace[: scale.n_flows // 4]
-    ]
-    benchmark(lambda: waterfill(eval_topology, active, eval_provider, headroom=0.05))
-
-    rhos = sorted(results)
-    text = format_series(
-        "Fig 8: recomputation CPU overhead vs interval rho "
-        "(fraction of the interval; >1 = infeasible)",
-        "rho_us",
-        rhos,
-        {
-            "p50": [results[r][0] for r in rhos],
-            "p99": [results[r][1] for r in rhos],
-        },
-    )
-    text += (
-        "\n\npaper (Xeon, 512 nodes, tau=1us): rho=500us -> p50 1.7% / p99 7.9%;"
-        "\nrho=100us -> p99 73.9%.  Python constant factor applies here;"
-        "\nthe reproduced claim is the downward trend in rho."
-    )
-    emit("fig08_cpu_overhead", text)
-
+def test_fig08_recompute_cpu_overhead():
+    rows = fig08_rows(figure_results("fig08"))
+    rhos = sorted(rows)
     # Shape: overhead decreases as the interval grows.
-    p99s = [results[r][1] for r in rhos]
-    assert p99s[0] > p99s[-1]
-    assert results[rhos[-1]][0] < results[rhos[0]][0] * 1.05
+    assert rows[rhos[0]][1] > rows[rhos[-1]][1]
+    assert rows[rhos[-1]][0] < rows[rhos[0]][0] * 1.05

@@ -4,85 +4,31 @@ topologies (3D mesh, 2D torus) than on the 3D torus.
 
 The paper's anchor point: at 5 % small-flow bytes, 1.3 % of capacity goes to
 broadcasts on a 512-node 3D torus (10 KB small flows, 35 MB large flows).
-We regenerate the analytic curves and additionally validate one point with
-measured bytes from a packet simulation.
+The analytic curves are computed by the figure's aggregator; one point is
+validated with measured bytes from a packet simulation.
 """
 
 import pytest
 
-from repro.analysis import format_series
-from repro.broadcast import broadcast_capacity_fraction
-from repro.sim import SimConfig, run_simulation
-from repro.topology import MeshTopology, TorusTopology
-from repro.workloads import FixedSize, poisson_trace
+from repro.experiments.figures import FIG09_FRACTIONS, fig09_rows
 
-from conftest import current_scale, emit
-
-FRACTIONS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+from conftest import figure_results
 
 
-def analytic_curves():
-    topologies = {
-        "3D torus": TorusTopology((8, 8, 8)),
-        "3D mesh": MeshTopology((8, 8, 8)),
-        "2D torus": TorusTopology((16, 32)),
-    }
-    curves = {}
-    for name, topo in topologies.items():
-        hops = topo.average_distance()
-        curves[name] = [
-            100 * broadcast_capacity_fraction(f, topo.n_nodes, hops)
-            for f in FRACTIONS
-        ]
-    return curves
-
-
-def measured_point(scale):
-    """Simulate a small-flow-only workload and measure broadcast share."""
-    topo = TorusTopology(scale.torus_dims)
-    trace = poisson_trace(
-        topo, min(scale.n_flows, 400), 5_000, sizes=FixedSize(10_000), seed=9
-    )
-    metrics = run_simulation(topo, trace, SimConfig(stack="r2c2", seed=9))
-    return metrics, topo
-
-
-def test_fig09_broadcast_capacity_fraction(benchmark):
-    scale = current_scale()
-    curves = benchmark.pedantic(analytic_curves, rounds=1, iterations=1)
-    metrics, topo = measured_point(scale)
-
-    measured = 100 * metrics.broadcast_capacity_fraction()
-    predicted = 100 * broadcast_capacity_fraction(
-        1.0,
-        topo.n_nodes,
-        topo.average_distance(),
-        small_flow_bytes=10_000,
-    )
-    text = format_series(
-        "Fig 9: % capacity used for broadcast vs % bytes in small flows",
-        "small_byte_frac",
-        [f"{f:.2f}" for f in FRACTIONS],
-        curves,
-    )
-    text += (
-        f"\n\nanchor: 5% small bytes on 3D torus -> "
-        f"{curves['3D torus'][1]:.2f}% (paper: 1.3%)"
-        f"\nmeasured (packet sim, all-small workload, {topo.name}): "
-        f"{measured:.2f}% vs analytic {predicted:.2f}%"
-    )
-    emit("fig09_broadcast_overhead", text)
+def test_fig09_broadcast_capacity_fraction(scale):
+    data = fig09_rows(figure_results("fig09"), scale)
+    curves = data["curves"]
 
     # Anchor point.
     assert curves["3D torus"][1] == pytest.approx(1.3, abs=0.2)
     # Linearity and topology ordering.
-    for name, curve in curves.items():
+    for curve in curves.values():
         assert curve == sorted(curve)
         # At 0% small bytes only the (rare) large flows are announced.
         assert curve[0] < 0.05
-    for i in range(len(FRACTIONS)):
+    for i in range(len(FIG09_FRACTIONS)):
         assert curves["3D mesh"][i] <= curves["3D torus"][i] + 1e-9
         assert curves["2D torus"][i] <= curves["3D torus"][i] + 1e-9
     # The packet simulator's measured share is in the analytic ballpark
     # (the sim adds queueing, finite horizon and header bytes).
-    assert measured == pytest.approx(predicted, rel=0.5)
+    assert data["measured"] == pytest.approx(data["predicted"], rel=0.5)

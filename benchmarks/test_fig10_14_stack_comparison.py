@@ -13,152 +13,43 @@ under 27 KB for τ >= 1 µs and blows up (330 KB) only at the 100 ns stress
 point.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis import format_series
+from repro.experiments.figures import fig10_14_series
 
-from conftest import current_scale, emit, sweep_run
-
-STACKS = ("r2c2", "tcp", "pfq")
+from conftest import figure_results
 
 
 @pytest.fixture(scope="module")
-def sweep(eval_topology, eval_provider):
-    """All (stack, tau) packet-simulation runs, memoized."""
-    scale = current_scale()
-    runs = {}
-    for tau in scale.tau_sweep_ns:
-        for stack in STACKS:
-            runs[(stack, tau)] = sweep_run(
-                eval_topology, eval_provider, stack, tau, scale.n_flows
-            )
-    return runs
+def series(scale):
+    return fig10_14_series(figure_results("fig10_14"), scale)
 
 
-def deciles(values):
-    return [float(np.percentile(values, p)) for p in range(10, 100, 10)]
-
-
-def test_fig10_short_flow_fct_cdf(benchmark, sweep):
-    scale = current_scale()
-    tau = scale.tau_sweep_ns[0]
-    series = {}
-    for stack in STACKS:
-        fcts = sweep[(stack, tau)].short_fcts_us()
-        series[stack] = deciles(fcts)
-    benchmark.pedantic(lambda: series, rounds=1, iterations=1)
-    emit(
-        "fig10_fct_short",
-        format_series(
-            f"Fig 10: short-flow (<100KB) FCT CDF deciles (us), tau={tau}ns",
-            "pct",
-            list(range(10, 100, 10)),
-            series,
-        ),
-    )
+def test_fig10_short_flow_fct_cdf(series):
+    deciles = series["fig10_fct_short"]
     # TCP worst; R2C2 tracks PFQ.
-    assert series["tcp"][-1] > series["r2c2"][-1]
-    assert series["r2c2"][-1] < series["pfq"][-1] * 2.0
+    assert deciles["tcp"][-1] > deciles["r2c2"][-1]
+    assert deciles["r2c2"][-1] < deciles["pfq"][-1] * 2.0
 
 
-def test_fig11_long_flow_throughput_cdf(benchmark, sweep):
-    scale = current_scale()
-    tau = scale.tau_sweep_ns[0]
-    series = {}
-    for stack in STACKS:
-        tputs = sweep[(stack, tau)].long_throughputs_gbps()
-        series[stack] = deciles(tputs) if tputs else [0.0] * 9
-    benchmark.pedantic(lambda: series, rounds=1, iterations=1)
-    emit(
-        "fig11_tput_long",
-        format_series(
-            f"Fig 11: long-flow (>1MB) avg throughput CDF deciles (Gbps), tau={tau}ns",
-            "pct",
-            list(range(10, 100, 10)),
-            series,
-        ),
-    )
+def test_fig11_long_flow_throughput_cdf(series):
+    deciles = series["fig11_tput_long"]
     # Median ordering: multi-path stacks beat single-path TCP.
-    assert series["r2c2"][4] > series["tcp"][4]
-    assert series["pfq"][4] >= series["r2c2"][4] * 0.7
+    assert deciles["r2c2"][4] > deciles["tcp"][4]
+    assert deciles["pfq"][4] >= deciles["r2c2"][4] * 0.7
 
 
-def test_fig12_fct_vs_load(benchmark, sweep):
-    scale = current_scale()
-    taus = list(scale.tau_sweep_ns)
-    series = {stack: [] for stack in STACKS}
-    for tau in taus:
-        for stack in STACKS:
-            series[stack].append(sweep[(stack, tau)].fct_percentile_us(99))
-    normalized = {
-        stack: [v / t for v, t in zip(series[stack], series["tcp"])]
-        for stack in STACKS
-    }
-    benchmark.pedantic(lambda: normalized, rounds=1, iterations=1)
-    emit(
-        "fig12_fct_vs_load",
-        format_series(
-            "Fig 12: p99 short-flow FCT normalized to TCP vs tau (ns)",
-            "tau_ns",
-            taus,
-            normalized,
-        )
-        + "\n\npaper at tau=1us: R2C2 ~= 1/3.21 = 0.31 of TCP",
-    )
+def test_fig12_fct_vs_load(series):
     # R2C2 beats TCP at every load.
-    assert all(v < 1.0 for v in normalized["r2c2"])
+    assert all(v < 1.0 for v in series["fig12_fct_vs_load"]["r2c2"])
 
 
-def test_fig13_throughput_vs_load(benchmark, sweep):
-    scale = current_scale()
-    taus = list(scale.tau_sweep_ns)
-    series = {stack: [] for stack in STACKS}
-    for tau in taus:
-        for stack in STACKS:
-            series[stack].append(sweep[(stack, tau)].mean_long_throughput_gbps())
-    normalized = {
-        stack: [v / t for v, t in zip(series[stack], series["tcp"])]
-        for stack in STACKS
-    }
-    benchmark.pedantic(lambda: normalized, rounds=1, iterations=1)
-    emit(
-        "fig13_tput_vs_load",
-        format_series(
-            "Fig 13: mean long-flow throughput normalized to TCP vs tau (ns)",
-            "tau_ns",
-            taus,
-            normalized,
-        )
-        + "\n\npaper at tau=1us: R2C2 ~= 2.55x TCP",
-    )
-    assert all(v > 1.0 for v in normalized["r2c2"])
+def test_fig13_throughput_vs_load(series):
+    assert all(v > 1.0 for v in series["fig13_tput_vs_load"]["r2c2"])
 
 
-def test_fig14_queue_occupancy_vs_load(benchmark, sweep):
-    scale = current_scale()
-    taus = list(scale.tau_sweep_ns)
-    p50 = [
-        sweep[("r2c2", tau)].queue_occupancy_percentile_kb(50) for tau in taus
-    ]
-    p99 = [
-        sweep[("r2c2", tau)].queue_occupancy_percentile_kb(99) for tau in taus
-    ]
-    benchmark.pedantic(lambda: (p50, p99), rounds=1, iterations=1)
-    reorder = [
-        sweep[("r2c2", tau)].reorder_buffer_percentile(95) for tau in taus
-    ]
-    emit(
-        "fig14_queue_occupancy",
-        format_series(
-            "Fig 14: R2C2 max queue occupancy percentiles (KB) vs tau (ns)",
-            "tau_ns",
-            taus,
-            {"p50_kb": p50, "p99_kb": p99, "reorder_p95_pkts": reorder},
-        )
-        + "\n\npaper: p99 < 27 KB for tau >= 1us; 330 KB at the 100ns stress"
-        "\npoint; reorder buffer p95 ~= 30 packets at tau=1us",
-    )
+def test_fig14_queue_occupancy_vs_load(series):
+    p99 = series["fig14_queue_occupancy"]["p99_kb"]
     # Queues shrink as load drops.
     assert p99[-1] <= p99[0]
     # At the lightest load queues are tiny (the low-queuing goal G3).

@@ -11,89 +11,21 @@ Paper anchors (512 nodes): ρ=500 µs-1 ms keeps the median within 8.2 %
 increases with load (Fig 16).
 """
 
-import pytest
+from repro.experiments.figures import fig15_16_rows
 
-from repro.analysis import format_series, median, percentile
-from repro.sim.fluid import average_rate_error
-from repro.types import usec
-from repro.workloads import ParetoSizes, poisson_trace
-
-from conftest import current_scale, emit
-
-RHO_SWEEP_US = (10, 50, 100, 500, 1000)
+from conftest import figure_results
 
 
-def make_trace(topology, tau_ns, n_flows, seed=15):
-    return poisson_trace(
-        topology,
-        n_flows,
-        tau_ns,
-        sizes=ParetoSizes(cap_bytes=20_000_000),
-        seed=seed,
-    )
-
-
-def test_fig15_rate_error_vs_interval(benchmark, eval_topology, eval_provider):
-    scale = current_scale()
-    trace = make_trace(eval_topology, scale.tau_default_ns, scale.n_flows)
-
-    def sweep():
-        rows = {}
-        for rho_us in RHO_SWEEP_US:
-            errors = average_rate_error(
-                eval_topology, trace, usec(rho_us), provider=eval_provider
-            )
-            rows[rho_us] = (median(errors), percentile(errors, 95))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig15_rate_error_vs_interval(scale):
+    rows, _ = fig15_16_rows(figure_results("fig15_16"), scale)
     rhos = sorted(rows)
-    emit(
-        "fig15_rate_error_vs_rho",
-        format_series(
-            f"Fig 15: normalized |rate(rho) - rate(0)| / rate(0), tau={scale.tau_default_ns}ns",
-            "rho_us",
-            rhos,
-            {
-                "median": [rows[r][0] for r in rhos],
-                "p95": [rows[r][1] for r in rhos],
-            },
-        )
-        + "\n\npaper at 512 nodes, tau=1us: rho=500us -> median 8.2%, p95 37.9%",
-    )
-    medians = [rows[r][0] for r in rhos]
     # Smaller intervals track the ideal more closely.
-    assert medians[0] <= medians[-1]
+    assert rows[rhos[0]][0] <= rows[rhos[-1]][0]
     assert rows[rhos[0]][1] <= rows[rhos[-1]][1] * 1.2
 
 
-def test_fig16_rate_error_vs_load(benchmark, eval_topology, eval_provider):
-    scale = current_scale()
-
-    def sweep():
-        rows = {}
-        for tau in scale.tau_sweep_ns:
-            trace = make_trace(eval_topology, tau, scale.n_flows // 2)
-            errors = average_rate_error(
-                eval_topology, trace, usec(500), provider=eval_provider
-            )
-            rows[tau] = (median(errors), percentile(errors, 95))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig16_rate_error_vs_load(scale):
+    _, rows = fig15_16_rows(figure_results("fig15_16"), scale)
     taus = sorted(rows)
-    emit(
-        "fig16_rate_error_vs_load",
-        format_series(
-            "Fig 16: rate error at rho=500us vs flow inter-arrival tau (ns)",
-            "tau_ns",
-            taus,
-            {
-                "median": [rows[t][0] for t in taus],
-                "p95": [rows[t][1] for t in taus],
-            },
-        )
-        + "\n\npaper: negligible at tau=100us, significant at tau=100ns",
-    )
     # Heavier load (smaller tau) => larger deviation from ideal.
     assert rows[taus[0]][0] >= rows[taus[-1]][0]

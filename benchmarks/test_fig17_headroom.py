@@ -8,59 +8,13 @@ Paper claims: performance is "not particularly sensitive" to the setting;
 versus no headroom, while costing long flows under 3 % of throughput.
 """
 
-import pytest
+from repro.experiments.figures import fig17_rows
 
-from repro.analysis import format_series
-from repro.sim import SimConfig, run_simulation
-from repro.workloads import ParetoSizes, poisson_trace
-
-from conftest import current_scale, emit
-
-HEADROOMS = (0.0, 0.05, 0.10, 0.20)
+from conftest import figure_results
 
 
-def test_fig17_headroom_sensitivity(benchmark, eval_topology, eval_provider):
-    scale = current_scale()
-    trace = poisson_trace(
-        eval_topology,
-        scale.n_flows,
-        scale.tau_default_ns,
-        sizes=ParetoSizes(cap_bytes=20_000_000),
-        seed=17,
-    )
-
-    def sweep():
-        rows = {}
-        for headroom in HEADROOMS:
-            metrics = run_simulation(
-                eval_topology,
-                trace,
-                SimConfig(stack="r2c2", headroom=headroom, seed=17),
-                provider=eval_provider,
-            )
-            rows[headroom] = (
-                metrics.fct_percentile_us(99),
-                metrics.mean_long_throughput_gbps(),
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "fig17_headroom",
-        format_series(
-            "Fig 17: p99 short-flow FCT (us) and mean long-flow throughput "
-            "(Gbps) vs headroom",
-            "headroom",
-            [f"{h:.0%}" for h in HEADROOMS],
-            {
-                "fct_p99_us": [rows[h][0] for h in HEADROOMS],
-                "long_tput_gbps": [rows[h][1] for h in HEADROOMS],
-            },
-        )
-        + "\n\npaper: 5% headroom cuts p99 FCT by ~21.9% vs none, costs long"
-        "\nflows < 3%; overall not very sensitive to the choice",
-    )
-
+def test_fig17_headroom_sensitivity():
+    rows = fig17_rows(figure_results("fig17"))
     fct_none, tput_none = rows[0.0]
     fct_5, tput_5 = rows[0.05]
     fct_20, tput_20 = rows[0.20]

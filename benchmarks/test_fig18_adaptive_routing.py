@@ -12,55 +12,18 @@ simulated annealing and log-linear learning (the heuristics the paper tried
 and discarded).
 """
 
-import pytest
+from repro.experiments.figures import fig18_heuristic_rows, fig18_rows
 
-from repro.analysis import format_table
-from repro.congestion import FlowSpec
-from repro.experiments import ExecutorConfig, current_scale, run_campaign
-from repro.experiments.figures import FIGURES, fig18_rows
-from repro.selection import (
-    AnnealingConfig,
-    AnnealingSelector,
-    GeneticConfig,
-    GeneticSelector,
-    HillClimbConfig,
-    HillClimbSelector,
-    LogLinearConfig,
-    LogLinearSelector,
-    SelectionProblem,
-    uniform_baseline,
-)
-from repro.workloads import permutation_load_trace
-
-from conftest import emit
+from conftest import figure_results
 
 
-def make_problem(topology, provider, load, seed=18):
-    trace = permutation_load_trace(topology, load, seed=seed)
-    flows = [FlowSpec(a.flow_id, a.src, a.dst, protocol="rps") for a in trace]
-    return SelectionProblem(topology, flows, protocols=("rps", "vlb"), provider=provider)
-
-
-def test_fig18_adaptive_vs_baselines(benchmark):
-    """Runs the fig18 campaign (serial, in-process) — the same spec
-    ``repro sweep fig18`` executes in parallel."""
-    scale = current_scale()
-
-    def sweep():
-        campaign = FIGURES["fig18"].build(scale)
-        run = run_campaign(campaign, ExecutorConfig(workers=1, strict=True))
-        return run.results
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = fig18_rows(results, scale)
+def test_fig18_adaptive_vs_baselines(scale):
+    rows = fig18_rows(figure_results("fig18"), scale)
     loads = list(scale.fig18_loads)
     series = {
         name: [rows[load]["adaptive"] / rows[load][name] for load in loads]
         for name in ("rps", "vlb", "random")
     }
-    for stem, text in FIGURES["fig18"].aggregate(results, scale).items():
-        emit(stem, text)
-
     # Adaptive never loses to any baseline.
     for name, values in series.items():
         assert all(v >= 1.0 - 1e-9 for v in values), name
@@ -71,43 +34,8 @@ def test_fig18_adaptive_vs_baselines(benchmark):
     assert rows[low]["vlb"] > rows[low]["rps"]
 
 
-def test_fig18_heuristic_ablation(benchmark, eval_topology, eval_provider):
+def test_fig18_heuristic_ablation():
     """§3.4 ablation: the heuristics the paper evaluated before choosing GA."""
-    problem = make_problem(eval_topology, eval_provider, load=0.25, seed=4)
-
-    def run_all():
-        return {
-            "genetic": GeneticSelector(
-                GeneticConfig(max_generations=15, patience=5, seed=4)
-            ).search(problem).utility,
-            "hill-climb": HillClimbSelector(
-                HillClimbConfig(max_steps=400, restarts=2, seed=4)
-            ).search(problem).utility,
-            "annealing": AnnealingSelector(
-                AnnealingConfig(initial_temperature=0.5, cooling=0.9,
-                                steps_per_temperature=20, seed=4)
-            ).search(problem).utility,
-            "log-linear": LogLinearSelector(
-                LogLinearConfig(rounds=200, seed=4)
-            ).search(problem).utility,
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    best_uniform = max(
-        uniform_baseline(problem, "rps").utility,
-        uniform_baseline(problem, "vlb").utility,
-    )
-    rows = {
-        name: [value / 1e9, value / best_uniform]
-        for name, value in sorted(results.items(), key=lambda kv: -kv[1])
-    }
-    emit(
-        "fig18_heuristic_ablation",
-        format_table(
-            "Heuristic shoot-out at L=0.25 (Gbps, ratio to best uniform)",
-            ["Gbps", "vs_best_uniform"],
-            rows,
-        ),
-    )
+    utility, _best_uniform = fig18_heuristic_rows(figure_results("fig18_heuristics"))
     # GA matches or beats every alternative the paper discarded.
-    assert results["genetic"] >= max(results.values()) * 0.999
+    assert utility["genetic"] >= max(utility.values()) * 0.999

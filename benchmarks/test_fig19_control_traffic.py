@@ -14,74 +14,27 @@ simulator's broadcast byte counters.
 
 import pytest
 
-from repro.analysis import format_series
 from repro.broadcast import ControlTrafficModel
-from repro.sim import SimConfig, run_simulation
-from repro.workloads import FixedSize, poisson_trace
+from repro.experiments.figures import fig19_rows
 
-from conftest import current_scale, emit
-
-FLOWS_PER_SERVER = (1, 2, 4, 6, 8, 10)
+from conftest import figure_results
 
 
-def measured_decentralized_bytes_per_event(topology):
-    trace = poisson_trace(
-        topology, 50, 20_000, sizes=FixedSize(50_000), seed=19
-    )
-    metrics = run_simulation(topology, trace, SimConfig(stack="r2c2", seed=19))
-    events = 2 * len(trace)  # start + finish per flow
-    return metrics.broadcast_bytes / events
-
-
-def test_fig19_centralized_vs_decentralized(benchmark, eval_topology):
-    scale = current_scale()
-    model = ControlTrafficModel(
-        eval_topology.n_nodes, avg_hops=eval_topology.average_distance()
-    )
-
-    def build():
-        return {
-            f: (
-                model.decentralized_bytes_per_event(),
-                model.centralized_bytes_per_event(f),
-            )
-            for f in FLOWS_PER_SERVER
-        }
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    measured = measured_decentralized_bytes_per_event(eval_topology)
-
-    emit(
-        "fig19_control_traffic",
-        format_series(
-            "Fig 19: control bytes per flow event",
-            "flows_per_server",
-            list(FLOWS_PER_SERVER),
-            {
-                "decentralized": [rows[f][0] for f in FLOWS_PER_SERVER],
-                "centralized": [rows[f][1] for f in FLOWS_PER_SERVER],
-                "ratio": [rows[f][1] / rows[f][0] for f in FLOWS_PER_SERVER],
-            },
-        )
-        + f"\n\nmeasured decentralized bytes/event (packet sim): {measured:.0f}"
-        f" (model: {model.decentralized_bytes_per_event():.0f})"
-        "\npaper at 512 nodes: ratio 6.2x at 1 flow/server, 19.9x at 10",
-    )
-
-    dec = [rows[f][0] for f in FLOWS_PER_SERVER]
-    cen = [rows[f][1] for f in FLOWS_PER_SERVER]
+def test_fig19_centralized_vs_decentralized(scale):
+    data = fig19_rows(figure_results("fig19"), scale)
+    dec, cen = data["decentralized"], data["centralized"]
     # Decentralized constant; centralized strictly increasing.
     assert len(set(dec)) == 1
     assert cen == sorted(cen) and cen[-1] > cen[0]
     # Centralized is already more expensive at one flow per server.
     assert cen[0] > dec[0]
     # The simulator's measured broadcast cost matches the byte model.
-    assert measured == pytest.approx(model.decentralized_bytes_per_event(), rel=0.05)
+    assert data["measured"] == pytest.approx(data["model"], rel=0.05)
 
 
-def test_fig19_paper_scale_anchor(benchmark):
+def test_fig19_paper_scale_anchor():
     """The 512-node anchor ratios, independent of REPRO_SCALE."""
     model = ControlTrafficModel(512, avg_hops=6.0)
-    ratio_1 = benchmark.pedantic(lambda: model.ratio(1), rounds=1, iterations=1)
+    ratio_1 = model.ratio(1)
     assert ratio_1 == pytest.approx(6.2, abs=0.4)
     assert model.ratio(10) > 3 * ratio_1  # strong growth with concurrency

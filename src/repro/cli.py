@@ -11,10 +11,9 @@ Commands:
   flows' FCTs into pacing / serialization / queueing / propagation /
   control-wait / host-wait / retransmit-wait (``repro.obs``).
 * ``report``    — pretty-print a ``--metrics`` snapshot.
-* ``figure2``   — print the routing-throughput table for a 2D torus.
-* ``claims``    — check the paper's headline numeric claims.
 * ``sweep``     — run an evaluation campaign (parallel, cached, resumable).
-* ``figures``   — run a figure campaign and emit its results tables.
+* ``figures``   — regenerate the paper's tables (every §5 figure, or one),
+  or ``--check`` them against the committed ones.
 * ``fuzz``      — coverage-guided scenario fuzzing: ``run`` the search,
   ``replay`` the regression corpus, ``shrink`` a reproducer.
 * ``synth``     — inter-rack fabric synthesis (``repro.topology.synth``):
@@ -35,8 +34,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .analysis import format_table, throughput_table, tier_load_report
-from .topology import TorusTopology, build_topology, count_shortest_paths
+from .analysis import tier_load_report
+from .topology import build_topology, count_shortest_paths
 
 
 def _parse_dims(text: str) -> tuple:
@@ -368,78 +367,19 @@ def _print_tier_load(tier_load) -> None:
         print(f"  saturation throughput: {overall:.4f} of injection capacity")
 
 
-def cmd_figure2(args) -> int:
-    from .routing import (
-        DestinationTagRouting,
-        RandomPacketSpraying,
-        ValiantLoadBalancing,
-        WeightedLoadBalancing,
-    )
-    from .workloads import STANDARD_PATTERNS
-
-    topo = TorusTopology((args.radix, args.radix))
-    protocols = [
-        RandomPacketSpraying(topo),
-        DestinationTagRouting(topo),
-        ValiantLoadBalancing(topo),
-        WeightedLoadBalancing(topo),
-    ]
-    patterns = [
-        STANDARD_PATTERNS[name]
-        for name in ("nearest-neighbor", "uniform", "bit-complement", "transpose", "tornado")
-    ]
-    table = throughput_table(protocols, patterns, include_worst_case=args.worst_case)
-    rows = {
-        pattern: [values[p.name] for p in protocols]
-        for pattern, values in table.items()
-    }
-    print(
-        format_table(
-            f"Saturation throughput on the {args.radix}-ary 2-cube",
-            [p.name for p in protocols],
-            rows,
-        )
-    )
-    return 0
-
-
-def cmd_claims(args) -> int:
-    from .broadcast import broadcast_bytes_total, flow_event_overhead
-    from .topology import TorusTopology as _Torus
-
-    checks = []
-    torus = _Torus((8, 8, 8))
-    checks.append(
-        ("1,680 minimal paths for a (3,3,3) displacement",
-         count_shortest_paths(torus, 0, torus.node_at((3, 3, 3))) == 1680)
-    )
-    checks.append(
-        ("one 512-node broadcast is ~8 KB",
-         abs(broadcast_bytes_total(512) - 8176) < 1)
-    )
-    checks.append(
-        ("announcing a 10 KB flow costs ~26.66%",
-         abs(flow_event_overhead(10 * 1024, 512, 6.0) - 0.2666) < 0.01)
-    )
-    ok = True
-    for label, passed in checks:
-        print(f"  [{'ok' if passed else 'FAIL'}] {label}")
-        ok &= passed
-    return 0 if ok else 1
-
-
-def _campaign_from_args(args):
-    """Build the (possibly filtered) campaign plus executor config."""
+def _campaign_from_args(args, name):
+    """Build figure *name*'s (possibly filtered) campaign plus executor
+    config."""
     from .errors import ExperimentError
     from .experiments import ExecutorConfig, campaign_for, current_scale
     from .validation import FaultEvent
 
-    if args.figure is None:
+    if name is None:
         raise ExperimentError(
             "missing figure name (try `repro sweep --list` for choices)"
         )
     scale = current_scale(args.scale)
-    campaign = campaign_for(args.figure, scale)
+    campaign = campaign_for(name, scale)
     if args.only:
         kept = [s for s in campaign.scenarios if args.only in s.name]
         if not kept:
@@ -477,10 +417,10 @@ def _campaign_from_args(args):
     return scale, campaign, config, fault_events
 
 
-def _run_campaign_cli(args):
+def _run_campaign_cli(args, name):
     from .experiments import run_campaign
 
-    scale, campaign, config, fault_events = _campaign_from_args(args)
+    scale, campaign, config, fault_events = _campaign_from_args(args, name)
     if args.dry_run:
         print(f"campaign {campaign.name} [scale={scale.name}]: "
               f"{len(campaign.expand())} task(s)")
@@ -515,9 +455,9 @@ def cmd_sweep(args) -> int:
     if args.list:
         for name in sorted(FIGURES):
             fig = FIGURES[name]
-            print(f"  {name:10s} {fig.title}")
+            print(f"  {name:16s} {fig.title}")
         return 0
-    _scale, _campaign, result = _run_campaign_cli(args)
+    _scale, _campaign, result = _run_campaign_cli(args, args.figure)
     if result is None:  # --dry-run
         return 0
     return _SWEEP_EXIT_CODES[result.status]
@@ -753,27 +693,60 @@ def cmd_synth_sweep(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    # The paper in one command: FIGURES is the only producer of the
+    # benchmarks/results tables.  With no name this runs every §5 figure
+    # through the result cache and writes its tables; --check diffs the
+    # regenerated tables against the committed ones instead, skipping only
+    # each FigureDef's declared wall-clock cells.
+    import difflib
     from pathlib import Path
 
     from .core import atomic_write_text
-    from .experiments import FIGURES
+    from .errors import ExperimentError
+    from .experiments.figures import (
+        FIGURES,
+        PAPER_FIGURES,
+        table_file_text,
+        tables_match,
+    )
 
-    scale, campaign, result = _run_campaign_cli(args)
-    if result is None:  # --dry-run
-        return 0
-    if result.status != "complete":
-        print(f"campaign incomplete ({result.status}); no tables emitted")
-        return _SWEEP_EXIT_CODES[result.status]
+    if args.only and args.figure is None:
+        raise ExperimentError("--only needs a figure name")
+    check = getattr(args, "check", False)
     results_dir = Path(args.results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    for stem, text in FIGURES[args.figure].aggregate(result.results, scale).items():
-        # Same banner format as benchmarks/conftest.emit, so CLI-emitted
-        # tables are byte-identical to pytest-emitted ones.
-        banner = f"\n===== {stem} [scale={scale.name}] =====\n"
-        print(banner + text)
-        atomic_write_text(results_dir / f"{stem}.txt", banner + text + "\n")
-        print(f"table written to {results_dir / (stem + '.txt')}")
-    return 0
+    exit_code = 0
+    for name in [args.figure] if args.figure else PAPER_FIGURES:
+        scale, _campaign, result = _run_campaign_cli(args, name)
+        if result is None:  # --dry-run
+            continue
+        if result.status != "complete":
+            print(f"campaign incomplete ({result.status}); no tables emitted")
+            return _SWEEP_EXIT_CODES[result.status]
+        fig = FIGURES[name]
+        for stem, text in fig.aggregate(result.results, scale).items():
+            path = results_dir / f"{stem}.txt"
+            fresh = table_file_text(stem, text, scale)
+            if not check:
+                print(fresh, end="")
+                atomic_write_text(path, fresh)
+                print(f"table written to {path}")
+                continue
+            committed = path.read_text() if path.exists() else ""
+            if tables_match(fig, stem, committed, fresh):
+                skipped = " (wall-clock)" if stem in fig.wallclock else ""
+                print(f"check {path}: ok{skipped}")
+                continue
+            exit_code = 1
+            print(f"check {path}: DIFFERS")
+            sys.stdout.writelines(
+                difflib.unified_diff(
+                    committed.splitlines(True),
+                    fresh.splitlines(True),
+                    str(path),
+                    "regenerated",
+                )
+            )
+    return exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -869,15 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="omit histogram bucket bars (terse output)")
     p_report.set_defaults(func=cmd_report)
 
-    p_fig2 = sub.add_parser("figure2", help="print the Figure 2 routing table")
-    p_fig2.add_argument("--radix", type=int, default=8)
-    p_fig2.add_argument("--worst-case", action="store_true",
-                        help="include the (slower) worst-case row")
-    p_fig2.set_defaults(func=cmd_figure2)
-
-    p_claims = sub.add_parser("claims", help="verify headline paper claims")
-    p_claims.set_defaults(func=cmd_claims)
-
     def add_campaign_args(p, figure_arg=True):
         if figure_arg:
             p.add_argument("figure", nargs="?", default=None,
@@ -917,11 +881,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_figures = sub.add_parser(
         "figures",
-        help="run a figure campaign and emit its benchmarks/results tables",
+        help="regenerate the paper's benchmarks/results tables",
+        description="Run every §5 figure campaign (or the one named) "
+                    "through the result cache and write its tables; with "
+                    "--check, diff them against the committed ones.",
     )
     add_campaign_args(p_figures)
     p_figures.add_argument("--results-dir", default="benchmarks/results",
-                           help="where to write the *.txt tables")
+                           help="where the *.txt tables are written "
+                                "(or, with --check, read)")
+    p_figures.add_argument("--check", action="store_true",
+                           help="diff the regenerated tables against "
+                                "--results-dir instead of writing them, "
+                                "skipping declared wall-clock cells; exit 1 "
+                                "on any difference")
     p_figures.set_defaults(func=cmd_figures)
 
     p_fuzz = sub.add_parser(

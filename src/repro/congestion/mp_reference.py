@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import CongestionControlError
 from ..topology.base import Topology
@@ -51,6 +50,10 @@ def maxmin_rates(
     Returns rates normalized to the same units as the capacities (defaults
     to the topology's link capacities in bits/s).
     """
+    # Imported here, not at module level: only this LP oracle needs scipy,
+    # and every `repro` command imports this package.
+    from scipy.optimize import linprog
+
     if not flows:
         return {}
     if capacities is None:

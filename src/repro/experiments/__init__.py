@@ -6,9 +6,9 @@ subsystem turns those sweeps into first-class objects:
 
 * :class:`Scenario` / :class:`Campaign` (:mod:`.spec`) — declarative,
   JSON-serializable sweep specs with content fingerprints;
-* :data:`FIGURES` (:mod:`.figures`) — the paper's Figure 2/7/10-14/17/18
-  grids re-expressed as campaigns, with aggregators that emit the
-  ``benchmarks/results/*.txt`` tables;
+* :data:`FIGURES` (:mod:`.figures`) — every §5 figure, the ablations and
+  the prose claims as campaigns, with aggregators that are the only
+  producer of the ``benchmarks/results/*.txt`` tables;
 * :func:`run_campaign` (:mod:`.runner`) — a parallel executor on
   :class:`~concurrent.futures.ProcessPoolExecutor` with deterministic
   per-task seeds (:func:`repro.core.derive_seed`), per-task timeouts,
@@ -19,7 +19,8 @@ subsystem turns those sweeps into first-class objects:
 * :class:`Scale` / :data:`SCALES` (:mod:`.scales`) — the ``REPRO_SCALE``
   parameter tables shared with the benchmark harness.
 
-Drive campaigns from the CLI with ``repro sweep`` / ``repro figures``; see
+Drive campaigns from the CLI with ``repro sweep`` / ``repro figures``
+(``repro figures --check`` diffs every table against the committed one); see
 EXPERIMENTS.md ("Running sweeps") and DESIGN.md §6c.
 """
 

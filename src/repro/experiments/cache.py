@@ -2,7 +2,7 @@
 
 Each completed task is written to ``<root>/<fp[:2]>/<fp>.json`` where
 ``fp`` is the task fingerprint (scenario content + replicate + seed +
-cache schema version).  Writes go through
+cache schema version + a digest of the ``repro`` source).  Writes go through
 :func:`repro.core.atomic_write_json`, so a campaign killed mid-run leaves
 only complete records behind; the next run loads those records as cache
 hits and re-executes just the missing tasks.

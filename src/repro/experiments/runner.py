@@ -10,7 +10,9 @@ be created (restricted environments) or breaks mid-flight.
 Fault tolerance:
 
 * every completed task is persisted to the cache *immediately* and
-  atomically, so a killed campaign resumes with only missing tasks re-run;
+  atomically, so a killed campaign resumes with only missing tasks re-run
+  (wall-clock measurements, :attr:`Scenario.measures_wallclock`, are
+  re-measured on every run instead);
 * worker failures are retried with exponential backoff up to
   ``max_retries`` times;
 * per-task timeouts abandon stuck workers and retry (pool mode; a serial
@@ -154,9 +156,12 @@ def run_campaign(
     # ------------------------------------------------------------------
     # Phase 1: satisfy what we can from the cache.
     # ------------------------------------------------------------------
+    def cached_by(task: Task) -> bool:
+        return cache is not None and not task.scenario.measures_wallclock
+
     missing: List[Task] = []
     for task in tasks:
-        cached = cache.load(task) if cache is not None else None
+        cached = cache.load(task) if cached_by(task) else None
         if cached is not None:
             results[task.key] = cached
             meta[task.key] = {
@@ -184,7 +189,7 @@ def run_campaign(
         )
 
     def finish(task: Task, result: Dict[str, Any], attempts: int, wall: float) -> None:
-        if cache is not None:
+        if cached_by(task):
             cache.store(task, result)
         results[task.key] = result
         meta[task.key] = {

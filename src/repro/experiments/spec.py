@@ -15,9 +15,11 @@ checked into manifests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.seeds import derive_seed
@@ -36,11 +38,15 @@ __all__ = ["CACHE_SCHEMA_VERSION", "Scenario", "Campaign", "Task"]
 #: configurations), which perturbs lossy-run results for the same seeds;
 #: sim tasks also gained scenario-from-spec hooks (clos topologies, link
 #: latency, failure storms, loss/audit/horizon parameters) and richer
-#: result fields.
-CACHE_SCHEMA_VERSION = 3
+#: result fields.  Version 4: sim results gained the per-flow reorder-buffer
+#: and FCT lists the Figure 14 and ablation tables are computed from.
+CACHE_SCHEMA_VERSION = 4
 
 #: Task kinds the executor knows how to run (see :mod:`.tasks`).
-TASK_KINDS = ("probe", "routing", "sim", "selection", "crossval", "churn", "synth")
+TASK_KINDS = (
+    "probe", "routing", "sim", "selection", "crossval", "rate_error",
+    "epoch_cost", "churn", "synth",
+)
 
 #: Scenario fields that choose *how* a result is computed, never *what* it
 #: is — excluded from fingerprints so flipping them neither invalidates nor
@@ -81,6 +87,22 @@ def _fingerprint(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON of *payload*."""
     text = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 hex digest of the ``repro`` package source: every ``*.py``
+    file under it, by relative path and content.  Any source edit changes
+    every task fingerprint, so checks run over a warm result cache still
+    test the code that is running."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode("utf-8")
+        digest.update(b"%d:%s:%d:" % (len(name), name, len(source)))
+        digest.update(source)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -133,6 +155,13 @@ class Scenario:
             if k == key:
                 return v
         return default
+
+    @property
+    def measures_wallclock(self) -> bool:
+        """Whether the result times this machine's wall clock (``epoch_cost``
+        tasks, sims with ``wallclock``).  Such results are measured afresh on
+        every run and never stored in the result cache."""
+        return self.kind == "epoch_cost" or bool(self.param("wallclock", False))
 
     # ------------------------------------------------------------------
     # Serialization
@@ -199,10 +228,12 @@ class Task:
 
     def fingerprint(self) -> str:
         """The result-cache key: scenario content + replicate + seed + the
-        cache schema version (the "code-relevant config")."""
+        cache schema version + the :func:`code_digest` of the running
+        source, so a warm cache never answers for code it did not run."""
         return _fingerprint(
             {
                 "schema": CACHE_SCHEMA_VERSION,
+                "code": code_digest(),
                 "scenario": self.scenario.content_dict(),
                 "replicate": self.replicate,
                 "seed": self.seed,

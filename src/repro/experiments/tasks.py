@@ -12,10 +12,15 @@ Kinds:
   optionally sleeps or fails on early attempts).
 * ``routing``   — one Figure 2 cell: saturation throughput of a routing
   protocol under a traffic pattern (or its adversarial worst case).
-* ``sim``       — one packet-level simulation run (Figures 10-17 cells).
+* ``sim``       — one packet-level simulation run (Figures 9-14, 17, 19
+  and the ablation cells).
 * ``selection`` — one Figure 18 cell: a protocol-selection search or
   baseline at a given load.
 * ``crossval``  — the Figure 7 Maze-vs-simulator cross-validation pair.
+* ``rate_error`` — one Figure 15/16 cell: per-flow fluid-model rate error
+  of recomputing every ρ against recomputing at every flow event.
+* ``epoch_cost`` — one Figure 8 cell: wall time of each epoch's water-fill
+  over a trace replay, as a fraction of ρ.
 * ``churn``     — a seeded flow arrival/departure replay against the
   control-plane service state with a scratch-vs-incremental cross-check.
 * ``synth``     — one inter-rack fabric synthesis (:mod:`repro.topology.
@@ -31,6 +36,7 @@ and sim tasks scale past the rack without new plumbing.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import ExperimentError
@@ -238,7 +244,15 @@ def _make_trace(task: Task, topology):
     raise ExperimentError(f"task {task.key}: unknown workload {workload!r}")
 
 
+def _config_from(cls, params: Mapping[str, Any], names, **fixed: Any):
+    """A *cls* config built from the scenario params in *names* — the
+    fields a figure sets; absent ones and every other field keep the
+    class defaults."""
+    return cls(**{name: params[name] for name in names if name in params}, **fixed)
+
+
 def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    from ..congestion import ControllerConfig
     from ..sim import SimConfig, run_simulation
     from ..telemetry import Telemetry, TelemetryConfig
 
@@ -252,7 +266,10 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
     record_flight = flight_sink is not None and task.scenario.shards <= 1
     config = SimConfig(
         stack=params.get("stack", "r2c2"),
-        headroom=float(params.get("headroom", 0.05)),
+        controller=_config_from(
+            ControllerConfig, params, ("headroom", "initial_rate_policy")
+        ),
+        n_broadcast_trees=int(params.get("n_broadcast_trees", 4)),
         mtu_payload=int(params.get("mtu_payload", 1500)),
         control_plane=params.get("control_plane", "shared"),
         reliable=bool(params.get("reliable", False)),
@@ -311,8 +328,16 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
         "reorder_max": max(
             (f.max_reorder_buffer for f in metrics.flows), default=0
         ),
+        "reorder_buffers": sorted(
+            f.max_reorder_buffer for f in metrics.completed_flows()
+        ),
+        "fcts_ns": sorted(f.fct_ns() for f in metrics.completed_flows()),
         "telemetry": _rollup_snapshot(snapshot),
     }
+    if params.get("wallclock"):
+        # Opt-in, for figures that report run time as a declared
+        # wall-clock cell: it is the one field that differs run to run.
+        result["wallclock_s"] = metrics.wallclock_s
     if failed_links:
         result["failed_links"] = [list(link) for link in failed_links]
     if config.audit:
@@ -343,16 +368,32 @@ def _make_objective(params: Mapping[str, Any]):
     raise ExperimentError(f"unknown selection objective {name!r}")
 
 
+def _searches():
+    """selector name -> (selector class, config class, the budget params a
+    scenario sets); an unset genetic budget is 20 generations, patience 6."""
+    from .. import selection as sel
+
+    return {
+        "genetic": (
+            sel.GeneticSelector,
+            partial(sel.GeneticConfig, max_generations=20, patience=6),
+            ("max_generations", "patience"),
+        ),
+        "hillclimb": (
+            sel.HillClimbSelector, sel.HillClimbConfig, ("max_steps", "restarts"),
+        ),
+        "annealing": (
+            sel.AnnealingSelector, sel.AnnealingConfig,
+            ("initial_temperature", "cooling", "steps_per_temperature"),
+        ),
+        "loglinear": (sel.LogLinearSelector, sel.LogLinearConfig, ("rounds",)),
+    }
+
+
 def _run_selection(task: Task) -> Dict[str, Any]:
     from ..congestion import FlowSpec
     from ..congestion.linkweights import WeightProvider
-    from ..selection import (
-        GeneticConfig,
-        GeneticSelector,
-        SelectionProblem,
-        random_baseline,
-        uniform_baseline,
-    )
+    from ..selection import SelectionProblem, random_baseline, uniform_baseline
     from ..workloads import permutation_load_trace
 
     params = task.scenario.params_dict
@@ -371,14 +412,11 @@ def _run_selection(task: Task) -> Dict[str, Any]:
         provider=WeightProvider(topology),
     )
     selector = params.get("selector", "genetic")
-    if selector == "genetic":
-        result = GeneticSelector(
-            GeneticConfig(
-                max_generations=int(params.get("max_generations", 20)),
-                patience=int(params.get("patience", 6)),
-                seed=search_seed,
-            )
-        ).search(problem)
+    searches = _searches()
+    if selector in searches:
+        selector_cls, config_cls, names = searches[selector]
+        config = _config_from(config_cls, params, names, seed=search_seed)
+        result = selector_cls(config).search(problem)
     elif selector == "uniform":
         result = uniform_baseline(problem, params.get("protocol", "rps"))
     elif selector == "random":
@@ -430,6 +468,54 @@ def _run_crossval(task: Task) -> Dict[str, Any]:
         "ks_throughput": float(ks_distance(tput_maze, tput_sim)),
         "ks_queue": float(ks_distance(q_maze, q_sim)),
     }
+
+
+def _run_rate_error(task: Task) -> Dict[str, Any]:
+    from ..sim.fluid import average_rate_error
+
+    params = task.scenario.params_dict
+    topology = _task_topology(task)
+    errors = average_rate_error(
+        topology,
+        _make_trace(task, topology),
+        int(params["rho_ns"]),
+        headroom=float(params.get("headroom", 0.05)),
+    )
+    return {"errors": sorted(errors)}
+
+
+def _run_epoch_cost(task: Task) -> Dict[str, Any]:
+    """Replay a trace's arrivals and departures and time one water-fill of
+    the live flow set at every epoch boundary.  The result is wall-clock by
+    design; Figure 8 declares every cell it feeds as such."""
+    from ..congestion import FlowSpec, waterfill
+    from ..congestion.linkweights import WeightProvider
+
+    params = task.scenario.params_dict
+    topology = _task_topology(task)
+    trace = _make_trace(task, topology)
+    rho_ns = int(params["rho_ns"])
+    provider = WeightProvider(topology)
+    specs = [FlowSpec(a.flow_id, a.src, a.dst, a.protocol) for a in trace]
+    # Warm the link weights so the epochs time the fill, not the path DP.
+    for spec in specs:
+        provider.weights_for(spec)
+    # A flow departs after sending its bytes at a nominal 1 Gbps.
+    finish_ns = [a.start_ns + a.size_bytes * 8 for a in trace]
+    overheads = []
+    epoch = rho_ns
+    while epoch <= max(finish_ns):
+        active = [
+            spec
+            for spec, arrival, end in zip(specs, trace, finish_ns)
+            if arrival.start_ns <= epoch < end
+        ]
+        started = time.perf_counter_ns()
+        if active:
+            waterfill(topology, active, provider, headroom=0.05)
+        overheads.append((time.perf_counter_ns() - started) / rho_ns)
+        epoch += rho_ns
+    return {"overheads": overheads}
 
 
 def _run_churn(task: Task) -> Dict[str, Any]:
@@ -490,6 +576,8 @@ _EXECUTORS = {
     "sim": _run_sim,
     "selection": _run_selection,
     "crossval": _run_crossval,
+    "rate_error": _run_rate_error,
+    "epoch_cost": _run_epoch_cost,
     "churn": _run_churn,
     "synth": _run_synth,
 }
@@ -544,7 +632,10 @@ def execute_task(
         raise ExperimentError(f"task {task.key}: unknown kind {task.scenario.kind!r}")
     # Note: no wallclock (or any other nondeterministic value) goes into
     # the result — results must be byte-identical across runs and worker
-    # counts; the runner records timing in the manifest instead.
+    # counts; the runner records timing in the manifest instead.  The two
+    # exceptions are opt-in timing cells (``epoch_cost`` tasks and sims
+    # with ``wallclock``), which their figures declare as wall-clock and
+    # the runner re-measures instead of caching.
     return executor(task)
 
 

@@ -17,7 +17,7 @@ from ..congestion.linkweights import WeightProvider
 from ..errors import SimulationError
 from ..routing.ecmp import EcmpSinglePath
 from ..topology.base import Topology
-from ..types import msec, usec
+from ..types import msec
 from ..workloads.generator import FlowArrival
 from .engine import EventLoop
 from .flows import SimFlow
@@ -51,8 +51,9 @@ class SimConfig:
 
     stack: str = "r2c2"
     mtu_payload: int = 1500
-    headroom: float = 0.05
-    recompute_interval_ns: int = usec(500)
+    #: The R2C2 control loop (§3.3.2): headroom, ρ and the young-flow
+    #: policy.  Ignored by the tcp and pfq stacks.
+    controller: ControllerConfig = field(default_factory=ControllerConfig)
     n_broadcast_trees: int = 4
     #: Use the §6 reliability transport (numbered segments, SACKs,
     #: retransmission) for the R2C2 stack.
@@ -296,17 +297,13 @@ def _build_r2c2(
     )
     network_holder["net"] = network
     provider = provider if provider is not None else WeightProvider(topology)
-    controller_config = ControllerConfig(
-        headroom=config.headroom,
-        recompute_interval_ns=config.recompute_interval_ns,
-    )
     if config.control_plane == "per_node":
         control = PerNodeControlPlane(
             loop,
             network,
             topology,
             provider,
-            controller_config,
+            config.controller,
             telemetry=telemetry,
             nodes=owned_nodes,
             probe=probe,
@@ -316,7 +313,7 @@ def _build_r2c2(
             topology,
             node=0,
             provider=provider,
-            config=controller_config,
+            config=config.controller,
             telemetry=telemetry,
         )
         control = SharedControlPlane(loop, network, controller, probe)

@@ -255,17 +255,16 @@ def sim_vs_fluid_case(
     trace = _long_flow_trace(seed, topology, n_flows, size_bytes)
 
     provider = WeightProvider(topology)
+    controller = ControllerConfig(headroom=headroom)
     sim = run_simulation(
         topology,
         trace,
         SimConfig(
-            stack="r2c2", mtu_payload=mtu_payload, headroom=headroom, seed=seed
+            stack="r2c2", mtu_payload=mtu_payload, controller=controller, seed=seed
         ),
         provider=provider,
     )
-    fluid = FluidSimulator(
-        topology, provider, ControllerConfig(headroom=headroom)
-    ).run(trace)
+    fluid = FluidSimulator(topology, provider, controller).run(trace)
 
     per_flow = {}
     for flow in sim.completed_flows():

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..routing.base import RoutingProtocol
 from ..topology.base import Topology
@@ -51,6 +50,10 @@ def worst_case_permutation(
     per-unit-injection channel load any permutation can induce.  The
     saturation throughput on that pattern is ``capacity / worst_load``.
     """
+    # Imported here, not at module level: only this search needs scipy,
+    # and every `repro` command imports this package.
+    from scipy.optimize import linear_sum_assignment
+
     topo = protocol.topology
     gamma = channel_pair_loads(protocol)
     worst_load = 0.0

@@ -160,6 +160,28 @@ def test_manifest_written_atomically(tmp_path):
     assert on_disk["tasks"]["probe0/r0"]["status"] == "computed"
 
 
+def test_wallclock_tasks_are_measured_not_cached(tmp_path):
+    # A declared timing cell is re-measured every run: a warm cache must
+    # not write an old machine's (or an old build's) timings back.
+    campaign = Campaign(
+        name="mixed",
+        scenarios=[
+            Scenario(name="timed", kind="probe", dims=(2, 2),
+                     params={"wallclock": True}),
+            Scenario(name="plain", kind="probe", dims=(2, 2)),
+        ],
+        seed=3,
+    )
+    assert [s.measures_wallclock for s in campaign.scenarios] == [True, False]
+    first = run_campaign(campaign, ExecutorConfig(workers=1), cache_dir=tmp_path)
+    again = run_campaign(campaign, ExecutorConfig(workers=1), cache_dir=tmp_path)
+    assert first.manifest["counts"]["computed"] == 2
+    assert again.manifest["counts"]["cache_hits"] == 1
+    assert again.manifest["tasks"]["timed/r0"]["status"] == "computed"
+    assert again.manifest["tasks"]["plain/r0"]["status"] == "cached"
+    assert len(list(tmp_path.glob("*/*.json"))) == 1
+
+
 def test_invalid_executor_config():
     with pytest.raises(ExperimentError):
         ExecutorConfig(workers=0)

@@ -106,6 +106,19 @@ def test_task_fingerprint_includes_schema_version(monkeypatch):
     assert task.fingerprint() != before
 
 
+def test_task_fingerprint_includes_source_digest(monkeypatch):
+    # A warm cache must not answer for edited code: the fingerprint covers
+    # the repro source, so changing it (here: its digest) misses the cache.
+    import repro.experiments.spec as spec_module
+
+    task = Campaign(name="c", scenarios=[make_scenario()], seed=5).expand()[0]
+    before = task.fingerprint()
+    digest = spec_module.code_digest()
+    assert len(digest) == 64 and spec_module.code_digest() == digest
+    monkeypatch.setattr(spec_module, "code_digest", lambda: "0" * 64)
+    assert task.fingerprint() != before
+
+
 def test_campaign_json_round_trip():
     campaign = Campaign(
         name="c",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congestion import ControllerConfig
 from repro.sim import SimConfig, run_simulation
 from repro.topology import TorusTopology
 from repro.types import gbps, usec
@@ -40,13 +41,18 @@ class TestR2C2Stack:
         # far below a line-rate-blast scenario.
         trace = small_trace(torus2d, n_flows=60, tau_ns=30_000, size=500_000)
         metrics = run_simulation(
-            torus2d, trace, SimConfig(stack="r2c2", recompute_interval_ns=usec(100))
+            torus2d, trace, SimConfig(
+                stack="r2c2",
+                controller=ControllerConfig(recompute_interval_ns=usec(100)),
+            ),
         )
         assert metrics.queue_occupancy_percentile_kb(99) < 200
 
     def test_headroom_zero_allowed(self, torus2d):
         metrics = run_simulation(
-            torus2d, small_trace(torus2d, 10), SimConfig(stack="r2c2", headroom=0.0)
+            torus2d,
+            small_trace(torus2d, 10),
+            SimConfig(stack="r2c2", controller=ControllerConfig(headroom=0.0)),
         )
         assert metrics.completion_rate() == 1.0
 
@@ -60,7 +66,10 @@ class TestR2C2Stack:
         metrics = run_simulation(
             torus2d,
             small_trace(torus2d, 10),
-            SimConfig(stack="r2c2", recompute_interval_ns=0),
+            SimConfig(
+                stack="r2c2",
+                controller=ControllerConfig(recompute_interval_ns=0),
+            ),
         )
         assert metrics.completion_rate() == 1.0
 
@@ -70,7 +79,10 @@ class TestR2C2Stack:
         metrics = run_simulation(
             torus2d,
             small_trace(torus2d, 30),
-            SimConfig(stack="r2c2", recompute_interval_ns=0),
+            SimConfig(
+                stack="r2c2",
+                controller=ControllerConfig(recompute_interval_ns=0),
+            ),
         )
         assert metrics.completion_rate() == 1.0
         assert metrics.epochs_recomputed == 2 * 30  # one per start, one per finish

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+COMMITTED = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestParsing:
@@ -55,17 +59,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "completed" in out
 
-    def test_figure2(self, capsys):
-        assert main(["figure2", "--radix", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "tornado" in out
-        assert "vlb" in out
-
-    def test_claims(self, capsys):
-        assert main(["claims"]) == 0
-        out = capsys.readouterr().out
-        assert "[ok]" in out
-        assert "FAIL" not in out
+    @pytest.mark.parametrize("command", ["figure2", "claims"])
+    def test_removed_commands_are_argparse_errors(self, command):
+        # `repro figures fig02` / `repro figures claims` produce these tables.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
 
 
 @pytest.mark.experiments
@@ -134,6 +132,25 @@ class TestSweep:
         table = (results / "fig02_routing_table.txt").read_text()
         assert table.startswith("\n===== fig02_routing_table [scale=small] =====")
         assert "| paper:" in table
+
+    def test_figures_check_diffs_against_committed(self, tmp_path, capsys):
+        argv = ["figures", "claims", "--check", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + ["--results-dir", str(COMMITTED)]) == 0
+        assert "paper_prose_claims.txt: ok" in capsys.readouterr().out
+        stale = tmp_path / "results"
+        stale.mkdir()
+        text = (COMMITTED / "paper_prose_claims.txt").read_text()
+        (stale / "paper_prose_claims.txt").write_text(text.replace("1680", "1681"))
+        assert main(argv + ["--results-dir", str(stale)]) == 1
+        out = capsys.readouterr().out
+        assert "DIFFERS" in out and "+minimal paths" in out
+
+    def test_figures_without_a_name_runs_every_paper_figure(self, capsys):
+        assert main(["figures", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        for name in ("fig02", "fig08", "fig15_16", "ablations", "claims"):
+            assert f"campaign {name} [" in out
+        assert "campaign synth" not in out
 
 
 @pytest.mark.synth
