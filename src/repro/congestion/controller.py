@@ -156,7 +156,6 @@ class RateController:
             allocation_cache if allocation_cache is not None else BoundedLru(1)
         )
         self._table = FlowTable()
-        self._effective_cap = None  # headroom-adjusted capacities, lazy
         self._allocation: Optional[RateAllocation] = None
         self._allocated_generation = -1
         self._known_at_last_epoch: set = set()
@@ -329,12 +328,18 @@ class RateController:
         return allocation
 
     def _effective_capacities(self):
-        """The headroom-adjusted capacity vector, computed once per node."""
-        if self._effective_cap is None:
-            self._effective_cap = effective_capacities(
+        """The headroom-adjusted capacity vector: one read-only array per
+        (topology, headroom), shared by every node's controller through
+        :attr:`~repro.topology.base.Topology.derived`."""
+        derived = self._topology.derived
+        key = ("effective-capacities", self._config.headroom)
+        cap = derived.get(key)
+        if cap is None:
+            cap = derived[key] = effective_capacities(
                 self._topology, self._config.headroom
             )
-        return self._effective_cap
+            cap.flags.writeable = False
+        return cap
 
     def _cached_waterfill(self, flows) -> RateAllocation:
         """Water-fill memoized on the table contents.

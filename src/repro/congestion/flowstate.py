@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CongestionControlError
 from ..types import FlowId, NodeId
@@ -36,6 +36,10 @@ class FlowSpec:
         start_time_ns: When the flow started, used by the batching logic to
             exempt very young flows from rate-limiting.
         tenant: Optional tenant tag consumed by allocation policies.
+        fingerprints: Two independently salted 64-bit hashes of the fields
+            above except ``start_time_ns`` and ``tenant``, folded into
+            :attr:`FlowTable.content_key`.  Computed once per object, since
+            one broadcast spec is added to every node's table.
     """
 
     flow_id: FlowId
@@ -61,6 +65,11 @@ class FlowSpec:
             raise CongestionControlError(
                 f"flow {self.flow_id}: demand must be positive, got {self.demand_bps}"
             )
+        # Set during __init__, not memoised on first use: a write through
+        # the instance __dict__ later (as functools.cached_property does)
+        # moves the fields out of CPython's inline storage and makes every
+        # field read about twice as slow.
+        object.__setattr__(self, "fingerprints", _fingerprints(self))
 
     def with_demand(self, demand_bps: float) -> "FlowSpec":
         """Copy of this spec with an updated demand estimate."""
@@ -70,6 +79,13 @@ class FlowSpec:
         """Copy of this spec routed by a different protocol (§3.4)."""
         return replace(self, protocol=protocol)
 
+    def __setstate__(self, state: dict) -> None:
+        # ``hash`` of a ``str`` differs between processes: a pickled
+        # fingerprint is stale in the process that unpickles it.
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "fingerprints", _fingerprints(self))
+
 
 #: Independent salts folding each spec into the table's content fingerprint.
 _FP_SALT_A = 0x9E3779B97F4A7C15
@@ -77,22 +93,20 @@ _FP_SALT_B = 0xC2B2AE3D27D4EB4F
 _FP_MASK = (1 << 64) - 1
 
 
-def _spec_fingerprint(spec: FlowSpec, salt: int) -> int:
-    """64-bit hash of the allocation-relevant fields of one spec."""
+def _fingerprints(spec: FlowSpec) -> Tuple[int, int]:
+    """Two salted 64-bit hashes of the allocation-relevant fields of one spec."""
+    fields = (
+        spec.flow_id,
+        spec.src,
+        spec.dst,
+        spec.protocol,
+        spec.weight,
+        spec.priority,
+        spec.demand_bps,
+    )
     return (
-        hash(
-            (
-                salt,
-                spec.flow_id,
-                spec.src,
-                spec.dst,
-                spec.protocol,
-                spec.weight,
-                spec.priority,
-                spec.demand_bps,
-            )
-        )
-        & _FP_MASK
+        hash((_FP_SALT_A, *fields)) & _FP_MASK,
+        hash((_FP_SALT_B, *fields)) & _FP_MASK,
     )
 
 
@@ -141,8 +155,9 @@ class FlowTable:
         return (len(self._flows), self._fp_a, self._fp_b)
 
     def _fold_in(self, spec: FlowSpec) -> None:
-        self._fp_a ^= _spec_fingerprint(spec, _FP_SALT_A)
-        self._fp_b ^= _spec_fingerprint(spec, _FP_SALT_B)
+        fp_a, fp_b = spec.fingerprints
+        self._fp_a ^= fp_a
+        self._fp_b ^= fp_b
 
     # XOR is its own inverse, so folding a spec out is folding it in again.
     _fold_out = _fold_in

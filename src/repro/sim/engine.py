@@ -218,16 +218,17 @@ class EventLoop:
             probe.engine_batch(batch_start, self._now, processed)
         return processed
 
-    def schedule_batch(self, delay_ns: int, actions) -> None:
-        """Run several actions at one future instant as a *single* event.
+    def schedule_batch(self, delay_ns: int, actions: List[Callable[[], None]]) -> None:
+        """Run several zero-argument actions at one future instant as a
+        *single* event.
 
         FIFO-equivalent to scheduling each action consecutively at the same
         delay (they execute in list order), but costs one heap entry instead
         of ``len(actions)``.  Used to coalesce the same-timestamp finish
-        events of a broadcast fan-out.  Note that the batch counts as one
-        processed event in :attr:`events_processed`.
+        events of a broadcast fan-out.  The loop keeps the list it is handed
+        (no copy), so the caller must not change it afterwards.  Note that
+        the batch counts as one processed event in :attr:`events_processed`.
         """
-        actions = list(actions)
         if not actions:
             return
         if len(actions) == 1:

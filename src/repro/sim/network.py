@@ -11,9 +11,11 @@ on-chip implementation.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from functools import partial
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -186,6 +188,18 @@ class OutputPort:
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
         self._busy = False
+        fifo = type(queue) is FifoQueue
+        #: A FIFO never holds back a packet, so while the port is idle its
+        #: queue is empty: without a probe watching enqueues, a packet up
+        #: to this size starts transmission without touching the queue
+        #: (-1: always queue — PFQ, or a probe is attached).
+        self._direct_limit = (
+            -1 if not fifo or probe is not None
+            else math.inf if queue._limit is None else queue._limit
+        )
+        #: the FIFO's packets, so a finish that leaves it empty skips the
+        #: dequeue; None for other disciplines.
+        self._fifo = queue._queue if fifo else None
         #: serialization time per packet size seen (a handful: MTU, ACK,
         #: broadcast and each flow's tail), so a hop does not re-divide.
         self._tx_ns: Dict[int, int] = {}
@@ -198,14 +212,26 @@ class OutputPort:
         self.busy_ns = 0
 
     def send(self, packet: SimPacket, pending: Optional[list] = None) -> bool:
-        """Queue a packet for transmission; returns False on drop.
+        """Hand a packet to the port; returns False on drop.
+
+        An idle FIFO port with no probe starts transmitting a packet that
+        fits its limit at once: the queue would hold it only from its
+        enqueue to the dequeue that follows, so ``max_occupancy_bytes``
+        still counts it and nothing else differs.  Any other packet is
+        enqueued (or dropped when the queue is full) and, if the port is
+        idle, the queue picks what to start.
 
         With a *pending* list (the :meth:`send_batched` form), a
         transmission this starts is not scheduled: its ``(duration_ns,
-        finish_callback)`` is appended to *pending* and the caller
-        coalesces the same-duration finishes of a broadcast fan-out into
-        one event-loop entry.
+        finish_callback)`` — a zero-argument callable — is appended to
+        *pending* and the caller coalesces the same-duration finishes of a
+        broadcast fan-out into one event-loop entry.
         """
+        if not self._busy and packet.size_bytes <= self._direct_limit:
+            if packet.size_bytes > self.max_occupancy_bytes:
+                self.max_occupancy_bytes = packet.size_bytes
+            self._start(packet, pending)
+            return True
         probe = self._probe
         if not self.queue.enqueue(packet):
             self.drops += 1
@@ -229,18 +255,23 @@ class OutputPort:
     send_batched = send
 
     def _transmit(self, pending: Optional[list] = None) -> None:
-        """Dequeue the next packet, if any, and start serializing it.
-
-        The one place a transmission starts, whatever freed the
-        transmitter: an arrival at an idle port, the previous packet's
-        finish, or :meth:`kick`.  The finish event is scheduled, or — for
-        :meth:`send_batched` — appended to *pending* for the caller to
-        schedule.
-        """
+        """Start the queue's next packet, or mark the port idle if the
+        queue has nothing to serve (empty, or every flow paused)."""
         packet = self.queue.dequeue()
         if packet is None:
             self._busy = False
-            return
+        else:
+            self._start(packet, pending)
+
+    def _start(self, packet: SimPacket, pending: Optional[list] = None) -> None:
+        """Start serializing *packet*.
+
+        The one place a transmission starts, whatever freed the
+        transmitter: a send to an idle port, the previous packet's finish,
+        or :meth:`kick`.  The finish event is scheduled, or — for
+        :meth:`send_batched` — appended to *pending* for the caller to
+        schedule.
+        """
         self._busy = True
         size = packet.size_bytes
         try:
@@ -278,7 +309,11 @@ class OutputPort:
             self._loop.schedule(
                 self._latency_ns, self._deliver, packet, prio=self.prio
             )
-        self._transmit()
+        fifo = self._fifo
+        if fifo is not None and not fifo:
+            self._busy = False
+        else:
+            self._transmit()
 
     def kick(self) -> None:
         """Restart transmission after a pause/resume changed the queue."""
@@ -536,18 +571,8 @@ class RackNetwork:
             loop.schedule(duration, fire)
             return
         pending.sort(key=itemgetter(0))
-        i = 0
-        n = len(pending)
-        while i < n:
-            duration = pending[i][0]
-            j = i + 1
-            while j < n and pending[j][0] == duration:
-                j += 1
-            if j - i == 1:
-                loop.schedule(duration, pending[i][1])
-            else:
-                loop.schedule_batch(duration, [item[1] for item in pending[i:j]])
-            i = j
+        for duration, group in groupby(pending, itemgetter(0)):
+            loop.schedule_batch(duration, [fire for _, fire in group])
 
     def _deliver_local(self, node: NodeId, packet: SimPacket) -> None:
         stack = self.stack_at[node]

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...broadcast.fib import BroadcastFib
 from ...congestion.controller import ControllerConfig, RateController
-from ...congestion.flowstate import FlowSpec
+from ...congestion.flowstate import FlowSpec, FlowTable
 from ...errors import SimulationError
 from ...lru import BoundedLru
 from ...types import NodeId
@@ -189,6 +189,10 @@ class PerNodeControlPlane:
         self.controllers: List[RateController] = [
             self._by_node[node] for node in self._nodes
         ]
+        #: each node's flow table, resolved once for the per-copy path.
+        self._tables: Dict[NodeId, FlowTable] = {
+            node: controller.table for node, controller in self._by_node.items()
+        }
         #: kept for interface parity (metrics, reliable stack internals).
         self.controller = self.controllers[0]
         self._stacks: List["R2C2Stack"] = []
@@ -239,7 +243,7 @@ class PerNodeControlPlane:
 
     def on_flow_reannounced(self, spec: FlowSpec, node: NodeId) -> None:
         """§3.2 recovery: the sender refreshes its own table entry."""
-        self._by_node[node].table.add(spec)
+        self._tables[node].add(spec)
 
     def on_flow_finished(self, flow_id: int, node: NodeId) -> None:
         self._by_node[node].on_flow_finished(flow_id, self.loop.now)
@@ -255,16 +259,15 @@ class PerNodeControlPlane:
         if src == node:
             return  # the sender already applied its own event
         event, data = payload
-        controller = self._by_node[node]
         if event == _EVENT_START:
             # Remote nodes store the spec; they never rate-limit it, so the
             # young-flow water-fill is suppressed by inserting directly.
-            controller.table.add(data)
+            self._tables[node].add(data)
         elif event == _EVENT_FINISH:
-            controller.table.remove(data)
+            self._tables[node].remove(data)
         elif event == _EVENT_DEMAND:
             flow_id, demand_bps = data
-            controller.on_demand_update(flow_id, demand_bps)
+            self._by_node[node].on_demand_update(flow_id, demand_bps)
         else:
             raise SimulationError(f"unknown broadcast event {event}")
 

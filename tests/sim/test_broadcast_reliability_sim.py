@@ -101,6 +101,56 @@ class TestBroadcastDropRecovery:
         assert stack.broadcast_retransmissions == 0
 
 
+class TestSharedPlaneReannounce:
+    def test_reannounce_refreshes_without_readmitting(self):
+        """§3.2 under the shared plane: one START broadcast per ongoing
+        flow, the table's contents unchanged, no young-flow rate re-pinned."""
+        from repro.broadcast import BroadcastFib
+        from repro.congestion.controller import RateController
+        from repro.sim import KIND_BROADCAST, EventLoop, RackNetwork
+        from repro.sim.flows import SimFlow
+        from repro.sim.stacks.r2c2 import _EVENT_START, R2C2Stack, SharedControlPlane
+        from repro.workloads import FlowArrival
+
+        topo = TorusTopology((3, 3))
+        loop = EventLoop()
+        network = RackNetwork(loop, topo, fib=BroadcastFib(topo, n_trees=2))
+        controller = RateController(topo, 0)
+        control = SharedControlPlane(loop, network, controller)
+        flows = {}
+        stacks = [R2C2Stack(n, loop, network, control, flows, n_trees=2) for n in topo.nodes()]
+        network.stack_at[:] = stacks
+        # Two long flows over one pair: the second's admission fill splits
+        # the path, the first keeps the rate pinned when it started alone.
+        for flow_id in (0, 1):
+            flows[flow_id] = SimFlow(FlowArrival(flow_id, 0, 4, 10_000_000, 0))
+            stacks[0].start_flow(flows[flow_id])
+        loop.run_until(50_000)
+        rates = [control.rate_for(flow_id, 0) for flow_id in (0, 1)]
+        assert rates[0] > rates[1]
+        key = controller.table.content_key
+
+        injected = []
+        inject = network.inject
+
+        def recording_inject(node, packet):
+            injected.append((node, packet))
+            return inject(node, packet)
+
+        network.inject = recording_inject
+        assert sum(stack.reannounce_ongoing() for stack in stacks) == 2
+        announced = [
+            (node, packet.payload[0], packet.payload[1].flow_id)
+            for node, packet in injected
+            if packet.kind == KIND_BROADCAST
+        ]
+        assert announced == [(0, _EVENT_START, 0), (0, _EVENT_START, 1)]
+        assert controller.table.content_key == key
+        assert [control.rate_for(flow_id, 0) for flow_id in (0, 1)] == rates
+        loop.run_until(loop.now + 50_000)  # the re-broadcasts travel the fabric
+        assert len(injected) > len(announced)  # pacing went on meanwhile
+
+
 @pytest.mark.validation
 class TestLinkFailureReannounce:
     """§3.2: after topology discovery reports a failure, every node

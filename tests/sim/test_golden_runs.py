@@ -173,10 +173,26 @@ def test_sharded_per_node_hits_the_serial_pin():
     assert _digest(result.metrics) == PINS["r2c2-per-node"][0]
 
 
+#: Runs whose ports take both send paths: an idle FIFO port without a probe
+#: starts a transmission without queueing; with a probe attached every
+#: packet goes through the queue.  Equal pins prove the two paths equal,
+#: including where finite queues drop.
+OBSERVED = [
+    "r2c2-per-node",
+    "r2c2-queue-3000",
+    "r2c2-queue-1600-per-node",
+    "tcp",
+    "tcp-loss",
+    "pfq",
+]
+
+
 def test_observers_hit_the_plain_pin():
-    metrics = _run("r2c2-per-node", audit=True, obs=True, flight=True)
-    assert metrics.audit.ok
-    assert (_digest(metrics), metrics.events_processed) == PINS["r2c2-per-node"]
+    for name in OBSERVED:
+        # causal tracing cannot follow PFQ's back-pressure: pfq runs without it
+        metrics = _run(name, audit=True, flight=True, obs=name != "pfq")
+        assert metrics.audit.ok, name
+        assert (_digest(metrics), metrics.events_processed) == PINS[name], name
 
 
 if __name__ == "__main__":
