@@ -94,9 +94,9 @@ class PacketObs:
         self.queue_ns = 0
         self.ser_ns = 0
         self.prop_ns = 0
-        #: transmission-finish time at the last hop (propagation is
-        #: accounted receiver-side: arrival - last finish, which is what
-        #: makes zero-latency cut ports correct across shards).
+        #: transmission-finish time at the last hop, stamped as it starts
+        #: (propagation is accounted receiver-side: arrival - last finish,
+        #: which is what makes zero-latency cut ports correct across shards).
         self.last_finish_ns: Optional[int] = None
         #: per-hop queueing record: (src, dst, queue_wait_ns).
         self.hops: List[Tuple[int, int, int]] = []

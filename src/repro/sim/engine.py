@@ -13,10 +13,10 @@ property of the links involved, not of which event loop scheduled first.
 
 An event record carries its callee's arguments — the heap entry is
 ``(timestamp, priority, sequence, action, args)`` and the loop runs
-``action(*args)`` — so the per-packet callers (port finish and delivery,
-pacing and retransmission timers, flow arrivals, shard boundary arrivals)
-schedule a bound method and a packet or flow, never a closure built for
-one event.
+``action(*args)`` — so the per-packet callers (packet delivery, a port's
+finish while a packet waits, pacing and retransmission timers, flow
+arrivals, shard boundary arrivals) schedule a bound method and a packet or
+flow, never a closure built for one event.
 
 An optional *probe* (:mod:`repro.sim.probe`) is told about every batch
 of events a ``run`` call processed and — when a subscriber such as the
@@ -116,17 +116,31 @@ class EventLoop:
         self._seq += 1
 
     def schedule_at(
-        self, at_ns: int, action: Callable[..., None], *args, prio: int = 0
+        self, at_ns: int, action: Callable[..., None], *args, prio: int = 0,
+        seq: Optional[int] = None,
     ) -> None:
-        """Run ``action(*args)`` at absolute time *at_ns* (see :meth:`schedule`)."""
+        """Run ``action(*args)`` at absolute time *at_ns* (see :meth:`schedule`).
+
+        *seq*, taken earlier from :meth:`reserve_seq`, orders the event as
+        if it had been scheduled when the number was reserved.
+        """
         if type(at_ns) is not int:
             at_ns = _as_time_ns(at_ns, "timestamp")
         if at_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at {at_ns} ns, current time is {self._now} ns"
             )
-        heappush(self._queue, (at_ns, prio, self._seq, action, args))
-        self._seq += 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        heappush(self._queue, (at_ns, prio, seq, action, args))
+
+    def reserve_seq(self) -> int:
+        """The next FIFO sequence number, for an event that may be
+        scheduled later (``schedule_at(..., seq=...)``) or never."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue drains or a bound is reached.
@@ -224,10 +238,10 @@ class EventLoop:
 
         FIFO-equivalent to scheduling each action consecutively at the same
         delay (they execute in list order), but costs one heap entry instead
-        of ``len(actions)``.  Used to coalesce the same-timestamp finish
-        events of a broadcast fan-out.  The loop keeps the list it is handed
-        (no copy), so the caller must not change it afterwards.  Note that
-        the batch counts as one processed event in :attr:`events_processed`.
+        of ``len(actions)``, e.g. for ``OutputPort.send_batched``'s pending
+        items.  The loop keeps the list it is handed (no copy), so the
+        caller must not change it afterwards.  Note that the batch counts
+        as one processed event in :attr:`events_processed`.
         """
         if not actions:
             return

@@ -15,8 +15,6 @@ import math
 import random
 from collections import deque
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..broadcast.fib import BroadcastFib
@@ -148,7 +146,13 @@ class PerFlowRoundRobin:
 
 
 class OutputPort:
-    """One directed link's queue and transmitter at its sending node."""
+    """One directed link's queue and transmitter at its sending node.
+
+    A hop is one event: a transmission schedules its packet's delivery as
+    serialization starts, and a finish event (:meth:`_finish`, at the
+    instant ``_free_at`` the serialization ends) exists only while a
+    packet waits behind it.
+    """
 
     def __init__(
         self,
@@ -187,19 +191,19 @@ class OutputPort:
         #: exempt so the control plane stays testable independently.
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
-        self._busy = False
-        fifo = type(queue) is FifoQueue
-        #: A FIFO never holds back a packet, so while the port is idle its
+        #: A finish is ``_armed`` at ``_free_at`` with the sequence number
+        #: reserved as that serialization started, so it sorts among the
+        #: instant's events exactly where a finish scheduled then would.
+        self._free_at = self._finish_seq = 0
+        self._armed = False
+        #: A FIFO never holds back a packet, so while no finish is armed its
         #: queue is empty: without a probe watching enqueues, a packet up
         #: to this size starts transmission without touching the queue
         #: (-1: always queue — PFQ, or a probe is attached).
         self._direct_limit = (
-            -1 if not fifo or probe is not None
+            -1 if type(queue) is not FifoQueue or probe is not None
             else math.inf if queue._limit is None else queue._limit
         )
-        #: the FIFO's packets, so a finish that leaves it empty skips the
-        #: dequeue; None for other disciplines.
-        self._fifo = queue._queue if fifo else None
         #: serialization time per packet size seen (a handful: MTU, ACK,
         #: broadcast and each flow's tail), so a hop does not re-divide.
         self._tx_ns: Dict[int, int] = {}
@@ -218,19 +222,24 @@ class OutputPort:
         fits its limit at once: the queue would hold it only from its
         enqueue to the dequeue that follows, so ``max_occupancy_bytes``
         still counts it and nothing else differs.  Any other packet is
-        enqueued (or dropped when the queue is full) and, if the port is
-        idle, the queue picks what to start.
+        enqueued (or dropped when the queue is full) and, if no finish is
+        armed, :meth:`_finish` serves it.  The port is idle from
+        ``_free_at`` on, unless a packet still waits for the armed finish.
 
-        With a *pending* list (the :meth:`send_batched` form), a
-        transmission this starts is not scheduled: its ``(duration_ns,
-        finish_callback)`` — a zero-argument callable — is appended to
-        *pending* and the caller coalesces the same-duration finishes of a
-        broadcast fan-out into one event-loop entry.
+        With a *pending* list (the :meth:`send_batched` form), the delivery
+        a transmission this starts would schedule is appended to *pending*
+        instead, as ``(duration_ns, callable)``: calling it with no argument
+        delivers the packet one link latency later.
         """
-        if not self._busy and packet.size_bytes <= self._direct_limit:
+        now = self._loop.now
+        if (
+            not self._armed
+            and self._free_at <= now
+            and packet.size_bytes <= self._direct_limit
+        ):
             if packet.size_bytes > self.max_occupancy_bytes:
                 self.max_occupancy_bytes = packet.size_bytes
-            self._start(packet, pending)
+            self._start(packet, now, pending)
             return True
         probe = self._probe
         if not self.queue.enqueue(packet):
@@ -245,34 +254,24 @@ class OutputPort:
         occupancy = self.queue.occupancy_bytes
         if occupancy > self.max_occupancy_bytes:
             self.max_occupancy_bytes = occupancy
-        if not self._busy:
-            self._transmit(pending)
+        if not self._armed:
+            self._finish(pending)
         return True
 
-    #: The fan-out's name for ``send(packet, pending)``: one method, so the
-    #: accept logic exists once; two names, so a tracer that wraps entry
-    #: points by name tells broadcast copies from unicast sends.
+    #: The fan-out's name for :meth:`send`: one method, so the accept logic
+    #: exists once; two names, so a tracer that wraps entry points by name
+    #: tells broadcast copies from unicast sends.
     send_batched = send
 
-    def _transmit(self, pending: Optional[list] = None) -> None:
-        """Start the queue's next packet, or mark the port idle if the
-        queue has nothing to serve (empty, or every flow paused)."""
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-        else:
-            self._start(packet, pending)
-
-    def _start(self, packet: SimPacket, pending: Optional[list] = None) -> None:
-        """Start serializing *packet*.
+    def _start(self, packet: SimPacket, now: int, pending: Optional[list] = None) -> None:
+        """Start serializing *packet* at *now* and schedule its delivery.
 
         The one place a transmission starts, whatever freed the
-        transmitter: a send to an idle port, the previous packet's finish,
-        or :meth:`kick`.  The finish event is scheduled, or — for
-        :meth:`send_batched` — appended to *pending* for the caller to
-        schedule.
+        transmitter: a send to an idle port, the finish event, or
+        :meth:`kick`.  The packet arrives at ``now + duration + latency``
+        unless the wire corrupts it (each port draws its losses from its
+        own stream, in transmission order).
         """
-        self._busy = True
         size = packet.size_bytes
         try:
             duration = self._tx_ns[size]
@@ -280,17 +279,15 @@ class OutputPort:
             duration = self._tx_ns[size] = transmission_time_ns(
                 size, self._capacity_bps
             )
+        loop = self._loop
+        self._free_at = now + duration
+        self._finish_seq = loop.reserve_seq()
         self.busy_ns += duration
         self.bytes_sent += size
         self.packets_sent += 1
-        if self._probe is not None:
-            self._probe.tx_start(self, packet, duration)
-        if pending is None:
-            self._loop.schedule(duration, self._finish, packet)
-        else:
-            pending.append((duration, partial(self._finish, packet)))
-
-    def _finish(self, packet: SimPacket) -> None:
+        probe = self._probe
+        if probe is not None:
+            probe.tx_start(self, packet, duration)
         if (
             self._loss_rate > 0.0
             and packet.kind != KIND_BROADCAST
@@ -300,30 +297,46 @@ class OutputPort:
             # Corrupted on the wire: it consumed transmission time but is
             # discarded by the receiver's checksum.
             self.wire_losses += 1
-            if self._probe is not None:
-                self._probe.wire_loss(self, packet)
+            if probe is not None:
+                probe.wire_loss(self, packet)
+            return
+        if probe is not None:
+            probe.tx_finish(self, packet, self._free_at)
+        if pending is None:
+            loop.schedule(duration + self._latency_ns, self._deliver, packet, prio=self.prio)
         else:
-            # Propagation happens in parallel with the next serialization.
-            if self._probe is not None:
-                self._probe.tx_finish(self, packet)
-            self._loop.schedule(
-                self._latency_ns, self._deliver, packet, prio=self.prio
-            )
-        fifo = self._fifo
-        if fifo is not None and not fifo:
-            self._busy = False
-        else:
-            self._transmit()
+            pending.append((duration, partial(
+                loop.schedule, self._latency_ns, self._deliver, packet, prio=self.prio)))
+
+    def _finish(self, pending: Optional[list] = None) -> None:
+        """Start the queue's next packet if the transmitter is free, then
+        arm a finish at ``_free_at`` if a packet still waits.
+
+        Called as the armed finish event, and by a send or :meth:`kick`
+        that finds none armed.  ``_armed`` stays set across the event's
+        dequeue, so a send re-entering from it (a PFQ queue resuming a
+        source) queues behind.
+        """
+        now = self._loop.now
+        if self._free_at <= now:
+            packet = self.queue.dequeue()
+            self._armed = False
+            if packet is None:
+                return
+            self._start(packet, now, pending)
+        if self.queue.occupancy_bytes:
+            self._armed = True
+            self._loop.schedule_at(self._free_at, self._finish, seq=self._finish_seq)
 
     def kick(self) -> None:
         """Restart transmission after a pause/resume changed the queue."""
-        if not self._busy:
-            self._transmit()
+        if not self._armed:
+            self._finish()
 
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized."""
-        return self._busy
+        return self._loop.now < self._free_at
 
     @property
     def capacity_bps(self) -> float:
@@ -354,8 +367,9 @@ class RackNetwork:
         owned sender, remote receiver — serializes packets normally (so its
         queueing/transmission statistics stay exact) but hands the finished
         packet to ``boundary(arrival_ns, dst, packet)`` at transmission-end
-        time instead of scheduling local propagation; the shard coordinator
-        relays it to the owning shard, which re-enters it via
+        time instead of scheduling local propagation (its delivery event
+        has zero latency, so it fires as serialization ends); the shard
+        coordinator relays it to the owning shard, which re-enters it via
         :meth:`arrived`.  The hand-off consumes exactly the event-loop slot
         the serial engine would spend on the propagation event (keeping
         per-shard sequence assignment aligned), and the injected event
@@ -532,7 +546,6 @@ class RackNetwork:
             return True
         ports = self._ports[node]
         ok = True
-        pending: list = []
         for child in children:
             port = ports.get(child)
             if port is None:
@@ -552,27 +565,8 @@ class RackNetwork:
                 packet.payload,
                 packet.sent_ns,
             )
-            ok = port.send_batched(copy, pending) and ok
-        if pending:
-            self._schedule_transmissions(pending)
+            ok = port.send_batched(copy) and ok
         return ok
-
-    def _schedule_transmissions(self, pending: list) -> None:
-        """Schedule batched port finishes, coalescing equal durations.
-
-        A broadcast fan-out pushes identical-size copies onto several idle
-        ports at once; on a uniform fabric their serializations finish at
-        the same instant, so the finish callbacks share one event-loop
-        entry.  The sort is stable, keeping FIFO order within a group.
-        """
-        loop = self._loop
-        if len(pending) == 1:
-            duration, fire = pending[0]
-            loop.schedule(duration, fire)
-            return
-        pending.sort(key=itemgetter(0))
-        for duration, group in groupby(pending, itemgetter(0)):
-            loop.schedule_batch(duration, [fire for _, fire in group])
 
     def _deliver_local(self, node: NodeId, packet: SimPacket) -> None:
         stack = self.stack_at[node]

@@ -144,7 +144,7 @@ class SimProbe:
             packet.obs.tx_started(self._loop.now, duration_ns, port.src, port.dst)
 
     def wire_loss(self, port, packet) -> None:
-        """*packet* finished serialization but was corrupted on the wire."""
+        """*packet* started serializing but is corrupted on the wire."""
         if self.auditor is not None:
             self.auditor.on_wire_loss(port, packet)
         self._record(
@@ -152,12 +152,13 @@ class SimProbe:
             flow=packet.flow_id, seq=packet.seq,
         )
 
-    def tx_finish(self, port, packet) -> None:
-        """*packet* finished serialization and entered propagation."""
+    def tx_finish(self, port, packet, finish_ns: int) -> None:
+        """*packet* started serializing; it finishes at *finish_ns* and
+        then propagates."""
         if self.auditor is not None:
-            self.auditor.on_propagate(port, packet)
+            self.auditor.on_propagate(port, packet, finish_ns)
         if packet.obs is not None:
-            packet.obs.last_finish_ns = self._loop.now
+            packet.obs.last_finish_ns = finish_ns
 
     def arrive(self, node: int, packet) -> None:
         """*packet* finished propagating to *node*."""

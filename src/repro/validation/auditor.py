@@ -241,19 +241,26 @@ class InvariantAuditor:
             )
 
     def on_wire_loss(self, port, packet) -> None:
-        """A transmitted packet was corrupted on the wire (fault injection)."""
+        """A packet that started serializing is corrupted on the wire."""
         if not self.enabled:
             return
         audit = self._port(port)
         audit.finished += 1
         audit.wire_lost += 1
 
-    def on_propagate(self, port, packet) -> None:
-        """A packet finished serialization and entered propagation."""
+    def on_propagate(self, port, packet, finish_ns: int) -> None:
+        """A packet that started serializing finishes at *finish_ns* and
+        then propagates."""
         if not self.enabled:
             return
-        self._port(port).finished += 1
+        audit = self._port(port)
+        audit.finished += 1
         self._propagated += 1
+        if self._loop is not None and finish_ns != audit.tx_busy_until:
+            self._violate(
+                f"port {port.src}->{port.dst}: packet propagates from {finish_ns} ns "
+                f"but its serialization ends at {audit.tx_busy_until} ns"
+            )
 
     def on_arrive(self, node: NodeId, packet) -> None:
         """A packet finished propagating to *node*."""
@@ -334,6 +341,7 @@ class InvariantAuditor:
         """
         if not self.enabled:
             return
+        now = self._loop.now if self._loop is not None else 0
         for (src, dst), audit in self._ports.items():
             port = self._network.port(src, dst) if self._network is not None else None
             queued = len(port.queue) if port is not None else 0
@@ -343,10 +351,13 @@ class InvariantAuditor:
                     f"port {src}->{dst}: conservation broken — accepted "
                     f"{audit.accepted} != started {audit.started} + queued {queued}"
                 )
-            if audit.started != audit.finished + in_service:
+            # A transmission's outcome is reported as it starts: the one
+            # still on the wire (by the auditor's own clock) is not finished.
+            finished = audit.finished - (audit.tx_busy_until > now)
+            if audit.started != finished + in_service:
                 self._violate(
                     f"port {src}->{dst}: conservation broken — started "
-                    f"{audit.started} != finished {audit.finished} + in-service {in_service}"
+                    f"{audit.started} != finished {finished} + in-service {in_service}"
                 )
         if check_transit and drained and self._propagated != self._arrived:
             self._violate(

@@ -23,17 +23,20 @@ from repro.workloads import poisson_trace
 
 pytestmark = pytest.mark.distsim
 
-#: Sync profile of the seeded 4x4 K=4 run below, as produced by commit
-#: d4d3763 (the parent of the deletion).
+#: Sync profile of the seeded 4x4 K=4 run below.  Boundary traffic is as
+#: produced by commit d4d3763 (the parent of the deletion); rounds and mean
+#: window were re-pinned when a packet hop became one event (1690 rounds of
+#: 591.7 ns before): with no finish event per hop, the next-event bound
+#: jumps further, and the same messages cross in fewer windows.
 PINNED_PROFILE = {
-    "rounds": 1690,
+    "rounds": 1627,
     "boundary_messages": 1219,
     "lookahead_ns": 100,
-    "mean_window_ns": 591.7159763313609,
+    "mean_window_ns": 614.6281499692686,
     "lookahead_utilization": 1.0,
 }
 #: per shard: (rounds, boundary_in, boundary_out)
-PINNED_SHARDS = [(1690, 226, 533), (1690, 638, 168), (1690, 164, 296), (1690, 191, 222)]
+PINNED_SHARDS = [(1627, 226, 533), (1627, 638, 168), (1627, 164, 296), (1627, 191, 222)]
 
 _EXECUTOR_NAMES = {
     "EXECUTORS",

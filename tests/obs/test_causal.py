@@ -8,6 +8,7 @@ run's decompositions must be byte-identical to the serial run's.
 """
 
 import types
+from dataclasses import replace
 
 import pytest
 
@@ -81,6 +82,27 @@ class TestExactDecomposition:
             # (TCP's loss recovery is ACK-clocked, so its recovery time
             # lands in the pacing remainder by design.)
             assert retransmitted > 0
+
+    def test_host_limited_flows_report_host_wait(self):
+        """The probe's ``host_wait`` site: a flow whose application produces
+        bytes slower than its allocated rate waits on the host, and the
+        wait is a component of its exact decomposition."""
+        topology = TorusTopology((4, 4))
+        trace = [
+            replace(arrival, app_rate_bps=2e9)
+            for arrival in poisson_trace(topology, 20, 8_000, seed=5)
+        ]
+        metrics = run_simulation(topology, trace, SimConfig(stack="r2c2", seed=5, obs=True))
+        records = list(metrics.flow_obs.values())
+        assert len(records) == len(trace)
+        assert all(record["components"]["host_wait_ns"] > 0 for record in records)
+        (latency_ns,) = {link.latency_ns for link in topology.links}
+        for record in records:
+            assert check_decomposition(record, tolerance_ns=0) is None
+            # the finish instant a port reports at serialization start is
+            # exact: one link latency per hop of the completing packet
+            hops = len(record["critical_path"])
+            assert record["components"]["propagation_ns"] == hops * latency_ns
 
     def test_obs_does_not_perturb_the_simulation(self):
         topology, trace = _fig7_workload()

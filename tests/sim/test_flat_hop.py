@@ -1,6 +1,7 @@
-"""The flat packet hop: what the restructured send -> finish -> arrive ->
-deliver chain must keep (errors, node-id validation, scheduling with
-arguments) and must not grow back (a closure per event or per link).
+"""The flat packet hop: what the restructured send -> arrive -> deliver
+chain (one event per hop; a port's finish only while a packet waits) must
+keep (errors, node-id validation, scheduling with arguments) and must not
+grow back (a closure per event or per link).
 """
 
 import ast
@@ -72,6 +73,14 @@ class TestScheduleWithArguments:
             with pytest.raises(SimulationError):
                 entry(bad, print, "x")
         assert loop.pending() == 0
+
+    def test_a_reserved_sequence_number_orders_a_later_event(self):
+        loop, seen = EventLoop(), []
+        seq = loop.reserve_seq()
+        loop.schedule(4, seen.append, "scheduled first")
+        loop.schedule_at(4, seen.append, "reserved first", seq=seq)
+        assert loop.run() == 2
+        assert seen == ["reserved first", "scheduled first"]
 
     def test_schedule_batch_is_one_event_over_callables(self):
         loop, seen = EventLoop(), []

@@ -131,7 +131,8 @@ class TestInjectedDataPlaneBug:
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 1, 8000, path=(0, 1)))
         assert port.busy
         with pytest.raises(InvariantViolation, match="line rate"):
-            port._transmit()  # the injected bug: ignores the busy flag
+            # the injected bug: starts the waiting packet before _free_at
+            port._start(port.queue.dequeue(), port._loop.now)
 
     def test_normal_back_to_back_sends_are_fine(self):
         topo = TorusTopology((3, 3), capacity_bps=gbps(10))
@@ -153,6 +154,33 @@ class TestInjectedDataPlaneBug:
         assert report.ok
         assert report.packets_accepted == 5
         assert report.packets_arrived == 5
+
+    def _mid_serialization(self):
+        """Three packets sent back to back, the run stopped while the
+        second is on the wire (a packet's outcome is reported when its
+        serialization starts)."""
+        topo = TorusTopology((3, 3), capacity_bps=gbps(10))
+        loop = EventLoop()
+        auditor = InvariantAuditor(strict=False)
+        network = RackNetwork(loop, topo, probe=SimProbe(loop, auditor=auditor))
+        port = network.port(0, 1)
+        for seq in range(3):
+            port.send(SimPacket(KIND_DATA, 0, 0, 1, seq, 8000, path=(0, 1)))
+        loop.run(until_ns=port._free_at + 1)
+        return auditor, port
+
+    def test_conservation_holds_mid_serialization(self):
+        auditor, port = self._mid_serialization()
+        assert port.busy and len(port.queue) == 1
+        report = auditor.final_check(drained=False)
+        assert report.ok, report.violations
+        assert report.packets_propagated == 2
+
+    def test_busy_disagreeing_with_the_serialization_window_is_caught(self):
+        auditor, port = self._mid_serialization()
+        port._free_at = port._loop.now  # the port claims it is idle
+        report = auditor.final_check(drained=False)
+        assert any("in-service 0" in v for v in report.violations)
 
 
 class TestEventCausality:
