@@ -13,13 +13,24 @@ complete file or the new complete file, never a prefix.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Any, Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
+__all__ = [
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "atomic_write_json",
+    "sweep_stale_temps",
+]
+
+
+def _temp_affixes(path: Path):
+    """``(prefix, suffix)`` of the temporary siblings that stage *path*."""
+    return f".{path.name}.", ".tmp"
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
@@ -28,13 +39,14 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     The temporary file is created in the destination directory so the final
     ``os.replace`` stays on one filesystem (rename is only atomic within a
     filesystem).  On any failure the destination is left untouched and the
-    temporary is removed.
+    temporary is removed — except when the process is killed between the
+    temporary's creation and the rename: :func:`sweep_stale_temps` removes
+    what that leaves.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
-    )
+    prefix, suffix = _temp_affixes(path)
+    fd, tmp_name = tempfile.mkstemp(prefix=prefix, suffix=suffix, dir=str(path.parent))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -60,6 +72,29 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         pass
     finally:
         os.close(dir_fd)
+
+
+def sweep_stale_temps(path: Union[str, Path]) -> int:
+    """Delete the temporaries a killed :func:`atomic_write_bytes` left
+    beside *path*; returns how many.
+
+    Only names of the exact shape it creates go: ``.<name>.<token>.tmp``
+    with a dot-free token, so the temporaries of a sibling named
+    ``<name>.<more>`` are not this file's.  Call it only where nothing is
+    writing *path* at the same time.
+    """
+    path = Path(path)
+    prefix, suffix = _temp_affixes(path)
+    swept = 0
+    for tmp in path.parent.glob(glob.escape(prefix) + "*" + glob.escape(suffix)):
+        if "." in tmp.name[len(prefix):-len(suffix)]:
+            continue
+        try:
+            tmp.unlink()
+        except FileNotFoundError:
+            continue
+        swept += 1
+    return swept
 
 
 def atomic_write_text(

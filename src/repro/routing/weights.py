@@ -92,7 +92,8 @@ def sample_spray_path(
     node = src
     while node != dst:
         hops = dag.next_hops(node)
-        node = hops[rng.randrange(len(hops))] if len(hops) > 1 else hops[0]
+        # choice draws what randrange(len(hops)) did; a lone hop draws none.
+        node = rng.choice(hops) if len(hops) > 1 else hops[0]
         path.append(node)
     return path
 

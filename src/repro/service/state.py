@@ -22,7 +22,9 @@ byte-for-byte identically to one that never died.  A checkpoint
 (:func:`~repro.core.ioutil.atomic_write_bytes`: tmp → fsync → rename)
 replaces checkpoint *and* tail in one rename; it is written when the file is
 first created, whenever the tail would outgrow the live flow table (replay
-never costs more than re-announcing the table) and on a graceful stop.  No
+never costs more than re-announcing the table) and on a graceful stop.  A
+kill between a checkpoint's temporary and its rename leaves the temporary
+behind; opening the ``snapshot_path`` deletes it (``stale_tmp_swept``).  No
 descriptor stays open between mutations: dropping a state without any
 ``close()`` loses and leaks nothing.  DESIGN §6g has the crash argument.
 """
@@ -36,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..congestion import FlowSpec, IncrementalWaterfill, spec_from_dict, spec_to_dict
-from ..core.ioutil import atomic_write_bytes
+from ..core.ioutil import atomic_write_bytes, sweep_stale_temps
 from ..errors import ServiceError
 from ..routing import protocol_class
 from ..sim.metrics import LatencyReservoir
@@ -96,6 +98,8 @@ class ServiceState:
         journal_records: Records in the file's tail — the replay debt.
         checkpoints: Checkpoints this instance has written.
         torn_tails: Half-written final records dropped by :meth:`restore`.
+        stale_tmp_swept: Checkpoint temporaries a kill mid-checkpoint left
+            beside ``snapshot_path``, deleted when this state opened it.
         query_latency: Wall-clock reservoir over :meth:`query` service
             times (telemetry only — never part of allocation answers).
     """
@@ -122,6 +126,7 @@ class ServiceState:
         self.journal_records = 0
         self.checkpoints = 0
         self.torn_tails = 0
+        self.stale_tmp_swept = 0
         #: the file that holds exactly this state (checkpoint + tail), if any
         self._journal_file: Optional[Path] = None
         self._replaying = False
@@ -139,8 +144,10 @@ class ServiceState:
             self._ctr_announces = self._ctr_finishes = self._ctr_queries = None
             self._ctr_fallbacks = self._ctr_incremental = None
             self._gauge_flows = None
-        if self._snapshot_path is not None and self._snapshot_path.exists():
-            self.restore(self._snapshot_path)
+        if self._snapshot_path is not None:
+            self.stale_tmp_swept = sweep_stale_temps(self._snapshot_path)
+            if self._snapshot_path.exists():
+                self.restore(self._snapshot_path)
 
     # ------------------------------------------------------------------ #
     # Operations
@@ -250,6 +257,7 @@ class ServiceState:
             "journal_records": self.journal_records,
             "checkpoints": self.checkpoints,
             "torn_tails": self.torn_tails,
+            "stale_tmp_swept": self.stale_tmp_swept,
         }
 
     # ------------------------------------------------------------------ #

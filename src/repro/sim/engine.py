@@ -18,6 +18,9 @@ finish while a packet waits, pacing and retransmission timers, flow
 arrivals, shard boundary arrivals) schedule a bound method and a packet or
 flow, never a closure built for one event.
 
+A port's transmission is one :meth:`EventLoop.transmit` call, and the clock
+``now`` is a plain attribute: a packet hop pays for no more engine frames.
+
 An optional *probe* (:mod:`repro.sim.probe`) is told about every batch
 of events a ``run`` call processed and — when a subscriber such as the
 invariant auditor asks for it (``probe.engine_event`` is set) — about
@@ -70,16 +73,12 @@ class EventLoop:
     """The simulation clock and event queue."""
 
     def __init__(self) -> None:
-        self._now = 0
+        #: Simulated time in nanoseconds; a plain attribute only the loop sets.
+        self.now = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, int, Callable[..., None], tuple]] = []
         self._events_processed = 0
         self._probe = None
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -111,7 +110,7 @@ class EventLoop:
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
         heappush(
-            self._queue, (self._now + delay_ns, prio, self._seq, action, args)
+            self._queue, (self.now + delay_ns, prio, self._seq, action, args)
         )
         self._seq += 1
 
@@ -126,9 +125,9 @@ class EventLoop:
         """
         if type(at_ns) is not int:
             at_ns = _as_time_ns(at_ns, "timestamp")
-        if at_ns < self._now:
+        if at_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {at_ns} ns, current time is {self._now} ns"
+                f"cannot schedule at {at_ns} ns, current time is {self.now} ns"
             )
         if seq is None:
             seq = self._seq
@@ -140,6 +139,15 @@ class EventLoop:
         scheduled later (``schedule_at(..., seq=...)``) or never."""
         seq = self._seq
         self._seq = seq + 1
+        return seq
+
+    def transmit(self, at_ns: int, prio: int, action: Callable[..., None], packet) -> int:
+        """``seq = reserve_seq(); schedule_at(at_ns, action, packet, prio=prio)``
+        in one call, returning *seq* (the port's finish).  *at_ns* is not
+        validated: a port sums it from integers (serialization, latency)."""
+        seq = self._seq
+        self._seq = seq + 2
+        heappush(self._queue, (at_ns, prio, seq + 1, action, (packet,)))
         return seq
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -155,33 +163,33 @@ class EventLoop:
         """
         if until_ns is not None:
             until_ns = _as_time_ns(until_ns, "until_ns")
-            if until_ns < self._now:
+            if until_ns < self.now:
                 raise SimulationError(
-                    f"cannot run until {until_ns} ns, current time is {self._now} ns"
+                    f"cannot run until {until_ns} ns, current time is {self.now} ns"
                 )
         probe = self._probe
         on_event = probe.engine_event if probe is not None else None
-        batch_start = self._now
+        batch_start = self.now
         processed = 0
         while self._queue:
             if max_events is not None and processed >= max_events:
                 break
             at_ns, prio, seq, action, args = self._queue[0]
             if until_ns is not None and at_ns > until_ns:
-                self._now = until_ns
+                self.now = until_ns
                 break
             heappop(self._queue)
-            self._now = at_ns
+            self.now = at_ns
             if on_event is not None:
                 on_event(at_ns, prio, seq)
             action(*args)
             processed += 1
         else:
-            if until_ns is not None and self._now < until_ns:
-                self._now = until_ns
+            if until_ns is not None and self.now < until_ns:
+                self.now = until_ns
         self._events_processed += processed
         if probe is not None and processed:
-            probe.engine_batch(batch_start, self._now, processed)
+            probe.engine_batch(batch_start, self.now, processed)
         return processed
 
     def run_batch(
@@ -202,18 +210,18 @@ class EventLoop:
             return self.run(until_ns=until_ns, max_events=max_events)
         if until_ns is not None:
             until_ns = _as_time_ns(until_ns, "until_ns")
-            if until_ns < self._now:
+            if until_ns < self.now:
                 raise SimulationError(
-                    f"cannot run until {until_ns} ns, current time is {self._now} ns"
+                    f"cannot run until {until_ns} ns, current time is {self.now} ns"
                 )
         queue = self._queue
         pop = heappop
-        batch_start = self._now
+        batch_start = self.now
         processed = 0
         if until_ns is None:
             while queue:
                 at_ns, _prio, _seq, action, args = pop(queue)
-                self._now = at_ns
+                self.now = at_ns
                 action(*args)
                 processed += 1
         else:
@@ -222,14 +230,14 @@ class EventLoop:
                 if at_ns > until_ns:
                     break
                 _, _prio, _seq, action, args = pop(queue)
-                self._now = at_ns
+                self.now = at_ns
                 action(*args)
                 processed += 1
-            if self._now < until_ns:
-                self._now = until_ns
+            if self.now < until_ns:
+                self.now = until_ns
         self._events_processed += processed
         if probe is not None and processed:
-            probe.engine_batch(batch_start, self._now, processed)
+            probe.engine_batch(batch_start, self.now, processed)
         return processed
 
     def schedule_batch(self, delay_ns: int, actions: List[Callable[[], None]]) -> None:
@@ -285,9 +293,9 @@ class EventLoop:
             Number of events processed during this call.
         """
         end_ns = _as_time_ns(end_ns, "end_ns")
-        if end_ns < self._now:
+        if end_ns < self.now:
             raise SimulationError(
-                f"cannot run window to {end_ns} ns, current time is {self._now} ns"
+                f"cannot run window to {end_ns} ns, current time is {self.now} ns"
             )
         return self.run_batch(until_ns=end_ns)
 

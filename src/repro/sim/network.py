@@ -4,9 +4,11 @@ Each directed link is modelled as an *output port* at its sending node: a
 queue (discipline pluggable) feeding a transmitter that serializes packets
 at line rate, plus the link's propagation latency.  Intermediate nodes
 forward data packets by following the path in the packet (source routing,
-§3.5) and broadcast packets by consulting the rack-wide broadcast FIB
-(§3.2) — exactly the two lookups the paper argues are simple enough for
-on-chip implementation.
+§3.5) and broadcast packets by the rack-wide broadcast FIB (§3.2) —
+exactly the two lookups the paper argues are simple enough for on-chip
+implementation.  A broadcast is one packet object: its tree's children
+table is looked up once, when the source injects it, and travels as the
+packet's ``path``.
 """
 
 from __future__ import annotations
@@ -232,13 +234,10 @@ class OutputPort:
         delivers the packet one link latency later.
         """
         now = self._loop.now
-        if (
-            not self._armed
-            and self._free_at <= now
-            and packet.size_bytes <= self._direct_limit
-        ):
-            if packet.size_bytes > self.max_occupancy_bytes:
-                self.max_occupancy_bytes = packet.size_bytes
+        size = packet.size_bytes
+        if not self._armed and self._free_at <= now and size <= self._direct_limit:
+            if size > self.max_occupancy_bytes:
+                self.max_occupancy_bytes = size
             self._start(packet, now, pending)
             return True
         probe = self._probe
@@ -270,7 +269,10 @@ class OutputPort:
         transmitter: a send to an idle port, the finish event, or
         :meth:`kick`.  The packet arrives at ``now + duration + latency``
         unless the wire corrupts it (each port draws its losses from its
-        own stream, in transmission order).
+        own stream, in transmission order).  Either way the transmission
+        takes the engine's next sequence number for a finish armed at
+        ``_free_at``; a delivered packet's event takes the one after it, in
+        the same :meth:`EventLoop.transmit` call.
         """
         size = packet.size_bytes
         try:
@@ -280,8 +282,7 @@ class OutputPort:
                 size, self._capacity_bps
             )
         loop = self._loop
-        self._free_at = now + duration
-        self._finish_seq = loop.reserve_seq()
+        self._free_at = free_at = now + duration
         self.busy_ns += duration
         self.bytes_sent += size
         self.packets_sent += 1
@@ -296,15 +297,19 @@ class OutputPort:
         ):
             # Corrupted on the wire: it consumed transmission time but is
             # discarded by the receiver's checksum.
+            self._finish_seq = loop.reserve_seq()
             self.wire_losses += 1
             if probe is not None:
                 probe.wire_loss(self, packet)
             return
         if probe is not None:
-            probe.tx_finish(self, packet, self._free_at)
+            probe.tx_finish(self, packet, free_at)
         if pending is None:
-            loop.schedule(duration + self._latency_ns, self._deliver, packet, prio=self.prio)
+            self._finish_seq = loop.transmit(
+                free_at + self._latency_ns, self.prio, self._deliver, packet
+            )
         else:
+            self._finish_seq = loop.reserve_seq()
             pending.append((duration, partial(
                 loop.schedule, self._latency_ns, self._deliver, packet, prio=self.prio)))
 
@@ -388,7 +393,8 @@ class RackNetwork:
         self._owned = owned
         self._boundary = boundary
         #: (src, tree_id) -> that tree's children table, indexed by node;
-        #: fetched from the FIB when a broadcast first travels the tree.
+        #: fetched from the FIB when a broadcast on the tree is first
+        #: injected, and carried by every broadcast on it as its ``path``.
         self._children: Dict[Tuple[NodeId, int], tuple] = {}
         #: stack_at[node] is installed by the runner; it must expose
         #: deliver(packet) for packets terminating at the node.
@@ -485,11 +491,26 @@ class RackNetwork:
             raise SimulationError(f"unknown node {node}")
 
     def inject(self, node: NodeId, packet: SimPacket) -> bool:
-        """A host at *node* hands a packet to its switching element."""
+        """A host at *node* hands a packet to its switching element; a
+        broadcast's ``path`` becomes its tree's children table, once."""
         self.check_node(node)
-        if packet.kind == KIND_BROADCAST:
-            return self._forward_broadcast(node, packet, is_source=True)
-        return self._forward_data(node, packet)
+        if packet.kind != KIND_BROADCAST:
+            return self._forward_data(node, packet)
+        if self._fib is None:
+            raise SimulationError("broadcast sent but no FIB configured")
+        tree = (packet.src, packet.tree_id)
+        table = self._children.get(tree)
+        if table is None:
+            table = self._children[tree] = self._fib.tree(*tree).children_table
+        packet.path = table
+        stack = self.stack_at[node]
+        if stack is None:
+            raise SimulationError(f"no host stack installed at node {node}")
+        if self._probe is not None:
+            self._probe.local_deliver(node, packet)
+        stack.deliver(packet)
+        children = table[node]
+        return not children or self._forward_broadcast(node, packet, children)
 
     def arrived(self, node: NodeId, packet: SimPacket) -> None:
         """A packet finished propagating to *node*."""
@@ -510,7 +531,11 @@ class RackNetwork:
             probe.local_deliver(node, packet)
         stack.deliver(packet)
         if broadcast:
-            self._forward_broadcast(node, packet, is_source=False)
+            children = packet.path[node]
+            # A leaf of the tree, as a third to a half of all deliveries
+            # are, forwards nothing.
+            if children:
+                self._forward_broadcast(node, packet, children)
 
     def _forward_data(self, node: NodeId, packet: SimPacket) -> bool:
         path = packet.path
@@ -527,54 +552,19 @@ class RackNetwork:
         return port.send(packet)
 
     def _forward_broadcast(
-        self, node: NodeId, packet: SimPacket, is_source: bool
+        self, node: NodeId, packet: SimPacket, children: Tuple[NodeId, ...]
     ) -> bool:
-        if self._fib is None:
-            raise SimulationError("broadcast sent but no FIB configured")
-        if is_source:
-            self._deliver_local(node, packet)
-        src = packet.src
-        tree_id = packet.tree_id
-        try:
-            children = self._children[src, tree_id][node]
-        except KeyError:
-            table = self._fib.tree(src, tree_id).children_table
-            self._children[src, tree_id] = table
-            children = table[node]
-        if not children:
-            # A leaf of the tree, as a third to a half of all deliveries are.
-            return True
+        """The fan-out: each child's port gets the broadcast itself (one
+        object on every port of the tree; nothing on it changes per hop)."""
         ports = self._ports[node]
         ok = True
         for child in children:
-            port = ports.get(child)
-            if port is None:
-                raise SimulationError(f"no link {node} -> {child}")
-            # Positional (kind, flow_id, src, dst, seq, size_bytes, path,
-            # tree_id, payload, sent_ns): one copy per tree edge is the bulk
-            # of a run's port sends.
-            copy = SimPacket(
-                packet.kind,
-                packet.flow_id,
-                src,
-                packet.dst,
-                packet.seq,
-                packet.size_bytes,
-                (node, child),
-                tree_id,
-                packet.payload,
-                packet.sent_ns,
-            )
-            ok = port.send_batched(copy) and ok
+            try:
+                port = ports[child]
+            except KeyError:
+                raise SimulationError(f"no link {node} -> {child}") from None
+            ok = port.send_batched(packet) and ok
         return ok
-
-    def _deliver_local(self, node: NodeId, packet: SimPacket) -> None:
-        stack = self.stack_at[node]
-        if stack is None:
-            raise SimulationError(f"no host stack installed at node {node}")
-        if self._probe is not None:
-            self._probe.local_deliver(node, packet)
-        stack.deliver(packet)
 
     # ------------------------------------------------------------------
     # Statistics

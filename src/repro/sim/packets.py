@@ -30,10 +30,13 @@ DROP_NOTE_SIZE_BYTES = 10
 class SimPacket:
     """One packet in flight.
 
-    Attributes mirror the R2C2 wire formats; ``path`` is the explicit node
-    route (source routing), with ``hop`` the index of the node the packet
-    currently sits at — :class:`~repro.sim.network.RackNetwork` advances it
-    and indexes the route per hop.
+    Attributes mirror the R2C2 wire formats.  For a data, ACK or drop
+    note, ``path`` is the explicit node route (source routing), with
+    ``hop`` the index of the node the packet currently sits at —
+    :class:`~repro.sim.network.RackNetwork` advances it and indexes the
+    route per hop.  A broadcast is one object for the whole tree: ``inject``
+    sets its ``path`` to the tree's children table, so ``path[node]`` is
+    the nodes *node* forwards it to, and its ``hop`` is never read.
     """
 
     __slots__ = (

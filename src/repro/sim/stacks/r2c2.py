@@ -34,6 +34,7 @@ from ...congestion.flowstate import FlowSpec, FlowTable
 from ...errors import SimulationError
 from ...lru import BoundedLru
 from ...types import NodeId
+from ...wire.packets import DATA_HEADER_SIZE
 from ..engine import EventLoop
 from ..flows import SimFlow
 from ..network import RackNetwork
@@ -44,7 +45,6 @@ from ..packets import (
     KIND_DROP_NOTE,
     SimPacket,
     broadcast_packet_size,
-    data_packet_size,
 )
 from .base import HostStack
 
@@ -400,58 +400,55 @@ class R2C2Stack(HostStack):
         self._send_broadcast(flow, event, data, seq)
 
     def _emit(self, flow: SimFlow) -> None:
-        if flow.sender_done or flow.flow_id not in self._active_local:
+        flow_id = flow.flow_id
+        sent = flow.bytes_sent
+        size_bytes = flow.size_bytes
+        if sent >= size_bytes or flow_id not in self._active_local:
             return
         probe = self._probe
-        rate = self.control.rate_for(flow.flow_id, self.node)
+        rate = self.control.rate_for(flow_id, self.node)
         if probe is not None:
-            probe.pacing(flow.flow_id, rate <= 0)
+            probe.pacing(flow_id, rate <= 0)
         if rate <= 0:
-            self._stalled.add(flow.flow_id)
+            self._stalled.add(flow_id)
             return
-        payload = min(self._mtu, flow.remaining_bytes)
-        available = flow.produced_bytes(self.loop.now) - flow.bytes_sent
-        if available < payload:
-            # Host-limited: the application has not produced enough bytes
-            # yet; resume when it has.
-            assert flow.app_rate_bps is not None
-            needed = payload - available
-            delay = max(1, int(needed * 8 * 1e9 / flow.app_rate_bps))
-            if probe is not None:
-                probe.host_wait(flow.flow_id, delay)
-            self.loop.schedule(delay, self._emit, flow)
-            return
-        size = data_packet_size(payload)
+        loop = self.loop
+        now = loop.now
+        payload = min(self._mtu, size_bytes - sent)
+        if flow.app_rate_bps is not None:  # a network-limited flow has every byte
+            available = flow.produced_bytes(now) - sent
+            if available < payload:
+                # Host-limited: the application has not produced enough
+                # bytes yet; resume when it has.
+                delay = max(1, int((payload - available) * 8 * 1e9 / flow.app_rate_bps))
+                if probe is not None:
+                    probe.host_wait(flow_id, delay)
+                loop.schedule(delay, self._emit, flow)
+                return
+        size = DATA_HEADER_SIZE + payload
         protocol = self._protocol(flow.protocol)
-        path = protocol.sample_path(flow.src, flow.dst, self._rng, flow.flow_id)
-        packet = SimPacket(
-            kind=KIND_DATA,
-            flow_id=flow.flow_id,
-            src=flow.src,
-            dst=flow.dst,
-            seq=flow.next_seq,
-            size_bytes=size,
-            path=tuple(path),
-            payload=payload,
-            sent_ns=self.loop.now,
+        path = protocol.sample_path(flow.src, flow.dst, self._rng, flow_id)
+        packet = SimPacket(  # positional: built once per data packet
+            KIND_DATA, flow_id, flow.src, flow.dst, flow.next_seq, size,
+            tuple(path), 0, payload, now,
         )
         flow.next_seq += 1
-        flow.bytes_sent += payload
+        flow.bytes_sent = sent = sent + payload
         if probe is not None:
             probe.inject(flow, packet)
         self.network.inject(self.node, packet)
 
-        if flow.sender_done:
-            flow.sender_done_ns = self.loop.now
-            self._active_local.discard(flow.flow_id)
-            self._estimators.pop(flow.flow_id, None)
-            self.control.on_flow_finished(flow.flow_id, self.node)
-            self._broadcast(flow, _EVENT_FINISH, flow.flow_id)
+        if sent >= size_bytes:
+            flow.sender_done_ns = now
+            self._active_local.discard(flow_id)
+            self._estimators.pop(flow_id, None)
+            self.control.on_flow_finished(flow_id, self.node)
+            self._broadcast(flow, _EVENT_FINISH, flow_id)
         else:
             # Token-bucket pacing: the next packet may start once this one's
             # bits have been paid for at the allocated rate.
             delay = max(1, int(size * 8 * 1e9 / rate))
-            self.loop.schedule(delay, self._emit, flow)
+            loop.schedule(delay, self._emit, flow)
 
     def reannounce_ongoing(self) -> int:
         """§3.2 failure recovery: re-broadcast every ongoing local flow.

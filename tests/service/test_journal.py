@@ -10,7 +10,8 @@ would have left — at every kind of point:
                  as an un-acked client would);
 * ``compacted``  right after a checkpoint replaced checkpoint + tail;
 * ``tmp``        mid-checkpoint: the old file intact plus a stray
-                 half-written ``.tmp`` sibling (the op is redone).
+                 half-written ``.tmp`` sibling (the op is redone; the
+                 open deletes the sibling and counts it).
 
 Every restore must equal an uninterrupted volatile reference stopped after
 the last whole record — full ``state_dict()`` and every raw ``AllocReply``
@@ -177,6 +178,8 @@ def test_crash_at_every_kind_of_point(tmp_path, reference, page_cache_only):
         assert state.restored
         assert _observe(state) == reference["after"][index], (kind, index)
         assert state.torn_tails == (1 if kind == "torn" else 0)
+        assert state.stale_tmp_swept == (1 if kind == "tmp" else 0)
+        assert not list(crash_dir.glob("*.tmp"))
         if kind == "compacted":
             assert state.journal_records == 0
         # Whatever was torn off is gone from the file too.
@@ -234,6 +237,33 @@ def _small_journal(tmp_path, n_flows=6):
         state.announce(FlowSpec(flow_id=fid, src=fid, dst=(fid + 4) % 9, protocol="ecmp"))
     assert state.checkpoints == 1 and state.journal_records == n_flows - 1
     return state, path
+
+
+class TestStaleTemporaries:
+    def test_swept_on_open_and_counted_look_alikes_kept(self, tmp_path):
+        """A kill between a checkpoint's ``mkstemp`` and its rename leaves
+        ``.<name>.<token>.tmp``; the next open deletes exactly that."""
+        live, path = _small_journal(tmp_path)
+        whole = path.read_bytes()
+        stray = tmp_path / f".{path.name}.k1ll3d.tmp"
+        stray.write_bytes(whole[:17])
+        look_alikes = [
+            tmp_path / f".{path.name}.tmp",  # no token
+            tmp_path / f".{path.name}.old.k1ll3d.tmp",  # state.json.old's temporary
+            tmp_path / f"{path.name}.k1ll3d.tmp",  # not hidden
+            tmp_path / ".other.json.k1ll3d.tmp",
+        ]
+        for other in look_alikes:
+            other.write_bytes(b"keep")
+
+        restored = _durable(path)
+        assert restored.stale_tmp_swept == 1
+        assert restored.telemetry_snapshot()["stale_tmp_swept"] == 1
+        assert not stray.exists()
+        assert [other.read_bytes() for other in look_alikes] == [b"keep"] * len(look_alikes)
+        assert path.read_bytes() == whole
+        assert _observe(restored) == _observe(live)
+        assert _durable(path).stale_tmp_swept == 0  # it is gone: nothing to count twice
 
 
 class TestTornTail:

@@ -5,6 +5,7 @@ grow back (a closure per event or per link).
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,92 @@ class TestScheduleWithArguments:
         loop.schedule_batch(2, [lambda: seen.append("a"), lambda: seen.append("b")])
         assert loop.pending() == 1 and loop.run() == 1
         assert seen == ["a", "b"]
+
+
+# ---------------------------------------------------------------------- #
+# A transmission is one engine call; the clock is an attribute
+# ---------------------------------------------------------------------- #
+
+
+def _mixed_schedule(seed: int, one_call: bool, budget: int = 400):
+    """Drive a loop with a seeded mix of ``schedule``, transmissions and
+    finishes armed with a reserved sequence number, all at a few colliding
+    instants and priorities; events schedule more work as they run.  A
+    transmission is :meth:`EventLoop.transmit` when *one_call*, else the
+    ``reserve_seq()`` + ``schedule_at()`` pair it stands for.  Returns
+    ``(clock, tag)`` per executed event."""
+    rng = random.Random(seed)
+    loop, seen, reserved = EventLoop(), [], []
+    issued = [0]
+
+    def act():
+        tag = issued[0]
+        issued[0] += 1
+        op, prio = rng.randrange(3), rng.randrange(3)
+        at = loop.now + rng.randrange(4)
+        if op == 0:
+            loop.schedule(at - loop.now, fire, tag, prio=prio)
+        elif op == 1:
+            if one_call:
+                reserved.append(loop.transmit(at, prio, fire, tag))
+            else:
+                reserved.append(loop.reserve_seq())
+                loop.schedule_at(at, fire, tag, prio=prio)
+        elif reserved:
+            loop.schedule_at(at, fire, tag, prio=prio, seq=reserved.pop(rng.randrange(len(reserved))))
+
+    def fire(tag):
+        seen.append((loop.now, tag))
+        for _ in range(1 + rng.randrange(2)):
+            if issued[0] < budget:
+                act()
+
+    for _ in range(8):
+        act()
+    loop.run_batch()
+    return seen, loop.now, loop.events_processed
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_transmit_orders_events_as_reserve_then_schedule(seed):
+    one_call = _mixed_schedule(seed, one_call=True)
+    assert len(one_call[0]) > 20
+    assert one_call == _mixed_schedule(seed, one_call=False)
+
+
+def test_transmit_returns_the_finish_seq_and_queues_the_delivery_after_it():
+    loop, seen = EventLoop(), []
+    finish_seq = loop.transmit(10, 4, seen.append, "delivered")
+    loop.schedule_at(10, seen.append, "finished", prio=4, seq=finish_seq)
+    assert loop.reserve_seq() == finish_seq + 2
+    loop.run()
+    assert seen == ["finished", "delivered"] and loop.now == 10
+
+
+_RUNNERS = {
+    "run": lambda loop, end: loop.run(until_ns=end),
+    "run_batch": lambda loop, end: loop.run_batch(until_ns=end),
+    "run_window": lambda loop, end: loop.run_window(end),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_now_is_the_clock_before_during_and_after_a_run(runner):
+    loop, seen = EventLoop(), []
+    assert loop.now == 0 and "now" in vars(loop)  # a plain attribute
+
+    def stamp(at):
+        seen.append((at, loop.now))
+
+    for at in (5, 5, 9, 20):
+        loop.schedule_at(at, stamp, at)
+    _RUNNERS[runner](loop, 12)
+    assert seen == [(5, 5), (5, 5), (9, 9)] and loop.now == 12
+    _RUNNERS[runner](loop, 30)
+    assert seen[-1] == (20, 20) and loop.now == 30
+    loop.schedule(4, stamp, 34)
+    loop.run() if runner == "run" else loop.run_batch()
+    assert seen[-1] == (34, 34) and loop.now == 34
 
 
 # ---------------------------------------------------------------------- #
@@ -174,7 +261,7 @@ class TestNodeIdsDoNotWrap:
 # ---------------------------------------------------------------------- #
 
 _SRC = Path(repro.__file__).parent
-_SCHEDULERS = {"schedule", "schedule_at", "schedule_batch"}
+_SCHEDULERS = {"schedule", "schedule_at", "schedule_batch", "transmit"}
 
 
 def _hot_path_files():
@@ -249,6 +336,7 @@ def test_hot_path_builds_no_closure_per_event_or_link():
         "loop.schedule(5, lambda p=packet: port._finish(p))",
         "self.loop.schedule_at(t, lambda: None, prio=3)",
         "loop.schedule_batch(d, [lambda: a(), b])",
+        "self._finish_seq = loop.transmit(t, self.prio, lambda p: arrived(1, p), packet)",
         "OutputPort(loop, 0, 1, 1e9, 0, q, deliver=lambda p: net.arrived(1, p))",
         "OutputPort(loop, 0, 1, 1e9, 0, q, sink)\npending.append((d, lambda: f(p)))",
         "OutputPort(loop, 0, 1, 1e9, 0, q, make(1))\ndef make(n):\n  return lambda p: arrived(n, p)",
