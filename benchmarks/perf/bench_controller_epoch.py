@@ -8,12 +8,17 @@ regimes are measured:
 * ``epoch_512flows_demand_churn`` — one flow's demand estimate changes
   between epochs, forcing a full (warm-matrix) water-fill;
 * ``epoch_512flows_idle`` — nothing changed, the generation short-circuit
-  returns the previous allocation.
+  returns the previous allocation;
+* ``epoch_membership_churn`` — one flow finishes and a new one starts
+  (``on_flow_finished`` + ``on_flow_started`` + ``recompute``, timed
+  together): the arrival's fill needs a level matrix for a flow set the
+  provider has not seen, one row out and one row in from the last one.
 
 The script also *asserts* the paper's feasibility claim on CI hardware
 with generous margin: an idle epoch must cost well under the 500 µs
 interval ρ, and even a churn epoch must stay within ``CHURN_RHO_BUDGET``
-intervals (it runs amortized across nodes in practice).
+intervals (it runs amortized across nodes in practice), and so must a
+membership epoch.
 
 Run::
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 import random
 import statistics
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -53,6 +59,8 @@ QUICK = (128, (4, 4, 4), 8)
 RHO_NS = usec(500)
 #: A demand-churn epoch may cost at most this many intervals on CI hardware.
 CHURN_RHO_BUDGET = 40
+#: What a scenario's median is taken over, where not ``RecomputeStats``.
+TIMED_BY = {"epoch_membership_churn": "finish + start + recompute wall"}
 
 
 def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
@@ -85,8 +93,27 @@ def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
         assert stats.skipped, "unchanged table must short-circuit"
         idle.append(stats.duration_ns)
 
+    member = []
+    next_id = n_flows
+    for _ in range(epochs):
+        now += RHO_NS
+        gone = rng.choice([spec.flow_id for spec in controller.table])
+        src = rng.randrange(topo.n_nodes)
+        dst = rng.randrange(topo.n_nodes - 1)
+        if dst >= src:
+            dst += 1
+        started = time.perf_counter_ns()
+        controller.on_flow_finished(gone, now)
+        controller.on_flow_started(FlowSpec(next_id, src, dst, "rps"), now)
+        controller.recompute(now)
+        member.append(time.perf_counter_ns() - started)
+        assert not controller.stats[-1].skipped, "a membership change must recompute"
+        next_id += 1
+    assembled = controller.provider.assembly_counts()
+
     churn_ns = statistics.median(churn)
     idle_ns = statistics.median(idle)
+    member_ns = statistics.median(member)
     # The paper's feasibility bar (§3.3.2 / Figure 8): recomputation must
     # fit in the interval.  Idle epochs must beat rho outright; churn
     # epochs get a generous CI-hardware budget.
@@ -95,6 +122,9 @@ def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
     )
     assert churn_ns < CHURN_RHO_BUDGET * RHO_NS, (
         f"churn epoch {churn_ns} ns exceeds {CHURN_RHO_BUDGET}x rho"
+    )
+    assert member_ns < CHURN_RHO_BUDGET * RHO_NS, (
+        f"membership epoch {member_ns} ns exceeds {CHURN_RHO_BUDGET}x rho"
     )
     base = {"n_flows": n_flows, "dims": "x".join(map(str, dims)), "seed": SEED}
     return {
@@ -108,6 +138,14 @@ def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
             "median_s": round(idle_ns / 1e9, 9),
             "median_epoch_ns": int(idle_ns),
             "rho_fraction": round(idle_ns / RHO_NS, 6),
+            **base,
+        },
+        "epoch_membership_churn": {
+            "median_s": round(member_ns / 1e9, 6),
+            "median_epoch_ns": int(member_ns),
+            "rho_fraction": round(member_ns / RHO_NS, 3),
+            "matrix_edits": assembled["edit"],
+            "matrix_builds": assembled["build"],
             **base,
         },
     }
@@ -137,7 +175,8 @@ def main() -> int:
             record_entry(
                 doc,
                 name,
-                f"RecomputeStats median over {epochs} steady-state epochs, "
+                f"{TIMED_BY.get(scenario, 'RecomputeStats')} median over "
+                f"{epochs} steady-state epochs, "
                 f"{n_flows} flows on a {'x'.join(map(str, dims))} torus "
                 f"({scenario.replace('_', ' ')})",
                 entry,

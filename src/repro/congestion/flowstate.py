@@ -125,7 +125,6 @@ class FlowTable:
     def __init__(self) -> None:
         self._flows: Dict[FlowId, FlowSpec] = {}
         self._generation = 0
-        self._structure_generation = 0
         self._fp_a = 0
         self._fp_b = 0
 
@@ -133,16 +132,6 @@ class FlowTable:
     def generation(self) -> int:
         """Monotonic counter, incremented on every mutation."""
         return self._generation
-
-    @property
-    def structure_generation(self) -> int:
-        """Counter bumped on add/remove/reroute but *not* on demand updates.
-
-        The water-fill's weight matrix depends only on structure, so a
-        controller can warm-start (reuse the assembled matrix) whenever this
-        counter is unchanged even though demands churned.
-        """
-        return self._structure_generation
 
     @property
     def content_key(self) -> tuple:
@@ -187,7 +176,6 @@ class FlowTable:
         self._flows[spec.flow_id] = spec
         self._fold_in(spec)
         self._generation += 1
-        self._structure_generation += 1
 
     def remove(self, flow_id: FlowId) -> bool:
         """Record a flow-finish announcement; returns False if unknown.
@@ -200,7 +188,6 @@ class FlowTable:
             return False
         self._fold_out(spec)
         self._generation += 1
-        self._structure_generation += 1
         return True
 
     def update_demand(self, flow_id: FlowId, demand_bps: float) -> bool:
@@ -225,7 +212,6 @@ class FlowTable:
         self._flows[flow_id] = updated
         self._fold_in(updated)
         self._generation += 1
-        self._structure_generation += 1
         return True
 
     def flows_from(self, node: NodeId) -> List[FlowSpec]:

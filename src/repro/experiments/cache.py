@@ -15,7 +15,11 @@ self-describing::
 
 Corrupt or unreadable records are treated as misses (and counted), never
 as errors — a half-written file from a pre-atomic-write era or a foreign
-file in the cache directory must not wedge a campaign.
+file in the cache directory must not wedge a campaign.  A kill between an
+atomic write's temporary and its rename leaves a ``.<name>.<token>.tmp``
+sibling; the next write of that path deletes it first (counted in
+:attr:`ResultCache.stale_tmp_swept`), which assumes one campaign writes a
+cache directory at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..core.ioutil import atomic_write_json
+from ..core.ioutil import atomic_write_json, sweep_stale_temps
 from .spec import Task
 
 __all__ = ["ResultCache"]
@@ -38,6 +42,9 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
+        #: temporaries of killed writes deleted before a write (records, and
+        #: the manifest of a campaign run on this cache)
+        self.stale_tmp_swept = 0
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
@@ -70,6 +77,7 @@ class ResultCache:
         """Atomically persist *result* for *task*; returns the record path."""
         fingerprint = task.fingerprint()
         path = self.path_for(fingerprint)
+        self.stale_tmp_swept += sweep_stale_temps(path)
         atomic_write_json(
             path,
             {

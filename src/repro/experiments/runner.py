@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.ioutil import atomic_write_json
+from ..core.ioutil import atomic_write_json, sweep_stale_temps
 from ..errors import ExperimentError
 from .cache import ResultCache
 from .spec import CACHE_SCHEMA_VERSION, Campaign, Task
@@ -264,6 +264,9 @@ def run_campaign(
     if manifest_path is None and cache_dir is not None:
         manifest_path = Path(cache_dir) / f"manifest-{campaign.name}.json"
     if manifest_path is not None:
+        swept = sweep_stale_temps(manifest_path)
+        if cache is not None:
+            cache.stale_tmp_swept += swept
         atomic_write_json(manifest_path, manifest)
         say(f"manifest written to {manifest_path}")
 

@@ -118,13 +118,15 @@ class TestContentKey:
         assert a.table.content_key == b.table.content_key
 
     def test_demand_changes_key_but_not_structure(self, torus2d):
+        """Demand enters the allocation memo's key, not the level matrix's:
+        after ``update_demand`` the provider hands out the cached matrix."""
         ctrl = RateController(torus2d, node=0)
         ctrl.table.add(FlowSpec(1, 0, 5))
         key = ctrl.table.content_key
-        structure = ctrl.table.structure_generation
+        matrix = ctrl.provider.level_matrix(ctrl.table.snapshot())
         ctrl.table.update_demand(1, 3e9)
         assert ctrl.table.content_key != key
-        assert ctrl.table.structure_generation == structure
+        assert ctrl.provider.level_matrix(ctrl.table.snapshot()) is matrix
 
     def test_remove_restores_key(self, torus2d):
         ctrl = RateController(torus2d, node=0)

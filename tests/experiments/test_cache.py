@@ -75,3 +75,21 @@ def test_store_overwrites_corrupt_record(tmp_path, task):
     assert cache.load(task) is None
     cache.store(task, {"value": 7})
     assert cache.load(task) == {"value": 7}
+
+
+def test_store_sweeps_what_a_killed_write_left(tmp_path, task):
+    """A kill between an atomic write's temporary and its rename leaves a
+    ``.<name>.<token>.tmp`` sibling; the next store of that path deletes
+    it, and only it."""
+    cache = ResultCache(tmp_path)
+    path = cache.store(task, {"value": 1})
+    stale = path.parent / f".{path.name}.k1ll3d.tmp"
+    stale.write_text("{half")
+    look_alike = path.parent / f".{path.name}.bak.k1ll3d.tmp"
+    look_alike.write_text("not ours")
+    assert cache.stale_tmp_swept == 0
+    cache.store(task, {"value": 2})
+    assert not stale.exists()
+    assert look_alike.exists()
+    assert cache.stale_tmp_swept == 1
+    assert cache.load(task) == {"value": 2}

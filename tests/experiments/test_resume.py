@@ -116,3 +116,19 @@ def test_resume_after_chaos_shares_cache_with_clean_runs(tmp_path):
         campaign, ExecutorConfig(workers=1), cache_dir=tmp_path / "ref"
     )
     assert aggregate_bytes(resumed) == aggregate_bytes(reference)
+
+
+def test_manifest_write_sweeps_what_a_killed_write_left(tmp_path):
+    campaign = make_campaign()
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    name = f"manifest-{campaign.name}.json"
+    stale = cache_dir / f".{name}.k1ll3d.tmp"
+    stale.write_text("{half")
+    look_alike = cache_dir / f".{name}.old.k1ll3d.tmp"
+    look_alike.write_text("not ours")
+    run = run_campaign(campaign, ExecutorConfig(workers=1), cache_dir=cache_dir)
+    assert run.complete
+    assert not stale.exists()
+    assert look_alike.exists()
+    assert json.loads((cache_dir / name).read_text())["status"] == "complete"
