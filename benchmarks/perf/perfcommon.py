@@ -56,6 +56,7 @@ import numpy
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "src"))
 
 from repro.core import atomic_write_text  # noqa: E402
+from repro.core.ioutil import sweep_stale_temps  # noqa: E402
 
 #: A fresh run slower than ``factor * last_recorded_median`` fails --check.
 REGRESSION_FACTOR = 3.0
@@ -139,7 +140,9 @@ def record_entry(doc: dict, scenario: str, description: str, entry: dict) -> Non
 
 def save_history(path: Path, doc: dict) -> None:
     # Atomic (write → fsync → rename) so an interrupted run can never
-    # leave a truncated history file checked into the repo.
+    # leave a truncated history file checked into the repo; a run killed
+    # mid-write leaves its temporary behind, and the next save sweeps it.
+    sweep_stale_temps(path)
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional, Sequence
 
 from .analysis import tier_load_report
@@ -103,75 +104,48 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _sim_setup(args, obs: bool = False, flight: bool = False):
-    """The (topology, trace, config) a simulate-style command runs."""
-    from .sim import SimConfig
-    from .workloads import ParetoSizes, poisson_trace
+#: The simulate-style flags that describe the run, by their scenario param
+#: names (``--flows`` is ``n_flows``, ``--interarrival-ns`` is ``tau_ns``).
+_SIM_PARAMS = ("stack", "n_flows", "tau_ns", "mean_bytes", "reliable", "control_plane")
 
-    topo = build_topology(args.topology, args.dims)
-    trace = poisson_trace(
-        topo,
-        args.flows,
-        args.interarrival_ns,
-        sizes=ParetoSizes(mean_bytes=args.mean_bytes, shape=1.05, cap_bytes=20_000_000),
-        seed=args.seed,
+
+def _sim_scenario(args):
+    """The ``sim`` :class:`~repro.experiments.Scenario` a simulate-style
+    command runs: one flag per param, trace and simulator seeds pinned to
+    ``--seed``, ``--shards`` as the executor policy."""
+    from .experiments import Scenario
+
+    params = {name: getattr(args, name) for name in _SIM_PARAMS}
+    return Scenario(
+        name="simulate",
+        topology=args.topology,
+        dims=args.dims,
+        params={**params, "trace_seed": args.seed, "sim_seed": args.seed},
+        shards=args.shards,
     )
-    config = SimConfig(
-        stack=args.stack,
-        control_plane=args.control_plane,
-        reliable=args.reliable,
-        seed=args.seed,
-        obs=obs,
-        flight=flight,
-    )
-    return topo, trace, config
 
 
 def cmd_simulate(args) -> int:
-    from .sim import run_simulation
+    from .experiments.tasks import run_sim
 
-    topo, trace, config = _sim_setup(args, flight=args.flight_dump is not None)
+    scenario = _sim_scenario(args)
+    telemetry_config = None
+    if args.metrics_out is not None or args.trace_out is not None:
+        from .telemetry import TelemetryConfig
 
-    def execute():
-        if args.shards > 1:
-            from .distsim import run_sharded_simulation
-            from .telemetry import TelemetryConfig
+        telemetry_config = TelemetryConfig(
+            metrics=args.metrics_out is not None, trace=args.trace_out is not None
+        )
 
-            telemetry_config = None
-            if args.metrics_out is not None or args.trace_out is not None:
-                telemetry_config = TelemetryConfig(
-                    metrics=args.metrics_out is not None,
-                    trace=args.trace_out is not None,
-                )
-            result = run_sharded_simulation(
-                topo,
-                trace,
-                config,
-                shards=args.shards,
-                telemetry_config=telemetry_config,
-            )
-            return result.metrics, result.telemetry_snapshot, result
-        telemetry = None
-        if args.trace_out or args.metrics_out:
-            from .telemetry import Telemetry, TelemetryConfig
-
-            telemetry = Telemetry(
-                TelemetryConfig(
-                    metrics=args.metrics_out is not None,
-                    trace=args.trace_out is not None,
-                )
-            )
-        metrics = run_simulation(topo, trace, config, telemetry=telemetry)
-        return metrics, telemetry, None
-
+    execute = partial(
+        run_sim, scenario, args.seed, telemetry_config, flight=args.flight_dump is not None
+    )
     if args.profile is not None:
         import cProfile
         import pstats
 
         profiler = cProfile.Profile()
-        profiler.enable()
-        metrics, telemetry, sharded = execute()
-        profiler.disable()
+        run = profiler.runcall(execute)
         if args.profile == "-":
             pstats.Stats(profiler).sort_stats("cumulative").print_stats(30)
         else:
@@ -179,10 +153,12 @@ def cmd_simulate(args) -> int:
             print(f"profile written to {args.profile} "
                   f"(inspect with: python -m pstats {args.profile})")
     else:
-        metrics, telemetry, sharded = execute()
-    print(f"stack={args.stack} on {topo.name}: "
-          f"{len(trace)} flows, {metrics.duration_ns / 1e6:.2f} ms simulated, "
+        run = execute()
+    metrics, telemetry, sharded = run.metrics, run.telemetry, run.sharded
+    print(f"stack={args.stack} on {run.topology.name}: "
+          f"{len(run.trace)} flows, {metrics.duration_ns / 1e6:.2f} ms simulated, "
           f"{metrics.wallclock_s:.1f} s wall")
+    print(f"  scenario fingerprint {scenario.fingerprint()}")
     if sharded is not None:
         print(f"  sharded: K={sharded.shards}, "
               f"sizes {'/'.join(str(s) for s in sharded.shard_sizes)}, "
@@ -239,26 +215,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_explain_flow(args) -> int:
     """Causal critical-path report for completed flows (repro.obs)."""
+    from .experiments.tasks import run_sim
     from .obs import explain_report
-    from .sim import run_simulation
 
-    topo, trace, config = _sim_setup(args, obs=True)
-    if args.shards > 1:
-        from .distsim import run_sharded_simulation
-
-        result = run_sharded_simulation(topo, trace, config, shards=args.shards)
-        flow_obs = result.metrics.flow_obs or {}
-        duration_ns = result.metrics.duration_ns
-    else:
-        metrics = run_simulation(topo, trace, config)
-        flow_obs = metrics.flow_obs or {}
-        duration_ns = metrics.duration_ns
+    scenario = _sim_scenario(args)
+    run = run_sim(scenario, args.seed, obs=True)
+    print(f"scenario fingerprint {scenario.fingerprint()}")
+    flow_obs = run.metrics.flow_obs or {}
     flow_ids = args.flow if args.flow else None
     lines, errors = explain_report(flow_obs, flow_ids=flow_ids, check=args.check)
     header = (
-        f"causal FCT decomposition: stack={args.stack} on {topo.name}, "
-        f"{len(flow_obs)}/{len(trace)} flows completed in "
-        f"{duration_ns / 1e6:.2f} ms simulated"
+        f"causal FCT decomposition: stack={args.stack} on {run.topology.name}, "
+        f"{len(flow_obs)}/{len(run.trace)} flows completed in "
+        f"{run.metrics.duration_ns / 1e6:.2f} ms simulated"
     )
     text = "\n".join([header, ""] + lines)
     if args.out:
@@ -602,26 +571,14 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _synth_spec_from_args(args):
-    from .topology.synth import FabricSpec
+def _synth_fabric(args):
+    """Synthesize the fabric the spec flags describe (one flag per
+    :class:`~repro.topology.FabricSpec` field; ``--bridge-gbps`` in Gbps)."""
+    from .topology.synth import FabricSpec, synthesize
 
-    return FabricSpec(
-        design=args.design,
-        rack=args.rack,
-        rack_dims=args.rack_dims,
-        n_racks=args.racks,
-        gateway_ports=args.gateway_ports,
-        oversubscription=args.oversubscription,
-        bridge_capacity_bps=(
-            args.bridge_gbps * 1e9 if args.bridge_gbps is not None else None
-        ),
-        bridge_latency_ns=args.bridge_latency_ns,
-        seed=args.seed,
-        switch_radix=args.switch_radix,
-        switch_cost=args.switch_cost,
-        cable_cost=args.cable_cost,
-        max_cost=args.max_cost,
-    )
+    gbps = args.bridge_gbps
+    bridge = {"bridge_capacity_bps": None if gbps is None else gbps * 1e9}
+    return synthesize(FabricSpec.from_dict({**vars(args), **bridge}))
 
 
 def cmd_synth_generate(args) -> int:
@@ -629,9 +586,8 @@ def cmd_synth_generate(args) -> int:
     from pathlib import Path
 
     from .topology import bisection_bandwidth_bps
-    from .topology.synth import synthesize
 
-    fabric = synthesize(_synth_spec_from_args(args))
+    fabric = _synth_fabric(args)
     manifest = fabric.describe()
     manifest["bisection_gbps"] = bisection_bandwidth_bps(fabric.topology) / 1e9
     if args.protocol:
@@ -654,10 +610,9 @@ def cmd_synth_generate(args) -> int:
 
 def cmd_synth_describe(args) -> int:
     from .topology import bisection_bandwidth_bps
-    from .topology.synth import synthesize
 
-    spec = _synth_spec_from_args(args)
-    fabric = synthesize(spec)
+    fabric = _synth_fabric(args)
+    spec = fabric.spec
     report = fabric.report
     dims_text = "x".join(str(d) for d in spec.rack_dims)
     print(f"design:            {spec.design} "
@@ -776,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sim_args(p):
         add_topology_args(p)
         p.add_argument("--stack", choices=("r2c2", "tcp", "pfq"), default="r2c2")
-        p.add_argument("--flows", type=int, default=200)
-        p.add_argument("--interarrival-ns", type=int, default=5000)
+        p.add_argument("--flows", dest="n_flows", type=int, default=200)
+        p.add_argument("--interarrival-ns", dest="tau_ns", type=int, default=5000)
         p.add_argument("--mean-bytes", type=int, default=100 * 1024)
         p.add_argument("--reliable", action="store_true")
         p.add_argument("--seed", type=int, default=0)
@@ -954,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="torus")
         p.add_argument("--rack-dims", type=_parse_dims, default=(3, 3, 3),
                        help="per-rack dimensions, e.g. 4x4x5")
-        p.add_argument("--racks", type=int, default=8,
+        p.add_argument("--racks", dest="n_racks", type=int, default=8,
                        help="number of racks to compose")
         p.add_argument("--gateway-ports", type=int, default=4,
                        help="inter-rack ports available per rack")

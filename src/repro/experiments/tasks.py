@@ -27,6 +27,11 @@ Kinds:
   synth`): generate under budgets, fingerprint, and analyze per-tier
   channel load + bisection on the composed graph.
 
+A run described by a scenario reaches the engine one way:
+:func:`sim_inputs` builds its topology, trace and ``SimConfig`` and
+:func:`run_sim` runs them serially or sharded.  ``sim`` and ``crossval``
+tasks use them, and so do ``repro simulate`` and ``repro explain-flow``.
+
 Any task kind can run *on* a synthesized fabric by setting the scenario's
 ``topology`` to ``"synth"`` — the fabric spec rides in ``params``
 (``design``/``n_racks``/``gateway_ports``/``synth_seed``/...), so churn
@@ -37,70 +42,77 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional
 
 from ..errors import ExperimentError
 from .spec import Task
 
-__all__ = ["execute_payload", "execute_task", "InjectedWorkerFailure"]
+__all__ = [
+    "execute_payload", "execute_task", "InjectedWorkerFailure", "SimRun", "run_sim", "sim_inputs"
+]
 
 
 class InjectedWorkerFailure(RuntimeError):
     """A deliberately injected worker failure (chaos/retry testing)."""
 
 
-def _task_topology(task: Task):
-    """The fabric a task runs on: a synthesized one for ``topology="synth"``,
+def _fabric(scenario):
+    """The :func:`~repro.topology.synthesize` result a ``topology="synth"``
+    scenario describes: ``dims`` are the per-rack dims, the other
+    :class:`~repro.topology.FabricSpec` fields ride in params.  The
+    synthesis seed is ``synth_seed`` (default 0), *not* the task seed: the
+    fabric is scenario content and must be identical across replicates.
+    """
+    from ..topology import FabricSpec, synthesize
+
+    params = scenario.params_dict
+    spec = {**params, "rack_dims": scenario.dims, "capacity_bps": scenario.capacity_bps}
+    return synthesize(FabricSpec.from_dict({**spec, "seed": params.get("synth_seed", 0)}))
+
+
+def _topology(scenario):
+    """The fabric a scenario runs on: a synthesized one for ``topology="synth"``,
     else the scenario's rack kind (link latency and the clos switch radix
     ride in params)."""
-    from ..topology import build_topology, synthesize
+    from ..topology import build_topology
 
-    scenario = task.scenario
     if scenario.topology == "synth":
-        return synthesize(_synth_spec(task)).topology
-    params = scenario.params_dict
-    latency_ns = params.get("latency_ns")
+        return _fabric(scenario).topology
+    latency_ns = scenario.param("latency_ns")
     return build_topology(
         scenario.topology,
         scenario.dims,
         capacity_bps=scenario.capacity_bps,
         latency_ns=None if latency_ns is None else int(latency_ns),
-        radix=int(params.get("radix", 8)),
+        radix=int(scenario.param("radix", 8)),
     )
 
 
-def _synth_spec(task: Task):
-    """The :class:`~repro.topology.synth.FabricSpec` a scenario describes.
-
-    ``dims`` are the per-rack dims; everything else rides in params.  The
-    synthesis seed is ``synth_seed`` (default 0), *not* the task seed: the
-    fabric is scenario content and must be identical across replicates.
-    """
-    from ..topology.synth import FabricSpec
-
-    params = task.scenario.params_dict
-    kwargs = {}
-    if params.get("max_cost") is not None:
-        kwargs["max_cost"] = float(params["max_cost"])
-    return FabricSpec(
-        design=params.get("design", "flat"),
-        rack=params.get("rack", "torus"),
-        rack_dims=task.scenario.dims,
-        n_racks=int(params.get("n_racks", 8)),
-        gateway_ports=int(params.get("gateway_ports", 4)),
-        oversubscription=float(params.get("oversubscription", 64.0)),
-        capacity_bps=task.scenario.capacity_bps,
-        bridge_capacity_bps=params.get("bridge_capacity_bps"),
-        bridge_latency_ns=int(params.get("bridge_latency_ns", 500)),
-        seed=int(params.get("synth_seed", 0)),
-        switch_radix=int(params.get("switch_radix", 64)),
-        switch_cost=float(params.get("switch_cost", 300.0)),
-        cable_cost=float(params.get("cable_cost", 10.0)),
-        **kwargs,
-    )
+#: What a kind's run description means when a param is absent, where that
+#: differs from the ``sim`` kind's §5.2 defaults (``_make_trace`` /
+#: ``sim_inputs``).  A scenario's own params always win.
+_KIND_DEFAULTS = {
+    # Figure 7: fixed-size flows and jumbo frames, as Maze emulates them.
+    "crossval": {"n_flows": 60, "tau_ns": 150_000, "sizes": "fixed", "mtu_payload": 8192},
+    # Figure 18: one long flow per node under a permutation.
+    "selection": {"workload": "permutation"},
+}
 
 
-def _apply_failure_storm(task: Task, topology):
+#: Scenario params that are :class:`~repro.sim.SimConfig` fields, with the
+#: type each is coerced to; absent ones keep the class defaults.
+_SIM_FIELDS = {
+    "stack": str, "mtu_payload": int, "n_broadcast_trees": int, "control_plane": str,
+    "reliable": bool, "loss_rate": float, "queue_limit_bytes": int, "horizon_ns": int,
+    "audit": bool,
+}
+
+
+def _params(scenario) -> Dict[str, Any]:
+    return {**_KIND_DEFAULTS.get(scenario.kind, {}), **scenario.params_dict}
+
+
+def _apply_failure_storm(params: Mapping[str, Any], seed: int, topology):
     """Degrade *topology* by failing ``fail_links`` seeded links.
 
     Returns ``(topology_view, failed_links)``; the sample is redrawn until
@@ -110,7 +122,6 @@ def _apply_failure_storm(task: Task, topology):
     reversed-path replies (TCP and reliable-transport ACKs) stay routable
     too.
     """
-    params = task.scenario.params_dict
     k_links = int(params.get("fail_links", 0))
     if k_links <= 0:
         return topology, []
@@ -118,12 +129,82 @@ def _apply_failure_storm(task: Task, topology):
     from ..validation import FaultInjector
 
     injector = FaultInjector(
-        seed=derive_seed(int(params.get("fail_seed", task.seed)), "fault-storm")
+        seed=derive_seed(int(params.get("fail_seed", seed)), "fault-storm")
     )
-    degraded, failed = injector.fail_links(
-        topology, k_links, require_connected=True, symmetric=True
+    return injector.fail_links(topology, k_links, require_connected=True, symmetric=True)
+
+
+def sim_inputs(scenario, seed: int):
+    """``(topology, trace, SimConfig, failed_links)`` for one run of
+    *scenario* with task seed *seed*.
+
+    The one path from a run description to engine inputs: campaign sim and
+    crossval tasks, ``repro simulate`` and ``repro explain-flow`` all build
+    here.  Trace and simulator seeds default to *seed* (a crossval pair's
+    simulator shares its trace seed with Maze).
+    """
+    from ..congestion import ControllerConfig
+    from ..sim import SimConfig
+
+    params = _params(scenario)
+    topology, failed_links = _apply_failure_storm(params, seed, _topology(scenario))
+    trace = _make_trace(scenario, seed, topology)
+    sim_seed = params.get("trace_seed", seed) if scenario.kind == "crossval" else seed
+    config = SimConfig(
+        controller=_config_from(ControllerConfig, params, ("headroom", "initial_rate_policy")),
+        audit_strict=bool(params.get("audit_strict", False)),
+        seed=int(params.get("sim_seed", sim_seed)),
+        **{name: kind(params[name]) for name, kind in _SIM_FIELDS.items()
+           if params.get(name) is not None},
     )
-    return degraded, failed
+    return topology, trace, config, failed_links
+
+
+class SimRun(NamedTuple):
+    """One run of a scenario: its engine inputs and what the engine made
+    (``telemetry`` for a serial run given a telemetry config, ``sharded``
+    — the :class:`~repro.distsim.DistSimResult` — for a sharded one)."""
+
+    topology: Any
+    trace: List[Any]
+    config: Any
+    failed_links: List[Any]
+    metrics: Any
+    telemetry: Any
+    sharded: Any
+
+
+def run_sim(scenario, seed: int, telemetry_config=None, obs=False, flight=False) -> SimRun:
+    """Run *scenario* once with task seed *seed*, on ``scenario.shards``
+    in-process shards or serially — the one place that chooses.
+
+    Executor policy, not semantics: the sharded run is byte-identical to
+    the serial one (and refuses configurations where it could not be —
+    e.g. r2c2 needs ``control_plane='per_node'``).  *obs* and *flight* arm
+    the causal tracer and the flight recorder; neither changes the run.
+    """
+    from dataclasses import replace
+
+    from ..sim import run_simulation
+
+    topology, trace, config, failed_links = sim_inputs(scenario, seed)
+    config = replace(config, obs=obs, flight=flight)
+    if scenario.shards > 1:
+        from ..distsim import run_sharded_simulation
+
+        sharded = run_sharded_simulation(
+            topology, trace, config, shards=scenario.shards,
+            telemetry_config=telemetry_config,
+            partition_strategy=scenario.param("partition_strategy", "auto"),
+        )
+        return SimRun(topology, trace, config, failed_links, sharded.metrics, None, sharded)
+    telemetry = None
+    if telemetry_config is not None:
+        from ..telemetry import Telemetry
+
+        telemetry = Telemetry(telemetry_config)
+    metrics = run_simulation(topology, trace, config, telemetry=telemetry)
+    return SimRun(topology, trace, config, failed_links, metrics, telemetry, None)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +228,7 @@ def _run_routing(task: Task) -> Dict[str, Any]:
     from ..workloads import STANDARD_PATTERNS
     from ..workloads.worstcase import worst_case_throughput
 
-    topology = _task_topology(task)
+    topology = _topology(task.scenario)
     protocol_name = task.scenario.param("protocol")
     pattern_name = task.scenario.param("pattern")
     if protocol_name is None or pattern_name is None:
@@ -184,12 +265,12 @@ def _make_sizes(params: Mapping[str, Any]):
     )
 
 
-def _make_trace(task: Task, topology):
+def _make_trace(scenario, seed: int, topology):
     from ..workloads import permutation_load_trace, poisson_trace
 
-    params = task.scenario.params_dict
+    params = _params(scenario)
     workload = params.get("workload", "poisson")
-    trace_seed = int(params.get("trace_seed", task.seed))
+    trace_seed = int(params.get("trace_seed", seed))
     protocol = params.get("protocol", "rps")
     if workload == "poisson":
         return poisson_trace(
@@ -220,7 +301,7 @@ def _make_trace(task: Task, topology):
         sizes = _make_sizes(params)
         n_hosts = topology.n_hosts
         if n_hosts < 2:
-            raise ExperimentError(f"task {task.key}: hostpairs needs >= 2 hosts")
+            raise ExperimentError(f"scenario {scenario.name}: hostpairs needs >= 2 hosts")
         gap_ns = max(1, int(params.get("tau_ns", 5_000)))
         trace = []
         start_ns = 0
@@ -241,7 +322,7 @@ def _make_trace(task: Task, topology):
             )
             start_ns += rng.randrange(1, 2 * gap_ns)
         return trace
-    raise ExperimentError(f"task {task.key}: unknown workload {workload!r}")
+    raise ExperimentError(f"scenario {scenario.name}: unknown workload {workload!r}")
 
 
 def _config_from(cls, params: Mapping[str, Any], names, **fixed: Any):
@@ -252,64 +333,23 @@ def _config_from(cls, params: Mapping[str, Any], names, **fixed: Any):
 
 
 def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    from ..congestion import ControllerConfig
-    from ..sim import SimConfig, run_simulation
-    from ..telemetry import Telemetry, TelemetryConfig
+    from ..telemetry import TelemetryConfig
 
-    params = task.scenario.params_dict
-    topology = _task_topology(task)
-    topology, failed_links = _apply_failure_storm(task, topology)
-    trace = _make_trace(task, topology)
     # The flight recorder is an out-of-band diagnostic channel: its dump
     # goes to *flight_sink*, never into the result dict, which must stay
     # byte-identical across executors (and the recorder is serial-only).
     record_flight = flight_sink is not None and task.scenario.shards <= 1
-    config = SimConfig(
-        stack=params.get("stack", "r2c2"),
-        controller=_config_from(
-            ControllerConfig, params, ("headroom", "initial_rate_policy")
-        ),
-        n_broadcast_trees=int(params.get("n_broadcast_trees", 4)),
-        mtu_payload=int(params.get("mtu_payload", 1500)),
-        control_plane=params.get("control_plane", "shared"),
-        reliable=bool(params.get("reliable", False)),
-        loss_rate=float(params.get("loss_rate", 0.0)),
-        queue_limit_bytes=(
-            int(params["queue_limit_bytes"])
-            if params.get("queue_limit_bytes") is not None
-            else None
-        ),
-        horizon_ns=(
-            int(params["horizon_ns"]) if params.get("horizon_ns") is not None else None
-        ),
-        audit=bool(params.get("audit", False)),
-        audit_strict=bool(params.get("audit_strict", False)),
-        seed=int(params.get("sim_seed", task.seed)),
+    run = run_sim(
+        task.scenario,
+        task.seed,
+        TelemetryConfig(metrics=True, trace=False, per_link_series=False),
         flight=record_flight,
     )
-    telemetry_config = TelemetryConfig(
-        metrics=True, trace=False, per_link_series=False
-    )
-    if task.scenario.shards > 1:
-        # Executor policy, not semantics: the sharded run is byte-identical
-        # to the serial one (and refuses configurations where it could not
-        # be — e.g. r2c2 needs control_plane='per_node' in params).
-        from ..distsim import run_sharded_simulation
-
-        sharded = run_sharded_simulation(
-            topology,
-            trace,
-            config,
-            shards=task.scenario.shards,
-            telemetry_config=telemetry_config,
-            partition_strategy=params.get("partition_strategy", "auto"),
-        )
-        metrics = sharded.metrics
-        snapshot = sharded.telemetry_snapshot or {}
+    metrics = run.metrics
+    if run.sharded is not None:
+        snapshot = run.sharded.telemetry_snapshot or {}
     else:
-        telemetry = Telemetry(telemetry_config)
-        metrics = run_simulation(topology, trace, config, telemetry=telemetry)
-        snapshot = telemetry.metrics.snapshot()
+        snapshot = run.telemetry.metrics.snapshot()
         if record_flight and metrics.flight_dump is not None:
             flight_sink["dump"] = metrics.flight_dump
     # The raw event count is an executor artifact (shards schedule extra
@@ -318,7 +358,7 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
     summary = metrics.summary()
     summary.pop("events", None)
     result: Dict[str, Any] = {
-        "stack": config.stack,
+        "stack": run.config.stack,
         "summary": summary,
         "completion_rate": metrics.completion_rate(),
         "short_fcts_us": sorted(metrics.short_fcts_us()),
@@ -334,13 +374,13 @@ def _run_sim(task: Task, flight_sink: Optional[Dict[str, Any]] = None) -> Dict[s
         "fcts_ns": sorted(f.fct_ns() for f in metrics.completed_flows()),
         "telemetry": _rollup_snapshot(snapshot),
     }
-    if params.get("wallclock"):
+    if task.scenario.param("wallclock"):
         # Opt-in, for figures that report run time as a declared
         # wall-clock cell: it is the one field that differs run to run.
         result["wallclock_s"] = metrics.wallclock_s
-    if failed_links:
-        result["failed_links"] = [list(link) for link in failed_links]
-    if config.audit:
+    if run.failed_links:
+        result["failed_links"] = [list(link) for link in run.failed_links]
+    if run.config.audit:
         # Run-level verdict only: counters like the audited event count are
         # executor accounting, and violation *order* can differ between a
         # serial run and the shard-order concatenation, so the rollup keeps
@@ -394,15 +434,12 @@ def _run_selection(task: Task) -> Dict[str, Any]:
     from ..congestion import FlowSpec
     from ..congestion.linkweights import WeightProvider
     from ..selection import SelectionProblem, random_baseline, uniform_baseline
-    from ..workloads import permutation_load_trace
 
     params = task.scenario.params_dict
-    topology = _task_topology(task)
+    topology = _topology(task.scenario)
     load = float(params.get("load", 0.25))
     search_seed = int(params.get("search_seed", task.seed))
-    trace = permutation_load_trace(
-        topology, load, seed=int(params.get("trace_seed", task.seed))
-    )
+    trace = _make_trace(task.scenario, task.seed, topology)
     flows = [FlowSpec(a.flow_id, a.src, a.dst, protocol="rps") for a in trace]
     problem = SelectionProblem(
         topology,
@@ -437,23 +474,10 @@ def _run_selection(task: Task) -> Dict[str, Any]:
 def _run_crossval(task: Task) -> Dict[str, Any]:
     from ..analysis import ks_distance
     from ..maze import run_emulation
-    from ..sim import SimConfig, run_simulation
-    from ..workloads import FixedSize, poisson_trace
 
-    params = task.scenario.params_dict
-    topology = _task_topology(task)
-    trace_seed = int(params.get("trace_seed", task.seed))
-    trace = poisson_trace(
-        topology,
-        int(params.get("n_flows", 60)),
-        float(params.get("tau_ns", 150_000)),
-        sizes=FixedSize(int(params.get("flow_bytes", 1_000_000))),
-        seed=trace_seed,
-    )
-    maze = run_emulation(topology, trace, seed=trace_seed)
-    sim = run_simulation(
-        topology, trace, SimConfig(stack="r2c2", mtu_payload=8192, seed=trace_seed)
-    )
+    run = run_sim(task.scenario, task.seed)
+    sim = run.metrics
+    maze = run_emulation(run.topology, run.trace, seed=run.config.seed)
     tput_maze = sorted(f.average_throughput_bps() / 1e9 for f in maze.completed_flows())
     tput_sim = sorted(f.average_throughput_bps() / 1e9 for f in sim.completed_flows())
     q_maze = sorted(b / 1000 for b in maze.max_queue_occupancy_bytes)
@@ -474,10 +498,10 @@ def _run_rate_error(task: Task) -> Dict[str, Any]:
     from ..sim.fluid import average_rate_error
 
     params = task.scenario.params_dict
-    topology = _task_topology(task)
+    topology = _topology(task.scenario)
     errors = average_rate_error(
         topology,
-        _make_trace(task, topology),
+        _make_trace(task.scenario, task.seed, topology),
         int(params["rho_ns"]),
         headroom=float(params.get("headroom", 0.05)),
     )
@@ -492,8 +516,8 @@ def _run_epoch_cost(task: Task) -> Dict[str, Any]:
     from ..congestion.linkweights import WeightProvider
 
     params = task.scenario.params_dict
-    topology = _task_topology(task)
-    trace = _make_trace(task, topology)
+    topology = _topology(task.scenario)
+    trace = _make_trace(task.scenario, task.seed, topology)
     rho_ns = int(params["rho_ns"])
     provider = WeightProvider(topology)
     specs = [FlowSpec(a.flow_id, a.src, a.dst, a.protocol) for a in trace]
@@ -522,7 +546,7 @@ def _run_churn(task: Task) -> Dict[str, Any]:
     from ..service import run_churn
 
     params = task.scenario.params_dict
-    topology = _task_topology(task)
+    topology = _topology(task.scenario)
     fallback_at = params.get("fallback_at")
     fail_seed = None
     if fallback_at is not None:
@@ -547,12 +571,11 @@ def _run_churn(task: Task) -> Dict[str, Any]:
 
 def _run_synth(task: Task) -> Dict[str, Any]:
     from ..analysis import tier_load_report
-    from ..topology import bisection_bandwidth_bps, synthesize
+    from ..topology import bisection_bandwidth_bps
 
     params = task.scenario.params_dict
-    spec = _synth_spec(task)
-    fabric = synthesize(spec)
-    topology = fabric.topology
+    fabric = _fabric(task.scenario)
+    spec, topology = fabric.spec, fabric.topology
     result: Dict[str, Any] = {
         "design": spec.design,
         "spec_fingerprint": spec.fingerprint(),

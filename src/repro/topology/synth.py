@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
@@ -54,6 +54,13 @@ SYNTH_DESIGNS = ("fattree", "flat", "ring", "switched")
 #: switch count, the gateway wiring (``SynthesizedFabric.bridges``) and the
 #: design's figures of merit.
 _Wiring = Tuple[str, int, Sequence[Tuple[int, ...]], Dict[str, Any]]
+
+#: Declared :class:`FabricSpec` field type -> the coercion ``from_dict`` applies.
+_COERCE = {
+    "str": str, "int": int, "float": float,
+    "Optional[float]": lambda value: None if value is None else float(value),
+    "Tuple[int, ...]": lambda dims: tuple(int(d) for d in dims),
+}
 
 #: How many pairing-model redraws the flat design attempts before declaring
 #: the (n_racks, degree) combination infeasible for this seed.
@@ -139,11 +146,10 @@ class FabricSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FabricSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "rack_dims" in kwargs:
-            kwargs["rack_dims"] = tuple(kwargs["rack_dims"])
-        return cls(**kwargs)
+        """The spec *data* describes (other keys are ignored).  Each field is
+        coerced to its declared type: ``64`` and ``64.0`` are one spec."""
+        known = [f for f in fields(cls) if f.name in data]
+        return cls(**{f.name: _COERCE[f.type](data[f.name]) for f in known})
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical spec JSON (the synthesis *problem*)."""

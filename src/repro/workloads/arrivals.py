@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Iterator
 
 from ..errors import ReproError
@@ -22,13 +23,8 @@ class ArrivalProcess(ABC):
         """Yield absolute arrival times in nanoseconds, forever."""
 
     def first_n(self, rng: random.Random, count: int, start_ns: int = 0) -> list:
-        """The first *count* arrival times."""
-        out = []
-        for t in self.arrival_times_ns(rng, start_ns):
-            out.append(t)
-            if len(out) == count:
-                break
-        return out
+        """The first *count* arrival times (none for ``count <= 0``)."""
+        return list(islice(self.arrival_times_ns(rng, start_ns), max(count, 0)))
 
 
 class PoissonArrivals(ArrivalProcess):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import Campaign, Scenario
-from repro.experiments.tasks import _apply_failure_storm, _task_topology, _make_trace
+from repro.experiments.tasks import _topology, sim_inputs
 from repro.fuzz import (
     SAFETY_HORIZON_NS,
     assemble,
@@ -22,7 +22,6 @@ from repro.fuzz import (
     mutate_scenario,
     sharding_eligible,
 )
-from repro.sim import SimConfig
 
 pytestmark = pytest.mark.fuzz
 
@@ -31,15 +30,15 @@ seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
 def _check_runnable(scenario: Scenario) -> None:
     """A spec is valid iff every construction step up to the simulation
-    itself accepts it (topology, storm, trace, SimConfig; for selection
-    kind: topology, objective, protocol pool, search budget; for churn
-    kind: topology, bounded op budget, fallback only on storm-safe
-    grids)."""
+    itself accepts it (``sim_inputs``: topology, storm, trace, SimConfig;
+    for selection kind: topology, objective, protocol pool, search budget;
+    for churn kind: topology, bounded op budget, fallback only on
+    storm-safe grids)."""
     params = scenario.params_dict
     campaign = Campaign(name="probe", scenarios=(scenario,), seed=1)
     (task,) = campaign.expand()
     if scenario.kind == "churn":
-        topology = _task_topology(task)
+        topology = _topology(scenario)
         # Bounded replay: the fuzz loop's safety contract for this kind.
         assert 0 < int(params["n_ops"]) <= 500
         assert 0 < int(params["max_flows"]) <= 64
@@ -54,7 +53,7 @@ def _check_runnable(scenario: Scenario) -> None:
         from repro.experiments.tasks import _make_objective
         from repro.routing.base import make_protocol
 
-        topology = _task_topology(task)
+        topology = _topology(scenario)
         _make_objective(params)  # must resolve
         for protocol in params["protocols"]:
             make_protocol(protocol, topology)  # every candidate routable
@@ -64,21 +63,7 @@ def _check_runnable(scenario: Scenario) -> None:
         assert 0 < int(params["patience"]) <= int(params["max_generations"])
         assert 0.0 < float(params["load"]) <= 1.0
         return
-    SimConfig(
-        stack=params.get("stack", "r2c2"),
-        mtu_payload=int(params.get("mtu_payload", 1500)),
-        control_plane=params.get("control_plane", "shared"),
-        reliable=bool(params.get("reliable", False)),
-        loss_rate=float(params.get("loss_rate", 0.0)),
-        queue_limit_bytes=params.get("queue_limit_bytes"),
-        horizon_ns=params.get("horizon_ns"),
-        audit=bool(params.get("audit", False)),
-        audit_strict=bool(params.get("audit_strict", False)),
-        seed=int(params.get("sim_seed", 0)),
-    )
-    topology = _task_topology(task)
-    topology, _failed = _apply_failure_storm(task, topology)
-    trace = _make_trace(task, topology)
+    trace = sim_inputs(scenario, task.seed)[1]
     assert len(trace) >= 1
     # Always audited, always bounded: the fuzz loop's safety contract.
     assert params["audit"] is True
@@ -146,18 +131,8 @@ class TestEligibility:
 
         for seed in range(40):
             scenario = generate_scenario(seed, "e")
-            params = scenario.params_dict
-            config = SimConfig(
-                stack=params.get("stack", "r2c2"),
-                control_plane=params.get("control_plane", "shared"),
-                reliable=bool(params.get("reliable", False)),
-                loss_rate=float(params.get("loss_rate", 0.0)),
-                audit=True,
-                audit_strict=False,
-                seed=1,
-            )
             if sharding_eligible(scenario):
-                validate_sharded_config(config)  # must not raise
+                validate_sharded_config(sim_inputs(scenario, 1)[2])  # must not raise
 
 
 def test_spec_json_round_trip():

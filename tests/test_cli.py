@@ -1,12 +1,25 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _sim_scenario, build_parser, main
+from repro.distsim import canonical_metrics
+from repro.experiments.tasks import run_sim
 
 COMMITTED = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+SIMULATE_ARGV = [
+    "simulate", "--dims", "3x3", "--flows", "20", "--interarrival-ns", "20000",
+    "--mean-bytes", "20000",
+]
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 class TestParsing:
@@ -43,27 +56,90 @@ class TestCommands:
         assert "aggregate" in out
 
     def test_simulate(self, capsys):
-        assert main(
-            [
-                "simulate",
-                "--dims",
-                "3x3",
-                "--flows",
-                "20",
-                "--interarrival-ns",
-                "20000",
-                "--mean-bytes",
-                "20000",
-            ]
-        ) == 0
+        assert main(SIMULATE_ARGV) == 0
         out = capsys.readouterr().out
         assert "completed" in out
+        # The run is one Scenario, and its fingerprint is printed.
+        args = build_parser().parse_args(SIMULATE_ARGV)
+        assert f"  scenario fingerprint {_sim_scenario(args).fingerprint()}\n" in out
+
+    def test_empty_trace_is_an_error_not_a_hang(self, capsys):
+        assert main(["simulate", "--dims", "2x2", "--flows", "0"]) == 2
+        assert "empty flow trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_non_positive_shards_are_refused(self, shards, capsys):
+        assert main(["simulate", "--dims", "2x2", "--shards", shards]) == 2
+        assert "shards must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["figure2", "claims"])
     def test_removed_commands_are_argparse_errors(self, command):
         # `repro figures fig02` / `repro figures claims` produce these tables.
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
+
+
+#: The flags every pinned run shares: a small 3x3 rack, 40 flows.
+RUN_BASE = [
+    "--dims", "3x3", "--flows", "40", "--interarrival-ns", "20000", "--mean-bytes", "20000",
+]
+
+#: flag set -> SHA-256 of ``canonical_metrics``, taken at the commit before
+#: the CLI built its runs through ``Scenario``: the CLI must run exactly
+#: what its private topology/trace/SimConfig builder ran.
+RUN_PINS = {
+    (): "78c0b9fca4ac7a9aba6dd4825f9ce2d4708a8199153f271efaaf67a129b6e803",
+    ("--control-plane", "per_node", "--reliable"):
+        "2500e012d706e0355fac26a900f3fcc35ea97d153a01f0ee7166c9d332345f63",
+    ("--stack", "tcp"): "72786ab3e142f6417fc7e97ad537f71a952618953673910d85c09d533b2bd0ae",
+    ("--stack", "pfq"): "7b1bffc5951cc047b18d1e449c85bbde5108b5ff157fa8c6c631ac02d1cd5089",
+    ("--topology", "hypercube", "--dims", "4"):
+        "ac255a165fcebb780236f00ba5764a589f7f5ebbf41e048a52f3f58e1e6a033c",
+    ("--shards", "2", "--control-plane", "per_node"):
+        "7319391ba7179e839ebead15ba5510d71d31d22a2e9e14ac80e0850d06b34a81",
+}
+
+
+class TestOneRunDescription:
+    @pytest.mark.parametrize("flags", sorted(RUN_PINS), ids=" ".join)
+    def test_simulate_runs_what_it_ran_before(self, flags):
+        args = build_parser().parse_args(["simulate", *RUN_BASE, *flags])
+        run = run_sim(_sim_scenario(args), args.seed)
+        assert (run.sharded is not None) == ("--shards" in flags)
+        assert _sha(canonical_metrics(run.metrics)) == RUN_PINS[flags]
+
+    def test_explain_flow_observes_what_it_observed_before(self):
+        args = build_parser().parse_args(
+            ["explain-flow", *RUN_BASE, "--control-plane", "per_node", "--reliable"]
+        )
+        run = run_sim(_sim_scenario(args), args.seed, obs=True)
+        assert _sha(run.metrics.flow_obs) == (
+            "bbf590ab617e750179e975ff5a579128d5ebd7bd31c14b919e7b791347d358a2"
+        )
+
+    def test_explain_flow_prints_the_fingerprint_and_shards_identically(
+        self, tmp_path, capsys
+    ):
+        argv = ["explain-flow", *RUN_BASE, "--control-plane", "per_node", "--check"]
+        serial, sharded = tmp_path / "k1.txt", tmp_path / "k2.txt"
+        assert main([*argv, "--out", str(serial)]) == 0
+        assert main([*argv, "--shards", "2", "--out", str(sharded)]) == 0
+        fingerprint = _sim_scenario(build_parser().parse_args(argv)).fingerprint()
+        assert capsys.readouterr().out.count(f"scenario fingerprint {fingerprint}\n") == 2
+        assert serial.read_text() == sharded.read_text()
+        assert serial.read_text().startswith("causal FCT decomposition: stack=r2c2")
+
+    def test_flags_map_one_to_one_onto_params(self):
+        args = build_parser().parse_args(
+            ["explain-flow", "--flows", "7", "--interarrival-ns", "900", "--seed", "3",
+             "--shards", "2", "--stack", "tcp"]
+        )
+        scenario = _sim_scenario(args)
+        assert scenario.kind == "sim" and scenario.shards == 2
+        assert scenario.params_dict == {
+            "stack": "tcp", "n_flows": 7, "tau_ns": 900, "mean_bytes": 100 * 1024,
+            "reliable": False, "control_plane": "shared", "trace_seed": 3, "sim_seed": 3,
+        }
 
 
 @pytest.mark.experiments
@@ -212,6 +288,23 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "per-tier channel load:" in out
         assert "bisection bandwidth:" in out
+
+    #: spec flags -> SHA-256 of the ``synth generate`` manifest on stdout,
+    #: taken before the CLI built its spec through ``FabricSpec.from_dict``.
+    MANIFEST_PINS = {
+        ("--design", "flat", "--racks", "4", "--rack-dims", "2x2", "--gateway-ports", "2",
+         "--seed", "3", "--bridge-gbps", "40", "--protocol", "hier_wlb"):
+            "65b02e69bfa48662a3455a7a10d4f90273fcb9dc71a14bb425a1d9a98ab7a38a",
+        ("--design", "switched", "--racks", "3", "--rack-dims", "2x2",
+         "--gateway-ports", "2", "--switch-radix", "16", "--max-cost", "5000"):
+            "cf183b110145b8989e286196bfd64c708a7fcbad6935e37ea519dd02b3e29a80",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(MANIFEST_PINS), ids=lambda f: f[1])
+    def test_generate_manifest_bytes_are_pinned(self, flags, capsys):
+        assert main(["synth", "generate", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MANIFEST_PINS[flags]
 
     def test_budget_violation_is_a_cli_error(self, capsys):
         assert main(

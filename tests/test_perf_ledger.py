@@ -41,3 +41,16 @@ def test_placeholder_label_is_refused(perfcommon):
         perfcommon.record_entry(doc, "s", "d", {"median_s": 1.0, "rev": "HEAD"})
     assert not doc["scenarios"]
     assert perfcommon.make_parser("x").parse_args([]).rev is None
+
+
+def test_save_history_sweeps_stale_temporaries(perfcommon, tmp_path):
+    path = tmp_path / "BENCH_x.json"
+    stale = tmp_path / ".BENCH_x.json.k1ll3d.tmp"
+    sibling = tmp_path / ".BENCH_x.json.old.k1ll3d.tmp"  # BENCH_x.json.old's
+    stale.write_text("{")
+    sibling.write_text("{")
+    perfcommon.save_history(path, {"benchmark": "x", "scenarios": {}})
+    assert not stale.exists()
+    assert sibling.exists()
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [sibling.name]
+    assert path.read_text() == '{\n  "benchmark": "x",\n  "scenarios": {}\n}\n'

@@ -45,6 +45,33 @@ class TestSpec:
         assert clone == spec
         assert clone.fingerprint() == spec.fingerprint()
 
+    @pytest.mark.parametrize("design", SYNTH_DESIGNS)
+    def test_every_design_round_trips_its_fingerprint(self, design):
+        spec = _spec(design=design, bridge_capacity_bps=40e9, max_cost=9000.0)
+        assert FabricSpec.from_dict(spec.to_dict()).fingerprint() == spec.fingerprint()
+        via_json = FabricSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert via_json.fingerprint() == spec.fingerprint()
+
+    def test_number_spelling_does_not_move_the_fingerprint(self):
+        # A JSON round trip or a scenario param may spell 64.0 as 64 and
+        # 500 as 500.0: from_dict coerces each field to its declared type.
+        ints = FabricSpec.from_dict(
+            {**SMALL, "oversubscription": 64, "bridge_latency_ns": 500,
+             "switch_cost": 300, "bridge_capacity_bps": 40_000_000_000}
+        )
+        floats = FabricSpec.from_dict(
+            {**SMALL, "oversubscription": 64.0, "bridge_latency_ns": 500.0,
+             "switch_cost": 300.0, "bridge_capacity_bps": 40e9}
+        )
+        assert ints == floats
+        assert ints.fingerprint() == floats.fingerprint()
+        assert isinstance(ints.oversubscription, float)
+        assert isinstance(floats.bridge_latency_ns, int)
+
+    def test_from_dict_ignores_unknown_keys_and_keeps_defaults(self):
+        spec = FabricSpec.from_dict({"design": "ring", "protocol": "hier_wlb"})
+        assert spec == FabricSpec(design="ring")
+
     def test_fingerprint_distinguishes_specs(self):
         assert _spec(seed=0).fingerprint() != _spec(seed=1).fingerprint()
         assert _spec().fingerprint() != _spec(n_racks=5).fingerprint()

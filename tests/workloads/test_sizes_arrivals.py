@@ -17,6 +17,7 @@ from repro.workloads import (
     trace_from_matrix,
     uniform_random_pair,
 )
+from repro.workloads.arrivals import ArrivalProcess
 
 
 class TestSizes:
@@ -85,6 +86,22 @@ class TestArrivals:
         times = BurstArrivals(10_000, burst_size=4).first_n(rng, 8)
         assert times[0] == times[1] == times[2] == times[3]
         assert times[4] > times[3]
+
+    def test_zero_arrivals_is_empty(self, rng):
+        # first_n used to append before comparing: count 0 never returned.
+        processes = [
+            PoissonArrivals(100), DeterministicArrivals(10), BurstArrivals(10_000, 4)
+        ]
+        assert {type(p) for p in processes} == set(ArrivalProcess.__subclasses__())
+        for proc in processes:
+            assert proc.first_n(rng, 0) == []
+            assert proc.first_n(rng, -1) == []
+
+    def test_first_n_draws_are_unchanged(self):
+        # A prefix of the process's own stream, drawn the same way as before.
+        rng = random.Random(3)
+        stream = PoissonArrivals(100).arrival_times_ns(random.Random(3))
+        assert PoissonArrivals(100).first_n(rng, 5) == [next(stream) for _ in range(5)]
 
     def test_validation(self):
         with pytest.raises(ReproError):
