@@ -214,7 +214,7 @@ class RateController:
     # Control-plane events (driven by broadcast receipt or local flows)
     # ------------------------------------------------------------------
     def on_flow_started(self, spec: FlowSpec, now_ns: int = 0) -> None:
-        """Record a flow start (local or learned by broadcast)."""
+        """Record the start of a flow this controller rate-limits."""
         self._table.add(spec)
         if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
@@ -224,8 +224,16 @@ class RateController:
             allocation = self._cached_waterfill(self._table.snapshot())
             self._young_rates[spec.flow_id] = allocation.rates_bps[spec.flow_id]
 
+    def on_flow_learned(self, spec: FlowSpec, now_ns: int = 0) -> None:
+        """Record a flow this node does not rate-limit: another node's
+        start, or a §3.2 re-announce.  The spec enters the table without
+        the young-flow admission (only the sender pins a young rate)."""
+        self._table.add(spec)
+        if self._config.recompute_interval_ns == 0:
+            self.recompute(now_ns)
+
     def on_flow_finished(self, flow_id: FlowId, now_ns: int = 0) -> None:
-        """Record a flow finish."""
+        """Record a flow finish (local or learned by broadcast)."""
         self._table.remove(flow_id)
         self._young_rates.pop(flow_id, None)
         if self._config.recompute_interval_ns == 0:

@@ -152,9 +152,7 @@ class R2C2Node:
                 demand_bps=packet.demand_bps,
                 start_time_ns=now_ns,
             )
-            # Only the sender rate-limits a flow: a remote node stores the
-            # spec without the young-flow admission path.
-            self.controller.table.add(spec)
+            self.controller.on_flow_learned(spec, now_ns)
         elif packet.event == EVENT_FLOW_FINISH:
             if packet.src != self.node:
                 self.controller.on_flow_finished(packet.flow_id, now_ns)

@@ -7,9 +7,10 @@ interval ρ against the ideal ρ=0 case (recompute at every flow event).
 
 Between rate changes every flow drains linearly at its allocated rate, so
 the simulation advances from event to event (arrival, departure, epoch)
-analytically, with one water-fill per recomputation.  Young-flow semantics
-match the packet simulator: under batching (ρ > 0) a new flow transmits at
-the initial rate until the first epoch boundary that includes it.
+analytically.  Rates come from the packet simulator's own control loop, a
+:class:`~repro.congestion.controller.RateController`: under batching
+(ρ > 0) a new flow transmits at the initial rate until the first epoch
+boundary that includes it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..congestion.controller import ControllerConfig
+from ..congestion.controller import ControllerConfig, RateController
 from ..congestion.flowstate import FlowSpec
 from ..congestion.linkweights import WeightProvider
-from ..congestion.waterfill import waterfill
 from ..errors import SimulationError
 from ..topology.base import Topology
 from ..types import FlowId
@@ -50,13 +50,12 @@ class FluidFlowResult:
 
 
 class _ActiveFlow:
-    __slots__ = ("spec", "remaining_bits", "rate_bps", "young")
+    __slots__ = ("start_ns", "remaining_bits", "rate_bps")
 
-    def __init__(self, spec: FlowSpec, size_bytes: int, rate_bps: float) -> None:
-        self.spec = spec
+    def __init__(self, start_ns: int, size_bytes: int) -> None:
+        self.start_ns = start_ns
         self.remaining_bits = size_bytes * 8.0
-        self.rate_bps = rate_bps
-        self.young = True
+        self.rate_bps = 0.0
 
 
 class FluidSimulator:
@@ -71,8 +70,6 @@ class FluidSimulator:
         self._topology = topology
         self._provider = provider if provider is not None else WeightProvider(topology)
         self._config = config or ControllerConfig()
-        self.recomputations = 0
-        self.sender_computations = 0
 
     @property
     def provider(self) -> WeightProvider:
@@ -83,16 +80,13 @@ class FluidSimulator:
         """Simulate until every flow in *trace* completes."""
         if not trace:
             return {}
-        config = self._config
-        rho = config.recompute_interval_ns
-        capacity = self._topology.capacity_bps
-        last_mean_rate = capacity
-
-        def initial_rate() -> float:
-            if config.initial_rate_policy == "mean_allocated":
-                return min(capacity, last_mean_rate)
-            return capacity
-
+        rho = self._config.recompute_interval_ns
+        # One rack-wide controller: it sees every start and finish the
+        # moment it happens and rate-limits every flow.
+        controller = RateController(
+            self._topology, 0, provider=self._provider, config=self._config
+        )
+        rate_for = controller.rate_for
         arrivals = sorted(trace, key=lambda a: (a.start_ns, a.flow_id))
         arrival_by_id = {a.flow_id: a for a in arrivals}
         next_arrival = 0
@@ -100,20 +94,6 @@ class FluidSimulator:
         results: Dict[FlowId, FluidFlowResult] = {}
         now = float(arrivals[0].start_ns)
         next_epoch = (math.floor(now / rho) + 1) * rho if rho > 0 else math.inf
-
-        def recompute() -> None:
-            nonlocal last_mean_rate
-            self.recomputations += 1
-            specs = [f.spec for f in active.values()]
-            allocation = waterfill(
-                self._topology, specs, self._provider, headroom=config.headroom
-            )
-            for flow in active.values():
-                flow.rate_bps = allocation.rates_bps[flow.spec.flow_id]
-                flow.young = False
-            if allocation.rates_bps:
-                rates = allocation.rates_bps.values()
-                last_mean_rate = sum(rates) / len(rates)
 
         while next_arrival < len(arrivals) or active:
             # Next departure under current rates.
@@ -130,10 +110,7 @@ class FluidSimulator:
                 if next_arrival < len(arrivals)
                 else math.inf
             )
-            epoch_time = next_epoch if (rho > 0 and active) else (
-                next_epoch if rho > 0 else math.inf
-            )
-            t_next = min(dep_time, arr_time, epoch_time)
+            t_next = min(dep_time, arr_time, next_epoch)
             if math.isinf(t_next):
                 raise SimulationError(
                     "fluid simulation stalled: active flows with zero rate "
@@ -147,54 +124,40 @@ class FluidSimulator:
                     flow.remaining_bits -= flow.rate_bps * dt / 1e9
             now = t_next
 
-            if t_next == epoch_time and rho > 0:
+            if t_next == next_epoch:
                 next_epoch += rho
                 if active:
-                    recompute()
-                continue
-
-            if t_next == arr_time:
+                    controller.recompute(int(now))
+            elif t_next == arr_time:
                 arrival = arrivals[next_arrival]
                 next_arrival += 1
-                spec = FlowSpec(
-                    flow_id=arrival.flow_id,
-                    src=arrival.src,
-                    dst=arrival.dst,
-                    protocol=arrival.protocol,
-                    weight=arrival.weight,
-                    priority=arrival.priority,
-                    start_time_ns=int(now),
-                    tenant=arrival.tenant,
+                active[arrival.flow_id] = _ActiveFlow(int(now), arrival.size_bytes)
+                controller.on_flow_started(
+                    FlowSpec(
+                        flow_id=arrival.flow_id,
+                        src=arrival.src,
+                        dst=arrival.dst,
+                        protocol=arrival.protocol,
+                        weight=arrival.weight,
+                        priority=arrival.priority,
+                        start_time_ns=int(now),
+                        tenant=arrival.tenant,
+                    ),
+                    int(now),
                 )
-                flow = _ActiveFlow(spec, arrival.size_bytes, initial_rate())
-                active[arrival.flow_id] = flow
-                if rho == 0:
-                    recompute()
-                elif config.initial_rate_policy == "local_waterfill":
-                    # Sender-side computation for the new flow only; other
-                    # flows keep their batched rates until the next epoch.
-                    self.sender_computations += 1
-                    allocation = waterfill(
-                        self._topology,
-                        [f.spec for f in active.values()],
-                        self._provider,
-                        headroom=config.headroom,
-                    )
-                    flow.rate_bps = allocation.rates_bps[arrival.flow_id]
-                continue
-
-            # Departure (numerical slack: anything within one bit counts).
-            assert dep_flow is not None
-            flow = active.pop(dep_flow)
-            arrival_record = arrival_by_id[dep_flow]
-            results[dep_flow] = FluidFlowResult(
-                flow_id=dep_flow,
-                size_bytes=arrival_record.size_bytes,
-                start_ns=flow.spec.start_time_ns,
-                finish_ns=int(now),
-            )
-            if rho == 0 and active:
-                recompute()
+            else:
+                # Departure (numerical slack: anything within one bit counts).
+                assert dep_flow is not None
+                flow = active.pop(dep_flow)
+                results[dep_flow] = FluidFlowResult(
+                    flow_id=dep_flow,
+                    size_bytes=arrival_by_id[dep_flow].size_bytes,
+                    start_ns=flow.start_ns,
+                    finish_ns=int(now),
+                )
+                controller.on_flow_finished(dep_flow, int(now))
+            for fid, flow in active.items():
+                flow.rate_bps = rate_for(fid)
 
         return results
 

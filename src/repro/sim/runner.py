@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..broadcast.fib import BroadcastFib
-from ..congestion.controller import ControllerConfig, RateController
+from ..congestion.controller import ControllerConfig
 from ..congestion.linkweights import WeightProvider
 from ..errors import SimulationError
 from ..routing.ecmp import EcmpSinglePath
@@ -26,7 +26,7 @@ from .network import FifoQueue, RackNetwork
 from .packets import data_packet_size
 from .probe import build_probe
 from .stacks.pfq import BackpressureQueue, PfqCoordinator, PfqStack
-from .stacks.r2c2 import PerNodeControlPlane, R2C2Stack, SharedControlPlane
+from .stacks.r2c2 import PerNodeControlPlane, R2C2Stack
 from .stacks.r2c2_reliable import R2C2ReliableStack
 from .stacks.tcp import DEFAULT_TCP_QUEUE_LIMIT, TcpStack
 
@@ -297,26 +297,17 @@ def _build_r2c2(
     )
     network_holder["net"] = network
     provider = provider if provider is not None else WeightProvider(topology)
-    if config.control_plane == "per_node":
-        control = PerNodeControlPlane(
-            loop,
-            network,
-            topology,
-            provider,
-            config.controller,
-            telemetry=telemetry,
-            nodes=owned_nodes,
-            probe=probe,
-        )
-    else:
-        controller = RateController(
-            topology,
-            node=0,
-            provider=provider,
-            config=config.controller,
-            telemetry=telemetry,
-        )
-        control = SharedControlPlane(loop, network, controller, probe)
+    control = PerNodeControlPlane(
+        loop,
+        network,
+        topology,
+        provider,
+        config.controller,
+        telemetry=telemetry,
+        nodes=owned_nodes,
+        probe=probe,
+        shared=config.control_plane == "shared",
+    )
     common = dict(
         mtu_payload=config.mtu_payload,
         seed=seed,

@@ -8,38 +8,43 @@ packets along the broadcast trees (consuming link bandwidth).
 Receiver side: payload accounting, completion detection and reorder-buffer
 measurement.
 
-Two control-plane models share one interface:
+One control-plane class, :class:`PerNodeControlPlane`, maps every node to a
+:class:`~repro.congestion.controller.RateController` (every table write is a
+controller call) and has two modes:
 
-* :class:`SharedControlPlane` (default) — a single rack-wide
-  :class:`~repro.congestion.controller.RateController`.  Every node would
-  compute identical allocations from identical broadcast-fed tables, so the
-  simulator computes them once per epoch instead of once per node per
-  epoch; the table is updated the moment a sender *emits* an event.
-* :class:`PerNodeControlPlane` — full fidelity: one controller per node,
-  updated only when a broadcast packet is actually *delivered* to that node
-  (the sender applies its own events immediately).  Identical tables still
-  cost one water-fill thanks to a shared allocation memo, so this mode is
-  affordable and is used to validate the shared collapsing
-  (`tests/integration/` and `SimConfig(control_plane="per_node")`).
+* shared (``SimConfig(control_plane="shared")``, the default) — every node
+  maps to the same controller.  Every node would compute identical
+  allocations from identical broadcast-fed tables, so the simulator computes
+  them once per epoch instead of once per node per epoch; the table is
+  updated the moment a sender *emits* an event.
+* per node (``control_plane="per_node"``) — full fidelity: one controller
+  per node, updated only when a broadcast packet is actually *delivered* to
+  that node (the sender applies its own events immediately).  Identical
+  tables still cost one water-fill thanks to a shared allocation memo, so
+  this mode is affordable and is used to validate the shared collapsing
+  (`tests/integration/`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from ...broadcast.fib import BroadcastFib
 from ...congestion.controller import ControllerConfig, RateController
-from ...congestion.flowstate import FlowSpec, FlowTable
+from ...congestion.flowstate import FlowSpec
 from ...errors import SimulationError
 from ...lru import BoundedLru
 from ...types import NodeId
-from ...wire.packets import DATA_HEADER_SIZE
+from ...wire.packets import (
+    DATA_HEADER_SIZE,
+    EVENT_DEMAND_UPDATE,
+    EVENT_FLOW_FINISH,
+    EVENT_FLOW_START,
+)
 from ..engine import EventLoop
 from ..flows import SimFlow
 from ..network import RackNetwork
 from ..packets import (
-    DROP_NOTE_SIZE_BYTES,
     KIND_BROADCAST,
     KIND_DATA,
     KIND_DROP_NOTE,
@@ -48,109 +53,29 @@ from ..packets import (
 )
 from .base import HostStack
 
-#: Broadcast payload markers (mirrors the wire event codes).
-_EVENT_START = 1
-_EVENT_FINISH = 2
-_EVENT_DEMAND = 3
-
 #: Human-readable event names the probe's broadcast sites are told.
-_EVENT_NAMES = {_EVENT_START: "start", _EVENT_FINISH: "finish", _EVENT_DEMAND: "demand"}
-
-
-class SharedControlPlane:
-    """One rack-wide controller standing in for all per-node copies."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        network: RackNetwork,
-        controller: RateController,
-        probe=None,
-    ) -> None:
-        self.loop = loop
-        self.network = network
-        self.controller = controller
-        self._stacks: List["R2C2Stack"] = []
-        self._epoch_scheduled = False
-        #: the run's observation surface (repro.sim.probe): every
-        #: recomputed allocation is reported to it.
-        self._probe = probe
-
-    @property
-    def provider(self):
-        """The shared link-weight cache."""
-        return self.controller.provider
-
-    @property
-    def config(self) -> ControllerConfig:
-        """The rack-wide controller configuration."""
-        return self.controller.config
-
-    def register(self, stack: "R2C2Stack") -> None:
-        """A node stack joins the control plane."""
-        self._stacks.append(stack)
-
-    def start_epochs(self) -> None:
-        """Schedule the periodic recomputation (idempotent)."""
-        if self._epoch_scheduled:
-            return
-        self._epoch_scheduled = True
-        interval = self.controller.config.recompute_interval_ns
-        if interval <= 0:
-            return  # ρ = 0: the controller recomputes at every flow event
-
-        def tick() -> None:
-            self.controller.recompute(self.loop.now)
-            if self._probe is not None:
-                allocation = self.controller.allocation
-                self._probe.allocation(allocation)
-                self._probe.control_epoch(
-                    flows=0 if allocation is None else len(allocation.rates_bps)
-                )
-            for stack in self._stacks:
-                stack.on_epoch()
-            self.loop.schedule(interval, tick)
-
-        self.loop.schedule(interval, tick)
-
-    def on_flow_started(self, spec: FlowSpec, node: NodeId) -> None:
-        """Sender announced a flow (its own table knows immediately)."""
-        self.controller.on_flow_started(spec, self.loop.now)
-
-    def on_flow_reannounced(self, spec: FlowSpec, node: NodeId) -> None:
-        """§3.2 recovery: refresh the table entry without re-running the
-        young-flow admission path (the flow is not new, just re-told)."""
-        self.controller.table.add(spec)
-
-    def on_flow_finished(self, flow_id: int, node: NodeId) -> None:
-        """Sender announced a finish."""
-        self.controller.on_flow_finished(flow_id, self.loop.now)
-
-    def on_demand_update(self, flow_id: int, demand_bps: float, node: NodeId) -> None:
-        """Sender announced a demand estimate."""
-        self.controller.on_demand_update(flow_id, demand_bps)
-
-    def rate_for(self, flow_id: int, node: NodeId) -> float:
-        """Current enforced rate for a flow, as node *node* sees it."""
-        return self.controller.rate_for(flow_id)
-
-    def apply_broadcast(self, node: NodeId, src: NodeId, payload) -> None:
-        """Broadcast delivery at *node*: a no-op — the shared table was
-        already updated when the sender emitted the event."""
-
-    def recompute_stats(self):
-        """Recomputation statistics for the metrics collector."""
-        return self.controller.stats
+_EVENT_NAMES = {
+    EVENT_FLOW_START: "start",
+    EVENT_FLOW_FINISH: "finish",
+    EVENT_DEMAND_UPDATE: "demand",
+}
 
 
 class PerNodeControlPlane:
-    """Full-fidelity control plane: one controller per rack node.
+    """The simulator's control plane: each rack node's rate controller.
 
-    Remote nodes learn about flows only when the 16-byte broadcast packets
-    actually reach them through the simulated fabric, so visibility skew is
-    modelled exactly.  A shared allocation memo keeps the cost near the
-    shared mode's: nodes whose tables agree (the overwhelmingly common
-    case) reuse one water-fill result.
+    Per node (the default here): remote nodes learn about flows only when
+    the 16-byte broadcast packets actually reach them through the simulated
+    fabric, so visibility skew is modelled exactly.  A shared allocation
+    memo keeps the cost near the shared mode's: nodes whose tables agree
+    (the overwhelmingly common case) reuse one water-fill result.
+
+    Shared (``shared=True``): every node's entry is one rack-wide
+    controller, so a broadcast delivery has nothing left to apply.
+
+    The class keeps its per-node name in both modes because r2c2bench's
+    span tracer (``benchmarks/r2c2bench/tracing.py``) hooks its constructor
+    by that name.
     """
 
     def __init__(
@@ -163,41 +88,41 @@ class PerNodeControlPlane:
         telemetry=None,
         nodes=None,
         probe=None,
+        shared: bool = False,
     ) -> None:
         self.loop = loop
         self.network = network
         self._config = config
         self._provider = provider
-        self._cache = BoundedLru(4096)
         #: nodes this plane manages — all of them in a serial run, one
         #: shard's subset under repro.distsim.  Ascending order keeps the
         #: epoch-tick iteration identical to the serial engine's.
         self._nodes: List[NodeId] = (
             list(topology.nodes()) if nodes is None else sorted(nodes)
         )
-        self._by_node: Dict[NodeId, RateController] = {
-            node: RateController(
+        # Shared mode's controller keeps its own one-entry memo: it is the
+        # only reader, and a big memo would hold rack-wide allocations.
+        cache = None if shared else BoundedLru(4096)
+        self.controllers: List[RateController] = [
+            RateController(
                 topology,
                 node,
                 provider=provider,
                 config=config,
-                allocation_cache=self._cache,
+                allocation_cache=cache,
                 telemetry=telemetry,
             )
-            for node in self._nodes
-        }
-        self.controllers: List[RateController] = [
-            self._by_node[node] for node in self._nodes
+            for node in (self._nodes[:1] if shared else self._nodes)
         ]
-        #: each node's flow table, resolved once for the per-copy path.
-        self._tables: Dict[NodeId, FlowTable] = {
-            node: controller.table for node, controller in self._by_node.items()
-        }
-        #: kept for interface parity (metrics, reliable stack internals).
-        self.controller = self.controllers[0]
+        self._by_node: Dict[NodeId, RateController] = (
+            dict.fromkeys(self._nodes, self.controllers[0])
+            if shared
+            else dict(zip(self._nodes, self.controllers))
+        )
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
-        #: the run's observation surface (repro.sim.probe).
+        #: the run's observation surface (repro.sim.probe): every
+        #: recomputed allocation is reported to it.
         self._probe = probe
 
     @property
@@ -215,7 +140,8 @@ class PerNodeControlPlane:
         self._stacks.append(stack)
 
     def start_epochs(self) -> None:
-        """Every node recomputes at the same epoch boundaries."""
+        """Every controller recomputes at the same epoch boundaries
+        (idempotent; ρ = 0 recomputes at every flow event instead)."""
         if self._epoch_scheduled:
             return
         self._epoch_scheduled = True
@@ -242,49 +168,48 @@ class PerNodeControlPlane:
         self._by_node[node].on_flow_started(spec, self.loop.now)
 
     def on_flow_reannounced(self, spec: FlowSpec, node: NodeId) -> None:
-        """§3.2 recovery: the sender refreshes its own table entry."""
-        self._tables[node].add(spec)
+        """§3.2 recovery: the sender refreshes its own table entry without
+        re-running the young-flow admission (the flow is not new)."""
+        self._by_node[node].on_flow_learned(spec, self.loop.now)
 
     def on_flow_finished(self, flow_id: int, node: NodeId) -> None:
+        """The sender announced a finish."""
         self._by_node[node].on_flow_finished(flow_id, self.loop.now)
 
     def on_demand_update(self, flow_id: int, demand_bps: float, node: NodeId) -> None:
+        """The sender announced a demand estimate."""
         self._by_node[node].on_demand_update(flow_id, demand_bps)
 
     def rate_for(self, flow_id: int, node: NodeId) -> float:
+        """Current enforced rate for a flow, as node *node* sees it."""
         return self._by_node[node].rate_for(flow_id)
 
     def apply_broadcast(self, node: NodeId, src: NodeId, payload) -> None:
         """A broadcast packet reached *node*: apply it to that node's view."""
-        if src == node:
-            return  # the sender already applied its own event
+        controller = self._by_node[node]
+        if controller is self._by_node.get(src):
+            return  # the sender's controller already applied its own event
         event, data = payload
-        if event == _EVENT_START:
-            # Remote nodes store the spec; they never rate-limit it, so the
-            # young-flow water-fill is suppressed by inserting directly.
-            self._tables[node].add(data)
-        elif event == _EVENT_FINISH:
-            self._tables[node].remove(data)
-        elif event == _EVENT_DEMAND:
-            flow_id, demand_bps = data
-            self._by_node[node].on_demand_update(flow_id, demand_bps)
+        if event == EVENT_FLOW_START:
+            controller.on_flow_learned(data, self.loop.now)
+        elif event == EVENT_FLOW_FINISH:
+            controller.on_flow_finished(data, self.loop.now)
+        elif event == EVENT_DEMAND_UPDATE:
+            controller.on_demand_update(*data)
         else:
             raise SimulationError(f"unknown broadcast event {event}")
 
     def recompute_stats(self):
         """Aggregate recomputation statistics across all controllers."""
-        stats = []
-        for controller in self.controllers:
-            stats.extend(controller.stats)
-        return stats
+        return [stat for controller in self.controllers for stat in controller.stats]
 
     def recompute_stats_by_node(self):
-        """Per-node recomputation statistics (``{node: [stats, ...]}``).
+        """Per-controller recomputation statistics (``{node: [stats, ...]}``).
 
         The sharded merge concatenates these in global node order, which
         reproduces :meth:`recompute_stats` of a serial run exactly.
         """
-        return {node: list(self._by_node[node].stats) for node in self._nodes}
+        return {c.node: list(c.stats) for c in self.controllers}
 
 
 class R2C2Stack(HostStack):
@@ -295,7 +220,7 @@ class R2C2Stack(HostStack):
         node: NodeId,
         loop: EventLoop,
         network: RackNetwork,
-        control: SharedControlPlane,
+        control: PerNodeControlPlane,
         flows_by_id: Dict[int, SimFlow],
         mtu_payload: int = 1500,
         seed: int = 0,
@@ -348,7 +273,7 @@ class R2C2Stack(HostStack):
         self.control.on_flow_started(spec, self.node)
         if self._probe is not None:
             self._probe.flow_start(flow)
-        self._broadcast(flow, _EVENT_START, spec)
+        self._broadcast(flow, EVENT_FLOW_START, spec)
         self._active_local.add(flow.flow_id)
         if flow.app_rate_bps is not None:
             from ...congestion.demand import DemandEstimator
@@ -443,7 +368,7 @@ class R2C2Stack(HostStack):
             self._active_local.discard(flow_id)
             self._estimators.pop(flow_id, None)
             self.control.on_flow_finished(flow_id, self.node)
-            self._broadcast(flow, _EVENT_FINISH, flow_id)
+            self._broadcast(flow, EVENT_FLOW_FINISH, flow_id)
         else:
             # Token-bucket pacing: the next packet may start once this one's
             # bits have been paid for at the allocated rate.
@@ -473,7 +398,7 @@ class R2C2Stack(HostStack):
                 tenant=flow.tenant,
             )
             self.control.on_flow_reannounced(spec, self.node)
-            self._broadcast(flow, _EVENT_START, spec)
+            self._broadcast(flow, EVENT_FLOW_START, spec)
             count += 1
         if self._probe is not None:
             self._probe.reannounce_round(self.node, count)
@@ -499,7 +424,7 @@ class R2C2Stack(HostStack):
             if estimator.should_broadcast(allocated):
                 demand = estimator.mark_broadcast()
                 self.control.on_demand_update(flow_id, demand, self.node)
-                self._broadcast(flow, _EVENT_DEMAND, (flow_id, demand))
+                self._broadcast(flow, EVENT_DEMAND_UPDATE, (flow_id, demand))
 
     # ------------------------------------------------------------------
     # Receiving

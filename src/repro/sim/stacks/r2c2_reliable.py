@@ -21,9 +21,10 @@ from typing import Dict
 from ...errors import SimulationError
 from ...transport.reliability import AckInfo, ReliableReceiver, ReliableSender
 from ...types import NodeId, usec
+from ...wire.packets import EVENT_FLOW_FINISH
 from ..flows import SimFlow
 from ..packets import ACK_SIZE_BYTES, KIND_ACK, KIND_DATA, SimPacket, data_packet_size
-from .r2c2 import _EVENT_FINISH, R2C2Stack
+from .r2c2 import R2C2Stack
 
 #: Fixed retransmission timeout of the reliability transport.
 _RTO_NS = usec(150)
@@ -120,7 +121,7 @@ class R2C2ReliableStack(R2C2Stack):
             self._active_local.discard(flow.flow_id)
             self._estimators.pop(flow.flow_id, None)
             self.control.on_flow_finished(flow.flow_id, self.node)
-            self._broadcast(flow, _EVENT_FINISH, flow.flow_id)
+            self._broadcast(flow, EVENT_FLOW_FINISH, flow.flow_id)
 
     # ------------------------------------------------------------------
     # Receiving

@@ -83,6 +83,32 @@ class TestEpochs:
             Rack(torus2d).advance_time(-1)
 
 
+class TestLearnedFlows:
+    """Two ecmp flows into node 2 of a 3-node line share its one 10 Gb/s
+    link.  Node 0 learns flow B from B's broadcast."""
+
+    def _rack(self, rho_ns):
+        from repro.topology import MeshTopology
+
+        rack = Rack(
+            MeshTopology((3,)),
+            ControllerConfig(headroom=0.0, recompute_interval_ns=rho_ns),
+        )
+        a = rack.start_flow(0, 2, protocol="ecmp")
+        b = rack.start_flow(1, 2, protocol="ecmp")
+        return rack, a, b
+
+    def test_rho_zero_recomputes_when_a_start_is_learned(self):
+        rack, a, b = self._rack(0)
+        assert rack.rate_of(a) == rack.rate_of(b) == 5e9
+
+    def test_batched_rates_converge_at_the_epoch(self):
+        rack, a, b = self._rack(usec(500))
+        assert rack.rate_of(a) == 10e9  # young until the epoch covers B
+        rack.advance_time(usec(500))
+        assert rack.rate_of(a) == rack.rate_of(b) == 5e9
+
+
 class TestOneFillPerView:
     """A rack's nodes share one allocation memo and remote nodes only store
     a flow start, so the rack pays one water-fill per distinct table view

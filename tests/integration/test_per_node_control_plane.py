@@ -4,8 +4,11 @@ with the shared collapsed controller the simulator defaults to."""
 import numpy as np
 import pytest
 
+from repro.congestion import ControllerConfig
 from repro.sim import SimConfig, run_simulation
-from repro.workloads import FixedSize, poisson_trace
+from repro.topology import MeshTopology
+from repro.types import usec
+from repro.workloads import FixedSize, FlowArrival, poisson_trace
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +82,35 @@ class TestPerNodeControlPlane:
 
         with pytest.raises(SimulationError):
             SimConfig(control_plane="quantum")
+
+
+class TestRhoZero:
+    """ρ = 0 recomputes at every start and finish, also where a node learns
+    them from a delivered broadcast: per-node must then equal shared."""
+
+    def test_learned_start_rates_the_senders_own_flows(self):
+        # Flows 0->2 and 1->2 on a 3-node line share link 1->2.  Node 0
+        # learns flow 1 by broadcast and must halve flow 0's rate.
+        topo = MeshTopology((3,))
+        trace = [
+            FlowArrival(0, 0, 2, 2_000_000, 0),
+            FlowArrival(1, 1, 2, 2_000_000, usec(50)),
+        ]
+        shared, per_node = (
+            run_simulation(
+                topo,
+                trace,
+                SimConfig(
+                    stack="r2c2",
+                    control_plane=plane,
+                    controller=ControllerConfig(recompute_interval_ns=0),
+                ),
+            )
+            for plane in ("shared", "per_node")
+        )
+        assert max(per_node.max_queue_occupancy_bytes) == max(
+            shared.max_queue_occupancy_bytes
+        )
+        assert [f.fct_ns() for f in per_node.flows] == [
+            f.fct_ns() for f in shared.flows
+        ]

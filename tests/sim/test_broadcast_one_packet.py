@@ -18,8 +18,8 @@ from repro.sim.metrics import SimMetrics
 from repro.sim.network import OutputPort
 from repro.sim.packets import KIND_DROP_NOTE
 from repro.sim.runner import _build_r2c2
-from repro.sim.stacks.r2c2 import _EVENT_START
 from repro.topology import FoldedClosTopology, TorusTopology
+from repro.wire.packets import EVENT_FLOW_START
 from repro.workloads import FlowArrival
 
 N_TREES = 4
@@ -115,7 +115,7 @@ def test_a_dropped_copy_is_noted_to_its_source_and_resent_on_the_next_tree():
         return inject(node, packet)
 
     network.inject = recording_inject
-    source._broadcast(flow, _EVENT_START, "spec")
+    source._broadcast(flow, EVENT_FLOW_START, "spec")
     loop.run_until(20_000)
 
     assert port.drops >= 1

@@ -14,6 +14,18 @@ from repro.types import gbps
 from repro.workloads import FixedSize, poisson_trace
 
 
+def _shared_plane(loop, network, topo):
+    """The simulator's control plane in shared mode: one controller for
+    every node, as ``SimConfig(control_plane="shared")`` builds it."""
+    from repro.congestion.controller import ControllerConfig
+    from repro.congestion.linkweights import WeightProvider
+    from repro.sim.stacks.r2c2 import PerNodeControlPlane
+
+    return PerNodeControlPlane(
+        loop, network, topo, WeightProvider(topo), ControllerConfig(), shared=True
+    )
+
+
 class TestBroadcastDropRecovery:
     def test_unbounded_queues_never_drop(self, torus2d):
         trace = poisson_trace(torus2d, 40, 10_000, sizes=FixedSize(60_000), seed=5)
@@ -40,19 +52,17 @@ class TestBroadcastDropRecovery:
     def test_retransmission_counter_exposed(self):
         # Drive the stack API directly to assert the §3.2 machinery.
         from repro.broadcast import BroadcastFib
-        from repro.congestion.controller import RateController
         from repro.sim import EventLoop, RackNetwork, SimPacket
         from repro.sim.flows import SimFlow
         from repro.sim.packets import KIND_DROP_NOTE
-        from repro.sim.stacks.r2c2 import R2C2Stack, SharedControlPlane
+        from repro.sim.stacks.r2c2 import R2C2Stack
         from repro.workloads import FlowArrival
 
         topo = TorusTopology((3, 3))
         loop = EventLoop()
         fib = BroadcastFib(topo, n_trees=2)
         network = RackNetwork(loop, topo, fib=fib)
-        controller = RateController(topo, 0)
-        control = SharedControlPlane(loop, network, controller)
+        control = _shared_plane(loop, network, topo)
         flows = {}
         stacks = [
             R2C2Stack(n, loop, network, control, flows, n_trees=2)
@@ -85,15 +95,14 @@ class TestBroadcastDropRecovery:
 
     def test_unknown_seq_ignored(self):
         from repro.broadcast import BroadcastFib
-        from repro.congestion.controller import RateController
         from repro.sim import EventLoop, RackNetwork, SimPacket
         from repro.sim.packets import KIND_DROP_NOTE
-        from repro.sim.stacks.r2c2 import R2C2Stack, SharedControlPlane
+        from repro.sim.stacks.r2c2 import R2C2Stack
 
         topo = TorusTopology((3, 3))
         loop = EventLoop()
         network = RackNetwork(loop, topo, fib=BroadcastFib(topo))
-        control = SharedControlPlane(loop, network, RateController(topo, 0))
+        control = _shared_plane(loop, network, topo)
         stack = R2C2Stack(0, loop, network, control, {})
         stack.deliver(
             SimPacket(KIND_DROP_NOTE, 0, 5, 0, seq=999, size_bytes=10, path=(5, 0))
@@ -106,17 +115,17 @@ class TestSharedPlaneReannounce:
         """§3.2 under the shared plane: one START broadcast per ongoing
         flow, the table's contents unchanged, no young-flow rate re-pinned."""
         from repro.broadcast import BroadcastFib
-        from repro.congestion.controller import RateController
         from repro.sim import KIND_BROADCAST, EventLoop, RackNetwork
         from repro.sim.flows import SimFlow
-        from repro.sim.stacks.r2c2 import _EVENT_START, R2C2Stack, SharedControlPlane
+        from repro.sim.stacks.r2c2 import R2C2Stack
+        from repro.wire.packets import EVENT_FLOW_START
         from repro.workloads import FlowArrival
 
         topo = TorusTopology((3, 3))
         loop = EventLoop()
         network = RackNetwork(loop, topo, fib=BroadcastFib(topo, n_trees=2))
-        controller = RateController(topo, 0)
-        control = SharedControlPlane(loop, network, controller)
+        control = _shared_plane(loop, network, topo)
+        (controller,) = control.controllers
         flows = {}
         stacks = [R2C2Stack(n, loop, network, control, flows, n_trees=2) for n in topo.nodes()]
         network.stack_at[:] = stacks
@@ -144,7 +153,7 @@ class TestSharedPlaneReannounce:
             for node, packet in injected
             if packet.kind == KIND_BROADCAST
         ]
-        assert announced == [(0, _EVENT_START, 0), (0, _EVENT_START, 1)]
+        assert announced == [(0, EVENT_FLOW_START, 0), (0, EVENT_FLOW_START, 1)]
         assert controller.table.content_key == key
         assert [control.rate_for(flow_id, 0) for flow_id in (0, 1)] == rates
         loop.run_until(loop.now + 50_000)  # the re-broadcasts travel the fabric

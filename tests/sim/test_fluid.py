@@ -66,18 +66,6 @@ class TestFluidBasics:
     def test_empty_trace(self, pipe):
         assert FluidSimulator(pipe).run([]) == {}
 
-    def test_recomputation_counter(self, pipe):
-        sim = FluidSimulator(
-            pipe, config=ControllerConfig(headroom=0.0, recompute_interval_ns=0)
-        )
-        sim.run(
-            [
-                FlowArrival(0, 0, 1, 100, 0, protocol="rps"),
-                FlowArrival(1, 0, 1, 100, 10, protocol="rps"),
-            ]
-        )
-        assert sim.recomputations >= 3  # two arrivals + a departure
-
 
 class TestRateError:
     def test_zero_interval_has_zero_error(self, torus2d):

@@ -32,10 +32,11 @@ class TestYoungFlowPolicies:
         ]
         results = sim.run(trace)
         # Flow 1 arrives second and is water-filled against flow 0 (which
-        # keeps its stale 10 bps): flow 1 gets the residual headroom-free
-        # fair share.  Both must finish despite no epochs ever firing.
+        # keeps its stale 10 bps): flow 1 is pinned at the fair share of
+        # 5 bps and needs 160 s.  Both must finish despite no epochs ever
+        # firing.
         assert set(results) == {0, 1}
-        assert sim.sender_computations == 2
+        assert results[1].fct_ns == pytest.approx(160e9, rel=1e-6)
 
     def test_line_rate_policy_oversubscribes_between_epochs(self, pipe):
         sim = FluidSimulator(
@@ -55,7 +56,6 @@ class TestYoungFlowPolicies:
         # packet simulator's concern) and each finishes in 80 s.
         assert results[0].fct_ns == pytest.approx(80e9, rel=1e-6)
         assert results[1].fct_ns == pytest.approx(80e9, rel=1e-6)
-        assert sim.sender_computations == 0
 
     def test_ideal_mode_ignores_policy(self, pipe):
         for policy in ("local_waterfill", "mean_allocated", "line_rate"):
