@@ -19,7 +19,6 @@ from .overhead import (
 from .reliability import (
     BroadcastForwarderReliability,
     BroadcastSenderReliability,
-    DropNotification,
     FailureRecovery,
     PendingBroadcast,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "BroadcastSenderReliability",
     "BroadcastTree",
     "ControlTrafficModel",
-    "DropNotification",
     "FailureRecovery",
     "PendingBroadcast",
     "TreeSelector",

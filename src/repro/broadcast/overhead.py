@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import BroadcastError
 from ..topology.base import Topology
-
-#: Broadcast packets are fixed 16-byte packets (§4.2, Figure 6).
-BROADCAST_PACKET_BYTES = 16
+from ..wire.packets import BROADCAST_PACKET_SIZE as BROADCAST_PACKET_BYTES
 
 
 def broadcast_bytes_total(n_nodes: int, packet_bytes: int = BROADCAST_PACKET_BYTES) -> int:

@@ -11,11 +11,12 @@ simulator and the core node drive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import BroadcastError
 from ..types import NodeId
+from ..wire.packets import DropNotificationPacket
 
 
 @dataclass
@@ -82,15 +83,6 @@ class BroadcastSenderReliability:
         return len(self._pending)
 
 
-@dataclass
-class DropNotification:
-    """A forwarder telling a broadcast's source about a queue-overflow drop."""
-
-    dropped_at: NodeId
-    source: NodeId
-    seq: int
-
-
 class BroadcastForwarderReliability:
     """Forwarder-side duties: verify checksums, report drops."""
 
@@ -99,10 +91,11 @@ class BroadcastForwarderReliability:
         self.drops_reported = 0
         self.corruptions_detected = 0
 
-    def on_queue_overflow(self, source: NodeId, seq: int) -> DropNotification:
-        """Called when this node had to drop a broadcast packet."""
+    def on_queue_overflow(self, source: NodeId, seq: int) -> DropNotificationPacket:
+        """Called when this node had to drop a broadcast packet; returns the
+        notification to send *source*."""
         self.drops_reported += 1
-        return DropNotification(dropped_at=self._node, source=source, seq=seq)
+        return DropNotificationPacket(dropped_at=self._node, source=source, seq=seq)
 
     def on_corrupt_packet(self) -> None:
         """Called when a checksum failed; the packet is discarded.

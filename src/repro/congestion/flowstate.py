@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CongestionControlError
+from ..routing.base import protocol_class
 from ..types import FlowId, NodeId
 
 
@@ -70,6 +71,24 @@ class FlowSpec:
         # moves the fields out of CPython's inline storage and makes every
         # field read about twice as slow.
         object.__setattr__(self, "fingerprints", _fingerprints(self))
+
+    @classmethod
+    def from_wire(
+        cls, message, start_time_ns: int = 0, tenant: Optional[str] = None
+    ) -> "FlowSpec":
+        """The flow a decoded broadcast packet or FLOW_ANNOUNCE announces.
+
+        R2C2 nodes and the daemon build every spec that arrives by wire
+        here, and a sender builds its own from the decoding of what it
+        sends, so all of them allocate from the same quantized weight and
+        demand (§3.3) — and a restored daemon from the same specs as a live
+        one.  The tenant never travels on the wire.
+        """
+        protocol = protocol_class(message.protocol_id).name
+        return cls(
+            message.flow_id, message.src, message.dst, protocol, message.weight,
+            message.priority, message.demand_bps, start_time_ns, tenant,
+        )
 
     def with_demand(self, demand_bps: float) -> "FlowSpec":
         """Copy of this spec with an updated demand estimate."""

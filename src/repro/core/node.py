@@ -11,6 +11,7 @@ decides how those bytes travel.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..broadcast.fib import BroadcastFib
@@ -74,21 +75,21 @@ class R2C2Node:
 
         The local table learns the flow immediately (the sender always knows
         its own flows, §3.3.2); remote nodes learn when the returned packet
-        reaches them.
+        reaches them.  Both hold the spec the packet decodes to: weight in
+        1/16 steps, the tenant local to this node.
         """
-        protocol = protocol or _DEFAULT_PROTOCOL
         spec = FlowSpec(
             flow_id=flow_id,
             src=self.node,
             dst=dst,
-            protocol=protocol,
+            protocol=protocol or _DEFAULT_PROTOCOL,
             weight=weight,
             priority=priority,
-            start_time_ns=now_ns,
-            tenant=tenant,
         )
-        self.controller.on_flow_started(spec, now_ns)
-        return self._encode_event(spec, EVENT_FLOW_START)
+        packet = self._packet(spec, EVENT_FLOW_START)
+        wire = FlowSpec.from_wire(BroadcastPacket.decode(packet.encode()), now_ns, tenant)
+        self.controller.on_flow_started(wire, now_ns)
+        return self._send(packet)
 
     def finish_flow(self, flow_id: FlowId, now_ns: int = 0) -> bytes:
         """End a flow; returns the encoded finish broadcast."""
@@ -96,37 +97,38 @@ class R2C2Node:
         if spec is None or spec.src != self.node:
             raise ReproError(f"flow {flow_id} is not a local active flow")
         self.controller.on_flow_finished(flow_id, now_ns)
-        return self._encode_event(spec, EVENT_FLOW_FINISH)
+        return self._send(self._packet(spec, EVENT_FLOW_FINISH))
 
     def update_demand(self, flow_id: FlowId, demand_bps: float) -> bytes:
-        """Announce a new demand estimate for a local host-limited flow."""
+        """Announce a new demand estimate for a local host-limited flow; the
+        local table takes the demand the packet carries, as receivers do."""
         spec = self.controller.table.get(flow_id)
         if spec is None or spec.src != self.node:
             raise ReproError(f"flow {flow_id} is not a local active flow")
-        self.controller.on_demand_update(flow_id, demand_bps)
-        spec = self.controller.table.get(flow_id)
-        return self._encode_event(spec, EVENT_DEMAND_UPDATE)
+        packet = self._packet(spec.with_demand(demand_bps), EVENT_DEMAND_UPDATE)
+        self.controller.on_demand_update(flow_id, BroadcastPacket.decode(packet.encode()).demand_bps)
+        return self._send(packet)
 
     def reannounce_flows(self) -> List[bytes]:
         """After a failure: re-broadcast all ongoing local flows (§3.2)."""
         local = self.controller.table.flows_from(self.node)
         flows = self.failure_recovery.flows_to_reannounce(local)
-        return [self._encode_event(spec, EVENT_REANNOUNCE) for spec in flows]
+        return [self._send(self._packet(spec, EVENT_REANNOUNCE)) for spec in flows]
 
-    def _encode_event(self, spec: FlowSpec, event: int) -> bytes:
-        tree = self.tree_selector.choose()
-        packet = BroadcastPacket(
-            event=event,
-            src=spec.src,
-            dst=spec.dst,
-            flow_id=spec.flow_id,
-            weight=min(max(spec.weight, 1 / 16), 255 / 16),
-            priority=min(spec.priority, 255),
-            demand_bps=spec.demand_bps,
-            tree_id=tree.tree_id,
-            protocol_id=protocol_class(spec.protocol).protocol_id,
+    @staticmethod
+    def _packet(spec: FlowSpec, event: int) -> BroadcastPacket:
+        """The broadcast announcing *event* for *spec*, its tree not yet chosen."""
+        return BroadcastPacket(
+            event, spec.src, spec.dst, spec.flow_id, spec.weight, spec.priority,
+            spec.demand_bps, protocol_id=protocol_class(spec.protocol).protocol_id,
         )
-        data = packet.encode()
+
+    def _send(self, packet: BroadcastPacket) -> bytes:
+        """Encode *packet* on the next broadcast tree and register it for
+        retransmission (a value the 16-byte packet cannot carry raises
+        ``WireFormatError`` before anything is registered)."""
+        tree = self.tree_selector.choose()
+        data = replace(packet, tree_id=tree.tree_id).encode()
         self.reliability.register(data, tree.tree_id)
         self.broadcasts_sent += 1
         return data
@@ -138,21 +140,10 @@ class R2C2Node:
         """Decode and apply a received broadcast packet."""
         packet = BroadcastPacket.decode(data)
         self.broadcasts_received += 1
-        protocol = protocol_class(packet.protocol_id).name
         if packet.event in (EVENT_FLOW_START, EVENT_REANNOUNCE):
             if packet.src == self.node:
                 return  # our own announcement echoed back
-            spec = FlowSpec(
-                flow_id=packet.flow_id,
-                src=packet.src,
-                dst=packet.dst,
-                protocol=protocol,
-                weight=packet.weight,
-                priority=packet.priority,
-                demand_bps=packet.demand_bps,
-                start_time_ns=now_ns,
-            )
-            self.controller.on_flow_learned(spec, now_ns)
+            self.controller.on_flow_learned(FlowSpec.from_wire(packet, now_ns), now_ns)
         elif packet.event == EVENT_FLOW_FINISH:
             if packet.src != self.node:
                 self.controller.on_flow_finished(packet.flow_id, now_ns)

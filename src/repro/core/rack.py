@@ -214,16 +214,6 @@ class Rack:
         return count
 
     def tables_consistent(self) -> bool:
-        """True if every node sees the identical set of flows."""
-        reference = {
-            (s.flow_id, s.src, s.dst, s.protocol, s.weight, s.priority)
-            for s in self.nodes[0].controller.table.snapshot()
-        }
-        for node in self.nodes[1:]:
-            view = {
-                (s.flow_id, s.src, s.dst, s.protocol, s.weight, s.priority)
-                for s in node.controller.table.snapshot()
-            }
-            if view != reference:
-                return False
-        return True
+        """True if every node holds the identical set of flows, down to
+        every field the broadcast carries (the allocation memo's key)."""
+        return len({node.controller.table.content_key for node in self.nodes}) == 1

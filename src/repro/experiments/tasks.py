@@ -48,7 +48,8 @@ from ..errors import ExperimentError
 from .spec import Task
 
 __all__ = [
-    "execute_payload", "execute_task", "InjectedWorkerFailure", "SimRun", "run_sim", "sim_inputs"
+    "execute_payload", "execute_task", "InjectedWorkerFailure", "SimRun", "run_sim", "sim_config",
+    "sim_inputs",
 ]
 
 
@@ -143,21 +144,27 @@ def sim_inputs(scenario, seed: int):
     here.  Trace and simulator seeds default to *seed* (a crossval pair's
     simulator shares its trace seed with Maze).
     """
+    params = _params(scenario)
+    topology, failed_links = _apply_failure_storm(params, seed, _topology(scenario))
+    trace = _make_trace(scenario, seed, topology)
+    return topology, trace, sim_config(scenario, seed), failed_links
+
+
+def sim_config(scenario, seed: int):
+    """The :class:`~repro.sim.SimConfig` of one run of *scenario* with task
+    seed *seed* (no topology or trace is built)."""
     from ..congestion import ControllerConfig
     from ..sim import SimConfig
 
     params = _params(scenario)
-    topology, failed_links = _apply_failure_storm(params, seed, _topology(scenario))
-    trace = _make_trace(scenario, seed, topology)
     sim_seed = params.get("trace_seed", seed) if scenario.kind == "crossval" else seed
-    config = SimConfig(
+    return SimConfig(
         controller=_config_from(ControllerConfig, params, ("headroom", "initial_rate_policy")),
         audit_strict=bool(params.get("audit_strict", False)),
         seed=int(params.get("sim_seed", sim_seed)),
         **{name: kind(params[name]) for name, kind in _SIM_FIELDS.items()
            if params.get(name) is not None},
     )
-    return topology, trace, config, failed_links
 
 
 class SimRun(NamedTuple):

@@ -29,7 +29,10 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Tuple
 
+from ..distsim import validate_sharded_config
+from ..errors import SimulationError
 from ..experiments import Scenario
+from ..experiments.tasks import sim_config
 
 __all__ = [
     "SAFETY_HORIZON_NS",
@@ -374,13 +377,15 @@ def generate_scenario(seed: int, name: str) -> Scenario:
 
 
 def sharding_eligible(scenario: Scenario) -> bool:
-    """True when the sharded-vs-serial differential can run this scenario
-    (mirrors :func:`repro.distsim.validate_sharded_config`: R2C2 needs the
-    per-node control plane; TCP always shards).  Only packet sims shard —
-    selection searches are water-fill loops, not event simulations."""
+    """True when the sharded-vs-serial differential can run this scenario:
+    a packet sim whose ``SimConfig``
+    :func:`~repro.distsim.validate_sharded_config` accepts (selection
+    searches are water-fill loops, not event simulations)."""
     if scenario.kind != "sim":
         return False
-    params = scenario.params_dict
-    if params.get("stack", "r2c2") == "tcp":
-        return True
-    return params.get("control_plane", "shared") == "per_node"
+    config = sim_config(scenario, 0)  # the seed is not part of the rule
+    try:
+        validate_sharded_config(config)
+    except SimulationError:
+        return False
+    return True

@@ -18,7 +18,7 @@ from ..broadcast.fib import BroadcastFib
 from ..errors import EmulationError
 from ..topology.base import Topology
 from ..types import NodeId
-from ..wire.packets import TYPE_BROADCAST, TYPE_DATA
+from ..wire import packets as pkt
 from ..wire.route_encoding import port_at
 from .ringbuffer import DataRingBuffer, PointerRing
 
@@ -183,21 +183,22 @@ class MazeServer:
     def _handle_packet(self, dr: DataRingBuffer, slot: int, source: int) -> bool:
         data = dr.read(slot)
         ptype = data[0] >> 4
-        if ptype == TYPE_BROADCAST:
+        if ptype == pkt.TYPE_BROADCAST:
             return self._handle_broadcast(dr, slot, data, source)
-        if ptype != TYPE_DATA:
+        if ptype != pkt.TYPE_DATA:
             raise EmulationError(f"unknown packet type {ptype} at node {self.node}")
-        rlen = data[1]
-        ridx = data[2]
+        rlen = data[pkt.DATA_RLEN_OFFSET]
+        ridx = data[pkt.DATA_RIDX_OFFSET]
         if ridx >= rlen:
             self._deliver_local(data)
             dr.free(slot)
             return True
-        port = port_at(data[19:35], ridx)
+        port = port_at(data[pkt.DATA_ROUTE_OFFSET : pkt.DATA_HEADER_SIZE], ridx)
         next_node = self._topology.neighbor_at_port(self.node, port)
         # Bump the route index in place — excluded from the checksum by
         # design, so no recomputation is needed.
-        mutated = data[:2] + bytes([ridx + 1]) + data[3:]
+        at = pkt.DATA_RIDX_OFFSET
+        mutated = data[:at] + bytes([ridx + 1]) + data[at + 1 :]
         out = self.out_links[next_node]
         dr.replace(slot, mutated)
         if not out.push(source, dr, slot):
@@ -212,8 +213,8 @@ class MazeServer:
     ) -> bool:
         if self._fib is None:
             raise EmulationError("broadcast received but no FIB configured")
-        bsrc = int.from_bytes(data[1:3], "big")
-        tree_id = data[14] >> 4
+        bsrc = int.from_bytes(data[pkt.BROADCAST_SRC_OFFSET : pkt.BROADCAST_SRC_OFFSET + 2], "big")
+        tree_id = data[pkt.BROADCAST_TREE_OFFSET] >> 4
         children = self._fib.next_hops(self.node, bsrc, tree_id)
         # All-or-nothing: only proceed if every child ring has space, so a
         # retry cannot double-send to some children.

@@ -98,7 +98,7 @@ class MazeR2C2Stack:
             src=flow.src,
             dst=flow.dst,
             flow_id=flow.flow_id,
-            weight=min(max(flow.weight, 1 / 16), 255 / 16),
+            weight=flow.weight,
             priority=flow.priority,
             tree_id=tree_id,
             protocol_id=protocol_id,

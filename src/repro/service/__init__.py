@@ -23,7 +23,7 @@ system:
 from .churn import allocation_digest, run_churn
 from .client import ServiceClient, read_port_file
 from .daemon import ControlDaemon, serve_forever
-from .state import SNAPSHOT_SCHEMA, ServiceState, spec_from_announce
+from .state import SNAPSHOT_SCHEMA, ServiceState
 
 __all__ = [
     "ControlDaemon",
@@ -34,5 +34,4 @@ __all__ = [
     "read_port_file",
     "run_churn",
     "serve_forever",
-    "spec_from_announce",
 ]

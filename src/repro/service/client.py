@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import socket
-import struct
 from typing import List, Optional
 
 from ..congestion import FlowSpec
-from ..errors import ServiceError, WireFormatError
+from ..errors import ServiceError
 from ..routing import protocol_class
 from ..wire import control as ctl
 
@@ -53,10 +52,7 @@ class ServiceClient:
 
     def recv_body(self) -> bytes:
         """Receive one frame body (blocking)."""
-        prefix = self._recv_exact(4)
-        (length,) = struct.unpack(">I", prefix)
-        if length > ctl.MAX_FRAME_SIZE:
-            raise WireFormatError(f"frame length {length} exceeds MAX_FRAME_SIZE")
+        length = ctl.frame_length(self._recv_exact(ctl.FRAME_PREFIX_SIZE))
         return self._recv_exact(length)
 
     def recv(self):

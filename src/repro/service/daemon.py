@@ -28,9 +28,10 @@ import asyncio
 import contextlib
 from typing import List, Optional, Tuple
 
+from ..congestion import FlowSpec
 from ..errors import ReproError, ServiceError, WireFormatError
 from ..wire import control as ctl
-from .state import ServiceState, spec_from_announce
+from .state import ServiceState
 
 
 class ControlDaemon:
@@ -162,13 +163,10 @@ class ControlDaemon:
     async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
         """One length-prefixed frame body, or ``None`` on clean EOF."""
         try:
-            prefix = await reader.readexactly(4)
+            prefix = await reader.readexactly(ctl.FRAME_PREFIX_SIZE)
         except asyncio.IncompleteReadError:
             return None
-        length = int.from_bytes(prefix, "big")
-        if length > ctl.MAX_FRAME_SIZE:
-            raise WireFormatError(f"frame length {length} exceeds MAX_FRAME_SIZE")
-        return await reader.readexactly(length)
+        return await reader.readexactly(ctl.frame_length(prefix))
 
     async def _send(self, writer: asyncio.StreamWriter, message) -> None:
         writer.write(ctl.encode_frame(message.encode()))
@@ -178,7 +176,7 @@ class ControlDaemon:
         """Handle one decoded message; ``False`` closes the connection."""
         if isinstance(message, ctl.FlowAnnounce):
             try:
-                self.state.announce(spec_from_announce(message))
+                self.state.announce(FlowSpec.from_wire(message))
             except ReproError as exc:
                 # Bad spec (unroutable endpoints, unknown protocol id...):
                 # reject the announce, keep the connection serving.

@@ -40,31 +40,12 @@ from typing import Optional
 from ..congestion import FlowSpec, IncrementalWaterfill, spec_from_dict, spec_to_dict
 from ..core.ioutil import atomic_write_bytes, sweep_stale_temps
 from ..errors import ServiceError
-from ..routing import protocol_class
 from ..sim.metrics import LatencyReservoir
 from ..topology.base import Topology
-from ..wire.control import AllocReply, FlowAnnounce
+from ..wire.control import AllocReply
 
 #: Snapshot file layout version (2 = checkpoint line + op journal).
 SNAPSHOT_SCHEMA = 2
-
-
-def spec_from_announce(msg: FlowAnnounce) -> FlowSpec:
-    """Translate a wire FLOW_ANNOUNCE into a :class:`FlowSpec`.
-
-    The wire protocol id becomes the registered protocol name; weight and
-    demand arrive already quantized by the codec, so live and
-    restored-from-snapshot daemons allocate from identical specs.
-    """
-    return FlowSpec(
-        flow_id=msg.flow_id,
-        src=msg.src,
-        dst=msg.dst,
-        protocol=protocol_class(msg.protocol_id).name,
-        weight=msg.weight,
-        priority=msg.priority,
-        demand_bps=msg.demand_bps,
-    )
 
 
 def _record_line(seq: int, op: str, arg) -> bytes:
@@ -362,4 +343,4 @@ class ServiceState:
             self._gauge_flows.set(self.incremental.n_flows)
 
 
-__all__ = ["SNAPSHOT_SCHEMA", "ServiceState", "spec_from_announce"]
+__all__ = ["SNAPSHOT_SCHEMA", "ServiceState"]

@@ -20,10 +20,11 @@ Message types (continuing the packet-type code space of
     CONTROL_ACK    0xB  daemon -> client   announce/finish acknowledgement
     CONTROL_ERROR  0xC  daemon -> client   decode/dispatch failure report
 
-Quantization follows the broadcast packet: allocation weight rides as an
-unsigned byte in 1/16 steps and demand as 24-bit Mbps with the all-ones
-value meaning "network limited" — the daemon allocates from the quantized
-values, so a restored daemon and an uninterrupted one agree bit-for-bit.
+The fixed-size messages share the packets' codec base and quantizers
+(:mod:`repro.wire.codec`): allocation weight rides as an unsigned byte in
+1/16 steps and demand as 24-bit Mbps (1 Mbps floor, all ones meaning
+"network limited") — the daemon allocates from the quantized values, so a
+restored daemon and an uninterrupted one agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from typing import Optional, Tuple, Union
 from ..errors import WireFormatError
 from ..types import FlowId, NodeId
 from .checksum import internet_checksum
-from .packets import _DEMAND_INF_MBPS, _WEIGHT_SCALE
+from .codec import (
+    FixedMessage,
+    demand_from_wire,
+    demand_to_wire,
+    weight_from_wire,
+    weight_to_wire,
+)
+from .packets import packet_type
 
 #: Control-message type codes (high nibble of body byte 0).
 TYPE_FLOW_ANNOUNCE = 0x5
@@ -51,30 +59,9 @@ TYPE_CONTROL_ERROR = 0xC
 
 #: Frames above this size are rejected before allocation (corrupt prefix).
 MAX_FRAME_SIZE = 1 << 20
-
-_ANNOUNCE_FMT = ">BBIHHBB3sH"  # type, proto, flow, src, dst, weight_q, prio, demand, csum
-ANNOUNCE_SIZE = struct.calcsize(_ANNOUNCE_FMT)
-assert ANNOUNCE_SIZE == 17
-
-_FLOW_REF_FMT = ">BBIH"  # type, reserved, flow, csum (FINISH and QUERY)
-FLOW_REF_SIZE = struct.calcsize(_FLOW_REF_FMT)
-assert FLOW_REF_SIZE == 8
-
-_ALLOC_REPLY_FMT = ">BBIdiH"  # type, flags, flow, rate_bps, bottleneck, csum
-ALLOC_REPLY_SIZE = struct.calcsize(_ALLOC_REPLY_FMT)
-assert ALLOC_REPLY_SIZE == 20
-
-_SNAPSHOT_SUB_FMT = ">BBIH"  # type, reserved, max_events, csum
-SNAPSHOT_SUB_SIZE = struct.calcsize(_SNAPSHOT_SUB_FMT)
-
-_SNAPSHOT_EVENT_FMT = ">BBII"  # type, reserved, seq, payload_len (+ payload + csum)
-_SNAPSHOT_EVENT_HEAD = struct.calcsize(_SNAPSHOT_EVENT_FMT)
-
-_ACK_FMT = ">BBIH"  # type, code, flow, csum
-ACK_SIZE = struct.calcsize(_ACK_FMT)
-
-_ERROR_FMT = ">BBH"  # type, code, msg_len (+ msg + csum)
-_ERROR_HEAD = struct.calcsize(_ERROR_FMT)
+#: A frame is a 4-byte big-endian body length, then the body.
+_FRAME_PREFIX = struct.Struct(">I")
+FRAME_PREFIX_SIZE = _FRAME_PREFIX.size
 
 #: Reply flag bits.
 _FLAG_KNOWN = 0x1
@@ -90,30 +77,12 @@ ERR_UNSUPPORTED = 2
 ERR_REJECTED = 3
 
 
-def control_type(body: bytes) -> int:
-    """Message type code of an (unverified) control body."""
-    if not body:
-        raise WireFormatError("empty control message")
-    return body[0] >> 4
-
-
-def _checked(body: bytes, csum_offset: int, what: str) -> None:
-    """Verify the store-zeroed Internet checksum at *csum_offset*."""
-    stored = struct.unpack_from(">H", body, csum_offset)[0]
-    zeroed = body[:csum_offset] + b"\x00\x00" + body[csum_offset + 2:]
-    if internet_checksum(zeroed) != stored:
-        raise WireFormatError(f"{what} checksum mismatch")
-
-
-def _sealed(body: bytearray, csum_offset: int) -> bytes:
-    """Patch the store-zeroed Internet checksum into *body*."""
-    csum = internet_checksum(bytes(body))
-    struct.pack_into(">H", body, csum_offset, csum)
-    return bytes(body)
+#: Message type code of an (unverified) control body.
+control_type = packet_type
 
 
 @dataclass(frozen=True)
-class FlowAnnounce:
+class FlowAnnounce(FixedMessage):
     """FLOW_ANNOUNCE: (re)announce one flow to the daemon (17 bytes)."""
 
     flow_id: FlowId
@@ -124,121 +93,59 @@ class FlowAnnounce:
     priority: int = 0
     demand_bps: float = math.inf
 
-    def encode(self) -> bytes:
-        """Serialize into exactly 17 checksummed bytes."""
-        weight_q = round(self.weight * _WEIGHT_SCALE)
-        if not (1 <= weight_q <= 0xFF):
-            raise WireFormatError(
-                f"weight {self.weight} outside encodable range "
-                f"[{1 / _WEIGHT_SCALE}, {0xFF / _WEIGHT_SCALE}]"
-            )
-        if math.isinf(self.demand_bps):
-            demand_mbps = _DEMAND_INF_MBPS
-        else:
-            # Sub-Mbps demands round *up* to the wire's 1 Mbps floor: a
-            # zero-Mbps encoding would decode into a spec no allocator
-            # accepts (demands must be positive).
-            demand_mbps = max(1, int(round(self.demand_bps / 1e6)))
-            if not (demand_mbps < _DEMAND_INF_MBPS):
-                raise WireFormatError(
-                    f"demand {self.demand_bps} bps outside 24-bit Mbps range"
-                )
-        if not (0 <= self.priority <= 0xFF):
-            raise WireFormatError(f"priority {self.priority} does not fit one byte")
-        if not (0 <= self.protocol_id <= 0xFF):
-            raise WireFormatError(f"protocol id {self.protocol_id} does not fit one byte")
-        body = bytearray(
-            struct.pack(
-                _ANNOUNCE_FMT,
-                TYPE_FLOW_ANNOUNCE << 4,
-                self.protocol_id,
-                self.flow_id,
-                self.src,
-                self.dst,
-                weight_q,
-                self.priority,
-                demand_mbps.to_bytes(3, "big"),
-                0,
-            )
-        )
-        return _sealed(body, ANNOUNCE_SIZE - 2)
+    TYPE = TYPE_FLOW_ANNOUNCE
+    NAME = "FLOW_ANNOUNCE"
+    # type, proto, flow, src, dst, weight, priority, demand:24, csum
+    LAYOUT = struct.Struct(">BBIHHBB3sH")
 
-    @staticmethod
-    def decode(body: bytes) -> "FlowAnnounce":
-        """Parse and checksum-verify a FLOW_ANNOUNCE body."""
-        if len(body) != ANNOUNCE_SIZE:
-            raise WireFormatError(
-                f"FLOW_ANNOUNCE is {ANNOUNCE_SIZE} bytes, got {len(body)}"
-            )
-        (type_b, proto, flow, src, dst, weight_q, priority, demand_bytes, _csum) = (
-            struct.unpack(_ANNOUNCE_FMT, body)
-        )
-        if (type_b >> 4) != TYPE_FLOW_ANNOUNCE:
-            raise WireFormatError(f"not a FLOW_ANNOUNCE (type {type_b >> 4:#x})")
-        _checked(body, ANNOUNCE_SIZE - 2, "FLOW_ANNOUNCE")
-        demand_mbps = int.from_bytes(demand_bytes, "big")
-        return FlowAnnounce(
-            flow_id=flow,
-            src=src,
-            dst=dst,
-            protocol_id=proto,
-            weight=weight_q / _WEIGHT_SCALE,
-            priority=priority,
-            demand_bps=(
-                math.inf if demand_mbps == _DEMAND_INF_MBPS else demand_mbps * 1e6
-            ),
-        )
+    def _pack(self) -> tuple:
+        weight, demand = weight_to_wire(self.weight), demand_to_wire(self.demand_bps)
+        return 0, self.protocol_id, self.flow_id, self.src, self.dst, weight, self.priority, demand
 
-
-def _encode_flow_ref(type_code: int, flow_id: FlowId) -> bytes:
-    body = bytearray(struct.pack(_FLOW_REF_FMT, type_code << 4, 0, flow_id, 0))
-    return _sealed(body, FLOW_REF_SIZE - 2)
-
-
-def _decode_flow_ref(body: bytes, type_code: int, what: str) -> FlowId:
-    if len(body) != FLOW_REF_SIZE:
-        raise WireFormatError(f"{what} is {FLOW_REF_SIZE} bytes, got {len(body)}")
-    type_b, _rsvd, flow, _csum = struct.unpack(_FLOW_REF_FMT, body)
-    if (type_b >> 4) != type_code:
-        raise WireFormatError(f"not a {what} (type {type_b >> 4:#x})")
-    _checked(body, FLOW_REF_SIZE - 2, what)
-    return flow
+    @classmethod
+    def _unpack(cls, _nibble, protocol_id, flow_id, src, dst, weight, priority, demand):
+        weight, demand = weight_from_wire(weight), demand_from_wire(demand)
+        return cls(flow_id, src, dst, protocol_id, weight, priority, demand)
 
 
 @dataclass(frozen=True)
-class FlowFinish:
+class _FlowRef(FixedMessage):
+    """A message naming one flow (8 bytes): FLOW_FINISH and ALLOC_QUERY.
+
+    The two stay siblings, never subclass and base: the daemon dispatches
+    on ``isinstance``.
+    """
+
+    flow_id: FlowId
+
+    LAYOUT = struct.Struct(">BBIH")  # type, reserved, flow, csum
+
+    def _pack(self) -> tuple:
+        return (0, 0, self.flow_id)
+
+    @classmethod
+    def _unpack(cls, _nibble, _reserved, flow_id):
+        return cls(flow_id)
+
+
+@dataclass(frozen=True)
+class FlowFinish(_FlowRef):
     """FLOW_FINISH: retire one flow from the daemon's table (8 bytes)."""
 
-    flow_id: FlowId
-
-    def encode(self) -> bytes:
-        """Serialize into exactly 8 checksummed bytes."""
-        return _encode_flow_ref(TYPE_FLOW_FINISH, self.flow_id)
-
-    @staticmethod
-    def decode(body: bytes) -> "FlowFinish":
-        """Parse and checksum-verify a FLOW_FINISH body."""
-        return FlowFinish(_decode_flow_ref(body, TYPE_FLOW_FINISH, "FLOW_FINISH"))
+    TYPE = TYPE_FLOW_FINISH
+    NAME = "FLOW_FINISH"
 
 
 @dataclass(frozen=True)
-class AllocQuery:
+class AllocQuery(_FlowRef):
     """ALLOC_QUERY: ask the daemon for one flow's allocated rate (8 bytes)."""
 
-    flow_id: FlowId
-
-    def encode(self) -> bytes:
-        """Serialize into exactly 8 checksummed bytes."""
-        return _encode_flow_ref(TYPE_ALLOC_QUERY, self.flow_id)
-
-    @staticmethod
-    def decode(body: bytes) -> "AllocQuery":
-        """Parse and checksum-verify an ALLOC_QUERY body."""
-        return AllocQuery(_decode_flow_ref(body, TYPE_ALLOC_QUERY, "ALLOC_QUERY"))
+    TYPE = TYPE_ALLOC_QUERY
+    NAME = "ALLOC_QUERY"
 
 
 @dataclass(frozen=True)
-class AllocReply:
+class AllocReply(FixedMessage):
     """ALLOC_REPLY: one flow's rate at full float64 precision (20 bytes).
 
     ``known`` is ``False`` when the queried flow is not in the daemon's
@@ -252,47 +159,25 @@ class AllocReply:
     rate_bps: float = 0.0
     bottleneck_link: Optional[int] = None
 
-    def encode(self) -> bytes:
-        """Serialize into exactly 20 checksummed bytes."""
+    TYPE = TYPE_ALLOC_REPLY
+    NAME = "ALLOC_REPLY"
+    LAYOUT = struct.Struct(">BBIdiH")  # type, flags, flow, rate_bps, bottleneck, csum
+
+    def _pack(self) -> tuple:
         flags = (_FLAG_KNOWN if self.known else 0) | (
             _FLAG_BOTTLENECK if self.bottleneck_link is not None else 0
         )
-        body = bytearray(
-            struct.pack(
-                _ALLOC_REPLY_FMT,
-                TYPE_ALLOC_REPLY << 4,
-                flags,
-                self.flow_id,
-                self.rate_bps,
-                -1 if self.bottleneck_link is None else self.bottleneck_link,
-                0,
-            )
-        )
-        return _sealed(body, ALLOC_REPLY_SIZE - 2)
+        bottleneck = -1 if self.bottleneck_link is None else self.bottleneck_link
+        return (0, flags, self.flow_id, self.rate_bps, bottleneck)
 
-    @staticmethod
-    def decode(body: bytes) -> "AllocReply":
-        """Parse and checksum-verify an ALLOC_REPLY body."""
-        if len(body) != ALLOC_REPLY_SIZE:
-            raise WireFormatError(
-                f"ALLOC_REPLY is {ALLOC_REPLY_SIZE} bytes, got {len(body)}"
-            )
-        type_b, flags, flow, rate, bottleneck, _csum = struct.unpack(
-            _ALLOC_REPLY_FMT, body
-        )
-        if (type_b >> 4) != TYPE_ALLOC_REPLY:
-            raise WireFormatError(f"not an ALLOC_REPLY (type {type_b >> 4:#x})")
-        _checked(body, ALLOC_REPLY_SIZE - 2, "ALLOC_REPLY")
-        return AllocReply(
-            flow_id=flow,
-            known=bool(flags & _FLAG_KNOWN),
-            rate_bps=rate,
-            bottleneck_link=(bottleneck if flags & _FLAG_BOTTLENECK else None),
-        )
+    @classmethod
+    def _unpack(cls, _nibble, flags, flow_id, rate_bps, bottleneck):
+        bottleneck = bottleneck if flags & _FLAG_BOTTLENECK else None
+        return cls(flow_id, bool(flags & _FLAG_KNOWN), rate_bps, bottleneck)
 
 
 @dataclass(frozen=True)
-class SnapshotSubscribe:
+class SnapshotSubscribe(FixedMessage):
     """SNAPSHOT_SUB: subscribe this connection to telemetry snapshots.
 
     ``max_events`` bounds how many SNAPSHOT_EVENTs the daemon will send
@@ -302,25 +187,45 @@ class SnapshotSubscribe:
 
     max_events: int = 0
 
-    def encode(self) -> bytes:
-        """Serialize into exactly 8 checksummed bytes."""
-        body = bytearray(
-            struct.pack(_SNAPSHOT_SUB_FMT, TYPE_SNAPSHOT_SUB << 4, 0, self.max_events, 0)
-        )
-        return _sealed(body, SNAPSHOT_SUB_SIZE - 2)
+    TYPE = TYPE_SNAPSHOT_SUB
+    NAME = "SNAPSHOT_SUB"
+    LAYOUT = struct.Struct(">BBIH")  # type, reserved, max_events, csum
 
-    @staticmethod
-    def decode(body: bytes) -> "SnapshotSubscribe":
-        """Parse and checksum-verify a SNAPSHOT_SUB body."""
-        if len(body) != SNAPSHOT_SUB_SIZE:
-            raise WireFormatError(
-                f"SNAPSHOT_SUB is {SNAPSHOT_SUB_SIZE} bytes, got {len(body)}"
-            )
-        type_b, _rsvd, max_events, _csum = struct.unpack(_SNAPSHOT_SUB_FMT, body)
-        if (type_b >> 4) != TYPE_SNAPSHOT_SUB:
-            raise WireFormatError(f"not a SNAPSHOT_SUB (type {type_b >> 4:#x})")
-        _checked(body, SNAPSHOT_SUB_SIZE - 2, "SNAPSHOT_SUB")
-        return SnapshotSubscribe(max_events=max_events)
+    def _pack(self) -> tuple:
+        return (0, 0, self.max_events)
+
+    @classmethod
+    def _unpack(cls, _nibble, _reserved, max_events):
+        return cls(max_events)
+
+
+def _seal_blob(message, fields: tuple, blob: bytes) -> bytes:
+    """*message*'s ``HEAD`` (type byte, *fields*, blob length), then *blob*,
+    then the Internet checksum of both."""
+    try:
+        body = message.HEAD.pack(message.TYPE << 4, *fields, len(blob)) + blob
+    except struct.error as exc:
+        raise WireFormatError(f"{message.NAME}: {exc}") from None
+    return body + internet_checksum(body).to_bytes(2, "big")
+
+
+def _open_blob(cls, body: bytes):
+    """Verify a :func:`_seal_blob` body of *cls*; returns the header fields
+    between the type byte and the blob length, and the blob."""
+    head, name = cls.HEAD, cls.NAME
+    if len(body) < head.size + 2:
+        raise WireFormatError(f"{name} truncated at {len(body)} bytes")
+    type_b, *fields, blob_len = head.unpack_from(body)
+    if type_b >> 4 != cls.TYPE:
+        raise WireFormatError(f"not a {name} (type {type_b >> 4:#x})")
+    if len(body) != head.size + blob_len + 2:
+        raise WireFormatError(
+            f"{name} length mismatch: header says {blob_len} payload bytes, "
+            f"body has {len(body) - head.size - 2}"
+        )
+    if internet_checksum(body[:-2]) != int.from_bytes(body[-2:], "big"):
+        raise WireFormatError(f"{name} checksum mismatch")
+    return fields, body[head.size:-2]
 
 
 @dataclass(frozen=True)
@@ -335,39 +240,21 @@ class SnapshotEvent:
     seq: int
     payload: dict
 
+    TYPE = TYPE_SNAPSHOT_EVENT
+    NAME = "SNAPSHOT_EVENT"
+    HEAD = struct.Struct(">BBII")  # type, reserved, seq, payload_len
+
     def encode(self) -> bytes:
         """Serialize header + canonical-JSON payload + trailing checksum."""
         blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":")).encode()
-        if _SNAPSHOT_EVENT_HEAD + len(blob) + 2 > MAX_FRAME_SIZE:
+        if self.HEAD.size + len(blob) + 2 > MAX_FRAME_SIZE:
             raise WireFormatError("snapshot payload exceeds MAX_FRAME_SIZE")
-        body = bytearray(
-            struct.pack(
-                _SNAPSHOT_EVENT_FMT,
-                TYPE_SNAPSHOT_EVENT << 4,
-                0,
-                self.seq,
-                len(blob),
-            )
-        )
-        body += blob
-        body += b"\x00\x00"
-        return _sealed(body, len(body) - 2)
+        return _seal_blob(self, (0, self.seq), blob)
 
     @staticmethod
     def decode(body: bytes) -> "SnapshotEvent":
         """Parse and checksum-verify a SNAPSHOT_EVENT body."""
-        if len(body) < _SNAPSHOT_EVENT_HEAD + 2:
-            raise WireFormatError(f"SNAPSHOT_EVENT truncated at {len(body)} bytes")
-        type_b, _rsvd, seq, payload_len = struct.unpack_from(_SNAPSHOT_EVENT_FMT, body)
-        if (type_b >> 4) != TYPE_SNAPSHOT_EVENT:
-            raise WireFormatError(f"not a SNAPSHOT_EVENT (type {type_b >> 4:#x})")
-        if len(body) != _SNAPSHOT_EVENT_HEAD + payload_len + 2:
-            raise WireFormatError(
-                f"SNAPSHOT_EVENT length mismatch: header says {payload_len} "
-                f"payload bytes, body has {len(body) - _SNAPSHOT_EVENT_HEAD - 2}"
-            )
-        _checked(body, len(body) - 2, "SNAPSHOT_EVENT")
-        blob = body[_SNAPSHOT_EVENT_HEAD:-2]
+        (_rsvd, seq), blob = _open_blob(SnapshotEvent, body)
         try:
             payload = json.loads(blob.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -376,31 +263,22 @@ class SnapshotEvent:
 
 
 @dataclass(frozen=True)
-class ControlAck:
+class ControlAck(FixedMessage):
     """CONTROL_ACK: announce/finish acknowledgement (8 bytes)."""
 
     flow_id: FlowId
     code: int = ACK_OK
 
-    def encode(self) -> bytes:
-        """Serialize into exactly 8 checksummed bytes."""
-        if not (0 <= self.code <= 0xFF):
-            raise WireFormatError(f"ack code {self.code} does not fit one byte")
-        body = bytearray(
-            struct.pack(_ACK_FMT, TYPE_CONTROL_ACK << 4, self.code, self.flow_id, 0)
-        )
-        return _sealed(body, ACK_SIZE - 2)
+    TYPE = TYPE_CONTROL_ACK
+    NAME = "CONTROL_ACK"
+    LAYOUT = struct.Struct(">BBIH")  # type, code, flow, csum
 
-    @staticmethod
-    def decode(body: bytes) -> "ControlAck":
-        """Parse and checksum-verify a CONTROL_ACK body."""
-        if len(body) != ACK_SIZE:
-            raise WireFormatError(f"CONTROL_ACK is {ACK_SIZE} bytes, got {len(body)}")
-        type_b, code, flow, _csum = struct.unpack(_ACK_FMT, body)
-        if (type_b >> 4) != TYPE_CONTROL_ACK:
-            raise WireFormatError(f"not a CONTROL_ACK (type {type_b >> 4:#x})")
-        _checked(body, ACK_SIZE - 2, "CONTROL_ACK")
-        return ControlAck(flow_id=flow, code=code)
+    def _pack(self) -> tuple:
+        return (0, self.code, self.flow_id)
+
+    @classmethod
+    def _unpack(cls, _nibble, code, flow_id):
+        return cls(flow_id, code)
 
 
 @dataclass(frozen=True)
@@ -410,28 +288,19 @@ class ControlError:
     code: int
     message: str = ""
 
+    TYPE = TYPE_CONTROL_ERROR
+    NAME = "CONTROL_ERROR"
+    HEAD = struct.Struct(">BBH")  # type, code, msg_len
+
     def encode(self) -> bytes:
         """Serialize header + UTF-8 message + trailing checksum."""
-        msg = self.message.encode()[:0xFFFF]
-        body = bytearray(
-            struct.pack(_ERROR_FMT, TYPE_CONTROL_ERROR << 4, self.code, len(msg))
-        )
-        body += msg
-        body += b"\x00\x00"
-        return _sealed(body, len(body) - 2)
+        return _seal_blob(self, (self.code,), self.message.encode()[:0xFFFF])
 
     @staticmethod
     def decode(body: bytes) -> "ControlError":
         """Parse and checksum-verify a CONTROL_ERROR body."""
-        if len(body) < _ERROR_HEAD + 2:
-            raise WireFormatError(f"CONTROL_ERROR truncated at {len(body)} bytes")
-        type_b, code, msg_len = struct.unpack_from(_ERROR_FMT, body)
-        if (type_b >> 4) != TYPE_CONTROL_ERROR:
-            raise WireFormatError(f"not a CONTROL_ERROR (type {type_b >> 4:#x})")
-        if len(body) != _ERROR_HEAD + msg_len + 2:
-            raise WireFormatError("CONTROL_ERROR length mismatch")
-        _checked(body, len(body) - 2, "CONTROL_ERROR")
-        return ControlError(code=code, message=body[_ERROR_HEAD:-2].decode("utf-8", "replace"))
+        (code,), blob = _open_blob(ControlError, body)
+        return ControlError(code=code, message=blob.decode("utf-8", "replace"))
 
 
 ControlMessage = Union[
@@ -445,16 +314,7 @@ ControlMessage = Union[
     ControlError,
 ]
 
-_DECODERS = {
-    TYPE_FLOW_ANNOUNCE: FlowAnnounce.decode,
-    TYPE_FLOW_FINISH: FlowFinish.decode,
-    TYPE_ALLOC_QUERY: AllocQuery.decode,
-    TYPE_ALLOC_REPLY: AllocReply.decode,
-    TYPE_SNAPSHOT_SUB: SnapshotSubscribe.decode,
-    TYPE_SNAPSHOT_EVENT: SnapshotEvent.decode,
-    TYPE_CONTROL_ACK: ControlAck.decode,
-    TYPE_CONTROL_ERROR: ControlError.decode,
-}
+_DECODERS = {message.TYPE: message.decode for message in ControlMessage.__args__}
 
 
 def decode_control(body: bytes) -> ControlMessage:
@@ -471,11 +331,25 @@ def decode_control(body: bytes) -> ControlMessage:
     return decoder(body)
 
 
+def frame_length(buffer: bytes, offset: int = 0) -> int:
+    """The body length a frame's 4-byte big-endian prefix at *offset*
+    announces.
+
+    Raises :class:`~repro.errors.WireFormatError` when it exceeds
+    :data:`MAX_FRAME_SIZE` (the stream is considered corrupt), before
+    anything is allocated for the body.
+    """
+    (length,) = _FRAME_PREFIX.unpack_from(buffer, offset)
+    if length > MAX_FRAME_SIZE:
+        raise WireFormatError(f"frame length {length} exceeds MAX_FRAME_SIZE")
+    return length
+
+
 def encode_frame(body: bytes) -> bytes:
     """Prefix *body* with its 4-byte big-endian length."""
     if len(body) > MAX_FRAME_SIZE:
         raise WireFormatError(f"frame of {len(body)} bytes exceeds MAX_FRAME_SIZE")
-    return struct.pack(">I", len(body)) + body
+    return _FRAME_PREFIX.pack(len(body)) + body
 
 
 def split_frames(buffer: bytes) -> Tuple[list, bytes]:
@@ -486,22 +360,19 @@ def split_frames(buffer: bytes) -> Tuple[list, bytes]:
     """
     bodies = []
     offset = 0
-    while len(buffer) - offset >= 4:
-        (length,) = struct.unpack_from(">I", buffer, offset)
-        if length > MAX_FRAME_SIZE:
-            raise WireFormatError(f"frame length {length} exceeds MAX_FRAME_SIZE")
-        if len(buffer) - offset - 4 < length:
+    while len(buffer) - offset >= FRAME_PREFIX_SIZE:
+        length = frame_length(buffer, offset)
+        start = offset + FRAME_PREFIX_SIZE
+        if len(buffer) - start < length:
             break
-        bodies.append(bytes(buffer[offset + 4 : offset + 4 + length]))
-        offset += 4 + length
+        bodies.append(bytes(buffer[start : start + length]))
+        offset = start + length
     return bodies, bytes(buffer[offset:])
 
 
 __all__ = [
     "ACK_OK",
     "ACK_UNKNOWN_FLOW",
-    "ALLOC_REPLY_SIZE",
-    "ANNOUNCE_SIZE",
     "AllocQuery",
     "AllocReply",
     "ControlAck",
@@ -510,7 +381,7 @@ __all__ = [
     "ERR_MALFORMED",
     "ERR_REJECTED",
     "ERR_UNSUPPORTED",
-    "FLOW_REF_SIZE",
+    "FRAME_PREFIX_SIZE",
     "FlowAnnounce",
     "FlowFinish",
     "MAX_FRAME_SIZE",
@@ -527,5 +398,6 @@ __all__ = [
     "control_type",
     "decode_control",
     "encode_frame",
+    "frame_length",
     "split_frames",
 ]

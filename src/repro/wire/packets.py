@@ -31,7 +31,15 @@ from typing import List, Sequence, Tuple
 
 from ..errors import WireFormatError
 from ..types import FlowId, NodeId
-from .checksum import internet_checksum, xor8
+from .checksum import internet_checksum
+from .codec import (
+    XOR8,
+    FixedMessage,
+    demand_from_wire,
+    demand_to_wire,
+    weight_from_wire,
+    weight_to_wire,
+)
 from .route_encoding import MAX_HOPS, ROUTE_FIELD_BYTES, pack_route, unpack_route
 
 #: Packet type codes (the high nibble of the first byte).
@@ -53,14 +61,19 @@ DATA_HEADER_SIZE = 35
 _DATA_HEADER_FMT = ">BBBIHHIHH16s"  # type, rlen, ridx, flow, src, dst, seq, csum, plen, route
 assert struct.calcsize(_DATA_HEADER_FMT) == DATA_HEADER_SIZE
 
-_BROADCAST_FMT = ">BHHIBB3sBB"
-assert struct.calcsize(_BROADCAST_FMT) == BROADCAST_PACKET_SIZE
+_EVENTS = (EVENT_FLOW_START, EVENT_FLOW_FINISH, EVENT_DEMAND_UPDATE, EVENT_REANNOUNCE)
 
-#: Demand value meaning "network limited / unknown" (all ones).
-_DEMAND_INF_MBPS = (1 << 24) - 1
-#: Weight quantization: weights are carried as a byte with 1 <=> 16 units,
-#: giving a range of 1/16 .. 15.9375 in steps of 1/16.
-_WEIGHT_SCALE = 16.0
+#: Byte offsets into an encoded data header, for a forwarder that reads
+#: it in place (the Maze server): route length, route index (bumped at
+#: every hop, outside the checksum) and the route field, which ends the
+#: header.
+DATA_RLEN_OFFSET = 1
+DATA_RIDX_OFFSET = 2
+DATA_ROUTE_OFFSET = DATA_HEADER_SIZE - ROUTE_FIELD_BYTES
+#: Byte offsets into an encoded broadcast packet: the source (two bytes)
+#: and the byte whose high nibble is the tree id.
+BROADCAST_SRC_OFFSET = 1
+BROADCAST_TREE_OFFSET = BROADCAST_PACKET_SIZE - 2
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,7 @@ class DataPacket:
 
 
 @dataclass(frozen=True)
-class BroadcastPacket:
+class BroadcastPacket(FixedMessage):
     """The fixed 16-byte flow-event announcement."""
 
     event: int
@@ -197,89 +210,30 @@ class BroadcastPacket:
     tree_id: int = 0
     protocol_id: int = 0
 
-    def encode(self) -> bytes:
-        """Serialize into exactly 16 bytes."""
-        if self.event not in (
-            EVENT_FLOW_START,
-            EVENT_FLOW_FINISH,
-            EVENT_DEMAND_UPDATE,
-            EVENT_REANNOUNCE,
-        ):
+    TYPE = TYPE_BROADCAST
+    NAME = "broadcast packet"
+    # type:4 event:4, src, dst, flow, weight, priority, demand:24, tree:4 rp:4, xor8
+    LAYOUT = struct.Struct(">BHHIBB3sBB")
+    CHECKSUM = XOR8
+
+    def _pack(self) -> tuple:
+        if self.event not in _EVENTS:
             raise WireFormatError(f"unknown broadcast event {self.event}")
-        _check_u16("src", self.src)
-        _check_u16("dst", self.dst)
-        _check_u32("flow_id", self.flow_id)
-        if not (0 <= self.priority <= 0xFF):
-            raise WireFormatError(f"priority {self.priority} does not fit one byte")
         if not (0 <= self.tree_id <= 0xF):
             raise WireFormatError(f"tree id {self.tree_id} does not fit four bits")
         if not (0 <= self.protocol_id <= 0xF):
             raise WireFormatError(f"protocol id {self.protocol_id} does not fit four bits")
-        weight_q = round(self.weight * _WEIGHT_SCALE)
-        if not (1 <= weight_q <= 0xFF):
-            raise WireFormatError(
-                f"weight {self.weight} outside encodable range "
-                f"[{1 / _WEIGHT_SCALE}, {0xFF / _WEIGHT_SCALE}]"
-            )
-        if math.isinf(self.demand_bps):
-            demand_mbps = _DEMAND_INF_MBPS
-        else:
-            demand_mbps = int(round(self.demand_bps / 1e6))
-            if not (0 <= demand_mbps < _DEMAND_INF_MBPS):
-                raise WireFormatError(
-                    f"demand {self.demand_bps} bps outside 24-bit Mbps range"
-                )
-        body = struct.pack(
-            _BROADCAST_FMT,
-            (TYPE_BROADCAST << 4) | self.event,
-            self.src,
-            self.dst,
-            self.flow_id,
-            weight_q,
-            self.priority,
-            demand_mbps.to_bytes(3, "big"),
-            (self.tree_id << 4) | self.protocol_id,
-            0,  # checksum placeholder
-        )
-        return body[:-1] + bytes([xor8(body[:-1])])
+        weight, demand = weight_to_wire(self.weight), demand_to_wire(self.demand_bps)
+        tree_rp = (self.tree_id << 4) | self.protocol_id
+        return self.event, self.src, self.dst, self.flow_id, weight, self.priority, demand, tree_rp
 
-    @staticmethod
-    def decode(buffer: bytes, verify_checksum: bool = True) -> "BroadcastPacket":
-        """Parse and (optionally) checksum-verify a broadcast packet."""
-        if len(buffer) != BROADCAST_PACKET_SIZE:
-            raise WireFormatError(
-                f"broadcast packets are {BROADCAST_PACKET_SIZE} bytes, got {len(buffer)}"
-            )
-        (
-            type_event,
-            src,
-            dst,
-            flow_id,
-            weight_q,
-            priority,
-            demand_bytes,
-            tree_rp,
-            checksum,
-        ) = struct.unpack(_BROADCAST_FMT, buffer)
-        if (type_event >> 4) != TYPE_BROADCAST:
-            raise WireFormatError(f"not a broadcast packet (type {type_event >> 4})")
-        if verify_checksum and xor8(buffer[:-1]) != checksum:
-            raise WireFormatError("broadcast packet checksum mismatch")
-        demand_mbps = int.from_bytes(demand_bytes, "big")
-        demand_bps = (
-            math.inf if demand_mbps == _DEMAND_INF_MBPS else demand_mbps * 1e6
-        )
-        return BroadcastPacket(
-            event=type_event & 0xF,
-            src=src,
-            dst=dst,
-            flow_id=flow_id,
-            weight=weight_q / _WEIGHT_SCALE,
-            priority=priority,
-            demand_bps=demand_bps,
-            tree_id=tree_rp >> 4,
-            protocol_id=tree_rp & 0xF,
-        )
+    @classmethod
+    def _unpack(cls, event, src, dst, flow_id, weight, priority, demand, tree_rp):
+        weight, demand = weight_from_wire(weight), demand_from_wire(demand)
+        return cls(event, src, dst, flow_id, weight, priority, demand, tree_rp >> 4, tree_rp & 0xF)
+
+
+assert BroadcastPacket.LAYOUT.size == BROADCAST_PACKET_SIZE
 
 
 @dataclass(frozen=True)
@@ -339,36 +293,25 @@ class RouteUpdatePacket:
 
 
 @dataclass(frozen=True)
-class DropNotificationPacket:
+class DropNotificationPacket(FixedMessage):
     """A forwarder informing a broadcast's source of a queue-overflow drop."""
 
     dropped_at: NodeId
     source: NodeId
     seq: int
 
-    SIZE = 10  # type(1) + dropped_at(2) + source(2) + seq(4) + checksum(1)
+    TYPE = TYPE_DROP_NOTIFICATION
+    NAME = "drop notification"
+    LAYOUT = struct.Struct(">BHHIB")  # type, dropped_at, source, seq, xor8
+    CHECKSUM = XOR8
+    SIZE = LAYOUT.size
 
-    def encode(self) -> bytes:
-        _check_u16("dropped_at", self.dropped_at)
-        _check_u16("source", self.source)
-        _check_u32("seq", self.seq)
-        body = struct.pack(
-            ">BHHIB", TYPE_DROP_NOTIFICATION << 4, self.dropped_at, self.source, self.seq, 0
-        )
-        return body[:-1] + bytes([xor8(body[:-1])])
+    def _pack(self) -> tuple:
+        return (0, self.dropped_at, self.source, self.seq)
 
-    @staticmethod
-    def decode(buffer: bytes, verify_checksum: bool = True) -> "DropNotificationPacket":
-        if len(buffer) != DropNotificationPacket.SIZE:
-            raise WireFormatError(
-                f"drop notifications are {DropNotificationPacket.SIZE} bytes"
-            )
-        type_byte, dropped_at, source, seq, checksum = struct.unpack(">BHHIB", buffer)
-        if (type_byte >> 4) != TYPE_DROP_NOTIFICATION:
-            raise WireFormatError("not a drop-notification packet")
-        if verify_checksum and xor8(buffer[:-1]) != checksum:
-            raise WireFormatError("drop-notification checksum mismatch")
-        return DropNotificationPacket(dropped_at=dropped_at, source=source, seq=seq)
+    @classmethod
+    def _unpack(cls, _nibble, dropped_at, source, seq):
+        return cls(dropped_at, source, seq)
 
 
 def packet_type(buffer: bytes) -> int:

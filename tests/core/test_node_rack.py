@@ -52,8 +52,8 @@ class TestRackFlows:
 
     def test_weight_quantization_consistent(self, torus2d):
         # Weights cross the wire as sixteenths; every node (including the
-        # sender, which keeps the exact value) must compute the same rates,
-        # so the wire round-trip must be lossless for representable values.
+        # sender, which keeps what its packet decodes to) must compute the
+        # same rates, so the round-trip is lossless for representable values.
         rack = Rack(torus2d)
         fid = rack.start_flow(0, 5, weight=2.5)
         views = {node.controller.table.get(fid).weight for node in rack.nodes}
@@ -83,30 +83,67 @@ class TestEpochs:
             Rack(torus2d).advance_time(-1)
 
 
-class TestLearnedFlows:
+def _line_rack(rho_ns, weight=1.0):
     """Two ecmp flows into node 2 of a 3-node line share its one 10 Gb/s
-    link.  Node 0 learns flow B from B's broadcast."""
+    link: A (0 -> 2, *weight*) and B (1 -> 2)."""
+    from repro.topology import MeshTopology
 
-    def _rack(self, rho_ns):
-        from repro.topology import MeshTopology
+    rack = Rack(
+        MeshTopology((3,)),
+        ControllerConfig(headroom=0.0, recompute_interval_ns=rho_ns),
+    )
+    a = rack.start_flow(0, 2, protocol="ecmp", weight=weight)
+    b = rack.start_flow(1, 2, protocol="ecmp")
+    return rack, a, b
 
-        rack = Rack(
-            MeshTopology((3,)),
-            ControllerConfig(headroom=0.0, recompute_interval_ns=rho_ns),
-        )
-        a = rack.start_flow(0, 2, protocol="ecmp")
-        b = rack.start_flow(1, 2, protocol="ecmp")
-        return rack, a, b
+
+class TestLearnedFlows:
+    """Node 0 learns flow B from B's broadcast."""
 
     def test_rho_zero_recomputes_when_a_start_is_learned(self):
-        rack, a, b = self._rack(0)
+        rack, a, b = _line_rack(0)
         assert rack.rate_of(a) == rack.rate_of(b) == 5e9
 
     def test_batched_rates_converge_at_the_epoch(self):
-        rack, a, b = self._rack(usec(500))
+        rack, a, b = _line_rack(usec(500))
         assert rack.rate_of(a) == 10e9  # young until the epoch covers B
         rack.advance_time(usec(500))
         assert rack.rate_of(a) == rack.rate_of(b) == 5e9
+
+
+class TestSenderAllocatesFromTheWire:
+    """A sender keeps exactly the spec its broadcast decodes to, so it and
+    its peers water-fill over the same table (§3.3)."""
+
+    def test_sub_mbps_demand_rides_the_wire_floor(self):
+        from repro.topology import TorusTopology
+
+        rack = Rack(TorusTopology((3, 3)))
+        fid = rack.start_flow(0, 4)
+        rack.update_demand(fid, 0.3e6)  # used to decode as 0 Mbps and raise
+        assert {n.controller.table.get(fid).demand_bps for n in rack.nodes} == {1e6}
+        assert rack.tables_consistent()
+
+    def test_unquantized_weight_is_the_same_everywhere(self):
+        rack, a, b = _line_rack(0, weight=1.7)
+        assert {n.controller.table.get(a).weight for n in rack.nodes} == {1.6875}
+        assert rack.tables_consistent()
+        # The two senders used to fill with 1.7 and 1.6875 and overbook
+        # node 2's one link: 6.296 + 3.721 Gb/s.
+        assert rack.rate_of(a) + rack.rate_of(b) <= 10e9
+
+    def test_tables_consistent_compares_demand(self):
+        rack, a, _b = _line_rack(0)
+        rack.nodes[2].controller.on_demand_update(a, 2e9)  # a view no broadcast made
+        assert not rack.tables_consistent()
+
+    def test_a_value_the_wire_cannot_carry_is_refused(self, torus2d):
+        from repro.errors import WireFormatError
+
+        rack = Rack(torus2d)
+        for kwargs in ({"weight": 16.0}, {"weight": 0.01}, {"priority": 256}):
+            with pytest.raises(WireFormatError):
+                rack.start_flow(0, 5, **kwargs)
 
 
 class TestOneFillPerView:
@@ -210,6 +247,20 @@ class TestNodeWire:
         before = node.controller.table.generation
         node.handle_broadcast(data)  # echo back to the sender
         assert node.controller.table.generation == before
+
+    def test_a_refused_start_registers_no_broadcast(self, torus2d, monkeypatch):
+        # The sender's controller accepts the decoded spec before the
+        # packet enters the replay buffer or the sent count.
+        node = Rack(torus2d).nodes[0]
+
+        def refuse(_spec, _now_ns=0):
+            raise ReproError("refused")
+
+        monkeypatch.setattr(node.controller, "on_flow_started", refuse)
+        with pytest.raises(ReproError):
+            node.start_flow(1, 5)
+        assert node.broadcasts_sent == 0
+        assert node.reliability.pending_count() == 0
 
     def test_finish_requires_local_flow(self, torus2d):
         rack = Rack(torus2d)

@@ -134,6 +134,32 @@ class TestEligibility:
             if sharding_eligible(scenario):
                 validate_sharded_config(sim_inputs(scenario, 1)[2])  # must not raise
 
+    @pytest.mark.parametrize("control_plane", ["shared", "per_node"])
+    def test_pfq_is_never_eligible(self, control_plane):
+        # A replayed or hand-written pfq scenario: its sharded run raises
+        # whatever the control plane, so the differential must not run it.
+        scenario = Scenario(
+            "pfq", dims=(3, 3),
+            params=(("control_plane", control_plane), ("n_flows", 4), ("stack", "pfq")),
+        )
+        assert not sharding_eligible(scenario)
+
+    def test_eligibility_builds_no_run_inputs(self, monkeypatch):
+        # Only the SimConfig decides: a failure storm that cannot be built
+        # is the task's own finding, never a silently skipped differential.
+        from repro.errors import SimulationError
+        from repro.experiments import tasks
+
+        def no_view(*_args):
+            raise SimulationError("no connected view found")
+
+        monkeypatch.setattr(tasks, "_apply_failure_storm", no_view)
+        scenario = Scenario(
+            "storm", dims=(3, 3),
+            params=(("control_plane", "per_node"), ("fail_links", 2), ("n_flows", 4)),
+        )
+        assert sharding_eligible(scenario)
+
 
 def test_spec_json_round_trip():
     scenario = generate_scenario(7, "rt")

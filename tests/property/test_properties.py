@@ -153,7 +153,9 @@ class TestWireProperties:
         flow_id=st.integers(0, 2**32 - 1),
         weight_q=st.integers(1, 255),
         priority=st.integers(0, 255),
-        demand_mbps=st.one_of(st.none(), st.integers(0, (1 << 24) - 2)),
+        # 0 Mbps is no FlowSpec's demand: it rides the 1 Mbps floor
+        # (tests/wire/test_control_formats.py pins that).
+        demand_mbps=st.one_of(st.none(), st.integers(1, (1 << 24) - 2)),
         tree=st.integers(0, 15),
         rp=st.integers(0, 15),
     )

@@ -19,7 +19,8 @@ import sys
 
 import pytest
 
-from repro.service import ServiceClient, ServiceState, read_port_file, spec_from_announce
+from repro.congestion import FlowSpec
+from repro.service import ServiceClient, ServiceState, read_port_file
 from repro.topology import TorusTopology
 from repro.wire.control import FlowAnnounce
 
@@ -123,7 +124,7 @@ def _reference_replies():
             demand_bps=demand,
         )
         decoded = FlowAnnounce.decode(message.encode())
-        state.announce(spec_from_announce(decoded))
+        state.announce(FlowSpec.from_wire(decoded))
     assert tuple(spec.flow_id for spec in state.incremental.flows()) == _LIVE
     return [state.query(fid).encode() for fid in _LIVE]
 

@@ -1,10 +1,12 @@
-"""Property tests for the control-plane message codecs.
+"""Property tests for the control-plane and broadcast message codecs.
 
-The daemon trusts :mod:`repro.wire.control` for two things: any message a
-client encodes decodes back to the identical value (after the documented
-weight/demand quantization), and anything damaged in flight — truncated,
-bit-flipped, mis-framed — is rejected with :class:`WireFormatError`
-rather than silently mis-parsed.  Hypothesis drives both directions.
+The daemon trusts :mod:`repro.wire.control`, and every R2C2 node the
+broadcast packets of :mod:`repro.wire.packets`, for two things: any
+message a sender encodes decodes back to the identical value (after the
+documented weight/demand quantization), and anything damaged in flight —
+truncated, bit-flipped, mis-framed — is rejected with
+:class:`WireFormatError` rather than silently mis-parsed.  Hypothesis
+drives both directions.
 """
 
 import json
@@ -16,13 +18,20 @@ from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.wire import (
+    EVENT_DEMAND_UPDATE,
+    EVENT_FLOW_START,
+    EVENT_REANNOUNCE,
+    MAX_FRAME_SIZE,
+    TYPE_BROADCAST,
+    TYPE_DROP_NOTIFICATION,
     AllocQuery,
     AllocReply,
+    BroadcastPacket,
     ControlAck,
     ControlError,
+    DropNotificationPacket,
     FlowAnnounce,
     FlowFinish,
-    MAX_FRAME_SIZE,
     SnapshotEvent,
     SnapshotSubscribe,
     control_type,
@@ -30,16 +39,16 @@ from repro.wire import (
     encode_frame,
     split_frames,
 )
-from repro.wire.packets import _DEMAND_INF_MBPS, _WEIGHT_SCALE
+from repro.wire.codec import DEMAND_INF_MBPS, WEIGHT_SCALE
 
 flow_ids = st.integers(min_value=0, max_value=2**32 - 1)
 node_ids = st.integers(min_value=0, max_value=2**16 - 1)
 # Weights that survive the u8 x1/16 quantization exactly.
-weights = st.integers(min_value=1, max_value=0xFF).map(lambda q: q / _WEIGHT_SCALE)
+weights = st.integers(min_value=1, max_value=0xFF).map(lambda q: q / WEIGHT_SCALE)
 # Demands that survive the 24-bit Mbps quantization exactly (or inf).
 demands = st.one_of(
     st.just(math.inf),
-    st.integers(min_value=1, max_value=_DEMAND_INF_MBPS - 1).map(lambda m: m * 1e6),
+    st.integers(min_value=1, max_value=DEMAND_INF_MBPS - 1).map(lambda m: m * 1e6),
 )
 priorities = st.integers(min_value=0, max_value=0xFF)
 protocol_ids = st.integers(min_value=0, max_value=0xFF)
@@ -78,9 +87,47 @@ errors = st.builds(
     ControlError, code=st.integers(0, 0xFF), message=st.text(max_size=64)
 )
 
-messages = st.one_of(
-    announces, finishes, queries, replies, subscribes, events, acks, errors
+broadcasts = st.builds(
+    BroadcastPacket,
+    event=st.integers(EVENT_FLOW_START, EVENT_REANNOUNCE),
+    src=node_ids,
+    dst=node_ids,
+    flow_id=flow_ids,
+    weight=weights,
+    priority=priorities,
+    demand_bps=demands,
+    tree_id=st.integers(0, 0xF),
+    protocol_id=st.integers(0, 0xF),
 )
+drop_notes = st.builds(
+    DropNotificationPacket,
+    dropped_at=node_ids,
+    source=node_ids,
+    seq=st.integers(0, 2**32 - 1),
+)
+
+messages = st.one_of(
+    announces, finishes, queries, replies, subscribes, events, acks, errors,
+    broadcasts, drop_notes,
+)
+
+_PACKET_DECODERS = {
+    TYPE_BROADCAST: BroadcastPacket.decode,
+    TYPE_DROP_NOTIFICATION: DropNotificationPacket.decode,
+}
+
+
+def decode_any(body):
+    """Decode a control or broadcast-plane body, dispatching on its type."""
+    return _PACKET_DECODERS.get(control_type(body), decode_control)(body)
+
+
+#: Both messages that carry a quantized weight and demand.
+QUANTIZED = [
+    lambda **kw: FlowAnnounce(flow_id=1, src=0, dst=1, **kw),
+    lambda **kw: BroadcastPacket(EVENT_DEMAND_UPDATE, src=0, dst=1, flow_id=1, **kw),
+]
+QUANTIZED_IDS = ["ann", "bc"]
 
 
 class TestRoundTrip:
@@ -88,7 +135,7 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_encode_decode_identity(self, message):
         body = message.encode()
-        assert decode_control(body) == message
+        assert decode_any(body) == message
         # Dispatch agrees with the dedicated decoder.
         assert type(message).decode(body) == message
 
@@ -98,7 +145,7 @@ class TestRoundTrip:
         frame = encode_frame(message.encode())
         bodies, rest = split_frames(frame)
         assert rest == b""
-        assert [decode_control(b) for b in bodies] == [message]
+        assert [decode_any(b) for b in bodies] == [message]
 
     @given(batch=st.lists(messages, min_size=1, max_size=6), split=st.data())
     @settings(max_examples=60, deadline=None)
@@ -108,7 +155,7 @@ class TestRoundTrip:
         bodies, rest = split_frames(stream[:cut])
         bodies2, rest2 = split_frames(rest + stream[cut:])
         assert rest2 == b""
-        assert [decode_control(b) for b in bodies + bodies2] == batch
+        assert [decode_any(b) for b in bodies + bodies2] == batch
 
     def test_reply_rate_is_full_float64(self):
         rate = 1.0e10 / 3.0  # not representable in any quantized encoding
@@ -129,7 +176,7 @@ class TestRejection:
         body = message.encode()
         cut = data.draw(st.integers(min_value=1, max_value=len(body) - 1))
         with pytest.raises(WireFormatError):
-            decode_control(body[:cut])
+            decode_any(body[:cut])
 
     @given(message=messages, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -139,7 +186,7 @@ class TestRejection:
         bit = data.draw(st.integers(min_value=0, max_value=7))
         body[index] ^= 1 << bit
         try:
-            decoded = decode_control(bytes(body))
+            decoded = decode_any(bytes(body))
         except WireFormatError:
             return  # rejected: the common, desired outcome
         # The Internet checksum admits rare aliases (e.g. a flip inside
@@ -172,11 +219,40 @@ class TestRejection:
         with pytest.raises(WireFormatError):
             FlowAnnounce(flow_id=1, src=0, dst=1, demand_bps=1e30).encode()
 
-    def test_sub_mbps_demand_rounds_up_to_wire_floor(self):
+    @pytest.mark.parametrize("make", QUANTIZED, ids=QUANTIZED_IDS)
+    @pytest.mark.parametrize(
+        "value",
+        [{"weight": math.inf}, {"weight": math.nan}, {"demand_bps": -1.0},
+         {"demand_bps": math.nan}],
+        ids=["weight-inf", "weight-nan", "demand-neg", "demand-nan"],
+    )
+    def test_unencodable_value_refused(self, make, value):
+        with pytest.raises(WireFormatError):
+            make(**value).encode()
+
+    @pytest.mark.parametrize("make", QUANTIZED, ids=QUANTIZED_IDS)
+    @pytest.mark.parametrize("demand_bps", [0.0, 5.0, 0.3e6], ids=["0", "5", "3e5"])
+    def test_sub_mbps_demand_rounds_up_to_wire_floor(self, make, demand_bps):
         # A zero-Mbps encoding would decode into a spec no allocator
         # accepts; tiny demands ride the 1 Mbps floor instead.
-        message = FlowAnnounce(flow_id=1, src=0, dst=1, demand_bps=5.0)
-        assert decode_control(message.encode()).demand_bps == 1e6
+        message = make(demand_bps=demand_bps)
+        assert type(message).decode(message.encode()).demand_bps == 1e6
+
+    @pytest.mark.parametrize(
+        "message, name",
+        [
+            (ControlAck(flow_id=2**32), "CONTROL_ACK"),
+            (AllocReply(flow_id=1, known=True, bottleneck_link=2**31), "ALLOC_REPLY"),
+            (FlowAnnounce(flow_id=1, src=0, dst=1, priority=256), "FLOW_ANNOUNCE"),
+            (BroadcastPacket(EVENT_FLOW_START, src=-1, dst=1, flow_id=1), "broadcast"),
+            (DropNotificationPacket(dropped_at=0, source=2**16, seq=0), "drop"),
+            (SnapshotEvent(seq=-1, payload={}), "SNAPSHOT_EVENT"),
+        ],
+        ids=["ack", "reply", "announce", "broadcast", "drop", "snapshot"],
+    )
+    def test_field_out_of_range_names_the_message(self, message, name):
+        with pytest.raises(WireFormatError, match=name):
+            message.encode()
 
     @given(message=messages)
     @settings(max_examples=50, deadline=None)
