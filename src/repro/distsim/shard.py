@@ -25,7 +25,6 @@ from ..errors import SimulationError
 from ..sim.engine import EventLoop
 from ..sim.flows import SimFlow
 from ..sim.metrics import SimMetrics
-from ..sim.network import link_prio
 from ..sim.probe import build_probe
 from ..sim.runner import SimConfig, _build_r2c2, _build_tcp
 from ..topology.base import Topology
@@ -59,7 +58,6 @@ class ShardSim:
     ) -> None:
         self.shard_id = shard_id
         self.owned = frozenset(owned_nodes)
-        self._n_nodes = topology.n_nodes
         self.loop = EventLoop()
         self.metrics = SimMetrics()
         self.flows: Dict[int, SimFlow] = {a.flow_id: SimFlow(a) for a in trace}
@@ -192,7 +190,8 @@ class ShardSim:
                 packet)`` in the coordinator's canonical order; each is
                 scheduled before the window runs (all arrivals are provably
                 in the future — the conservative protocol guarantees it)
-                with its cut link's delivery priority.
+                with its cut link's delivery priority, a broadcast copy in
+                its arrival instant's batch (``RackNetwork.receive``).
             at_grid: True when ``end_ns`` is a progress-grid boundary, where
                 the serial engine samples link probes and checks
                 termination; the shard mirrors the probe sample and reports
@@ -206,15 +205,9 @@ class ShardSim:
         """
         entered = time.perf_counter()
         sync = self._sync
-        arrived = self.network.arrived
-        check_node = self.network.check_node
-        schedule_at = self.loop.schedule_at
-        n_nodes = self._n_nodes
+        receive = self.network.receive
         for arrival_ns, src, dst, packet in messages:
-            check_node(dst)
-            schedule_at(
-                arrival_ns, arrived, dst, packet, prio=link_prio(src, dst, n_nodes)
-            )
+            receive(arrival_ns, src, dst, packet)
         self.loop.run_window(end_ns)
         if at_grid and self.probes is not None:
             self.probes.maybe_sample(self.loop.now)

@@ -179,7 +179,7 @@ class MazeR2C2Stack:
             return
         if ptype != TYPE_DATA:
             raise EmulationError(f"unexpected packet type {ptype}")
-        packet = DataPacket.decode(data, verify_checksum=True)
+        packet = DataPacket.decode(data)
         if packet.dst != self.node:
             raise EmulationError(
                 f"misrouted packet: flow {packet.flow_id} for node {packet.dst} "

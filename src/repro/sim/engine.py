@@ -20,6 +20,9 @@ flow, never a closure built for one event.
 
 A port's transmission is one :meth:`EventLoop.transmit` call, and the clock
 ``now`` is a plain attribute: a packet hop pays for no more engine frames.
+A broadcast copy reserves the same two numbers (:meth:`reserve_transmit`)
+but rides one event per arrival instant, which asks :meth:`yields_to` before
+each copy so the copies keep their ``(timestamp, priority, sequence)`` order.
 
 An optional *probe* (:mod:`repro.sim.probe`) is told about every batch
 of events a ``run`` call processed and — when a subscriber such as the
@@ -140,6 +143,26 @@ class EventLoop:
         seq = self._seq
         self._seq = seq + 1
         return seq
+
+    def reserve_transmit(self) -> int:
+        """The two sequence numbers :meth:`transmit` reserves — the finish's,
+        returned, and the delivery slot after it — for a transmission whose
+        delivery is not its own event (a broadcast copy joins its arrival
+        instant's batch, :class:`repro.sim.network.RackNetwork`)."""
+        seq = self._seq
+        self._seq = seq + 2
+        return seq
+
+    def yields_to(self, at_ns: int, prio: int) -> bool:
+        """True when a queued event at *at_ns* has a priority below *prio*:
+        an event that runs several same-instant deliveries asks this before
+        each one, so each still runs exactly where its own ``(at_ns, prio)``
+        event would have."""
+        queue = self._queue
+        if not queue:
+            return False
+        head = queue[0]
+        return head[0] == at_ns and head[1] < prio
 
     def transmit(self, at_ns: int, prio: int, action: Callable[..., None], packet) -> int:
         """``seq = reserve_seq(); schedule_at(at_ns, action, packet, prio=prio)``

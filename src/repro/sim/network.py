@@ -9,6 +9,12 @@ exactly the two lookups the paper argues are simple enough for on-chip
 implementation.  A broadcast is one packet object: its tree's children
 table is looked up once, when the source injects it, and travels as the
 packet's ``path``.
+
+A unicast hop is one event: its delivery, scheduled with the link's
+priority as serialization starts.  The broadcast copies landing at one
+instant are one event, which delivers them in link-priority order and
+yields to any queued event of the instant that sorts before the next copy,
+so each copy runs exactly where its own delivery event would have.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ def link_prio(src: NodeId, dst: NodeId, n_nodes: int) -> int:
     any sharding of the fabric.
     """
     return 1 + src * n_nodes + dst
+
+
+#: Priority of a broadcast batch's event: ``link_prio(0, 0, n)``, below every
+#: link's (no link joins a node to itself), so the batch runs after the
+#: instant's timers and before its first delivery.
+BATCH_PRIO = 1
 
 
 class FifoQueue:
@@ -170,6 +182,8 @@ class OutputPort:
         loss_rng: Optional[random.Random] = None,
         prio: int = 0,
         probe=None,
+        land: Optional[Callable[[int, int, NodeId, SimPacket, int], None]] = None,
+        batches: Optional[Dict[int, list]] = None,
     ) -> None:
         self._loop = loop
         self.src = src
@@ -184,6 +198,12 @@ class OutputPort:
         self._latency_ns = latency_ns
         self.queue = queue
         self._deliver = deliver
+        #: A broadcast copy joins its arrival instant's batch instead of
+        #: scheduling ``deliver``: ``land`` is RackNetwork._land, ``batches``
+        #: the table it fills (the fan-out appends to a known instant's list
+        #: itself).  None on a standalone or cut port.
+        self._land = land
+        self._batches = batches
         self._on_drop = on_drop
         #: the run's observation surface (repro.sim.probe); None — every
         #: default run — costs one attribute test per packet event.
@@ -257,10 +277,46 @@ class OutputPort:
             self._finish(pending)
         return True
 
-    #: The fan-out's name for :meth:`send`: one method, so the accept logic
-    #: exists once; two names, so a tracer that wraps entry points by name
-    #: tells broadcast copies from unicast sends.
-    send_batched = send
+    #: The send path under a private name: :meth:`send_batched` falls back
+    #: to it, so a tracer that wraps entry points by name counts a copy once.
+    _send = send
+
+    def send_batched(self, packet: SimPacket, pending: Optional[list] = None) -> bool:
+        """Hand one broadcast copy of the fan-out to the port.
+
+        An idle FIFO port with no probe starts the copy here, with
+        :meth:`_start`'s accounting, into its arrival instant's batch.
+        Anything else takes the send path; :meth:`_start` batches a copy
+        the queue starts later.
+        """
+        now = self._loop.now
+        size = packet.size_bytes
+        batches = self._batches
+        if (
+            batches is not None and pending is None and not self._armed
+            and self._free_at <= now and size <= self._direct_limit
+        ):
+            if size > self.max_occupancy_bytes:
+                self.max_occupancy_bytes = size
+            try:
+                duration = self._tx_ns[size]
+            except KeyError:
+                duration = self._tx_ns[size] = transmission_time_ns(
+                    size, self._capacity_bps
+                )
+            self._free_at = free_at = now + duration
+            self.busy_ns += duration
+            self.bytes_sent += size
+            self.packets_sent += 1
+            seq = self._finish_seq = self._loop.reserve_transmit()
+            at_ns = free_at + self._latency_ns
+            batch = batches.get(at_ns)
+            if batch is None:
+                self._land(at_ns, self.prio, self.dst, packet, seq + 1)
+            else:
+                batch.append((self.prio, self.dst, packet))
+            return True
+        return self._send(packet, pending)
 
     def _start(self, packet: SimPacket, now: int, pending: Optional[list] = None) -> None:
         """Start serializing *packet* at *now* and schedule its delivery.
@@ -272,7 +328,8 @@ class OutputPort:
         own stream, in transmission order).  Either way the transmission
         takes the engine's next sequence number for a finish armed at
         ``_free_at``; a delivered packet's event takes the one after it, in
-        the same :meth:`EventLoop.transmit` call.
+        the same :meth:`EventLoop.transmit` call (a batched broadcast copy
+        reserves both and joins its instant's batch).
         """
         size = packet.size_bytes
         try:
@@ -304,14 +361,17 @@ class OutputPort:
             return
         if probe is not None:
             probe.tx_finish(self, packet, free_at)
-        if pending is None:
-            self._finish_seq = loop.transmit(
-                free_at + self._latency_ns, self.prio, self._deliver, packet
-            )
-        else:
+        if pending is not None:
             self._finish_seq = loop.reserve_seq()
             pending.append((duration, partial(
                 loop.schedule, self._latency_ns, self._deliver, packet, prio=self.prio)))
+        elif packet.kind == KIND_BROADCAST and self._land is not None:
+            seq = self._finish_seq = loop.reserve_transmit()
+            self._land(free_at + self._latency_ns, self.prio, self.dst, packet, seq + 1)
+        else:
+            self._finish_seq = loop.transmit(
+                free_at + self._latency_ns, self.prio, self._deliver, packet
+            )
 
     def _finish(self, pending: Optional[list] = None) -> None:
         """Start the queue's next packet if the transmitter is free, then
@@ -375,7 +435,7 @@ class RackNetwork:
         time instead of scheduling local propagation (its delivery event
         has zero latency, so it fires as serialization ends); the shard
         coordinator relays it to the owning shard, which re-enters it via
-        :meth:`arrived`.  The hand-off consumes exactly the event-loop slot
+        :meth:`receive`.  The hand-off consumes exactly the event-loop slot
         the serial engine would spend on the propagation event (keeping
         per-shard sequence assignment aligned), and the injected event
         carries the link's delivery priority, so same-instant ordering at
@@ -392,6 +452,10 @@ class RackNetwork:
             raise SimulationError("owned_nodes requires a boundary callback")
         self._owned = owned
         self._boundary = boundary
+        #: arrival instant -> the broadcast copies landing then, as
+        #: ``(link_prio, dst, packet)``; one :meth:`_deliver_batch` event
+        #: per instant delivers them.
+        self._batches: Dict[int, List[Tuple[int, NodeId, SimPacket]]] = {}
         #: (src, tree_id) -> that tree's children table, indexed by node;
         #: fetched from the FIB when a broadcast on the tree is first
         #: injected, and carried by every broadcast on it as its ``path``.
@@ -412,9 +476,11 @@ class RackNetwork:
                     self._cross_boundary, link.src, link.dst, link.latency_ns
                 )
                 latency_ns = 0
+                land = batches = None
             else:
                 deliver = partial(self.arrived, link.dst)
                 latency_ns = link.latency_ns
+                land, batches = self._land, self._batches
             # Wire-loss draws come from a per-port stream keyed by the
             # link's identity: each port's sequence depends only on its own
             # transmissions, so any sharding of the fabric (which splits
@@ -437,6 +503,8 @@ class RackNetwork:
                 loss_rng=loss_rng,
                 prio=link_prio(link.src, link.dst, topology.n_nodes),
                 probe=probe,
+                land=land,
+                batches=batches,
             )
         if probe is not None:
             probe.attach_network(self)
@@ -469,10 +537,10 @@ class RackNetwork:
 
         Fires at transmission-finish time (the port's scheduling latency is
         zero); the true arrival instant is computed here so the remote shard
-        can schedule :meth:`arrived` at exactly the time the serial engine
-        would have — with the link's delivery priority, so the injected
-        event sorts against the destination shard's same-instant events
-        exactly as the serial engine's propagation event would.
+        can :meth:`receive` it at exactly the time the serial engine would
+        have — with the link's delivery priority, so the injected event
+        sorts against the destination shard's same-instant events exactly
+        as the serial engine's propagation event would.
         """
         self._boundary(self._loop.now + latency_ns, src, dst, packet)
 
@@ -512,25 +580,82 @@ class RackNetwork:
         children = table[node]
         return not children or self._forward_broadcast(node, packet, children)
 
+    def receive(self, at_ns: int, src: NodeId, dst: NodeId, packet: SimPacket) -> None:
+        """A packet that crossed the cut link ``src -> dst`` from another
+        shard arrives at *dst* at *at_ns*: a unicast packet as its own
+        event with the link's delivery priority, a broadcast copy into the
+        batch of *at_ns* — where the serial engine's copy would be."""
+        self.check_node(dst)
+        prio = link_prio(src, dst, self._topology.n_nodes)
+        if packet.kind == KIND_BROADCAST:
+            self._land(at_ns, prio, dst, packet, self._loop.reserve_seq())
+        else:
+            self._loop.schedule_at(at_ns, self.arrived, dst, packet, prio=prio)
+
     def arrived(self, node: NodeId, packet: SimPacket) -> None:
-        """A packet finished propagating to *node*."""
+        """A unicast packet finished propagating to *node*."""
         probe = self._probe
         if probe is not None:
             probe.arrive(node, packet)
-        broadcast = packet.kind == KIND_BROADCAST
-        if not broadcast:
-            path = packet.path
-            hop = packet.hop = packet.hop + 1
-            if path is None or hop != len(path) - 1:
-                self._forward_data(node, packet)
-                return
+        path = packet.path
+        hop = packet.hop = packet.hop + 1
+        if path is None or hop != len(path) - 1:
+            self._forward_data(node, packet)
+            return
         stack = self.stack_at[node]
         if stack is None:
             raise SimulationError(f"no host stack installed at node {node}")
         if probe is not None:
             probe.local_deliver(node, packet)
         stack.deliver(packet)
-        if broadcast:
+
+    def _land(
+        self, at_ns: int, prio: int, node: NodeId, packet: SimPacket, slot: int
+    ) -> None:
+        """A broadcast copy on link *prio* reaches *node* at *at_ns*.
+
+        The instant's first copy schedules the batch event with its own
+        delivery *slot* as the sequence number.  A serialization takes at
+        least a nanosecond, so no copy joins a batch that is running.
+        """
+        batch = self._batches.get(at_ns)
+        if batch is None:
+            self._batches[at_ns] = [(prio, node, packet)]
+            self._loop.schedule_at(
+                at_ns, self._deliver_batch, at_ns, slot, prio=BATCH_PRIO, seq=slot
+            )
+        else:
+            batch.append((prio, node, packet))
+
+    def _deliver_batch(self, at_ns: int, slot: int) -> None:
+        """Deliver the copies landing at *at_ns*, ascending link priority.
+
+        A queued event of this instant that sorts before the next copy's
+        ``(at_ns, prio)`` — a unicast delivery on a lower link, anything a
+        copy delivered so far scheduled — runs first: the batch
+        re-schedules its rest at that key and returns.  A link delivers at
+        most one packet per instant, so the key is unique.
+        """
+        copies = self._batches.pop(at_ns)
+        copies.sort()
+        loop = self._loop
+        probe = self._probe
+        stack_at = self.stack_at
+        for index, (prio, node, packet) in enumerate(copies):
+            if loop.yields_to(at_ns, prio):
+                self._batches[at_ns] = copies[index:]
+                loop.schedule_at(
+                    at_ns, self._deliver_batch, at_ns, slot, prio=prio, seq=slot
+                )
+                return
+            if probe is not None:
+                probe.arrive(node, packet)
+            stack = stack_at[node]
+            if stack is None:
+                raise SimulationError(f"no host stack installed at node {node}")
+            if probe is not None:
+                probe.local_deliver(node, packet)
+            stack.deliver(packet)
             children = packet.path[node]
             # A leaf of the tree, as a third to a half of all deliveries
             # are, forwards nothing.

@@ -119,6 +119,7 @@ class PerNodeControlPlane:
             if shared
             else dict(zip(self._nodes, self.controllers))
         )
+        self._shared = shared
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
         #: the run's observation surface (repro.sim.probe): every
@@ -184,20 +185,11 @@ class PerNodeControlPlane:
         """Current enforced rate for a flow, as node *node* sees it."""
         return self._by_node[node].rate_for(flow_id)
 
-    def apply_broadcast(self, node: NodeId, src: NodeId, payload) -> None:
-        """A broadcast packet reached *node*: apply it to that node's view."""
-        controller = self._by_node[node]
-        if controller is self._by_node.get(src):
-            return  # the sender's controller already applied its own event
-        event, data = payload
-        if event == EVENT_FLOW_START:
-            controller.on_flow_learned(data, self.loop.now)
-        elif event == EVENT_FLOW_FINISH:
-            controller.on_flow_finished(data, self.loop.now)
-        elif event == EVENT_DEMAND_UPDATE:
-            controller.on_demand_update(*data)
-        else:
-            raise SimulationError(f"unknown broadcast event {event}")
+    def learner(self, node: NodeId):
+        """The controller a broadcast delivered at *node* from another node
+        updates: *node*'s own per node, None when shared (the sender's call
+        already updated the one rack-wide table)."""
+        return None if self._shared else self._by_node[node]
 
     def recompute_stats(self):
         """Aggregate recomputation statistics across all controllers."""
@@ -247,6 +239,9 @@ class R2C2Stack(HostStack):
         #: the shared provider's name -> routing-protocol lookup, resolved
         #: once: `_emit` asks it per packet.
         self._protocol = control.provider.protocol
+        #: the controller this node's broadcast deliveries update (None:
+        #: shared mode, where they update nothing).
+        self._learner = control.learner(node)
         self.broadcast_retransmissions = 0
         control.register(self)
 
@@ -431,17 +426,27 @@ class R2C2Stack(HostStack):
     # ------------------------------------------------------------------
     def deliver(self, packet: SimPacket) -> None:
         if packet.kind == KIND_BROADCAST:
-            # Count wire traffic only: the copy the source hands to its own
-            # control plane never crossed a link.
-            if packet.src != self.node:
-                if self._metrics is not None:
-                    self._metrics.broadcast_bytes += packet.size_bytes
-                    self._metrics.broadcast_packets += 1
-                if self._probe is not None:
-                    self._probe.bcast_receipt(packet.size_bytes)
-            # Shared mode: no-op (the sender already applied the event);
-            # per-node mode: this delivery is when the node's table learns.
-            self.control.apply_broadcast(self.node, packet.src, packet.payload)
+            # The copy the source hands to its own control plane crossed no
+            # link, and the source's controller already applied its event.
+            if packet.src == self.node:
+                return
+            if self._metrics is not None:
+                self._metrics.broadcast_bytes += packet.size_bytes
+                self._metrics.broadcast_packets += 1
+            if self._probe is not None:
+                self._probe.bcast_receipt(packet.size_bytes)
+            # Per-node mode: this delivery is when the node's table learns.
+            learner = self._learner
+            if learner is not None:
+                event, data = packet.payload
+                if event == EVENT_FLOW_START:
+                    learner.on_flow_learned(data, self.loop.now)
+                elif event == EVENT_FLOW_FINISH:
+                    learner.on_flow_finished(data, self.loop.now)
+                elif event == EVENT_DEMAND_UPDATE:
+                    learner.on_demand_update(*data)
+                else:
+                    raise SimulationError(f"unknown broadcast event {event}")
             return
         if packet.kind == KIND_DROP_NOTE:
             self.on_broadcast_dropped(packet.src, packet.seq)

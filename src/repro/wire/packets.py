@@ -128,8 +128,8 @@ class DataPacket:
         return header[:15] + struct.pack(">H", checksum) + header[17:] + self.payload
 
     @staticmethod
-    def decode(buffer: bytes, verify_checksum: bool = True) -> "DataPacket":
-        """Parse and (optionally) checksum-verify a data packet."""
+    def decode(buffer: bytes) -> "DataPacket":
+        """Parse and checksum-verify a data packet."""
         if len(buffer) < DATA_HEADER_SIZE:
             raise WireFormatError(
                 f"buffer of {len(buffer)} bytes shorter than data header"
@@ -155,10 +155,9 @@ class DataPacket:
             )
         if ridx > rlen or rlen > MAX_HOPS:
             raise WireFormatError(f"invalid route fields rlen={rlen} ridx={ridx}")
-        if verify_checksum:
-            zeroed = buffer[:2] + b"\x00" + buffer[3:15] + b"\x00\x00" + buffer[17:]
-            if internet_checksum(zeroed) != checksum:
-                raise WireFormatError("data packet checksum mismatch")
+        zeroed = buffer[:2] + b"\x00" + buffer[3:15] + b"\x00\x00" + buffer[17:]
+        if internet_checksum(zeroed) != checksum:
+            raise WireFormatError("data packet checksum mismatch")
         return DataPacket(
             flow_id=flow_id,
             src=src,
@@ -268,7 +267,7 @@ class RouteUpdatePacket:
         return raw[:3] + struct.pack(">H", checksum) + raw[5:]
 
     @staticmethod
-    def decode(buffer: bytes, verify_checksum: bool = True) -> "RouteUpdatePacket":
+    def decode(buffer: bytes) -> "RouteUpdatePacket":
         if len(buffer) < RouteUpdatePacket.HEADER_SIZE:
             raise WireFormatError("route-update packet too short")
         type_byte, count, checksum = struct.unpack(">BHH", buffer[:5])
@@ -279,10 +278,9 @@ class RouteUpdatePacket:
             raise WireFormatError(
                 f"route-update length mismatch: expected {expected}, got {len(buffer)}"
             )
-        if verify_checksum:
-            zeroed = buffer[:3] + b"\x00\x00" + buffer[5:]
-            if internet_checksum(zeroed) != checksum:
-                raise WireFormatError("route-update checksum mismatch")
+        zeroed = buffer[:3] + b"\x00\x00" + buffer[5:]
+        if internet_checksum(zeroed) != checksum:
+            raise WireFormatError("route-update checksum mismatch")
         assignments = []
         offset = 5
         for _ in range(count):
