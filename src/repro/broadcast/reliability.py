@@ -30,15 +30,21 @@ class PendingBroadcast:
     """
 
     seq: int
-    payload: bytes
+    payload: object
     tree_id: int
     retransmits: int = 0
 
 
 class BroadcastSenderReliability:
-    """Sender-side replay buffer and retransmit policy."""
+    """Sender-side replay buffer and retransmit policy.
 
-    def __init__(self, replay_window: int = 1024, max_retransmits: int = 8) -> None:
+    *max_retransmits* ``None`` resends a broadcast for as long as it stays
+    in the replay window (the R2C2 node's policy).
+    """
+
+    def __init__(
+        self, replay_window: int = 1024, max_retransmits: Optional[int] = 8
+    ) -> None:
         if replay_window < 1:
             raise BroadcastError("replay_window must be >= 1")
         self._window = replay_window
@@ -46,15 +52,16 @@ class BroadcastSenderReliability:
         self._pending: Dict[int, PendingBroadcast] = {}
         self._next_seq = 0
 
-    def register(self, payload: bytes, tree_id: int) -> int:
+    def register(self, payload, tree_id: int) -> int:
         """Record an outgoing broadcast; returns its sequence number."""
         seq = self._next_seq
         self._next_seq += 1
-        self._pending[seq] = PendingBroadcast(seq, payload, tree_id)
-        # Evict the oldest entries beyond the replay window.
-        while len(self._pending) > self._window:
-            oldest = min(self._pending)
-            del self._pending[oldest]
+        pending = self._pending
+        pending[seq] = PendingBroadcast(seq, payload, tree_id)
+        # Evict the oldest entries beyond the replay window: sequence
+        # numbers only grow, so insertion order is age order.
+        while len(pending) > self._window:
+            del pending[next(iter(pending))]
         return seq
 
     def on_drop_notification(self, seq: int) -> Optional[PendingBroadcast]:
@@ -68,7 +75,7 @@ class BroadcastSenderReliability:
         if entry is None:
             return None
         entry.retransmits += 1
-        if entry.retransmits > self._max_retransmits:
+        if self._max_retransmits is not None and entry.retransmits > self._max_retransmits:
             del self._pending[seq]
             return None
         return entry

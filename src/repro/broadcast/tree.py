@@ -173,37 +173,35 @@ class TreeSelector:
     """Sender-side tree choice, balancing broadcast load across links.
 
     The paper load-balances by rotating among a source's trees and skips
-    trees that traverse failed links.  Selection is deterministic given the
-    construction seed so tests can reproduce it.
+    trees that traverse failed links.  The rotation holds tree *ids* (the
+    value a broadcast header carries), so choosing a tree never builds one;
+    *start* staggers the rotation across senders (R2C2 nodes start at
+    their own node id).
     """
 
-    def __init__(self, trees: Sequence[BroadcastTree]) -> None:
-        if not trees:
+    def __init__(self, tree_ids: Sequence[int], start: int = 0) -> None:
+        if not tree_ids:
             raise BroadcastError("TreeSelector needs at least one tree")
-        self._trees = list(trees)
-        self._next = 0
+        self._ids = list(tree_ids)
+        self._next = start
         self._excluded: set = set()
-
-    @property
-    def trees(self) -> List[BroadcastTree]:
-        """All candidate trees."""
-        return list(self._trees)
 
     def exclude(self, tree_id: int) -> None:
         """Stop using a tree (e.g. it crosses a failed link)."""
         self._excluded.add(tree_id)
-        if all(t.tree_id in self._excluded for t in self._trees):
+        if self._excluded.issuperset(self._ids):
             raise BroadcastError("all broadcast trees excluded")
 
     def restore(self, tree_id: int) -> None:
         """Allow a previously excluded tree again."""
         self._excluded.discard(tree_id)
 
-    def choose(self) -> BroadcastTree:
-        """Round-robin over non-excluded trees."""
-        for _ in range(len(self._trees)):
-            tree = self._trees[self._next % len(self._trees)]
+    def choose(self) -> int:
+        """Round-robin over non-excluded tree ids."""
+        ids = self._ids
+        for _ in range(len(ids)):
+            tree_id = ids[self._next % len(ids)]
             self._next += 1
-            if tree.tree_id not in self._excluded:
-                return tree
+            if tree_id not in self._excluded:
+                return tree_id
         raise BroadcastError("all broadcast trees excluded")

@@ -1,18 +1,20 @@
-"""One R2C2 rack node: the complete control plane of §3.
+"""One R2C2 rack node: the life of a flow (§3.1) for every environment.
 
-An :class:`R2C2Node` owns the node's flow table (fed by decoding real
-16-byte broadcast packets), its rate controller, its broadcast-tree selector
-and reliability state.  Methods that *announce* something return the encoded
-packets to put on the wire; the surrounding environment (the
-:class:`~repro.core.rack.Rack` facade, the simulator, the Maze platform)
-decides how those bytes travel.
+An :class:`R2C2Node` announces its own flow events, picks the broadcast
+tree each one travels, keeps the replay buffer a §3.2 drop notification
+re-sends from, and applies what it learns from others — every table write
+through its :class:`~repro.congestion.controller.RateController`.  An
+announcement is ``(seq, tree_id, event, data)``, *data* being the spec
+(start), the flow id (finish) or ``(flow_id, demand_bps)`` (demand).  The
+packet simulator carries it in memory; :class:`~repro.core.rack.Rack` and
+Maze send the 16-byte packet the ``*_flow`` methods encode, and there the
+sender allocates from the spec its own bytes decode to, as receivers do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..broadcast.fib import BroadcastFib
 from ..broadcast.reliability import BroadcastSenderReliability, FailureRecovery
@@ -39,27 +41,110 @@ from ..wire.packets import (
 _DEFAULT_PROTOCOL = "rps"
 #: Candidate protocols the routing-selection process may assign.
 _SELECTION_PROTOCOLS = ("rps", "vlb")
+#: Broadcasts a node keeps for §3.2 drop-triggered re-sends.
+_REPLAY_WINDOW = 256
+
+#: ``(seq, tree_id, event, data)``: one broadcast to put on tree *tree_id*.
+Announcement = Tuple[int, int, int, object]
+
+
+def flow_spec(flow, start_time_ns: int) -> FlowSpec:
+    """The spec announcing *flow* (anything with the flow fields, such as
+    a ``SimFlow``), started at *start_time_ns*."""
+    return FlowSpec(
+        flow.flow_id, flow.src, flow.dst, flow.protocol, flow.weight,
+        flow.priority, start_time_ns=start_time_ns, tenant=flow.tenant,
+    )
 
 
 class R2C2Node:
     """The per-node brain: flow table, rate computation, route selection.
 
-    The node runs *controller* (whose ``node`` it is); a rack's nodes share
-    the controller's link-weight cache and allocation memo.
+    The node runs *controller*, as node *node* (default: the controller's
+    own).  A rack's nodes share the controller's link-weight cache and
+    allocation memo; nodes that share one controller (the simulator's
+    shared mode, Maze) pass ``learns=False``, since the sender's own call
+    already applied every event to the one table.
     """
 
-    def __init__(self, topology, fib: BroadcastFib, controller: RateController) -> None:
-        self.node = controller.node
+    def __init__(
+        self,
+        topology,
+        fib: BroadcastFib,
+        controller: RateController,
+        node: Optional[NodeId] = None,
+        learns: bool = True,
+    ) -> None:
+        self.node = controller.node if node is None else node
         self.controller = controller
+        self.learns = learns
         self._topology = topology
-        self.tree_selector = TreeSelector(fib.trees_for(self.node))
-        self.reliability = BroadcastSenderReliability()
+        self.tree_selector = TreeSelector(range(fib.n_trees), start=self.node)
+        self.reliability = BroadcastSenderReliability(_REPLAY_WINDOW, max_retransmits=None)
         self.failure_recovery = FailureRecovery()
         self.broadcasts_sent = 0
-        self.broadcasts_received = 0
 
     # ------------------------------------------------------------------
-    # Local flow lifecycle (this node is the sender)
+    # Announcing (this node is the sender)
+    # ------------------------------------------------------------------
+    def start(self, spec: FlowSpec, now_ns: int) -> Announcement:
+        """Start a local flow: the sender knows its own flows at once
+        (§3.3.2), the others when the announcement reaches them."""
+        self.controller.on_flow_started(spec, now_ns)
+        return self._announce(EVENT_FLOW_START, spec)
+
+    def finish(self, flow_id: FlowId, now_ns: int) -> Announcement:
+        """End a local flow."""
+        self.controller.on_flow_finished(flow_id, now_ns)
+        return self._announce(EVENT_FLOW_FINISH, flow_id)
+
+    def demand(self, flow_id: FlowId, demand_bps: float) -> Announcement:
+        """Announce a local host-limited flow's new demand estimate."""
+        self.controller.on_demand_update(flow_id, demand_bps)
+        return self._announce(EVENT_DEMAND_UPDATE, (flow_id, demand_bps))
+
+    def reannounce(self, spec: FlowSpec, now_ns: int) -> Announcement:
+        """§3.2 recovery: re-broadcast an ongoing local flow as a start,
+        as this node's table holds it (its demand included), or as *spec*
+        if the table lost it.  The sender refreshes its own entry without
+        re-running the young-flow admission (the flow is not new)."""
+        held = self.controller.table.get(spec.flow_id)
+        if held is not None:
+            spec = held
+        self.controller.on_flow_learned(spec, now_ns)
+        return self._announce(EVENT_FLOW_START, spec)
+
+    def resend(self, seq: int) -> Optional[Announcement]:
+        """§3.2: a forwarder dropped broadcast *seq*; re-send it on the next
+        tree (``None``: it aged out of the replay window)."""
+        entry = self.reliability.on_drop_notification(seq)
+        if entry is None:
+            return None
+        entry.tree_id = self.tree_selector.choose()
+        return (seq, entry.tree_id) + entry.payload
+
+    def _announce(self, event: int, data) -> Announcement:
+        tree_id = self.tree_selector.choose()
+        seq = self.reliability.register((event, data), tree_id)
+        self.broadcasts_sent += 1
+        return seq, tree_id, event, data
+
+    # ------------------------------------------------------------------
+    # Learning (another node's announcement reached this one)
+    # ------------------------------------------------------------------
+    def learn(self, event: int, data, now_ns: int) -> None:
+        """Apply another node's announced *event* to this node's table."""
+        if event == EVENT_FLOW_START:
+            self.controller.on_flow_learned(data, now_ns)
+        elif event == EVENT_FLOW_FINISH:
+            self.controller.on_flow_finished(data, now_ns)
+        elif event == EVENT_DEMAND_UPDATE:
+            self.controller.on_demand_update(*data)
+        else:
+            raise ReproError(f"unknown broadcast event {event}")
+
+    # ------------------------------------------------------------------
+    # The wire: 16-byte broadcast packets (Rack, Maze)
     # ------------------------------------------------------------------
     def start_flow(
         self,
@@ -73,85 +158,53 @@ class R2C2Node:
     ) -> bytes:
         """Begin a flow; returns the encoded start broadcast.
 
-        The local table learns the flow immediately (the sender always knows
-        its own flows, §3.3.2); remote nodes learn when the returned packet
-        reaches them.  Both hold the spec the packet decodes to: weight in
-        1/16 steps, the tenant local to this node.
+        The local table holds the spec the packet decodes to, as remote
+        tables do: weight in 1/16 steps, the tenant local to this node.  A
+        value the packet cannot carry raises ``WireFormatError`` before
+        anything is applied or registered.
         """
         spec = FlowSpec(
-            flow_id=flow_id,
-            src=self.node,
-            dst=dst,
-            protocol=protocol or _DEFAULT_PROTOCOL,
-            weight=weight,
-            priority=priority,
+            flow_id, self.node, dst, protocol or _DEFAULT_PROTOCOL, weight, priority
         )
-        packet = self._packet(spec, EVENT_FLOW_START)
-        wire = FlowSpec.from_wire(BroadcastPacket.decode(packet.encode()), now_ns, tenant)
-        self.controller.on_flow_started(wire, now_ns)
-        return self._send(packet)
+        wire = FlowSpec.from_wire(_on_wire(spec), now_ns, tenant)
+        return _encode(self.start(wire, now_ns), wire)
 
     def finish_flow(self, flow_id: FlowId, now_ns: int = 0) -> bytes:
         """End a flow; returns the encoded finish broadcast."""
-        spec = self.controller.table.get(flow_id)
-        if spec is None or spec.src != self.node:
-            raise ReproError(f"flow {flow_id} is not a local active flow")
-        self.controller.on_flow_finished(flow_id, now_ns)
-        return self._send(self._packet(spec, EVENT_FLOW_FINISH))
+        spec = self._local(flow_id)
+        return _encode(self.finish(flow_id, now_ns), spec)
 
     def update_demand(self, flow_id: FlowId, demand_bps: float) -> bytes:
         """Announce a new demand estimate for a local host-limited flow; the
         local table takes the demand the packet carries, as receivers do."""
-        spec = self.controller.table.get(flow_id)
-        if spec is None or spec.src != self.node:
-            raise ReproError(f"flow {flow_id} is not a local active flow")
-        packet = self._packet(spec.with_demand(demand_bps), EVENT_DEMAND_UPDATE)
-        self.controller.on_demand_update(flow_id, BroadcastPacket.decode(packet.encode()).demand_bps)
-        return self._send(packet)
+        spec = self._local(flow_id)
+        demand_bps = _on_wire(spec.with_demand(demand_bps)).demand_bps
+        return _encode(self.demand(flow_id, demand_bps), spec)
 
-    def reannounce_flows(self) -> List[bytes]:
+    def reannounce_flows(self, now_ns: int = 0) -> List[bytes]:
         """After a failure: re-broadcast all ongoing local flows (§3.2)."""
         local = self.controller.table.flows_from(self.node)
         flows = self.failure_recovery.flows_to_reannounce(local)
-        return [self._send(self._packet(spec, EVENT_REANNOUNCE)) for spec in flows]
+        return [_encode(self.reannounce(spec, now_ns), spec) for spec in flows]
 
-    @staticmethod
-    def _packet(spec: FlowSpec, event: int) -> BroadcastPacket:
-        """The broadcast announcing *event* for *spec*, its tree not yet chosen."""
-        return BroadcastPacket(
-            event, spec.src, spec.dst, spec.flow_id, spec.weight, spec.priority,
-            spec.demand_bps, protocol_id=protocol_class(spec.protocol).protocol_id,
-        )
-
-    def _send(self, packet: BroadcastPacket) -> bytes:
-        """Encode *packet* on the next broadcast tree and register it for
-        retransmission (a value the 16-byte packet cannot carry raises
-        ``WireFormatError`` before anything is registered)."""
-        tree = self.tree_selector.choose()
-        data = replace(packet, tree_id=tree.tree_id).encode()
-        self.reliability.register(data, tree.tree_id)
-        self.broadcasts_sent += 1
-        return data
-
-    # ------------------------------------------------------------------
-    # Remote events (broadcast packets reaching this node)
-    # ------------------------------------------------------------------
     def handle_broadcast(self, data: bytes, now_ns: int = 0) -> None:
         """Decode and apply a received broadcast packet."""
         packet = BroadcastPacket.decode(data)
-        self.broadcasts_received += 1
-        if packet.event in (EVENT_FLOW_START, EVENT_REANNOUNCE):
-            if packet.src == self.node:
-                return  # our own announcement echoed back
-            self.controller.on_flow_learned(FlowSpec.from_wire(packet, now_ns), now_ns)
-        elif packet.event == EVENT_FLOW_FINISH:
-            if packet.src != self.node:
-                self.controller.on_flow_finished(packet.flow_id, now_ns)
-        elif packet.event == EVENT_DEMAND_UPDATE:
-            if packet.src != self.node:
-                self.controller.on_demand_update(packet.flow_id, packet.demand_bps)
+        if packet.src == self.node:
+            return  # our own announcement echoed back
+        event = packet.event
+        if event in (EVENT_FLOW_START, EVENT_REANNOUNCE):
+            self.learn(EVENT_FLOW_START, FlowSpec.from_wire(packet, now_ns), now_ns)
+        elif event == EVENT_DEMAND_UPDATE:
+            self.learn(event, (packet.flow_id, packet.demand_bps), now_ns)
         else:
-            raise ReproError(f"unknown broadcast event {packet.event}")
+            self.learn(event, packet.flow_id, now_ns)
+
+    def _local(self, flow_id: FlowId) -> FlowSpec:
+        spec = self.controller.table.get(flow_id)
+        if spec is None or spec.src != self.node:
+            raise ReproError(f"flow {flow_id} is not a local active flow")
+        return spec
 
     def handle_route_update(self, data: bytes) -> None:
         """Apply a routing re-assignment packet (§3.4)."""
@@ -159,13 +212,6 @@ class R2C2Node:
         for flow_id, protocol_id in packet.assignments:
             protocol = protocol_class(protocol_id).name
             self.controller.on_protocol_update(flow_id, protocol)
-
-    # ------------------------------------------------------------------
-    # Rates
-    # ------------------------------------------------------------------
-    def maybe_recompute(self, now_ns: int):
-        """Periodic recomputation hook (returns the allocation when run)."""
-        return self.controller.maybe_recompute(now_ns)
 
     def rates(self) -> Dict[FlowId, float]:
         """Current enforced rates for this node's own flows."""
@@ -222,3 +268,24 @@ class R2C2Node:
             chunk = tuple(assignments[start : start + RouteUpdatePacket.MAX_ENTRIES])
             packets.append(RouteUpdatePacket(assignments=chunk).encode())
         return packets, improvement
+
+
+def _packet(spec: FlowSpec, event: int, tree_id: int = 0) -> BroadcastPacket:
+    """The broadcast announcing *event* for *spec* on tree *tree_id*."""
+    return BroadcastPacket(
+        event, spec.src, spec.dst, spec.flow_id, spec.weight, spec.priority,
+        spec.demand_bps, tree_id, protocol_class(spec.protocol).protocol_id,
+    )
+
+
+def _on_wire(spec: FlowSpec) -> BroadcastPacket:
+    """What a broadcast of *spec* decodes to."""
+    return BroadcastPacket.decode(_packet(spec, EVENT_FLOW_START).encode())
+
+
+def _encode(announcement: Announcement, spec: FlowSpec) -> bytes:
+    """The 16-byte packet carrying *announcement* of *spec*'s flow."""
+    _seq, tree_id, event, data = announcement
+    if event == EVENT_DEMAND_UPDATE:
+        spec = spec.with_demand(data[1])
+    return _packet(spec, event, tree_id).encode()

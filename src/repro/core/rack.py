@@ -78,7 +78,7 @@ class Rack:
         self._now_ns += delta_ns
         allocations = []
         for node in self.nodes:
-            allocation = node.maybe_recompute(self._now_ns)
+            allocation = node.controller.maybe_recompute(self._now_ns)
             if allocation is not None:
                 allocations.append(allocation)
         return allocations
@@ -125,16 +125,12 @@ class Rack:
         self._deliver_broadcast(src, packet)
 
     def _owner_of(self, flow_id: FlowId) -> NodeId:
-        spec = self.nodes[0].controller.table.get(flow_id)
-        if spec is None:
-            # Tables are eventually consistent; scan for a node that knows.
-            for node in self.nodes:
-                spec = node.controller.table.get(flow_id)
-                if spec is not None:
-                    break
-        if spec is None:
-            raise ReproError(f"unknown flow {flow_id}")
-        return spec.src
+        # Tables are eventually consistent: ask node 0, then the others.
+        for node in self.nodes:
+            spec = node.controller.table.get(flow_id)
+            if spec is not None:
+                return spec.src
+        raise ReproError(f"unknown flow {flow_id}")
 
     def _deliver_broadcast(self, src: NodeId, packet: bytes) -> None:
         self.control_bytes_on_wire += broadcast_bytes_total(
@@ -208,7 +204,7 @@ class Rack:
         for node in self.nodes:
             node.failure_recovery.on_link_failure(src, dst)
         for node in self.nodes:
-            for packet in node.reannounce_flows():
+            for packet in node.reannounce_flows(self._now_ns):
                 self._deliver_broadcast(node.node, packet)
                 count += 1
         return count

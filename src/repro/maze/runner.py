@@ -75,7 +75,7 @@ def run_emulation(
     stacks: List[MazeR2C2Stack] = [
         MazeR2C2Stack(
             node,
-            platform.server(node),
+            platform,
             controller,
             fib,
             flows,

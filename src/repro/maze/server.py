@@ -12,7 +12,7 @@ pointer — never the bytes — to the chosen outgoing link.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..broadcast.fib import BroadcastFib
 from ..errors import EmulationError
@@ -211,11 +211,7 @@ class MazeServer:
     def _handle_broadcast(
         self, dr: DataRingBuffer, slot: int, data: bytes, source: int
     ) -> bool:
-        if self._fib is None:
-            raise EmulationError("broadcast received but no FIB configured")
-        bsrc = int.from_bytes(data[pkt.BROADCAST_SRC_OFFSET : pkt.BROADCAST_SRC_OFFSET + 2], "big")
-        tree_id = data[pkt.BROADCAST_TREE_OFFSET] >> 4
-        children = self._fib.next_hops(self.node, bsrc, tree_id)
+        children = self._children(data)
         # All-or-nothing: only proceed if every child ring has space, so a
         # retry cannot double-send to some children.
         for child in children:
@@ -232,6 +228,15 @@ class MazeServer:
                 raise EmulationError("broadcast push failed after capacity check")
         self.forwarded_packets += len(children)
         return True
+
+    def _children(self, data: bytes) -> Sequence[NodeId]:
+        """This node's children on the tree broadcast *data* travels (its
+        source and tree id are read from the header)."""
+        if self._fib is None:
+            raise EmulationError("broadcast received but no FIB configured")
+        bsrc = int.from_bytes(data[pkt.BROADCAST_SRC_OFFSET : pkt.BROADCAST_SRC_OFFSET + 2], "big")
+        tree_id = data[pkt.BROADCAST_TREE_OFFSET] >> 4
+        return self._fib.next_hops(self.node, bsrc, tree_id)
 
     def _deliver_local(self, data: bytes) -> None:
         self.delivered_packets += 1
@@ -263,6 +268,12 @@ class MazeServer:
             if not self.out_links[hop].push(SOURCE_APP, self.app_dr, slot):
                 raise EmulationError("app push failed after capacity check")
         return True
+
+    def app_broadcast(self, data: bytes) -> bool:
+        """The local application originates broadcast *data* down the tree
+        its header names; a node without children there sends nothing."""
+        children = self._children(data)
+        return bool(children) and self.app_send(data, list(children))
 
     # ------------------------------------------------------------------
     # Transmission

@@ -1,37 +1,28 @@
 """R2C2 as a user-space network stack on the Maze platform (paper §4.2).
 
-This is the same control plane as everywhere else (one
-:class:`~repro.congestion.controller.RateController`), but the data plane is
-the byte-level Maze machinery: flows are paced by
-:class:`~repro.maze.ratelimit.TokenBucket` limiters, packets are *really
-encoded* with :class:`~repro.wire.packets.DataPacket` (and checksum-verified
-at the receiver), paths are sampled per packet by the flow's routing
-protocol, and flow events travel as encoded 16-byte broadcast packets along
-the broadcast trees.
+The control plane is the one :class:`~repro.core.node.R2C2Node`: it builds
+each flow's announcement, picks its tree and encodes the 16-byte broadcast,
+and the sender allocates from the spec those bytes decode to.  Maze's nodes
+share one controller, so a receiver counts a broadcast's bytes and applies
+nothing.  The data plane is byte-level: :class:`~repro.maze.ratelimit.TokenBucket`
+pacing, :class:`~repro.wire.packets.DataPacket` encoding (checksum-verified
+at the receiver) and per-packet path sampling by the flow's protocol.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..broadcast.fib import BroadcastFib
 from ..congestion.controller import RateController
-from ..congestion.flowstate import FlowSpec
+from ..core.node import R2C2Node
 from ..errors import EmulationError
-from ..routing.base import protocol_class
 from ..sim.flows import SimFlow
 from ..types import NodeId
-from ..wire.packets import (
-    EVENT_FLOW_FINISH,
-    EVENT_FLOW_START,
-    TYPE_BROADCAST,
-    TYPE_DATA,
-    BroadcastPacket,
-    DataPacket,
-)
+from ..wire.packets import TYPE_BROADCAST, TYPE_DATA, DataPacket
+from .platform import MazePlatform
 from .ratelimit import TokenBucket
-from .server import MazeServer
 
 
 class MazeR2C2Stack:
@@ -40,7 +31,7 @@ class MazeR2C2Stack:
     def __init__(
         self,
         node: NodeId,
-        server: MazeServer,
+        platform: MazePlatform,
         controller: RateController,
         fib: BroadcastFib,
         flows_by_id: Dict[int, SimFlow],
@@ -49,20 +40,20 @@ class MazeR2C2Stack:
         metrics=None,
     ) -> None:
         self.node = node
-        self._server = server
+        self._server = platform.server(node)
+        self._topology = platform.topology
         self._controller = controller
-        self._fib = fib
+        #: this node's R2C2 node: builds, encodes and applies its announcements.
+        self.r2c2 = R2C2Node(self._topology, fib, controller, node, learns=False)
         self._flows = flows_by_id
         self._mtu = mtu_payload
         self._rng = random.Random((seed << 16) ^ node ^ 0xA5A5)
         self._metrics = metrics
         self._buckets: Dict[int, TokenBucket] = {}
         self._local_flows: List[SimFlow] = []
-        self._next_tree = node
-        self._bcast_seq = 0
         #: set by the runner before each step so deliveries are timestamped.
         self._now_ns_hint = 0
-        server.on_local_delivery = self._on_delivery
+        self._server.on_local_delivery = self._on_delivery
 
     # ------------------------------------------------------------------
     # Flow lifecycle (sender side)
@@ -70,42 +61,17 @@ class MazeR2C2Stack:
     def start_flow(self, flow: SimFlow, now_ns: int) -> None:
         if flow.src != self.node:
             raise EmulationError(f"flow {flow.flow_id} not sourced at {self.node}")
-        spec = FlowSpec(
-            flow_id=flow.flow_id,
-            src=flow.src,
-            dst=flow.dst,
-            protocol=flow.protocol,
-            weight=flow.weight,
-            priority=flow.priority,
-            start_time_ns=now_ns,
-            tenant=flow.tenant,
+        data = self.r2c2.start_flow(
+            flow.flow_id, flow.dst, flow.protocol, flow.weight, flow.priority,
+            now_ns, flow.tenant,
         )
-        self._controller.on_flow_started(spec, now_ns)
         rate = self._controller.rate_for(flow.flow_id)
         packet_size = 35 + self._mtu
         self._buckets[flow.flow_id] = TokenBucket(
             rate_bps=max(rate, 1.0), burst_bytes=packet_size, now_ns=now_ns
         )
         self._local_flows.append(flow)
-        self._broadcast(flow, EVENT_FLOW_START, now_ns)
-
-    def _broadcast(self, flow: SimFlow, event: int, now_ns: int) -> None:
-        tree_id = self._next_tree % self._fib.n_trees
-        self._next_tree += 1
-        protocol_id = protocol_class(flow.protocol).protocol_id
-        packet = BroadcastPacket(
-            event=event,
-            src=flow.src,
-            dst=flow.dst,
-            flow_id=flow.flow_id,
-            weight=flow.weight,
-            priority=flow.priority,
-            tree_id=tree_id,
-            protocol_id=protocol_id,
-        )
-        children = list(self._fib.next_hops(self.node, self.node, tree_id))
-        if children:
-            self._server.app_send(packet.encode(), children)
+        self._server.app_broadcast(data)
 
     def refresh_rates(self, now_ns: int) -> None:
         """Pull new allocations into the token buckets (epoch hook)."""
@@ -143,7 +109,7 @@ class MazeR2C2Stack:
                     dst=flow.dst,
                     seq=flow.next_seq,
                     route_ports=tuple(
-                        self._topology().port_of(path[i], path[i + 1])
+                        self._topology.port_of(path[i], path[i + 1])
                         for i in range(len(path) - 1)
                     ),
                     route_index=1,
@@ -158,14 +124,10 @@ class MazeR2C2Stack:
                 flow.sender_done_ns = now_ns
                 finished.append(flow)
         for flow in finished:
-            self._controller.on_flow_finished(flow.flow_id, now_ns)
-            self._broadcast(flow, EVENT_FLOW_FINISH, now_ns)
+            self._server.app_broadcast(self.r2c2.finish_flow(flow.flow_id, now_ns))
             self._buckets.pop(flow.flow_id, None)
         if finished:
             self._local_flows = [f for f in self._local_flows if not f.sender_done]
-
-    def _topology(self):
-        return self._server._topology  # noqa: SLF001 - same package
 
     # ------------------------------------------------------------------
     # Receiver side

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..congestion.controller import ControllerConfig, RateController
-from ..congestion.flowstate import FlowSpec
 from ..congestion.linkweights import WeightProvider
+from ..core.node import flow_spec
 from ..errors import SimulationError
 from ..topology.base import Topology
 from ..types import FlowId
@@ -132,19 +132,7 @@ class FluidSimulator:
                 arrival = arrivals[next_arrival]
                 next_arrival += 1
                 active[arrival.flow_id] = _ActiveFlow(int(now), arrival.size_bytes)
-                controller.on_flow_started(
-                    FlowSpec(
-                        flow_id=arrival.flow_id,
-                        src=arrival.src,
-                        dst=arrival.dst,
-                        protocol=arrival.protocol,
-                        weight=arrival.weight,
-                        priority=arrival.priority,
-                        start_time_ns=int(now),
-                        tenant=arrival.tenant,
-                    ),
-                    int(now),
-                )
+                controller.on_flow_started(flow_spec(arrival, int(now)), int(now))
             else:
                 # Departure (numerical slack: anything within one bit counts).
                 assert dep_flow is not None

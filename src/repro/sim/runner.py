@@ -258,7 +258,6 @@ def _build_r2c2(
 
     seed = config.seed
     fib = BroadcastFib(topology, n_trees=config.n_broadcast_trees, seed=seed)
-    network_holder = {}
 
     def on_drop(node, packet):
         # §3.2: a node that drops a broadcast (queue overflow) notifies the
@@ -277,7 +276,7 @@ def _build_r2c2(
             path=tuple(path),
             sent_ns=loop.now,
         )
-        network_holder["net"].inject(node, note)
+        network.inject(node, note)
 
     network = RackNetwork(
         loop,
@@ -295,7 +294,6 @@ def _build_r2c2(
         boundary=boundary,
         probe=probe,
     )
-    network_holder["net"] = network
     provider = provider if provider is not None else WeightProvider(topology)
     control = PerNodeControlPlane(
         loop,
@@ -308,23 +306,13 @@ def _build_r2c2(
         probe=probe,
         shared=config.control_plane == "shared",
     )
-    common = dict(
-        mtu_payload=config.mtu_payload,
-        seed=seed,
-        n_trees=config.n_broadcast_trees,
-        metrics=metrics,
-        probe=probe,
-    )
+    stack = R2C2ReliableStack if config.reliable else R2C2Stack
     nodes = topology.nodes() if owned_nodes is None else sorted(owned_nodes)
     for node in nodes:
-        if config.reliable:
-            network.stack_at[node] = R2C2ReliableStack(
-                node, loop, network, control, flows, **common
-            )
-        else:
-            network.stack_at[node] = R2C2Stack(
-                node, loop, network, control, flows, **common
-            )
+        network.stack_at[node] = stack(
+            node, loop, network, control, flows, mtu_payload=config.mtu_payload,
+            seed=seed, metrics=metrics, probe=probe,
+        )
     control.start_epochs()
     return network, control
 

@@ -1,16 +1,21 @@
 """The R2C2 host stack inside the packet simulator (paper §3, §4.2).
 
+Each node's :class:`~repro.core.node.R2C2Node` announces flow events,
+picks their broadcast trees, keeps the replay buffer and applies what it
+learns; this module only moves its announcements and paces the data plane.
+
 Sender side: per-flow token-bucket pacing at the controller-assigned rate,
 per-packet path sampling by the flow's routing protocol, source-route
-injection, and flow start/finish broadcasts that travel as real 16-byte
-packets along the broadcast trees (consuming link bandwidth).
+injection, and the node's announcements carried along the broadcast trees
+as 16-byte packets (consuming link bandwidth).  They carry the in-memory
+spec, not its quantized wire form (DESIGN §3a).
 
 Receiver side: payload accounting, completion detection and reorder-buffer
 measurement.
 
-One control-plane class, :class:`PerNodeControlPlane`, maps every node to a
-:class:`~repro.congestion.controller.RateController` (every table write is a
-controller call) and has two modes:
+One control-plane class, :class:`PerNodeControlPlane`, builds every node's
+:class:`~repro.congestion.controller.RateController` and ``R2C2Node`` and
+has two modes:
 
 * shared (``SimConfig(control_plane="shared")``, the default) — every node
   maps to the same controller.  Every node would compute identical
@@ -31,7 +36,7 @@ import random
 from typing import Dict, List, Set
 
 from ...congestion.controller import ControllerConfig, RateController
-from ...congestion.flowstate import FlowSpec
+from ...core.node import R2C2Node, flow_spec
 from ...errors import SimulationError
 from ...lru import BoundedLru
 from ...types import NodeId
@@ -62,7 +67,8 @@ _EVENT_NAMES = {
 
 
 class PerNodeControlPlane:
-    """The simulator's control plane: each rack node's rate controller.
+    """The simulator's control plane: each rack node's rate controller and
+    ``R2C2Node``.
 
     Per node (the default here): remote nodes learn about flows only when
     the 16-byte broadcast packets actually reach them through the simulated
@@ -91,15 +97,11 @@ class PerNodeControlPlane:
         shared: bool = False,
     ) -> None:
         self.loop = loop
-        self.network = network
         self._config = config
-        self._provider = provider
-        #: nodes this plane manages — all of them in a serial run, one
-        #: shard's subset under repro.distsim.  Ascending order keeps the
-        #: epoch-tick iteration identical to the serial engine's.
-        self._nodes: List[NodeId] = (
-            list(topology.nodes()) if nodes is None else sorted(nodes)
-        )
+        # The nodes this plane manages — all of them in a serial run, one
+        # shard's subset under repro.distsim.  Ascending order keeps the
+        # epoch-tick iteration identical to the serial engine's.
+        nodes = list(topology.nodes()) if nodes is None else sorted(nodes)
         # Shared mode's controller keeps its own one-entry memo: it is the
         # only reader, and a big memo would hold rack-wide allocations.
         cache = None if shared else BoundedLru(4096)
@@ -112,29 +114,22 @@ class PerNodeControlPlane:
                 allocation_cache=cache,
                 telemetry=telemetry,
             )
-            for node in (self._nodes[:1] if shared else self._nodes)
+            for node in (nodes[:1] if shared else nodes)
         ]
-        self._by_node: Dict[NodeId, RateController] = (
-            dict.fromkeys(self._nodes, self.controllers[0])
-            if shared
-            else dict(zip(self._nodes, self.controllers))
-        )
-        self._shared = shared
+        #: each node's R2C2 node (shared: one controller, so they learn
+        #: nothing — the sender's call already updated the one table).
+        self.nodes: Dict[NodeId, R2C2Node] = {
+            node: R2C2Node(
+                topology, network.fib, self.controllers[0 if shared else i], node,
+                learns=not shared,
+            )
+            for i, node in enumerate(nodes)
+        }
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
         #: the run's observation surface (repro.sim.probe): every
         #: recomputed allocation is reported to it.
         self._probe = probe
-
-    @property
-    def provider(self):
-        """The shared link-weight cache."""
-        return self._provider
-
-    @property
-    def config(self) -> ControllerConfig:
-        """The rack-wide controller configuration."""
-        return self._config
 
     def register(self, stack: "R2C2Stack") -> None:
         """A node stack joins the control plane."""
@@ -164,33 +159,6 @@ class PerNodeControlPlane:
 
         self.loop.schedule(interval, tick)
 
-    def on_flow_started(self, spec: FlowSpec, node: NodeId) -> None:
-        """The sender's controller learns immediately; others by delivery."""
-        self._by_node[node].on_flow_started(spec, self.loop.now)
-
-    def on_flow_reannounced(self, spec: FlowSpec, node: NodeId) -> None:
-        """§3.2 recovery: the sender refreshes its own table entry without
-        re-running the young-flow admission (the flow is not new)."""
-        self._by_node[node].on_flow_learned(spec, self.loop.now)
-
-    def on_flow_finished(self, flow_id: int, node: NodeId) -> None:
-        """The sender announced a finish."""
-        self._by_node[node].on_flow_finished(flow_id, self.loop.now)
-
-    def on_demand_update(self, flow_id: int, demand_bps: float, node: NodeId) -> None:
-        """The sender announced a demand estimate."""
-        self._by_node[node].on_demand_update(flow_id, demand_bps)
-
-    def rate_for(self, flow_id: int, node: NodeId) -> float:
-        """Current enforced rate for a flow, as node *node* sees it."""
-        return self._by_node[node].rate_for(flow_id)
-
-    def learner(self, node: NodeId):
-        """The controller a broadcast delivered at *node* from another node
-        updates: *node*'s own per node, None when shared (the sender's call
-        already updated the one rack-wide table)."""
-        return None if self._shared else self._by_node[node]
-
     def recompute_stats(self):
         """Aggregate recomputation statistics across all controllers."""
         return [stat for controller in self.controllers for stat in controller.stats]
@@ -205,7 +173,7 @@ class PerNodeControlPlane:
 
 
 class R2C2Stack(HostStack):
-    """One node's R2C2 data plane plus its control-plane hooks."""
+    """One node's R2C2 data plane, moving its ``R2C2Node``'s announcements."""
 
     def __init__(
         self,
@@ -216,32 +184,27 @@ class R2C2Stack(HostStack):
         flows_by_id: Dict[int, SimFlow],
         mtu_payload: int = 1500,
         seed: int = 0,
-        n_trees: int = 4,
         metrics=None,
         probe=None,
     ) -> None:
         super().__init__(node, loop, network, probe)
-        self.control = control
+        #: this node's R2C2 node: announces, picks trees, replays, learns.
+        self.r2c2 = control.nodes[node]
+        self._controller = controller = self.r2c2.controller
+        #: what a remote broadcast delivered here applies (None: shared
+        #: mode, where it applies nothing).
+        self._learn = self.r2c2.learn if self.r2c2.learns else None
         self._flows = flows_by_id
         self._mtu = mtu_payload
         self._rng = random.Random((seed << 16) ^ node)
-        self._n_trees = n_trees
-        self._next_tree = node  # stagger tree choice across nodes
         self._metrics = metrics
         self._active_local: Set[int] = set()
         self._stalled: Set[int] = set()
-        self._bcast_seq = 0
         #: demand estimators for host-limited local flows (§3.3.2).
         self._estimators: Dict[int, object] = {}
-        #: recently sent broadcasts, for §3.2 drop-triggered retransmission
-        #: (seq -> (flow, event, data)); bounded replay window.
-        self._bcast_pending: Dict[int, tuple] = {}
         #: the shared provider's name -> routing-protocol lookup, resolved
         #: once: `_emit` asks it per packet.
-        self._protocol = control.provider.protocol
-        #: the controller this node's broadcast deliveries update (None:
-        #: shared mode, where they update nothing).
-        self._learner = control.learner(node)
+        self._protocol = controller.provider.protocol
         self.broadcast_retransmissions = 0
         control.register(self)
 
@@ -255,69 +218,43 @@ class R2C2Stack(HostStack):
             )
         if flow.src == flow.dst:
             raise SimulationError("self-flows are not meaningful in the rack fabric")
-        spec = FlowSpec(
-            flow_id=flow.flow_id,
-            src=flow.src,
-            dst=flow.dst,
-            protocol=flow.protocol,
-            weight=flow.weight,
-            priority=flow.priority,
-            start_time_ns=self.loop.now,
-            tenant=flow.tenant,
-        )
-        self.control.on_flow_started(spec, self.node)
+        now = self.loop.now
+        announcement = self.r2c2.start(flow_spec(flow, now), now)
         if self._probe is not None:
             self._probe.flow_start(flow)
-        self._broadcast(flow, EVENT_FLOW_START, spec)
+        self._announce(flow, announcement)
         self._active_local.add(flow.flow_id)
         if flow.app_rate_bps is not None:
             from ...congestion.demand import DemandEstimator
 
-            interval = max(
-                self.control.config.recompute_interval_ns, 1
-            )
+            interval = max(self._controller.config.recompute_interval_ns, 1)
             self._estimators[flow.flow_id] = DemandEstimator(period_ns=interval)
         self._emit(flow)
 
-    def _broadcast(self, flow: SimFlow, event: int, data=None) -> None:
-        seq = self._bcast_seq
-        self._bcast_seq += 1
-        self._bcast_pending[seq] = (flow, event, data)
-        if len(self._bcast_pending) > 256:
-            self._bcast_pending.pop(next(iter(self._bcast_pending)))
-        self._send_broadcast(flow, event, data, seq)
-
-    def _send_broadcast(self, flow: SimFlow, event: int, data, seq: int) -> None:
-        tree_id = self._next_tree % self._n_trees
-        self._next_tree += 1
+    def _announce(self, flow: SimFlow, announcement) -> None:
+        """Put one of this node's announcements on its broadcast tree."""
+        seq, tree_id, event, data = announcement
         if self._probe is not None:
             self._probe.bcast_announce(
                 _EVENT_NAMES[event], flow.flow_id, self.node, tree_id
             )
         packet = SimPacket(
-            kind=KIND_BROADCAST,
-            flow_id=flow.flow_id,
-            src=self.node,
-            dst=flow.dst,
-            seq=seq,
-            size_bytes=broadcast_packet_size(),
-            tree_id=tree_id,
-            payload=(event, data if data is not None else flow.flow_id),
+            KIND_BROADCAST, flow.flow_id, self.node, flow.dst, seq,
+            broadcast_packet_size(), tree_id=tree_id, payload=(event, data),
             sent_ns=self.loop.now,
         )
         self.network.inject(self.node, packet)
 
-    def on_broadcast_dropped(self, dropped_at: NodeId, seq: int) -> None:
+    def on_broadcast_dropped(self, note: SimPacket) -> None:
         """§3.2: "the node dropping a broadcast packet informs the sender
-        who can then re-transmit" — retransmit on the next tree."""
-        pending = self._bcast_pending.get(seq)
-        if pending is None:
+        who can then re-transmit" — the node re-sends on the next tree."""
+        announcement = self.r2c2.resend(note.seq)
+        if announcement is None:
             return  # aged out of the replay window
-        flow, event, data = pending
         self.broadcast_retransmissions += 1
         if self._probe is not None:
-            self._probe.bcast_retransmit(flow.flow_id, dropped_at, seq)
-        self._send_broadcast(flow, event, data, seq)
+            self._probe.bcast_retransmit(note.flow_id, note.src, note.seq)
+        self._announce(self._flows[note.flow_id], announcement)
 
     def _emit(self, flow: SimFlow) -> None:
         flow_id = flow.flow_id
@@ -326,7 +263,7 @@ class R2C2Stack(HostStack):
         if sent >= size_bytes or flow_id not in self._active_local:
             return
         probe = self._probe
-        rate = self.control.rate_for(flow_id, self.node)
+        rate = self._controller.rate_for(flow_id)
         if probe is not None:
             probe.pacing(flow_id, rate <= 0)
         if rate <= 0:
@@ -362,8 +299,7 @@ class R2C2Stack(HostStack):
             flow.sender_done_ns = now
             self._active_local.discard(flow_id)
             self._estimators.pop(flow_id, None)
-            self.control.on_flow_finished(flow_id, self.node)
-            self._broadcast(flow, EVENT_FLOW_FINISH, flow_id)
+            self._announce(flow, self.r2c2.finish(flow_id, now))
         else:
             # Token-bucket pacing: the next packet may start once this one's
             # bits have been paid for at the allocated rate.
@@ -382,18 +318,8 @@ class R2C2Stack(HostStack):
             flow = self._flows.get(flow_id)
             if flow is None or flow.sender_done:
                 continue
-            spec = FlowSpec(
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                protocol=flow.protocol,
-                weight=flow.weight,
-                priority=flow.priority,
-                start_time_ns=flow.start_ns,
-                tenant=flow.tenant,
-            )
-            self.control.on_flow_reannounced(spec, self.node)
-            self._broadcast(flow, EVENT_FLOW_START, spec)
+            spec = flow_spec(flow, flow.start_ns)
+            self._announce(flow, self.r2c2.reannounce(spec, self.loop.now))
             count += 1
         if self._probe is not None:
             self._probe.reannounce_round(self.node, count)
@@ -413,13 +339,12 @@ class R2C2Stack(HostStack):
             flow = self._flows.get(flow_id)
             if flow is None or flow.sender_done:
                 continue
-            allocated = self.control.rate_for(flow_id, self.node)
+            allocated = self._controller.rate_for(flow_id)
             backlog = max(0, flow.produced_bytes(self.loop.now) - flow.bytes_sent)
             estimator.observe(allocated, backlog)
             if estimator.should_broadcast(allocated):
                 demand = estimator.mark_broadcast()
-                self.control.on_demand_update(flow_id, demand, self.node)
-                self._broadcast(flow, EVENT_DEMAND_UPDATE, (flow_id, demand))
+                self._announce(flow, self.r2c2.demand(flow_id, demand))
 
     # ------------------------------------------------------------------
     # Receiving
@@ -436,20 +361,13 @@ class R2C2Stack(HostStack):
             if self._probe is not None:
                 self._probe.bcast_receipt(packet.size_bytes)
             # Per-node mode: this delivery is when the node's table learns.
-            learner = self._learner
-            if learner is not None:
+            learn = self._learn
+            if learn is not None:
                 event, data = packet.payload
-                if event == EVENT_FLOW_START:
-                    learner.on_flow_learned(data, self.loop.now)
-                elif event == EVENT_FLOW_FINISH:
-                    learner.on_flow_finished(data, self.loop.now)
-                elif event == EVENT_DEMAND_UPDATE:
-                    learner.on_demand_update(*data)
-                else:
-                    raise SimulationError(f"unknown broadcast event {event}")
+                learn(event, data, self.loop.now)
             return
         if packet.kind == KIND_DROP_NOTE:
-            self.on_broadcast_dropped(packet.src, packet.seq)
+            self.on_broadcast_dropped(packet)
             return
         if packet.kind != KIND_DATA:
             raise SimulationError(f"unexpected packet kind {packet.kind}")

@@ -21,7 +21,6 @@ from typing import Dict
 from ...errors import SimulationError
 from ...transport.reliability import AckInfo, ReliableReceiver, ReliableSender
 from ...types import NodeId, usec
-from ...wire.packets import EVENT_FLOW_FINISH
 from ..flows import SimFlow
 from ..packets import ACK_SIZE_BYTES, KIND_ACK, KIND_DATA, SimPacket, data_packet_size
 from .r2c2 import R2C2Stack
@@ -62,7 +61,7 @@ class R2C2ReliableStack(R2C2Stack):
         if sender.all_acked:
             return
         probe = self._probe
-        rate = self.control.rate_for(flow.flow_id, self.node)
+        rate = self._controller.rate_for(flow.flow_id)
         if probe is not None:
             probe.pacing(flow.flow_id, rate <= 0)
         if rate <= 0:
@@ -120,8 +119,7 @@ class R2C2ReliableStack(R2C2Stack):
             flow.sender_done_ns = self.loop.now
             self._active_local.discard(flow.flow_id)
             self._estimators.pop(flow.flow_id, None)
-            self.control.on_flow_finished(flow.flow_id, self.node)
-            self._broadcast(flow, EVENT_FLOW_FINISH, flow.flow_id)
+            self._announce(flow, self.r2c2.finish(flow.flow_id, self.loop.now))
 
     # ------------------------------------------------------------------
     # Receiving

@@ -88,30 +88,31 @@ class TestFib:
 
 
 class TestTreeSelector:
-    def test_round_robin(self, torus2d):
-        trees = build_broadcast_trees(torus2d, 0, n_trees=3)
-        selector = TreeSelector(trees)
-        picks = [selector.choose().tree_id for _ in range(6)]
+    def test_round_robin(self):
+        selector = TreeSelector(range(3))
+        picks = [selector.choose() for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
-    def test_exclusion(self, torus2d):
-        trees = build_broadcast_trees(torus2d, 0, n_trees=3)
-        selector = TreeSelector(trees)
+    def test_rotation_starts_at_start(self):
+        # An R2C2 node starts its rotation at its own node id.
+        selector = TreeSelector(range(4), start=7)
+        assert [selector.choose() for _ in range(4)] == [3, 0, 1, 2]
+
+    def test_exclusion(self):
+        selector = TreeSelector(range(3))
         selector.exclude(1)
-        picks = {selector.choose().tree_id for _ in range(6)}
+        picks = {selector.choose() for _ in range(6)}
         assert picks == {0, 2}
 
-    def test_restore(self, torus2d):
-        trees = build_broadcast_trees(torus2d, 0, n_trees=2)
-        selector = TreeSelector(trees)
+    def test_restore(self):
+        selector = TreeSelector(range(2))
         selector.exclude(0)
         selector.restore(0)
-        picks = {selector.choose().tree_id for _ in range(4)}
+        picks = {selector.choose() for _ in range(4)}
         assert picks == {0, 1}
 
-    def test_all_excluded_raises(self, torus2d):
-        trees = build_broadcast_trees(torus2d, 0, n_trees=2)
-        selector = TreeSelector(trees)
+    def test_all_excluded_raises(self):
+        selector = TreeSelector(range(2))
         selector.exclude(0)
         with pytest.raises(BroadcastError):
             selector.exclude(1)

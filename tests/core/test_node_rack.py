@@ -69,7 +69,9 @@ class TestEpochs:
     def test_advance_time_triggers_epochs(self, torus2d):
         rack = Rack(torus2d, ControllerConfig(recompute_interval_ns=usec(100)))
         fid = rack.start_flow(0, 5)
+        assert rack.now_ns == 0
         allocations = rack.advance_time(usec(100))
+        assert rack.now_ns == usec(100)
         assert len(allocations) == torus2d.n_nodes
         assert rack.rate_of(fid) > 0
 

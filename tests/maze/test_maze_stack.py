@@ -23,7 +23,7 @@ def setup():
     flows = {}
     metrics = SimMetrics()
     stacks = [
-        MazeR2C2Stack(n, platform.server(n), controller, fib, flows, 8192, 0, metrics)
+        MazeR2C2Stack(n, platform, controller, fib, flows, 8192, 0, metrics)
         for n in topo.nodes()
     ]
     return topo, platform, controller, flows, stacks, metrics

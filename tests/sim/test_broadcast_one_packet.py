@@ -12,6 +12,7 @@ retransmission.
 import pytest
 
 from repro.broadcast import BroadcastFib
+from repro.core.node import flow_spec
 from repro.sim import KIND_BROADCAST, KIND_DATA, EventLoop, RackNetwork, SimConfig, SimPacket
 from repro.sim.flows import SimFlow
 from repro.sim.metrics import SimMetrics
@@ -19,7 +20,6 @@ from repro.sim.network import OutputPort
 from repro.sim.packets import KIND_DROP_NOTE
 from repro.sim.runner import _build_r2c2
 from repro.topology import FoldedClosTopology, TorusTopology
-from repro.wire.packets import EVENT_FLOW_START
 from repro.workloads import FlowArrival
 
 N_TREES = 4
@@ -115,7 +115,8 @@ def test_a_dropped_copy_is_noted_to_its_source_and_resent_on_the_next_tree():
         return inject(node, packet)
 
     network.inject = recording_inject
-    source._broadcast(flow, EVENT_FLOW_START, "spec")
+    # The flow's start broadcast alone (start_flow would send data too).
+    source._announce(flow, source.r2c2.reannounce(flow_spec(flow, 0), 0))
     loop.run_until(20_000)
 
     assert port.drops >= 1

@@ -65,7 +65,7 @@ class TestBroadcastDropRecovery:
         control = _shared_plane(loop, network, topo)
         flows = {}
         stacks = [
-            R2C2Stack(n, loop, network, control, flows, n_trees=2)
+            R2C2Stack(n, loop, network, control, flows)
             for n in topo.nodes()
         ]
         for n in topo.nodes():
@@ -127,7 +127,7 @@ class TestSharedPlaneReannounce:
         control = _shared_plane(loop, network, topo)
         (controller,) = control.controllers
         flows = {}
-        stacks = [R2C2Stack(n, loop, network, control, flows, n_trees=2) for n in topo.nodes()]
+        stacks = [R2C2Stack(n, loop, network, control, flows) for n in topo.nodes()]
         network.stack_at[:] = stacks
         # Two long flows over one pair: the second's admission fill splits
         # the path, the first keeps the rate pinned when it started alone.
@@ -135,7 +135,7 @@ class TestSharedPlaneReannounce:
             flows[flow_id] = SimFlow(FlowArrival(flow_id, 0, 4, 10_000_000, 0))
             stacks[0].start_flow(flows[flow_id])
         loop.run_until(50_000)
-        rates = [control.rate_for(flow_id, 0) for flow_id in (0, 1)]
+        rates = [controller.rate_for(flow_id) for flow_id in (0, 1)]
         assert rates[0] > rates[1]
         key = controller.table.content_key
 
@@ -155,9 +155,38 @@ class TestSharedPlaneReannounce:
         ]
         assert announced == [(0, EVENT_FLOW_START, 0), (0, EVENT_FLOW_START, 1)]
         assert controller.table.content_key == key
-        assert [control.rate_for(flow_id, 0) for flow_id in (0, 1)] == rates
+        assert [controller.rate_for(flow_id) for flow_id in (0, 1)] == rates
         loop.run_until(loop.now + 50_000)  # the re-broadcasts travel the fabric
         assert len(injected) > len(announced)  # pacing went on meanwhile
+
+
+    def test_reannounce_round_is_traced_with_its_flow_count(self):
+        from repro.broadcast import BroadcastFib
+        from repro.sim import EventLoop, RackNetwork
+        from repro.sim.flows import SimFlow
+        from repro.sim.probe import build_probe
+        from repro.sim.stacks.r2c2 import R2C2Stack
+        from repro.telemetry import Telemetry, TelemetryConfig
+        from repro.workloads import FlowArrival
+
+        topo = TorusTopology((3, 3))
+        loop = EventLoop()
+        telemetry = Telemetry(TelemetryConfig())
+        probe = build_probe(SimConfig(stack="r2c2"), telemetry, loop)
+        network = RackNetwork(loop, topo, fib=BroadcastFib(topo), probe=probe)
+        control = _shared_plane(loop, network, topo)
+        flows = {}
+        stacks = [
+            R2C2Stack(n, loop, network, control, flows, probe=probe) for n in topo.nodes()
+        ]
+        network.stack_at[:] = stacks
+        for flow_id, dst in enumerate((4, 8)):
+            flows[flow_id] = SimFlow(FlowArrival(flow_id, 0, dst, 10_000_000, 0))
+            stacks[0].start_flow(flows[flow_id])
+        loop.run_until(20_000)
+        assert stacks[0].reannounce_ongoing() == 2
+        rounds = [e for e in telemetry.trace.events() if e["name"] == "reannounce_round"]
+        assert [e["args"] for e in rounds] == [{"node": 0, "flows": 2}]
 
 
 @pytest.mark.validation
@@ -180,7 +209,7 @@ class TestLinkFailureReannounce:
         )
         flows = {}
         stacks = [
-            R2C2Stack(n, loop, network, control, flows, n_trees=2, seed=seed)
+            R2C2Stack(n, loop, network, control, flows, seed=seed)
             for n in topo.nodes()
         ]
         for n in topo.nodes():
