@@ -28,7 +28,7 @@ from ..topology.base import Topology
 from ..types import FlowId, NodeId, usec
 from .flowstate import FlowSpec, FlowTable
 from .linkweights import WeightProvider
-from .waterfill import RateAllocation, effective_capacities, waterfill
+from .waterfill import FillLevel, RateAllocation, effective_capacities, waterfill
 
 
 @dataclass
@@ -111,6 +111,15 @@ class RateController:
     simulator, the Maze emulator and the plain library API all drive the
     same object, which is what makes the Figure 7 cross-validation a check
     of two data planes rather than two control planes.
+
+    A fill's row order, weight matrix and weights change only with the
+    table's membership (:attr:`FlowTable.membership_generation`), so the
+    controller keeps the :class:`~repro.congestion.waterfill.FillLevel` of
+    its last fill while that generation stands: a demand-only epoch reads
+    the new demands and refills it, without a snapshot, row keys or matrix
+    lookup.  The level is O(rows) — ids and weights, plus a reference to
+    the provider's matrix — and a membership event drops it, so idle
+    controllers of a per-node rack pin no matrix.
     """
 
     def __init__(
@@ -159,6 +168,12 @@ class RateController:
         self._allocation: Optional[RateAllocation] = None
         self._allocated_generation = -1
         self._known_at_last_epoch: set = set()
+        #: table membership generation _known_at_last_epoch was taken at
+        self._known_membership = -1
+        #: the last fill's level and the membership generation it is valid
+        #: for (None after a membership event, or for a multi-priority table)
+        self._level: Optional[FillLevel] = None
+        self._level_membership = -1
         #: rates pinned by sender-local computation at flow start
         #: (the "local_waterfill" policy); cleared at every epoch.
         self._young_rates: Dict[FlowId, float] = {}
@@ -216,12 +231,13 @@ class RateController:
     def on_flow_started(self, spec: FlowSpec, now_ns: int = 0) -> None:
         """Record the start of a flow this controller rate-limits."""
         self._table.add(spec)
+        self._level = None
         if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
         elif self._config.initial_rate_policy == "local_waterfill":
             # §3.1: the sender computes the new flow's fair allocation right
             # away; the batched epoch will true everything up later.
-            allocation = self._cached_waterfill(self._table.snapshot())
+            allocation = self._cached_waterfill()
             self._young_rates[spec.flow_id] = allocation.rates_bps[spec.flow_id]
 
     def on_flow_learned(self, spec: FlowSpec, now_ns: int = 0) -> None:
@@ -229,12 +245,14 @@ class RateController:
         start, or a §3.2 re-announce.  The spec enters the table without
         the young-flow admission (only the sender pins a young rate)."""
         self._table.add(spec)
+        self._level = None
         if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
 
     def on_flow_finished(self, flow_id: FlowId, now_ns: int = 0) -> None:
         """Record a flow finish (local or learned by broadcast)."""
         self._table.remove(flow_id)
+        self._level = None
         self._young_rates.pop(flow_id, None)
         if self._config.recompute_interval_ns == 0:
             self.recompute(now_ns)
@@ -246,6 +264,7 @@ class RateController:
     def on_protocol_update(self, flow_id: FlowId, protocol: str) -> None:
         """Record a routing-reassignment broadcast (§3.4)."""
         self._table.update_protocol(flow_id, protocol)
+        self._level = None
 
     # ------------------------------------------------------------------
     # Rate computation
@@ -303,24 +322,27 @@ class RateController:
                     },
                 )
             return self._allocation
-        flows = self._table.snapshot()
-        allocation = self._cached_waterfill(flows)
+        table = self._table
+        allocation = self._cached_waterfill()
         duration = time.perf_counter_ns() - started
+        n_flows = len(table)
         self._allocation = allocation
-        self._allocated_generation = self._table.generation
-        self._known_at_last_epoch = {spec.flow_id for spec in flows}
+        self._allocated_generation = table.generation
+        if self._known_membership != table.membership_generation:
+            self._known_at_last_epoch = set(table.flow_ids())
+            self._known_membership = table.membership_generation
         self._young_rates.clear()
         self._stats.append(
             RecomputeStats(
                 at_ns=now_ns,
-                n_flows=len(flows),
+                n_flows=n_flows,
                 duration_ns=duration,
                 interval_ns=self._config.recompute_interval_ns,
             )
         )
         if self._ctr_recomputed:
             self._ctr_recomputed.inc()
-            self._gauge_flows.set(len(flows))
+            self._gauge_flows.set(n_flows)
         if self._trace:
             self._trace.instant(
                 "epoch",
@@ -329,7 +351,7 @@ class RateController:
                 tid=TRACK_CONTROLLER,
                 args={
                     "outcome": "recomputed",
-                    "n_flows": len(flows),
+                    "n_flows": n_flows,
                     "node": self._node,
                 },
             )
@@ -349,8 +371,8 @@ class RateController:
             cap.flags.writeable = False
         return cap
 
-    def _cached_waterfill(self, flows) -> RateAllocation:
-        """Water-fill memoized on the table contents.
+    def _cached_waterfill(self) -> RateAllocation:
+        """Water-fill of the table, memoized on the table contents.
 
         The memo key is O(1): the table's order-independent content
         fingerprint plus the headroom.  Controllers on different nodes whose
@@ -358,17 +380,32 @@ class RateController:
         matrix, without hashing an O(n) tuple of specs per epoch.  The
         headroom-adjusted capacity vector is likewise computed once and
         passed straight through (``headroom=0.0``), which is mathematically
-        identical to recomputing it per fill.
+        identical to recomputing it per fill.  A miss whose table membership
+        is the one the kept level was built at refills that level; any
+        other miss fills a snapshot and keeps its level (none when the
+        table spans several priorities: those fills group it as
+        :func:`waterfill` does).
         """
-        key = (self._config.headroom,) + self._table.content_key
+        table = self._table
+        key = (self._config.headroom,) + table.content_key
         allocation = self._allocation_cache.get(key)
         if allocation is None:
+            level = self._level
+            if level is not None and self._level_membership == table.membership_generation:
+                flows = table.specs(level.flow_ids)
+            else:
+                flows = table.snapshot()
+                one_level = flows and len({spec.priority for spec in flows}) == 1
+                level = FillLevel.build(flows, self._provider) if one_level else None
+                self._level = level
+                self._level_membership = table.membership_generation
             allocation = waterfill(
                 self._topology,
                 flows,
                 self._provider,
                 headroom=0.0,
                 capacities=self._effective_capacities(),
+                level=level,
             )
             self._allocation_cache[key] = allocation
         return allocation

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Tuple
 
 from ..errors import CongestionControlError
 from ..routing.base import protocol_class
@@ -134,9 +134,14 @@ class FlowTable:
 
     Mutations bump a generation counter so consumers (the rate controller)
     can cheaply detect whether anything changed since their last computation.
-    The table also maintains an O(1) *content* fingerprint — an XOR fold of
-    two independently salted hashes over every spec's allocation-relevant
-    fields — so controllers on different nodes whose views happen to agree
+    A second counter, the *membership generation*, moves only with what a
+    water-fill derives its rows from — which flows there are, their
+    endpoints, protocols, weights and priorities: ``add`` (re-announces
+    included), ``remove`` and ``update_protocol`` bump it, ``update_demand``
+    does not.  While it stands still the controller refills the level it
+    already built.  The table also maintains an O(1) *content* fingerprint
+    — an XOR fold of two independently salted hashes over every spec's
+    allocation-relevant fields — so controllers on different nodes whose views happen to agree
     (same flows, possibly learned in different broadcast order) produce the
     same :attr:`content_key` and can share memoized allocations.
     """
@@ -144,6 +149,7 @@ class FlowTable:
     def __init__(self) -> None:
         self._flows: Dict[FlowId, FlowSpec] = {}
         self._generation = 0
+        self._membership = 0
         self._fp_a = 0
         self._fp_b = 0
 
@@ -151,6 +157,12 @@ class FlowTable:
     def generation(self) -> int:
         """Monotonic counter, incremented on every mutation."""
         return self._generation
+
+    @property
+    def membership_generation(self) -> int:
+        """Monotonic counter, incremented by every mutation except a demand
+        update (see the class docstring)."""
+        return self._membership
 
     @property
     def content_key(self) -> tuple:
@@ -195,6 +207,7 @@ class FlowTable:
         self._flows[spec.flow_id] = spec
         self._fold_in(spec)
         self._generation += 1
+        self._membership += 1
 
     def remove(self, flow_id: FlowId) -> bool:
         """Record a flow-finish announcement; returns False if unknown.
@@ -207,6 +220,7 @@ class FlowTable:
             return False
         self._fold_out(spec)
         self._generation += 1
+        self._membership += 1
         return True
 
     def update_demand(self, flow_id: FlowId, demand_bps: float) -> bool:
@@ -231,12 +245,21 @@ class FlowTable:
         self._flows[flow_id] = updated
         self._fold_in(updated)
         self._generation += 1
+        self._membership += 1
         return True
 
     def flows_from(self, node: NodeId) -> List[FlowSpec]:
         """All flows whose sender is *node* (the ones the node rate-limits)."""
         return [spec for spec in self._flows.values() if spec.src == node]
 
+    def flow_ids(self) -> KeysView[FlowId]:
+        """Live view of the active flow ids, in insertion order."""
+        return self._flows.keys()
+
+    def specs(self, flow_ids: Iterable[FlowId]) -> List[FlowSpec]:
+        """The specs of *flow_ids*, in their order (all must be present)."""
+        return list(map(self._flows.__getitem__, flow_ids))
+
     def snapshot(self) -> List[FlowSpec]:
         """Stable list of all active flows, ordered by flow id."""
-        return [self._flows[fid] for fid in sorted(self._flows)]
+        return self.specs(sorted(self._flows))

@@ -18,9 +18,21 @@ priority level on the capacity left over by more important levels.
 The implementation is matrix-form: each priority level's flows are the rows
 of a CSR weight matrix over links (assembled once and cached inside the
 :class:`~repro.congestion.linkweights.WeightProvider`, keyed by the flow
-set's routing signature) and no Python-level per-flow loop survives on the
-hot path.  The fill itself (:func:`fill_matrix`) does not step a global
-water level flow by flow.  It tracks, per link, the capacity frozen flows
+set's routing signature).  What only a membership change can alter — row
+order, matrix and weights — is a :class:`FillLevel`; a
+:class:`~repro.congestion.controller.RateController` keeps its last one
+while the table's membership generation stands, so a demand-only epoch
+gathers the new demands and refills it: no snapshot sort, no row keys, no
+matrix lookup, and the per-link sums of its weighted rows come from the
+provider's last-filled slot.  That fill runs no Python-level per-flow loop:
+specs and demands are gathered by ``map`` over C callables, results are
+committed by ``dict(zip(...))``, the rest is numpy.  A fill without a level
+(a scratch fill, a membership change) adds a list comprehension per row
+attribute it derives, checks ids by set size and groups by priority only
+when the flows span several.
+
+The fill itself (:func:`fill_matrix`) does not step a global water level
+flow by flow.  It tracks, per link, the capacity frozen flows
 have not claimed and the summed contributions of the unfrozen ones; their
 quotient is the level at which the link saturates, and it moves only when a
 flow *on that link* freezes.  One pass then either freezes every flow whose
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -43,10 +56,12 @@ from ..errors import CongestionControlError
 from ..topology.base import Topology
 from ..types import FlowId, LinkId
 from .flowstate import FlowSpec
-from .linkweights import WeightProvider
+from .linkweights import LevelMatrix, Weighted, WeightProvider
 
 #: Relative tolerance for deciding that a link is saturated.
 _REL_TOL = 1e-9
+
+_demand_of = attrgetter("demand_bps")
 
 
 @dataclass
@@ -96,9 +111,22 @@ def effective_capacities(
     The headroom is applied at the control plane only (§3.3.2): the data
     plane still runs links at full rate; the allocator simply never hands
     out the last ``headroom`` fraction.
+
+    A read-only float64 *capacities* vector with no headroom to take is
+    returned as it is: nobody can write through it, and the controllers'
+    shared effective-capacity vector would otherwise be copied into every
+    allocation they memoise.
     """
     if not (0.0 <= headroom < 1.0):
         raise CongestionControlError(f"headroom must be in [0, 1), got {headroom}")
+    if (
+        headroom == 0.0
+        and isinstance(capacities, np.ndarray)
+        and not capacities.flags.writeable
+        and capacities.dtype == np.float64
+        and capacities.shape == (topology.n_links,)
+    ):
+        return capacities
     if capacities is None:
         capacities = np.fromiter(
             (link.capacity_bps for link in topology.links),
@@ -115,12 +143,41 @@ def effective_capacities(
     return capacities * (1.0 - headroom)
 
 
+@dataclass(frozen=True)
+class FillLevel:
+    """One priority level's fill input that only a membership change alters.
+
+    ``flow_ids`` are the level's rows in fill order, ``matrix`` their
+    (shared, cached) weight matrix and ``phi`` their allocation weights.  A
+    fill of a level reads only the demands afresh, so a controller whose
+    table's :attr:`~repro.congestion.flowstate.FlowTable.membership_generation`
+    has not moved hands :func:`waterfill` the level it built last time.
+    Everything here is O(rows); the per-link sums of the weighted rows
+    live on the shared provider
+    (:meth:`~repro.congestion.linkweights.WeightProvider.weighted`).
+    """
+
+    flow_ids: List[FlowId]
+    matrix: LevelMatrix
+    phi: np.ndarray
+
+    @classmethod
+    def build(cls, flows: Sequence[FlowSpec], provider: WeightProvider) -> "FillLevel":
+        """The level of *flows* (one priority, unique ids), rows in their order."""
+        return cls(
+            [spec.flow_id for spec in flows],
+            provider.level_matrix(flows),
+            np.array([spec.weight for spec in flows], dtype=np.float64),
+        )
+
+
 def waterfill(
     topology: Topology,
     flows: Sequence[FlowSpec],
     provider: WeightProvider,
     headroom: float = 0.0,
     capacities: Optional[np.ndarray] = None,
+    level: Optional[FillLevel] = None,
 ) -> RateAllocation:
     """Compute weighted max-min rates for *flows* (§3.3).
 
@@ -134,30 +191,51 @@ def waterfill(
         capacities: Optional per-link capacity override (bits/s), e.g. for
             modelling degraded links, or a precomputed effective-capacity
             vector (pass ``headroom=0.0`` to use it as-is).
+        level: The :class:`FillLevel` of *flows*, built for an earlier fill
+            of the same rows: *flows* are then its specs in its row order,
+            and only their demands are read.  Without one, the flows are
+            grouped by priority and each group's level is built here.
 
     Returns:
         A :class:`RateAllocation`.
     """
-    n_links = topology.n_links
     cap = effective_capacities(topology, headroom, capacities)
-
-    rates: Dict[FlowId, float] = {}
-    bottleneck: Dict[FlowId, Optional[LinkId]] = {}
-    load = np.zeros(n_links, dtype=np.float64)
+    load = np.zeros(topology.n_links, dtype=np.float64)
     iterations = 0
+    if level is not None:
+        groups = [(level, flows)]
+        rates: Dict[FlowId, float] = {}
+    else:
+        ids = [spec.flow_id for spec in flows]
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for fid in ids:
+                if fid in seen:
+                    raise CongestionControlError(f"duplicate flow id {fid}")
+                seen.add(fid)
+        if len({spec.priority for spec in flows}) > 1:
+            by_priority: Dict[int, List[FlowSpec]] = {}
+            for spec in flows:
+                by_priority.setdefault(spec.priority, []).append(spec)
+            groups = [
+                (FillLevel.build(by_priority[p], provider), by_priority[p])
+                for p in sorted(by_priority)
+            ]
+        else:
+            groups = [(FillLevel.build(flows, provider), flows)] if flows else []
+        # Levels fill in priority order; the rates keep the flows' order.
+        rates = dict.fromkeys(ids, 0.0)
 
-    by_priority: Dict[int, List[FlowSpec]] = {}
-    for spec in flows:
-        if spec.flow_id in rates:
-            raise CongestionControlError(f"duplicate flow id {spec.flow_id}")
-        rates[spec.flow_id] = 0.0  # reserve the slot; filled per level
-        by_priority.setdefault(spec.priority, []).append(spec)
-
-    for priority in sorted(by_priority):
-        level_flows = by_priority[priority]
+    bottleneck: Dict[FlowId, Optional[LinkId]] = {}
+    for group_level, group in groups:
         residual = np.maximum(cap - load, 0.0)
-        iterations += _fill_one_level(
-            topology, level_flows, provider, residual, load, rates, bottleneck
+        rate_arr, bn_arr, passes = _fill_one_level(
+            group_level, group, provider, residual, load, topology.capacity_bps
+        )
+        iterations += passes
+        rates.update(zip(group_level.flow_ids, rate_arr.tolist()))
+        bottleneck.update(
+            zip(group_level.flow_ids, np.where(bn_arr < 0, None, bn_arr).tolist())
         )
 
     return RateAllocation(
@@ -186,6 +264,7 @@ def fill_matrix(
     demand: np.ndarray,
     residual: np.ndarray,
     linkless_cap: float = 0.0,
+    weighted: Optional[Weighted] = None,
 ):
     """Water-fill the flows of *matrix* (one per row) onto *residual* capacity.
 
@@ -215,6 +294,8 @@ def fill_matrix(
             entries).
         linkless_cap: Rate cap applied to rows that touch no links
             (``src == dst`` flows); batch fills pass the fabric link rate.
+        weighted: ``matrix.weighted(phi)``, when the caller has it (it is
+            read, never written); computed here otherwise.
 
     Returns:
         ``(rate_arr, bn_arr, passes)`` — allocated rate per row, bottleneck
@@ -232,13 +313,14 @@ def fill_matrix(
     row_nnz = matrix.row_nnz
     # ``contrib`` scales each row by its flow's allocation weight: the load
     # flow f puts on each link per unit of fill level t (its rate being
-    # phi_f * t).
-    contrib = data * np.repeat(phi, row_nnz)
-    denom = np.bincount(indices, weights=contrib, minlength=n_links)
-    # Exact count of unfrozen flows per link: floating-point dust left in
-    # ``denom`` by subtraction must not make an all-frozen link look like a
-    # (tiny) bottleneck.
-    live = np.bincount(indices, minlength=n_links)
+    # phi_f * t); ``denom`` sums it per link.  ``live`` is the exact count
+    # of unfrozen flows per link: floating-point dust left in ``denom`` by
+    # subtraction must not make an all-frozen link look like a (tiny)
+    # bottleneck.  Both per-link arrays are updated in place below.
+    if weighted is None:
+        contrib, denom, live = matrix.weighted(phi)
+    else:
+        contrib, denom, live = weighted[0], weighted[1].copy(), weighted[2].copy()
     slack = residual.astype(np.float64)  # astype copies
 
     #: fill level at which each *unfrozen* flow's demand binds; frozen
@@ -328,46 +410,36 @@ def fill_matrix(
 
 
 def _fill_one_level(
-    topology: Topology,
-    flows: List[FlowSpec],
+    level: FillLevel,
+    flows: Sequence[FlowSpec],
     provider: WeightProvider,
     residual: np.ndarray,
     load: np.ndarray,
-    rates: Dict[FlowId, float],
-    bottleneck: Dict[FlowId, Optional[LinkId]],
-) -> int:
+    linkless_cap: float,
+):
     """Water-fill one priority level onto *residual* capacity.
 
-    Assembles the level's (cached) CSR/CSC weight matrix, runs
-    :func:`fill_matrix`, and commits the results: mutates ``load``,
-    ``rates`` and ``bottleneck`` in place; returns the number of fill
-    passes.
+    Reads the demands of *flows* (the level's specs, in its row order),
+    runs :func:`fill_matrix` on the level's matrix and weighted rows, and
+    adds the level's loads to ``load`` in place; returns ``fill_matrix``'s
+    ``(rate_arr, bn_arr, passes)``.
     """
-    n_links = residual.size
-    n_flows = len(flows)
-    if n_flows == 0:
-        return 0
-
-    matrix = provider.level_matrix(flows)
-    flow_ids = [spec.flow_id for spec in flows]
-    phi = np.fromiter((spec.weight for spec in flows), dtype=np.float64, count=n_flows)
-    demand = np.fromiter(
-        (spec.demand_bps for spec in flows), dtype=np.float64, count=n_flows
-    )
+    matrix = level.matrix
+    demand = np.fromiter(map(_demand_of, flows), dtype=np.float64, count=len(flows))
     rate_arr, bn_arr, passes = fill_matrix(
-        matrix, phi, demand, residual, linkless_cap=topology.capacity_bps
+        matrix,
+        level.phi,
+        demand,
+        residual,
+        linkless_cap=linkless_cap,
+        weighted=provider.weighted(matrix, level.phi),
     )
-
     # Commit this level's loads from the rows already gathered in the
-    # matrix (no second weights_for pass), then flush the flat arrays into
-    # the result dicts.
+    # matrix (no second weights_for pass).
     if matrix.indices.size:
         load += np.bincount(
             matrix.indices,
             weights=matrix.data * np.repeat(rate_arr, matrix.row_nnz),
-            minlength=n_links,
+            minlength=residual.size,
         )
-    for fid, rate, bn in zip(flow_ids, rate_arr.tolist(), bn_arr.tolist()):
-        rates[fid] = rate
-        bottleneck[fid] = None if bn < 0 else bn
-    return passes
+    return rate_arr, bn_arr, passes

@@ -59,6 +59,12 @@ class TestBasics:
         with pytest.raises(CongestionControlError):
             waterfill(two_node, flows, provider)
 
+    def test_duplicate_error_names_the_first_repeated_id(self, two_node):
+        provider = static_provider(two_node, {(0, 1): [[0, 1]]})
+        flows = [FlowSpec(fid, 0, 1, "static") for fid in (3, 1, 2, 1, 3)]
+        with pytest.raises(CongestionControlError, match=r"^duplicate flow id 1$"):
+            waterfill(two_node, flows, provider)
+
 
 class TestFigure4:
     """The paper's Figure 4 example: restricted splits lose utilization."""
