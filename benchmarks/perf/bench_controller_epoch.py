@@ -13,12 +13,15 @@ regimes are measured:
   (``on_flow_finished`` + ``on_flow_started`` + ``recompute``, timed
   together): the arrival's fill needs a level matrix for a flow set the
   provider has not seen, one row out and one row in from the last one.
+  Its row also records ``retained_matrix_bytes``, what the provider holds
+  in level matrices after the loop.
 
 The script also *asserts* the paper's feasibility claim on CI hardware
 with generous margin: an idle epoch must cost well under the 500 µs
 interval ρ, and even a churn epoch must stay within ``CHURN_RHO_BUDGET``
 intervals (it runs amortized across nodes in practice), and so must a
-membership epoch.
+membership epoch.  ``--check`` (quick mode included) also fails when the
+provider retains more than one level matrix.
 
 Run::
 
@@ -47,7 +50,7 @@ from perfcommon import (
 
 from repro.congestion.controller import RateController
 from repro.congestion.flowstate import FlowSpec
-from repro.congestion.linkweights import WeightProvider
+from repro.congestion.linkweights import LevelMatrix, WeightProvider
 from repro.topology import TorusTopology
 from repro.types import usec
 
@@ -109,7 +112,12 @@ def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
         member.append(time.perf_counter_ns() - started)
         assert not controller.stats[-1].skipped, "a membership change must recompute"
         next_id += 1
-    assembled = controller.provider.assembly_counts()
+    provider = controller.provider
+    assembled = provider.assembly_counts()
+    rows = sum(idx.nbytes + val.nbytes for idx, val in provider._cache.values())
+    one_matrix = LevelMatrix.build(
+        [provider.weights_for(spec) for spec in controller.table], topo.n_links
+    ).nbytes()
 
     churn_ns = statistics.median(churn)
     idle_ns = statistics.median(idle)
@@ -146,6 +154,8 @@ def run_scenarios(n_flows: int, dims: tuple, epochs: int) -> dict:
             "rho_fraction": round(member_ns / RHO_NS, 3),
             "matrix_edits": assembled["edit"],
             "matrix_builds": assembled["build"],
+            "retained_matrix_bytes": provider.memory_footprint_bytes() - rows,
+            "level_matrix_bytes": one_matrix,
             **base,
         },
     }
@@ -164,6 +174,13 @@ def main() -> int:
     for scenario, entry in entries.items():
         name = f"{scenario}_{n_flows}flows"
         report(name, entry)
+        if args.check and entry.get("retained_matrix_bytes", 0) > entry.get(
+            "level_matrix_bytes", 0
+        ):
+            failures.append(
+                f"{name}: the provider retains {entry['retained_matrix_bytes']} B "
+                f"of level matrices, more than one ({entry['level_matrix_bytes']} B)"
+            )
         # Quick mode shrinks the scenario; only full runs compare against
         # the recorded history.
         if args.check and not args.quick:

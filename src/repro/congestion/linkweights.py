@@ -7,18 +7,16 @@ topology and memoizes the sparse weight vector of every (protocol, src, dst)
 triple it is asked for.  ECMP weights additionally depend on the flow id
 (the hash picks the path), which the cache key accounts for.
 
-On top of the per-flow vectors the provider assembles — and caches — one
-CSR weight matrix per water-fill priority level (:class:`LevelMatrix`):
-flows are rows, links are columns.  The cache is keyed by the flow set's
-``(protocol, src, dst)`` signature, which demands do *not* enter, so a
-fill of a flow set seen before reuses the assembled matrix.  The per-link
-sums of the rows scaled by their weights (:meth:`WeightProvider.weighted`)
-are kept for the last matrix filled, so a refill with new demands — the
-steady-state control loop, which holds on to its level and does not even
-look the matrix up — pays for the fill passes (and, at non-unit weights,
-one multiply).  A membership change misses the matrix cache; when the new flow list is the
-last assembled one with a few rows taken out or put in, the provider
-derives the matrix from the last one (:meth:`LevelMatrix.edit`) instead of
+From the per-flow vectors the provider assembles one CSR weight matrix per
+water-fill priority level (:class:`LevelMatrix`): flows are rows, links are
+columns.  It retains one level — the last one assembled, with its flow ids,
+its row keys (``(protocol, src, dst)`` signatures, which demands do *not*
+enter) and the per-link sums of the last weights filled on it
+(:meth:`WeightProvider.weighted`).  A controller holds on to its own level
+between demand-only epochs, so the retained level serves what is left: a
+repeat of the same rows takes the matrix and its sums, and a membership
+change whose flow list is the retained one with a few rows taken out or
+put in derives the matrix from it (:meth:`LevelMatrix.edit`) instead of
 re-assembling every row.
 """
 
@@ -29,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..lru import BoundedLru
 from ..routing.base import RoutingProtocol, make_protocol
 from ..topology.base import Topology
 from .flowstate import FlowSpec
@@ -39,15 +36,6 @@ SparseWeights = Tuple[np.ndarray, np.ndarray]
 
 #: ``(contrib, denom, live)`` of :meth:`LevelMatrix.weighted`.
 Weighted = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: Assembled level matrices retained per provider.  Each entry is O(nnz);
-#: steady-state workloads cycle through a handful of flow-set signatures.
-_MATRIX_CACHE_BOUND = 128
-
-#: ... and the bytes they may hold together (:meth:`LevelMatrix.nbytes`):
-#: a 512-flow matrix is 1–28 MB depending on the protocol, so the entry
-#: bound alone would let a churning table pin gigabytes.
-_MATRIX_CACHE_BYTES = 32 * 2**20
 
 #: Flow lists shorter than this are always built.  Measured per
 #: ``level_matrix`` miss after one membership change (warm rps rows, diff
@@ -126,7 +114,7 @@ class LevelMatrix:
 
         Every array of the result is new and equal, value for value and
         dtype for dtype, to :meth:`build` over the new row list.  Nothing
-        here is written: cached matrices are shared between controllers.
+        here is written: a provider's matrices are shared between controllers.
         The CSR arrays are slices of this matrix concatenated around the
         changed rows; the CSC pattern loses the removed rows' entries,
         renumbers the rest and takes each inserted entry at its place in
@@ -251,6 +239,17 @@ class LevelMatrix:
         )
 
 
+@dataclass
+class _AssembledLevel:
+    """A provider's retained level: the last flow list it assembled."""
+
+    flow_ids: List[int]
+    row_keys: tuple
+    matrix: LevelMatrix
+    #: ``(phi bytes, denom, live)`` of the last weights filled on ``matrix``
+    sums: Optional[Tuple[bytes, np.ndarray, np.ndarray]] = None
+
+
 class WeightProvider:
     """Memoized link-weight vectors per flow.
 
@@ -264,20 +263,13 @@ class WeightProvider:
         self._topology = topology
         self._protocols: Dict[str, RoutingProtocol] = dict(protocols or {})
         self._cache: Dict[tuple, SparseWeights] = {}
-        self._matrix_cache = BoundedLru(
-            _MATRIX_CACHE_BOUND, max_bytes=_MATRIX_CACHE_BYTES, sizeof=LevelMatrix.nbytes
-        )
         #: per protocol name: do weights depend on the flow id (ECMP)?
         self._flow_keyed: Dict[str, bool] = {}
-        #: the last flow list of at least ``_EDIT_MIN_FLOWS`` rows assembled —
-        #: its flow ids, its row keys and its matrix: a miss that is a small
-        #: edit of it is derived from it
-        self._last_assembled: Optional[Tuple[List[int], tuple, LevelMatrix]] = None
+        #: the one level retained, however many controllers share the
+        #: provider: a repeat of its rows takes it, a small edit of them is
+        #: derived from it
+        self._level: Optional[_AssembledLevel] = None
         self._assembled = {"build": 0, "edit": 0}
-        #: the per-link sums ``(denom, live)`` of the last :meth:`weighted`
-        #: call, with its matrix and the bytes of its weights: one entry per
-        #: provider, however many controllers share it
-        self._last_sums: Optional[Tuple[LevelMatrix, bytes, tuple]] = None
 
     @property
     def topology(self) -> Topology:
@@ -338,35 +330,35 @@ class WeightProvider:
             self._cache.pop(key, None)
 
     def level_matrix(self, flows: Sequence[FlowSpec]) -> LevelMatrix:
-        """The assembled CSR/CSC weight matrix for *flows*, cached.
+        """The assembled CSR/CSC weight matrix for *flows*.
 
-        The cache key is the ordered tuple of row identities — protocol,
-        endpoints and (for flow-keyed protocols) the flow id.  Weights,
-        priorities and demands are applied by the caller per fill, so an
-        epoch that only changed demand estimates hits this cache and skips
-        assembly entirely (the water-fill's warm-start path).
+        The retained level is known by the identity of its rows — the
+        ordered tuple of protocol, endpoints and (for flow-keyed protocols)
+        the flow id.
+        Weights, priorities and demands are applied by the caller per fill,
+        so a list with the retained level's row keys returns its matrix
+        without assembly, whatever the demands.
 
-        A miss on a list of at least ``_EDIT_MIN_FLOWS`` flows that is the
-        last such list assembled with a few ``(flow_id, row key)`` entries
-        taken out or put in (common entries in the same order; a
-        re-announce with a new row key is one out and one in) edits the
-        last matrix; any other miss builds.  Both give equal arrays.
+        Any other list replaces the retained level.  One of at least
+        ``_EDIT_MIN_FLOWS`` flows that is the retained list with a few
+        ``(flow_id, row key)`` entries taken out or put in (common entries
+        in the same order; a re-announce with a new row key is one out and
+        one in) edits the retained matrix; any other builds.  Both give
+        equal arrays.
         """
         key = self._row_keys(flows)
-        matrix = self._matrix_cache.get(key)
-        if matrix is None:
-            matrix = self._assemble(flows, key)
-            self._matrix_cache[key] = matrix
-        return matrix
+        level = self._level
+        if level is None or level.row_keys != key:
+            level = self._level = self._assemble(flows, key)
+        return level.matrix
 
-    def _assemble(self, flows: Sequence[FlowSpec], key: tuple) -> LevelMatrix:
-        large = len(flows) >= _EDIT_MIN_FLOWS
-        ids = [spec.flow_id for spec in flows] if large else None
+    def _assemble(self, flows: Sequence[FlowSpec], key: tuple) -> _AssembledLevel:
+        ids = [spec.flow_id for spec in flows]
+        last = self._level
         script = None
-        if large and self._last_assembled is not None:
-            last_ids, last_key, last_matrix = self._last_assembled
+        if len(ids) >= _EDIT_MIN_FLOWS and last is not None:
             script = _edit_script(
-                last_ids, last_key, ids, key, int(_EDIT_MAX_SHARE * len(ids))
+                last.flow_ids, last.row_keys, ids, key, int(_EDIT_MAX_SHARE * len(ids))
             )
         if script is None:
             self._assembled["build"] += 1
@@ -376,30 +368,31 @@ class WeightProvider:
         else:
             self._assembled["edit"] += 1
             removed, inserted = script
-            matrix = last_matrix.edit(
+            matrix = last.matrix.edit(
                 removed, [(pos, self.weights_for(flows[pos])) for pos in inserted]
             )
-        if large:
-            self._last_assembled = (ids, key, matrix)
-        return matrix
+        return _AssembledLevel(ids, key, matrix)
 
     def weighted(self, matrix: LevelMatrix, phi: np.ndarray) -> Weighted:
         """:meth:`LevelMatrix.weighted`, with the per-link sums remembered
-        for the last matrix and weights asked for: a refill of the same
-        rows with new demands (a demand-only epoch) takes them from here.
-        The sums are shared: read them, never write them.
+        on the retained level: a refill of its rows with the same weights
+        and new demands (a demand-only epoch) takes them from there.  Sums
+        of any other matrix are computed and not kept.  The sums are
+        shared: read them, never write them.
 
         ``contrib`` is not kept (with non-unit weights it is one multiply
         per call): holding that nnz-long array between fills raised the
         peak RSS of a 512-flow epoch loop by ≈ 8 MB, though it is 350 kB
         (CPython 3.11 and glibc malloc on x86-64 Linux).
         """
+        level = self._level
+        if level is None or level.matrix is not matrix:
+            return matrix.weighted(phi)
         key = phi.tobytes()
-        last = self._last_sums
-        if last is not None and last[0] is matrix and last[1] == key:
-            return (matrix.contrib(phi), *last[2])
+        if level.sums is not None and level.sums[0] == key:
+            return (matrix.contrib(phi), *level.sums[1:])
         weighted = matrix.weighted(phi)
-        self._last_sums = (matrix, key, weighted[1:])
+        level.sums = (key, *weighted[1:])
         return weighted
 
     def assembly_counts(self) -> Dict[str, int]:
@@ -411,7 +404,8 @@ class WeightProvider:
         return len(self._cache)
 
     def memory_footprint_bytes(self) -> int:
-        """Approximate bytes held by cached vectors and level matrices.
+        """Approximate bytes held by the cached weight rows plus the one
+        retained level matrix, if any.
 
         Mirrors the paper's §4.2 memory estimate (< 6 MB per protocol for a
         512-node rack).
@@ -419,8 +413,8 @@ class WeightProvider:
         total = 0
         for idx, val in self._cache.values():
             total += idx.nbytes + val.nbytes
-        for matrix in self._matrix_cache.values():
-            total += matrix.nbytes()
+        if self._level is not None:
+            total += self._level.matrix.nbytes()
         return total
 
 

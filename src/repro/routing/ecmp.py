@@ -42,28 +42,31 @@ class EcmpSinglePath(RoutingProtocol):
         self._path_cache: Dict[tuple, List[NodeId]] = {}
 
     def flow_path(self, src: NodeId, dst: NodeId, flow_id: int) -> List[NodeId]:
-        """The (single, deterministic) path assigned to this flow."""
-        self._check_endpoints(src, dst)
+        """The (single, deterministic) path assigned to this flow, cached
+        per flow for the packets of a finite simulation."""
         key = (src, dst, flow_id)
         cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._path_cache[key] = self._walk(src, dst, flow_id)
+        return cached
+
+    def _walk(self, src: NodeId, dst: NodeId, flow_id: int) -> List[NodeId]:
+        """The flow's path, walked down the minimal DAG by its hash."""
+        self._check_endpoints(src, dst)
         if src == dst:
-            path = [src]
-        else:
-            dag = shared_dag(self._topology, dst)
-            path = [src]
-            node = src
-            hop = 0
-            while node != dst:
-                hops = dag.next_hops(node)
-                if len(hops) == 1:
-                    node = hops[0]
-                else:
-                    node = hops[_mix(flow_id, src, dst, hop) % len(hops)]
-                path.append(node)
-                hop += 1
-        self._path_cache[key] = path
+            return [src]
+        dag = shared_dag(self._topology, dst)
+        path = [src]
+        node = src
+        hop = 0
+        while node != dst:
+            hops = dag.next_hops(node)
+            if len(hops) == 1:
+                node = hops[0]
+            else:
+                node = hops[_mix(flow_id, src, dst, hop) % len(hops)]
+            path.append(node)
+            hop += 1
         return path
 
     def sample_path(
@@ -74,4 +77,6 @@ class EcmpSinglePath(RoutingProtocol):
     def link_weights(
         self, src: NodeId, dst: NodeId, flow_id: int = 0
     ) -> Mapping[LinkId, float]:
-        return path_weights(self._topology, self.flow_path(src, dst, flow_id))
+        # Not cached here: the weight provider keeps the row for as long as
+        # its flow lives, and a daemon sees an unbounded stream of flow ids.
+        return path_weights(self._topology, self._walk(src, dst, flow_id))

@@ -301,7 +301,8 @@ class TestPriorityCount:
 class TestWeightRowsOfRetiredFlows:
     def test_flow_keyed_rows_do_not_outlive_their_flow(self, torus):
         """5k announce/finish cycles around 64 live ecmp flows: the provider
-        used to end up holding 5,064 rows."""
+        used to end up holding 5,064 rows, and the ecmp protocol as many
+        cached paths."""
         inc = IncrementalWaterfill(torus)
         rng = random.Random(1)
         for fid in range(5_064):
@@ -311,6 +312,7 @@ class TestWeightRowsOfRetiredFlows:
                 inc.remove_flow(fid - 64)
         assert inc.n_flows == 64
         assert inc._provider.cache_size() <= 64 + 8
+        assert len(inc._provider.protocol("ecmp")._path_cache) <= 64 + 8
         assert_matches_scratch(inc)
 
     def test_reannounce_keeps_a_row_it_still_uses(self, torus, monkeypatch):
