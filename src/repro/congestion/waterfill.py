@@ -268,10 +268,11 @@ def fill_matrix(
 ):
     """Water-fill the flows of *matrix* (one per row) onto *residual* capacity.
 
-    This is the fill primitive shared by the batch :func:`waterfill` (one
-    call per priority level) and the single-flow-churn refill path of
-    :class:`repro.congestion.incremental.IncrementalWaterfill` (one call per
-    affected component).  It is pure: none of the inputs are mutated.
+    This is the fill primitive of the batch :func:`waterfill`, one call
+    per priority level through ``_fill_one_level``.  (The single-flow
+    refill of :class:`repro.congestion.incremental.IncrementalWaterfill`
+    is a scalar pass, not this kernel.)  It is pure: none of the inputs
+    are mutated.
 
     The fill keeps, per link, ``slack`` (capacity not claimed by *frozen*
     flows) and ``denom`` (summed contributions of *unfrozen* flows), so a

@@ -207,10 +207,12 @@ class R2C2Node:
         return spec
 
     def handle_route_update(self, data: bytes) -> None:
-        """Apply a routing re-assignment packet (§3.4)."""
+        """Apply a routing re-assignment packet (§3.4), all of it or none:
+        every protocol id resolves before the first table write."""
         packet = RouteUpdatePacket.decode(data)
-        for flow_id, protocol_id in packet.assignments:
-            protocol = protocol_class(protocol_id).name
+        updates = [(flow_id, protocol_class(protocol_id).name)
+                   for flow_id, protocol_id in packet.assignments]
+        for flow_id, protocol in updates:
             self.controller.on_protocol_update(flow_id, protocol)
 
     def rates(self) -> Dict[FlowId, float]:

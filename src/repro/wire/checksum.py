@@ -10,21 +10,19 @@ from __future__ import annotations
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones'-complement sum over 16-bit words.
+    """RFC 1071 ones'-complement sum over 16-bit words, complemented.
 
-    Odd-length input is zero-padded.  Returns a 16-bit value; a buffer whose
-    checksum field already contains the correct checksum verifies to 0xFFFF
-    complement semantics — here we use the simpler convention of storing the
-    checksum computed with the field zeroed and comparing on receive.
+    Odd-length input is zero-padded.  Returns a 16-bit value; senders store
+    the checksum computed with the field zeroed and receivers compare
+    against it.  The sum is one fold: 2**16 is 1 modulo 0xFFFF, so the
+    ones'-complement sum of the words is the buffer's value modulo 0xFFFF,
+    read as 0xFFFF rather than 0 when any byte is set.
     """
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = int.from_bytes(data, "big") << (8 * (len(data) & 1))
+    folded = total % 0xFFFF
+    if total and not folded:
+        folded = 0xFFFF
+    return ~folded & 0xFFFF
 
 
 def xor8(data: bytes) -> int:

@@ -20,11 +20,13 @@ Message types (continuing the packet-type code space of
     CONTROL_ACK    0xB  daemon -> client   announce/finish acknowledgement
     CONTROL_ERROR  0xC  daemon -> client   decode/dispatch failure report
 
-The fixed-size messages share the packets' codec base and quantizers
-(:mod:`repro.wire.codec`): allocation weight rides as an unsigned byte in
-1/16 steps and demand as 24-bit Mbps (1 Mbps floor, all ones meaning
-"network limited") — the daemon allocates from the quantized values, so a
-restored daemon and an uninterrupted one agree bit-for-bit.
+Every message shares the packets' codec base and quantizers
+(:mod:`repro.wire.codec`); SNAPSHOT_EVENT and CONTROL_ERROR carry a
+variable-length tail before their checksum.  Allocation weight rides as
+an unsigned byte in 1/16 steps and demand as 24-bit Mbps (1 Mbps floor,
+all ones meaning "network limited") — the daemon allocates from the
+quantized values, so a restored daemon and an uninterrupted one agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from typing import Optional, Tuple, Union
 
 from ..errors import WireFormatError
 from ..types import FlowId, NodeId
-from .checksum import internet_checksum
 from .codec import (
-    FixedMessage,
+    Message,
     demand_from_wire,
     demand_to_wire,
     weight_from_wire,
@@ -82,7 +83,7 @@ control_type = packet_type
 
 
 @dataclass(frozen=True)
-class FlowAnnounce(FixedMessage):
+class FlowAnnounce(Message):
     """FLOW_ANNOUNCE: (re)announce one flow to the daemon (17 bytes)."""
 
     flow_id: FlowId
@@ -95,8 +96,8 @@ class FlowAnnounce(FixedMessage):
 
     TYPE = TYPE_FLOW_ANNOUNCE
     NAME = "FLOW_ANNOUNCE"
-    # type, proto, flow, src, dst, weight, priority, demand:24, csum
-    LAYOUT = struct.Struct(">BBIHHBB3sH")
+    # type, proto, flow, src, dst, weight, priority, demand:24
+    LAYOUT = struct.Struct(">BBIHHBB3s")
 
     def _pack(self) -> tuple:
         weight, demand = weight_to_wire(self.weight), demand_to_wire(self.demand_bps)
@@ -109,7 +110,7 @@ class FlowAnnounce(FixedMessage):
 
 
 @dataclass(frozen=True)
-class _FlowRef(FixedMessage):
+class _FlowRef(Message):
     """A message naming one flow (8 bytes): FLOW_FINISH and ALLOC_QUERY.
 
     The two stay siblings, never subclass and base: the daemon dispatches
@@ -118,7 +119,7 @@ class _FlowRef(FixedMessage):
 
     flow_id: FlowId
 
-    LAYOUT = struct.Struct(">BBIH")  # type, reserved, flow, csum
+    LAYOUT = struct.Struct(">BBI")  # type, reserved, flow
 
     def _pack(self) -> tuple:
         return (0, 0, self.flow_id)
@@ -145,7 +146,7 @@ class AllocQuery(_FlowRef):
 
 
 @dataclass(frozen=True)
-class AllocReply(FixedMessage):
+class AllocReply(Message):
     """ALLOC_REPLY: one flow's rate at full float64 precision (20 bytes).
 
     ``known`` is ``False`` when the queried flow is not in the daemon's
@@ -161,7 +162,7 @@ class AllocReply(FixedMessage):
 
     TYPE = TYPE_ALLOC_REPLY
     NAME = "ALLOC_REPLY"
-    LAYOUT = struct.Struct(">BBIdiH")  # type, flags, flow, rate_bps, bottleneck, csum
+    LAYOUT = struct.Struct(">BBIdi")  # type, flags, flow, rate_bps, bottleneck
 
     def _pack(self) -> tuple:
         flags = (_FLAG_KNOWN if self.known else 0) | (
@@ -177,7 +178,7 @@ class AllocReply(FixedMessage):
 
 
 @dataclass(frozen=True)
-class SnapshotSubscribe(FixedMessage):
+class SnapshotSubscribe(Message):
     """SNAPSHOT_SUB: subscribe this connection to telemetry snapshots.
 
     ``max_events`` bounds how many SNAPSHOT_EVENTs the daemon will send
@@ -189,7 +190,7 @@ class SnapshotSubscribe(FixedMessage):
 
     TYPE = TYPE_SNAPSHOT_SUB
     NAME = "SNAPSHOT_SUB"
-    LAYOUT = struct.Struct(">BBIH")  # type, reserved, max_events, csum
+    LAYOUT = struct.Struct(">BBI")  # type, reserved, max_events
 
     def _pack(self) -> tuple:
         return (0, 0, self.max_events)
@@ -199,37 +200,8 @@ class SnapshotSubscribe(FixedMessage):
         return cls(max_events)
 
 
-def _seal_blob(message, fields: tuple, blob: bytes) -> bytes:
-    """*message*'s ``HEAD`` (type byte, *fields*, blob length), then *blob*,
-    then the Internet checksum of both."""
-    try:
-        body = message.HEAD.pack(message.TYPE << 4, *fields, len(blob)) + blob
-    except struct.error as exc:
-        raise WireFormatError(f"{message.NAME}: {exc}") from None
-    return body + internet_checksum(body).to_bytes(2, "big")
-
-
-def _open_blob(cls, body: bytes):
-    """Verify a :func:`_seal_blob` body of *cls*; returns the header fields
-    between the type byte and the blob length, and the blob."""
-    head, name = cls.HEAD, cls.NAME
-    if len(body) < head.size + 2:
-        raise WireFormatError(f"{name} truncated at {len(body)} bytes")
-    type_b, *fields, blob_len = head.unpack_from(body)
-    if type_b >> 4 != cls.TYPE:
-        raise WireFormatError(f"not a {name} (type {type_b >> 4:#x})")
-    if len(body) != head.size + blob_len + 2:
-        raise WireFormatError(
-            f"{name} length mismatch: header says {blob_len} payload bytes, "
-            f"body has {len(body) - head.size - 2}"
-        )
-    if internet_checksum(body[:-2]) != int.from_bytes(body[-2:], "big"):
-        raise WireFormatError(f"{name} checksum mismatch")
-    return fields, body[head.size:-2]
-
-
 @dataclass(frozen=True)
-class SnapshotEvent:
+class SnapshotEvent(Message):
     """SNAPSHOT_EVENT: one telemetry snapshot, JSON payload (variable size).
 
     ``seq`` is the daemon's mutation sequence number at snapshot time; the
@@ -242,28 +214,29 @@ class SnapshotEvent:
 
     TYPE = TYPE_SNAPSHOT_EVENT
     NAME = "SNAPSHOT_EVENT"
-    HEAD = struct.Struct(">BBII")  # type, reserved, seq, payload_len
+    LAYOUT = struct.Struct(">BBII")  # type, reserved, seq, payload_len; the JSON is the tail
 
-    def encode(self) -> bytes:
-        """Serialize header + canonical-JSON payload + trailing checksum."""
+    def _pack(self) -> tuple:
         blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":")).encode()
-        if self.HEAD.size + len(blob) + 2 > MAX_FRAME_SIZE:
+        if self.LAYOUT.size + len(blob) + 2 > MAX_FRAME_SIZE:
             raise WireFormatError("snapshot payload exceeds MAX_FRAME_SIZE")
-        return _seal_blob(self, (0, self.seq), blob)
+        return 0, 0, self.seq, len(blob), blob
 
     @staticmethod
-    def decode(body: bytes) -> "SnapshotEvent":
-        """Parse and checksum-verify a SNAPSHOT_EVENT body."""
-        (_rsvd, seq), blob = _open_blob(SnapshotEvent, body)
+    def _tail_size(fields: tuple) -> int:
+        return fields[-1]
+
+    @classmethod
+    def _unpack(cls, _nibble, _reserved, seq, _length, blob):
         try:
             payload = json.loads(blob.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireFormatError(f"SNAPSHOT_EVENT payload is not JSON: {exc}") from None
-        return SnapshotEvent(seq=seq, payload=payload)
+        return cls(seq, payload)
 
 
 @dataclass(frozen=True)
-class ControlAck(FixedMessage):
+class ControlAck(Message):
     """CONTROL_ACK: announce/finish acknowledgement (8 bytes)."""
 
     flow_id: FlowId
@@ -271,7 +244,7 @@ class ControlAck(FixedMessage):
 
     TYPE = TYPE_CONTROL_ACK
     NAME = "CONTROL_ACK"
-    LAYOUT = struct.Struct(">BBIH")  # type, code, flow, csum
+    LAYOUT = struct.Struct(">BBI")  # type, code, flow
 
     def _pack(self) -> tuple:
         return (0, self.code, self.flow_id)
@@ -282,7 +255,7 @@ class ControlAck(FixedMessage):
 
 
 @dataclass(frozen=True)
-class ControlError:
+class ControlError(Message):
     """CONTROL_ERROR: decode/dispatch failure report (variable size)."""
 
     code: int
@@ -290,17 +263,19 @@ class ControlError:
 
     TYPE = TYPE_CONTROL_ERROR
     NAME = "CONTROL_ERROR"
-    HEAD = struct.Struct(">BBH")  # type, code, msg_len
+    LAYOUT = struct.Struct(">BBH")  # type, code, msg_len; the UTF-8 message is the tail
 
-    def encode(self) -> bytes:
-        """Serialize header + UTF-8 message + trailing checksum."""
-        return _seal_blob(self, (self.code,), self.message.encode()[:0xFFFF])
+    def _pack(self) -> tuple:
+        text = self.message.encode()[:0xFFFF]
+        return 0, self.code, len(text), text
 
     @staticmethod
-    def decode(body: bytes) -> "ControlError":
-        """Parse and checksum-verify a CONTROL_ERROR body."""
-        (code,), blob = _open_blob(ControlError, body)
-        return ControlError(code=code, message=blob.decode("utf-8", "replace"))
+    def _tail_size(fields: tuple) -> int:
+        return fields[-1]
+
+    @classmethod
+    def _unpack(cls, _nibble, code, _length, text):
+        return cls(code, text.decode("utf-8", "replace"))
 
 
 ControlMessage = Union[

@@ -27,14 +27,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from ..errors import WireFormatError
 from ..types import FlowId, NodeId
-from .checksum import internet_checksum
 from .codec import (
     XOR8,
-    FixedMessage,
+    Message,
     demand_from_wire,
     demand_to_wire,
     weight_from_wire,
@@ -58,9 +57,6 @@ EVENT_REANNOUNCE = 0x4
 BROADCAST_PACKET_SIZE = 16
 DATA_HEADER_SIZE = 35
 
-_DATA_HEADER_FMT = ">BBBIHHIHH16s"  # type, rlen, ridx, flow, src, dst, seq, csum, plen, route
-assert struct.calcsize(_DATA_HEADER_FMT) == DATA_HEADER_SIZE
-
 _EVENTS = (EVENT_FLOW_START, EVENT_FLOW_FINISH, EVENT_DEMAND_UPDATE, EVENT_REANNOUNCE)
 
 #: Byte offsets into an encoded data header, for a forwarder that reads
@@ -77,7 +73,7 @@ BROADCAST_TREE_OFFSET = BROADCAST_PACKET_SIZE - 2
 
 
 @dataclass(frozen=True)
-class DataPacket:
+class DataPacket(Message):
     """A source-routed data packet.
 
     ``route_ports`` holds the full port list; ``route_index`` is the hop the
@@ -92,81 +88,34 @@ class DataPacket:
     route_index: int
     payload: bytes
 
-    def encode(self) -> bytes:
-        """Serialize header plus payload, computing the checksum."""
+    TYPE = TYPE_DATA
+    NAME = "data packet"
+    # type, rlen, ridx, flow, src, dst, seq, csum, plen, route; the payload is the tail
+    LAYOUT = struct.Struct(">BBBIHHIHH16s")
+    CHECKSUM_AT = 15
+    # Forwarders bump the route index in place at every hop (§3.5) and must
+    # not have to touch the checksum — the rule IP applies to its TTL.
+    UNCHECKED = (DATA_RIDX_OFFSET,)
+
+    def _pack(self) -> tuple:
         if not (0 <= self.route_index <= len(self.route_ports) <= MAX_HOPS):
             raise WireFormatError(
                 f"route index {self.route_index} / length {len(self.route_ports)} invalid"
             )
-        if len(self.payload) > 0xFFFF:
-            raise WireFormatError(f"payload of {len(self.payload)} bytes exceeds 64 KiB")
-        _check_u16("src", self.src)
-        _check_u16("dst", self.dst)
-        _check_u32("flow_id", self.flow_id)
-        _check_u32("seq", self.seq)
-        route_field = pack_route(self.route_ports)
-        header = struct.pack(
-            _DATA_HEADER_FMT,
-            (TYPE_DATA << 4),
-            len(self.route_ports),
-            self.route_index,
-            self.flow_id,
-            self.src,
-            self.dst,
-            self.seq,
-            0,  # checksum placeholder
-            len(self.payload),
-            route_field,
-        )
-        # The checksum excludes the route-index byte (offset 2) as well as
-        # itself: forwarders increment ridx in place at every hop (§3.5) and
-        # must not have to touch the checksum — the same rule IP applies to
-        # TTL-excluding header checksums.  The checksum field sits at byte
-        # offset 15 (after type, rlen, ridx, flow, src, dst, seq).
-        coverage = header[:2] + b"\x00" + header[3:] + self.payload
-        checksum = internet_checksum(coverage)
-        return header[:15] + struct.pack(">H", checksum) + header[17:] + self.payload
+        route = pack_route(self.route_ports)
+        return (0, len(self.route_ports), self.route_index, self.flow_id, self.src,
+                self.dst, self.seq, 0, len(self.payload), route, self.payload)
 
     @staticmethod
-    def decode(buffer: bytes) -> "DataPacket":
-        """Parse and checksum-verify a data packet."""
-        if len(buffer) < DATA_HEADER_SIZE:
-            raise WireFormatError(
-                f"buffer of {len(buffer)} bytes shorter than data header"
-            )
-        (
-            type_byte,
-            rlen,
-            ridx,
-            flow_id,
-            src,
-            dst,
-            seq,
-            checksum,
-            plen,
-            route_field,
-        ) = struct.unpack(_DATA_HEADER_FMT, buffer[:DATA_HEADER_SIZE])
-        if (type_byte >> 4) != TYPE_DATA:
-            raise WireFormatError(f"not a data packet (type {type_byte >> 4})")
-        if len(buffer) != DATA_HEADER_SIZE + plen:
-            raise WireFormatError(
-                f"length mismatch: header says {plen} payload bytes, "
-                f"buffer has {len(buffer) - DATA_HEADER_SIZE}"
-            )
+    def _tail_size(fields: tuple) -> int:
+        return fields[8]
+
+    @classmethod
+    def _unpack(cls, _nibble, rlen, ridx, flow_id, src, dst, seq, _checksum, _plen, route,
+                payload):
         if ridx > rlen or rlen > MAX_HOPS:
             raise WireFormatError(f"invalid route fields rlen={rlen} ridx={ridx}")
-        zeroed = buffer[:2] + b"\x00" + buffer[3:15] + b"\x00\x00" + buffer[17:]
-        if internet_checksum(zeroed) != checksum:
-            raise WireFormatError("data packet checksum mismatch")
-        return DataPacket(
-            flow_id=flow_id,
-            src=src,
-            dst=dst,
-            seq=seq,
-            route_ports=tuple(unpack_route(route_field, rlen)),
-            route_index=ridx,
-            payload=buffer[DATA_HEADER_SIZE:],
-        )
+        return cls(flow_id, src, dst, seq, tuple(unpack_route(route, rlen)), ridx, payload)
 
     def advance(self) -> "DataPacket":
         """The packet as re-emitted by a forwarder: route index + 1."""
@@ -196,7 +145,7 @@ class DataPacket:
 
 
 @dataclass(frozen=True)
-class BroadcastPacket(FixedMessage):
+class BroadcastPacket(Message):
     """The fixed 16-byte flow-event announcement."""
 
     event: int
@@ -211,8 +160,8 @@ class BroadcastPacket(FixedMessage):
 
     TYPE = TYPE_BROADCAST
     NAME = "broadcast packet"
-    # type:4 event:4, src, dst, flow, weight, priority, demand:24, tree:4 rp:4, xor8
-    LAYOUT = struct.Struct(">BHHIBB3sBB")
+    # type:4 event:4, src, dst, flow, weight, priority, demand:24, tree:4 rp:4
+    LAYOUT = struct.Struct(">BHHIBB3sB")
     CHECKSUM = XOR8
 
     def _pack(self) -> tuple:
@@ -232,11 +181,15 @@ class BroadcastPacket(FixedMessage):
         return cls(event, src, dst, flow_id, weight, priority, demand, tree_rp >> 4, tree_rp & 0xF)
 
 
-assert BroadcastPacket.LAYOUT.size == BROADCAST_PACKET_SIZE
+assert DataPacket.LAYOUT.size == DATA_HEADER_SIZE
+assert BroadcastPacket.LAYOUT.size + XOR8[1] == BROADCAST_PACKET_SIZE
+
+
+_ROUTE_ENTRY = struct.Struct(">IB")  # flow, protocol
 
 
 @dataclass(frozen=True)
-class RouteUpdatePacket:
+class RouteUpdatePacket(Message):
     """Routing re-assignments from the selection process (§3.4).
 
     Each entry is a ``(flow_id, protocol_id)`` pair costing five bytes;
@@ -245,53 +198,32 @@ class RouteUpdatePacket:
 
     assignments: Tuple[Tuple[FlowId, int], ...]
 
-    #: type(1) + count(2) + checksum(2)
-    HEADER_SIZE = 5
-    ENTRY_SIZE = 5
-    MAX_ENTRIES = (1500 - HEADER_SIZE) // ENTRY_SIZE
+    TYPE = TYPE_ROUTE_UPDATE
+    NAME = "route-update packet"
+    LAYOUT = struct.Struct(">BHH")  # type, count, csum; the entries are the tail
+    CHECKSUM_AT = 3
+    MAX_ENTRIES = (1500 - LAYOUT.size) // _ROUTE_ENTRY.size
 
-    def encode(self) -> bytes:
+    def _pack(self) -> tuple:
         if len(self.assignments) > self.MAX_ENTRIES:
             raise WireFormatError(
                 f"{len(self.assignments)} assignments exceed the "
                 f"{self.MAX_ENTRIES}-entry packet limit"
             )
-        parts = [struct.pack(">BHH", TYPE_ROUTE_UPDATE << 4, len(self.assignments), 0)]
-        for flow_id, protocol_id in self.assignments:
-            _check_u32("flow_id", flow_id)
-            if not (0 <= protocol_id <= 0xFF):
-                raise WireFormatError(f"protocol id {protocol_id} does not fit a byte")
-            parts.append(struct.pack(">IB", flow_id, protocol_id))
-        raw = b"".join(parts)
-        checksum = internet_checksum(raw)
-        return raw[:3] + struct.pack(">H", checksum) + raw[5:]
+        entries = b"".join(self._packed(_ROUTE_ENTRY, entry) for entry in self.assignments)
+        return 0, len(self.assignments), 0, entries
 
     @staticmethod
-    def decode(buffer: bytes) -> "RouteUpdatePacket":
-        if len(buffer) < RouteUpdatePacket.HEADER_SIZE:
-            raise WireFormatError("route-update packet too short")
-        type_byte, count, checksum = struct.unpack(">BHH", buffer[:5])
-        if (type_byte >> 4) != TYPE_ROUTE_UPDATE:
-            raise WireFormatError(f"not a route-update packet (type {type_byte >> 4})")
-        expected = RouteUpdatePacket.HEADER_SIZE + count * RouteUpdatePacket.ENTRY_SIZE
-        if len(buffer) != expected:
-            raise WireFormatError(
-                f"route-update length mismatch: expected {expected}, got {len(buffer)}"
-            )
-        zeroed = buffer[:3] + b"\x00\x00" + buffer[5:]
-        if internet_checksum(zeroed) != checksum:
-            raise WireFormatError("route-update checksum mismatch")
-        assignments = []
-        offset = 5
-        for _ in range(count):
-            flow_id, protocol_id = struct.unpack_from(">IB", buffer, offset)
-            assignments.append((flow_id, protocol_id))
-            offset += RouteUpdatePacket.ENTRY_SIZE
-        return RouteUpdatePacket(assignments=tuple(assignments))
+    def _tail_size(fields: tuple) -> int:
+        return fields[1] * _ROUTE_ENTRY.size
+
+    @classmethod
+    def _unpack(cls, _nibble, _count, _checksum, entries):
+        return cls(tuple(_ROUTE_ENTRY.iter_unpack(entries)))
 
 
 @dataclass(frozen=True)
-class DropNotificationPacket(FixedMessage):
+class DropNotificationPacket(Message):
     """A forwarder informing a broadcast's source of a queue-overflow drop."""
 
     dropped_at: NodeId
@@ -300,9 +232,9 @@ class DropNotificationPacket(FixedMessage):
 
     TYPE = TYPE_DROP_NOTIFICATION
     NAME = "drop notification"
-    LAYOUT = struct.Struct(">BHHIB")  # type, dropped_at, source, seq, xor8
+    LAYOUT = struct.Struct(">BHHI")  # type, dropped_at, source, seq
     CHECKSUM = XOR8
-    SIZE = LAYOUT.size
+    SIZE = LAYOUT.size + XOR8[1]
 
     def _pack(self) -> tuple:
         return (0, self.dropped_at, self.source, self.seq)
@@ -318,12 +250,3 @@ def packet_type(buffer: bytes) -> int:
         raise WireFormatError("empty buffer")
     return buffer[0] >> 4
 
-
-def _check_u16(name: str, value: int) -> None:
-    if not (0 <= value <= 0xFFFF):
-        raise WireFormatError(f"{name} {value} does not fit 16 bits")
-
-
-def _check_u32(name: str, value: int) -> None:
-    if not (0 <= value <= 0xFFFFFFFF):
-        raise WireFormatError(f"{name} {value} does not fit 32 bits")

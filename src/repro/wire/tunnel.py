@@ -67,16 +67,21 @@ class EthernetFrame:
         return body + struct.pack(">I", fcs)
 
     @staticmethod
-    def decode(buffer: bytes, verify_fcs: bool = True) -> "EthernetFrame":
-        """Parse and (optionally) verify a tunneled frame."""
+    def decode(buffer: bytes) -> "EthernetFrame":
+        """Parse and FCS-verify a tunneled frame."""
         if len(buffer) < ETHERNET_OVERHEAD_BYTES + 1:
             raise WireFormatError("frame shorter than Ethernet overhead")
+        if len(buffer) > ETHERNET_OVERHEAD_BYTES + ETHERNET_MTU:
+            raise WireFormatError(
+                f"tunneled payload of {len(buffer) - ETHERNET_OVERHEAD_BYTES} bytes "
+                f"exceeds the {ETHERNET_MTU}-byte Ethernet MTU"
+            )
         dst_mac = buffer[0:6]
         src_mac = buffer[6:12]
         (ethertype,) = struct.unpack(">H", buffer[12:14])
         payload = buffer[14:-4]
         (fcs,) = struct.unpack(">I", buffer[-4:])
-        if verify_fcs and internet_checksum(buffer[:-4]) != fcs:
+        if internet_checksum(buffer[:-4]) != fcs:
             raise WireFormatError("Ethernet FCS mismatch")
         return EthernetFrame(
             dst_mac=dst_mac, src_mac=src_mac, payload=payload, ethertype=ethertype

@@ -6,8 +6,10 @@ import pytest
 
 from repro.congestion import ControllerConfig
 from repro.core import Rack
-from repro.errors import ReproError
+from repro.errors import ReproError, RoutingError
+from repro.routing.base import protocol_class
 from repro.types import usec
+from repro.wire import RouteUpdatePacket
 
 
 class TestRackFlows:
@@ -211,6 +213,17 @@ class TestRouteSelection:
             for node in rack.nodes
         ]
         assert len(set(protocols)) == 1  # every node agrees
+
+    def test_a_route_update_applies_in_full_or_not_at_all(self, torus2d):
+        # Entry b names no protocol; entry a must not be applied before the
+        # packet is refused, or node 2 disagrees with every other table.
+        rack = Rack(torus2d)
+        a, b = rack.start_flow(0, 5), rack.start_flow(1, 6)
+        update = RouteUpdatePacket(((a, protocol_class("vlb").protocol_id), (b, 15)))
+        with pytest.raises(RoutingError):
+            rack.nodes[2].handle_route_update(update.encode())
+        assert rack.nodes[2].controller.table.get(a).protocol == "rps"
+        assert rack.tables_consistent()
 
 
 class TestFailures:

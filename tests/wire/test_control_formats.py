@@ -1,7 +1,7 @@
 """Property tests for the control-plane and broadcast message codecs.
 
 The daemon trusts :mod:`repro.wire.control`, and every R2C2 node the
-broadcast packets of :mod:`repro.wire.packets`, for two things: any
+packets of :mod:`repro.wire.packets`, for two things: any
 message a sender encodes decodes back to the identical value (after the
 documented weight/demand quantization), and anything damaged in flight —
 truncated, bit-flipped, mis-framed — is rejected with
@@ -22,16 +22,21 @@ from repro.wire import (
     EVENT_FLOW_START,
     EVENT_REANNOUNCE,
     MAX_FRAME_SIZE,
+    MAX_HOPS,
     TYPE_BROADCAST,
+    TYPE_DATA,
     TYPE_DROP_NOTIFICATION,
+    TYPE_ROUTE_UPDATE,
     AllocQuery,
     AllocReply,
     BroadcastPacket,
     ControlAck,
     ControlError,
+    DataPacket,
     DropNotificationPacket,
     FlowAnnounce,
     FlowFinish,
+    RouteUpdatePacket,
     SnapshotEvent,
     SnapshotSubscribe,
     control_type,
@@ -106,19 +111,39 @@ drop_notes = st.builds(
     seq=st.integers(0, 2**32 - 1),
 )
 
+routes = st.lists(st.integers(0, 7), max_size=MAX_HOPS).map(tuple)
+data_packets = routes.flatmap(
+    lambda route: st.builds(
+        DataPacket,
+        flow_id=flow_ids,
+        src=node_ids,
+        dst=node_ids,
+        seq=st.integers(0, 2**32 - 1),
+        route_ports=st.just(route),
+        route_index=st.integers(0, len(route)),
+        payload=st.binary(max_size=64),
+    )
+)
+route_updates = st.builds(
+    RouteUpdatePacket,
+    st.lists(st.tuples(flow_ids, st.integers(0, 0xFF)), max_size=8).map(tuple),
+)
+
 messages = st.one_of(
     announces, finishes, queries, replies, subscribes, events, acks, errors,
-    broadcasts, drop_notes,
+    broadcasts, drop_notes, data_packets, route_updates,
 )
 
 _PACKET_DECODERS = {
+    TYPE_DATA: DataPacket.decode,
     TYPE_BROADCAST: BroadcastPacket.decode,
+    TYPE_ROUTE_UPDATE: RouteUpdatePacket.decode,
     TYPE_DROP_NOTIFICATION: DropNotificationPacket.decode,
 }
 
 
 def decode_any(body):
-    """Decode a control or broadcast-plane body, dispatching on its type."""
+    """Decode a control or packet-plane body, dispatching on its type."""
     return _PACKET_DECODERS.get(control_type(body), decode_control)(body)
 
 
@@ -247,12 +272,17 @@ class TestRejection:
             (BroadcastPacket(EVENT_FLOW_START, src=-1, dst=1, flow_id=1), "broadcast"),
             (DropNotificationPacket(dropped_at=0, source=2**16, seq=0), "drop"),
             (SnapshotEvent(seq=-1, payload={}), "SNAPSHOT_EVENT"),
+            (DataPacket(1, 0, 1, 0, (), 0, bytes(0x10000)), "data packet"),
+            (RouteUpdatePacket(((1, 0x100),)), "route-update"),
         ],
-        ids=["ack", "reply", "announce", "broadcast", "drop", "snapshot"],
+        ids=["ack", "reply", "announce", "broadcast", "drop", "snapshot", "data",
+             "route-update"],
     )
     def test_field_out_of_range_names_the_message(self, message, name):
-        with pytest.raises(WireFormatError, match=name):
+        with pytest.raises(WireFormatError, match=name) as refused:
             message.encode()
+        # The value, not the message: a data packet's repr runs to 64 KiB.
+        assert len(str(refused.value)) < 200
 
     @given(message=messages)
     @settings(max_examples=50, deadline=None)

@@ -5,8 +5,10 @@ import pytest
 from repro.errors import WireFormatError
 from repro.wire import (
     ETHERNET_OVERHEAD_BYTES,
+    ETHERTYPE_R2C2,
     DataPacket,
     EthernetFrame,
+    internet_checksum,
     mac_for,
     tunnel_overhead_fraction,
     tunnel_packet,
@@ -48,6 +50,14 @@ class TestTunnel:
     def test_mtu_enforced(self):
         with pytest.raises(WireFormatError):
             EthernetFrame(b"\x02" * 6, b"\x02" * 6, b"x" * 1501).encode()
+
+    def test_decode_refuses_what_encode_refuses(self):
+        # A 2,000-byte payload under a valid FCS: the decoded frame could
+        # not be encoded again (MTU).
+        body = mac_for(1, 10) + mac_for(0, 5) + ETHERTYPE_R2C2.to_bytes(2, "big") + b"x" * 2000
+        frame = body + internet_checksum(body).to_bytes(4, "big")
+        with pytest.raises(WireFormatError, match="MTU"):
+            EthernetFrame.decode(frame)
 
     def test_overhead_fraction(self):
         assert tunnel_overhead_fraction(1500) == pytest.approx(18 / 1500)

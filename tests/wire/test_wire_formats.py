@@ -1,6 +1,7 @@
 """Tests for checksums, route encoding and packet formats."""
 
 import math
+import random
 
 import pytest
 
@@ -26,7 +27,27 @@ from repro.wire import (
 from repro.wire.packets import TYPE_BROADCAST, TYPE_DATA, TYPE_ROUTE_UPDATE
 
 
+def rfc1071_checksum(data: bytes) -> int:
+    """The RFC 1071 word loop: the reference ``internet_checksum`` must equal."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestChecksums:
+    def test_internet_checksum_matches_rfc1071_loop(self):
+        rng = random.Random(1071)
+        buffers = [b"", b"\x00", b"\x00" * 7, b"\xff", b"\xff\xff", b"\xff" * 1500,
+                   b"\x00\x01", b"\xff\xfe\x00\x01"]
+        buffers += [rng.randbytes(rng.randint(1, 1500)) for _ in range(2000)]
+        for data in buffers:
+            assert internet_checksum(data) == rfc1071_checksum(data), data.hex()
+
     def test_internet_checksum_detects_flip(self):
         data = b"hello world, this is a packet"
         base = internet_checksum(data)
