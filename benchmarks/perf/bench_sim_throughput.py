@@ -1,7 +1,8 @@
 """End-to-end simulator throughput on a fixed-seed Poisson workload.
 
-Runs the full R2C2 stack (shared control plane) on a 64-node torus and
-records wall-clock and events/s into ``BENCH_sim.json``.  Note that
+Runs the full R2C2 stack on a 64-node torus, once with the shared control
+plane and once per node (every node learns each broadcast into its own
+controller), and records wall-clock and events/s into ``BENCH_sim.json``.  Note that
 ``events_processed`` is not comparable across revisions that change event
 batching (a coalesced broadcast fan-out counts as one event); wall-clock
 for the identical workload is the cross-revision metric.
@@ -35,8 +36,9 @@ from repro.topology import TorusTopology
 from repro.workloads import ParetoSizes, poisson_trace
 
 SCENARIOS = {
-    # name: (n_flows, dims, reps)
-    "sim_r2c2_200flows_4x4x4": (200, (4, 4, 4), 3),
+    # name: (n_flows, dims, control_plane, reps)
+    "sim_r2c2_200flows_4x4x4": (200, (4, 4, 4), "shared", 3),
+    "sim_r2c2_pernode_200flows_4x4x4": (200, (4, 4, 4), "per_node", 3),
 }
 QUICK_FLOWS = 60
 SEED = 0
@@ -54,7 +56,11 @@ def _scenario_workload(n_flows: int, dims: tuple):
     return topo, trace
 
 
-def telemetry_snapshot(n_flows: int, dims: tuple) -> dict:
+def _config(control_plane: str) -> SimConfig:
+    return SimConfig(stack="r2c2", seed=SEED, control_plane=control_plane)
+
+
+def telemetry_snapshot(n_flows: int, dims: tuple, control_plane: str) -> dict:
     """Compact metrics snapshot from an extra, *untimed* instrumented run.
 
     Counters, gauges and histogram quantiles only — per-link series would
@@ -64,7 +70,7 @@ def telemetry_snapshot(n_flows: int, dims: tuple) -> dict:
     """
     topo, trace = _scenario_workload(n_flows, dims)
     telemetry = Telemetry(TelemetryConfig(trace=False, per_link_series=False))
-    run_simulation(topo, trace, SimConfig(stack="r2c2", seed=SEED), telemetry=telemetry)
+    run_simulation(topo, trace, _config(control_plane), telemetry=telemetry)
     snap = telemetry.metrics.snapshot()
     return {
         "counters": snap["counters"],
@@ -80,12 +86,12 @@ def telemetry_snapshot(n_flows: int, dims: tuple) -> dict:
     }
 
 
-def run_scenario(n_flows: int, dims: tuple, reps: int) -> dict:
+def run_scenario(n_flows: int, dims: tuple, control_plane: str, reps: int) -> dict:
     topo, trace = _scenario_workload(n_flows, dims)
     runs = []
     for _ in range(reps):
         started = time.perf_counter()
-        metrics = run_simulation(topo, trace, SimConfig(stack="r2c2", seed=SEED))
+        metrics = run_simulation(topo, trace, _config(control_plane))
         runs.append((time.perf_counter() - started, metrics.events_processed))
     runs.sort()
     median_s, events = runs[len(runs) // 2]
@@ -96,6 +102,7 @@ def run_scenario(n_flows: int, dims: tuple, reps: int) -> dict:
         "n_flows": n_flows,
         "dims": "x".join(map(str, dims)),
         "seed": SEED,
+        "control_plane": control_plane,
     }
 
 
@@ -105,10 +112,10 @@ def main() -> int:
     doc = load_history(out, "bench_sim_throughput")
     print("bench_sim_throughput" + (" (quick)" if args.quick else ""))
     failures = []
-    for name, (n_flows, dims, reps) in SCENARIOS.items():
+    for name, (n_flows, dims, control_plane, reps) in SCENARIOS.items():
         if args.quick:
             n_flows, reps = QUICK_FLOWS, 1
-        entry = run_scenario(n_flows, dims, reps)
+        entry = run_scenario(n_flows, dims, control_plane, reps)
         report(name, entry)
         # Quick mode simulates a smaller workload; its timings are not
         # comparable to the recorded full-size history, so --check only
@@ -119,12 +126,13 @@ def main() -> int:
                 failures.append(error)
         if args.record and not args.quick:
             entry["rev"] = args.rev
-            entry["telemetry"] = telemetry_snapshot(n_flows, dims)
+            entry["telemetry"] = telemetry_snapshot(n_flows, dims, control_plane)
             record_entry(
                 doc,
                 name,
                 f"run_simulation of {n_flows} Poisson pareto flows, r2c2 "
-                f"stack, {'x'.join(map(str, dims))} torus, seed {SEED}",
+                f"stack, {'x'.join(map(str, dims))} torus, seed {SEED}"
+                + ("" if control_plane == "shared" else f", {control_plane} control plane"),
                 entry,
             )
     if args.record and not args.quick:

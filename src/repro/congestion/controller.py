@@ -26,6 +26,7 @@ from ..lru import BoundedLru
 from ..telemetry.trace import TRACK_CONTROLLER
 from ..topology.base import Topology
 from ..types import FlowId, NodeId, usec
+from ..wire.packets import EVENT_DEMAND_UPDATE
 from .flowstate import FlowSpec, FlowTable
 from .linkweights import WeightProvider
 from .waterfill import FillLevel, RateAllocation, effective_capacities, waterfill
@@ -120,6 +121,15 @@ class RateController:
     lookup.  The level is O(rows) — ids and weights, plus a reference to
     the provider's matrix — and a membership event drops it, so idle
     controllers of a per-node rack pin no matrix.
+
+    Other nodes' announcements are not applied as they arrive: they are
+    appended to :attr:`journal`, and every read of the controller (the
+    table, the allocation, a recompute, a rate, a local event) first
+    settles the journal into the table with :meth:`FlowTable.settle`,
+    which leaves it exactly as applying each event on arrival would.  A
+    per-node rack learns every flow's start and finish at every node, and
+    most pairs reach a node between two of its reads: settled together,
+    they cancel without touching the table.
     """
 
     def __init__(
@@ -165,6 +175,9 @@ class RateController:
             allocation_cache if allocation_cache is not None else BoundedLru(1)
         )
         self._table = FlowTable()
+        #: learned ``(event, data)`` announcements the table has not applied
+        #: yet; settled at the next read, cleared in place (never replaced)
+        self._journal: List[tuple] = []
         self._allocation: Optional[RateAllocation] = None
         self._allocated_generation = -1
         self._known_at_last_epoch: set = set()
@@ -196,7 +209,30 @@ class RateController:
     @property
     def table(self) -> FlowTable:
         """The node's view of the rack traffic matrix."""
+        if self._journal:
+            self._settle()
         return self._table
+
+    @property
+    def journal(self) -> List[tuple]:
+        """Other nodes' announced ``(event, data)`` not yet in :attr:`table`.
+
+        Deliverers append to it (see :meth:`on_broadcast`); it is settled
+        at the next read and cleared in place, so a bound
+        ``journal.append`` resolved once stays valid.  At ρ = 0 a start or
+        finish owes an immediate recompute, which :meth:`on_broadcast`
+        pays and a bare append does not.
+        """
+        return self._journal
+
+    def _settle(self) -> None:
+        """Apply the journal to the table; a membership move drops the kept
+        level, as an eager learned start or finish does."""
+        table = self._table
+        membership = table.membership_generation
+        table.settle(self._journal)
+        if table.membership_generation != membership:
+            self._level = None
 
     @property
     def provider(self) -> WeightProvider:
@@ -206,6 +242,8 @@ class RateController:
     @property
     def allocation(self) -> Optional[RateAllocation]:
         """The most recent allocation, or ``None`` before the first epoch."""
+        if self._journal:
+            self._settle()
         return self._allocation
 
     @property
@@ -215,6 +253,8 @@ class RateController:
 
     def initial_rate_bps(self) -> float:
         """The rate cap granted to flows before their first epoch."""
+        if self._journal:
+            self._settle()
         capacity = self._topology.capacity_bps
         if (
             self._config.initial_rate_policy == "mean_allocated"
@@ -230,6 +270,8 @@ class RateController:
     # ------------------------------------------------------------------
     def on_flow_started(self, spec: FlowSpec, now_ns: int = 0) -> None:
         """Record the start of a flow this controller rate-limits."""
+        if self._journal:
+            self._settle()
         self._table.add(spec)
         self._level = None
         if self._config.recompute_interval_ns == 0:
@@ -244,6 +286,8 @@ class RateController:
         """Record a flow this node does not rate-limit: another node's
         start, or a §3.2 re-announce.  The spec enters the table without
         the young-flow admission (only the sender pins a young rate)."""
+        if self._journal:
+            self._settle()
         self._table.add(spec)
         self._level = None
         if self._config.recompute_interval_ns == 0:
@@ -251,6 +295,8 @@ class RateController:
 
     def on_flow_finished(self, flow_id: FlowId, now_ns: int = 0) -> None:
         """Record a flow finish (local or learned by broadcast)."""
+        if self._journal:
+            self._settle()
         self._table.remove(flow_id)
         self._level = None
         self._young_rates.pop(flow_id, None)
@@ -259,12 +305,25 @@ class RateController:
 
     def on_demand_update(self, flow_id: FlowId, demand_bps: float) -> None:
         """Record a demand-update broadcast."""
+        if self._journal:
+            self._settle()
         self._table.update_demand(flow_id, demand_bps)
 
     def on_protocol_update(self, flow_id: FlowId, protocol: str) -> None:
         """Record a routing-reassignment broadcast (§3.4)."""
+        if self._journal:
+            self._settle()
         self._table.update_protocol(flow_id, protocol)
         self._level = None
+
+    def on_broadcast(self, event: int, data, now_ns: int = 0) -> None:
+        """Journal another node's announced ``(event, data)`` (see
+        :attr:`journal`).  At ρ = 0 a start or finish recomputes at once,
+        as an eager write did, so the per-event epochs are unchanged; an
+        unknown event raises there, at ρ > 0 at the next read."""
+        self._journal.append((event, data))
+        if self._config.recompute_interval_ns == 0 and event != EVENT_DEMAND_UPDATE:
+            self.recompute(now_ns)
 
     # ------------------------------------------------------------------
     # Rate computation
@@ -275,6 +334,8 @@ class RateController:
 
     def maybe_recompute(self, now_ns: int) -> Optional[RateAllocation]:
         """Run the periodic recomputation if an epoch boundary passed."""
+        if self._journal:
+            self._settle()
         if now_ns < self._next_epoch_ns:
             return None
         interval = max(self._config.recompute_interval_ns, 1)
@@ -289,8 +350,12 @@ class RateController:
         An epoch where the flow table's generation is unchanged since the
         last allocation is short-circuited: nothing a water-fill reads has
         moved, so the previous allocation is returned and a zero-cost
-        :class:`RecomputeStats` (``skipped=True``) is recorded.
+        :class:`RecomputeStats` (``skipped=True``) is recorded.  The journal
+        settles before the clock starts: its cost is the table's, as an
+        eager write's was.
         """
+        if self._journal:
+            self._settle()
         started = time.perf_counter_ns()
         if (
             self._allocation is not None
@@ -417,6 +482,8 @@ class RateController:
         others get their allocated share, additionally clipped at their
         announced demand.
         """
+        if self._journal:
+            self._settle()
         spec = self._table.get(flow_id)
         if spec is None:
             raise CongestionControlError(f"unknown flow {flow_id}")
@@ -433,6 +500,8 @@ class RateController:
 
     def local_rates(self) -> Dict[FlowId, float]:
         """Rates for the flows this node itself is sending."""
+        if self._journal:
+            self._settle()
         return {
             spec.flow_id: self.rate_for(spec.flow_id)
             for spec in self._table.flows_from(self._node)

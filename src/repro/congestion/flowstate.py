@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Tuple
 from ..errors import CongestionControlError
 from ..routing.base import protocol_class
 from ..types import FlowId, NodeId
+from ..wire.packets import EVENT_DEMAND_UPDATE, EVENT_FLOW_FINISH, EVENT_FLOW_START
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,95 @@ class FlowTable:
         self._fold_in(updated)
         self._generation += 1
         return True
+
+    def settle(self, journal: List[Tuple[int, object]]) -> None:
+        """Apply a journal of learned broadcasts in one pass, then clear it
+        in place (the list object stays, so a bound ``journal.append`` a
+        deliverer resolved once keeps filling it).
+
+        Each entry is ``(event, data)`` as :class:`~repro.core.node.R2C2Node`
+        announces it: a start carries the spec, a finish the flow id, a
+        demand update ``(flow_id, demand_bps)``.  The result equals
+        :meth:`add` / :meth:`remove` / :meth:`update_demand` applied in
+        journal order — same dict order, :attr:`content_key` and both
+        generations — but a flow that starts *and* finishes inside one
+        journal never enters the dict:
+
+        * a start of an absent flow waits in an ordered pending dict (a
+          re-announce of a pending flow overwrites it in place, as
+          :meth:`add` overwrites a present one);
+        * a demand update of a pending flow folds into its spec;
+        * a finish of a pending flow cancels it, bumping both generations
+          by 2, as the add and the remove would have;
+        * every other event applies to the dict at once, in order.
+
+        The surviving pending flows are inserted last, in the order of
+        their starts: exactly where the eager adds would have put them,
+        since nothing else appends to the dict.  An unknown event raises
+        :class:`~repro.errors.CongestionControlError` (a
+        :class:`~repro.errors.ReproError`) after the entries before it
+        apply; the entries after it stay journaled.
+        """
+        flows = self._flows
+        pending: Dict[FlowId, FlowSpec] = {}
+        fp_a, fp_b = self._fp_a, self._fp_b
+        members = demands = 0
+        unknown = None
+        for event, data in journal:
+            if event == EVENT_FLOW_START:
+                flow_id = data.flow_id
+                held = flows.get(flow_id)
+                if held is None:
+                    pending[flow_id] = data
+                else:
+                    flows[flow_id] = data
+                    old_a, old_b = held.fingerprints
+                    new_a, new_b = data.fingerprints
+                    fp_a ^= old_a ^ new_a
+                    fp_b ^= old_b ^ new_b
+                members += 1
+            elif event == EVENT_FLOW_FINISH:
+                if pending.pop(data, None) is None:
+                    held = flows.pop(data, None)
+                    if held is None:
+                        continue  # a finish that outraced its start
+                    old_a, old_b = held.fingerprints
+                    fp_a ^= old_a
+                    fp_b ^= old_b
+                members += 1
+            elif event == EVENT_DEMAND_UPDATE:
+                flow_id, demand_bps = data
+                spec = pending.get(flow_id)
+                if spec is not None:
+                    pending[flow_id] = spec.with_demand(demand_bps)
+                else:
+                    held = flows.get(flow_id)
+                    if held is None:
+                        continue
+                    flows[flow_id] = updated = held.with_demand(demand_bps)
+                    old_a, old_b = held.fingerprints
+                    new_a, new_b = updated.fingerprints
+                    fp_a ^= old_a ^ new_a
+                    fp_b ^= old_b ^ new_b
+                demands += 1
+            else:
+                unknown = (event, data)
+                break
+        for flow_id, spec in pending.items():
+            flows[flow_id] = spec
+            new_a, new_b = spec.fingerprints
+            fp_a ^= new_a
+            fp_b ^= new_b
+        self._fp_a, self._fp_b = fp_a, fp_b
+        self._generation += members + demands
+        self._membership += members
+        if unknown is None:
+            journal.clear()
+            return
+        # The first entry equal to the unknown one is that entry: an earlier
+        # equal one would have stopped the pass there.
+        del journal[: journal.index(unknown) + 1]
+        raise CongestionControlError(f"unknown broadcast event {unknown[0]}")
 
     def update_protocol(self, flow_id: FlowId, protocol: str) -> bool:
         """Apply a routing-reassignment broadcast; returns False if unknown."""

@@ -14,7 +14,7 @@ sender allocates from the spec its own bytes decode to, as receivers do.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..broadcast.fib import BroadcastFib
 from ..broadcast.reliability import BroadcastSenderReliability, FailureRecovery
@@ -64,7 +64,9 @@ class R2C2Node:
     own).  A rack's nodes share the controller's link-weight cache and
     allocation memo; nodes that share one controller (the simulator's
     shared mode, Maze) pass ``learns=False``, since the sender's own call
-    already applied every event to the one table.
+    already applied every event to the one table.  A learning node's
+    received announcements go to its controller's journal and reach the
+    table at the controller's next read (:meth:`learn`).
     """
 
     def __init__(
@@ -133,15 +135,31 @@ class R2C2Node:
     # Learning (another node's announcement reached this one)
     # ------------------------------------------------------------------
     def learn(self, event: int, data, now_ns: int) -> None:
-        """Apply another node's announced *event* to this node's table."""
-        if event == EVENT_FLOW_START:
-            self.controller.on_flow_learned(data, now_ns)
-        elif event == EVENT_FLOW_FINISH:
-            self.controller.on_flow_finished(data, now_ns)
-        elif event == EVENT_DEMAND_UPDATE:
-            self.controller.on_demand_update(*data)
-        else:
-            raise ReproError(f"unknown broadcast event {event}")
+        """Journal another node's announced *event* for this node's table.
+
+        The controller applies it at its next read (a recompute, a rate, a
+        table lookup), settling everything learned since the previous one
+        in a single pass that ends exactly where applying each event on
+        arrival would (:meth:`FlowTable.settle`); at ρ = 0 a start or
+        finish recomputes at once.  An unknown event raises ``ReproError``
+        at the settle.
+        """
+        self.controller.on_broadcast(event, data, now_ns)
+
+    def learner(self, clock: Callable[[], int]) -> Optional[Callable[[tuple], None]]:
+        """The one callable a deliverer hands each copy's ``(event, data)``
+        payload, resolved once: the controller journal's bound
+        ``list.append`` (ρ > 0), or :meth:`learn` at ``clock()`` (ρ = 0,
+        which owes each start and finish a recompute).  ``None`` for a node
+        that learns nothing.
+        """
+        if not self.learns:
+            return None
+        controller = self.controller
+        if controller.config.recompute_interval_ns:
+            return controller.journal.append
+        learn = self.learn
+        return lambda payload: learn(*payload, clock())
 
     # ------------------------------------------------------------------
     # The wire: 16-byte broadcast packets (Rack, Maze)

@@ -23,8 +23,9 @@ has two modes:
   them once per epoch instead of once per node per epoch; the table is
   updated the moment a sender *emits* an event.
 * per node (``control_plane="per_node"``) — full fidelity: one controller
-  per node, updated only when a broadcast packet is actually *delivered* to
-  that node (the sender applies its own events immediately).  Identical
+  per node, learning an event only when a broadcast packet is actually
+  *delivered* to that node (the sender applies its own events immediately;
+  a learned one reaches the table at the controller's next read).  Identical
   tables still cost one water-fill thanks to a shared allocation memo, so
   this mode is affordable and is used to validate the shared collapsing
   (`tests/integration/`).
@@ -72,9 +73,14 @@ class PerNodeControlPlane:
 
     Per node (the default here): remote nodes learn about flows only when
     the 16-byte broadcast packets actually reach them through the simulated
-    fabric, so visibility skew is modelled exactly.  A shared allocation
-    memo keeps the cost near the shared mode's: nodes whose tables agree
-    (the overwhelmingly common case) reuse one water-fill result.
+    fabric, so visibility skew is modelled exactly.  A delivery appends the
+    event to the node's controller journal, which the controller settles at
+    its next read (an epoch, a rate, a local flow event) into exactly the
+    table eager writes would have built; a flow that starts and finishes
+    between two of a node's reads never enters its table.  A shared
+    allocation memo keeps the cost near the shared mode's: nodes whose
+    tables agree (the overwhelmingly common case) reuse one water-fill
+    result.
 
     Shared (``shared=True``): every node's entry is one rack-wide
     controller, so a broadcast delivery has nothing left to apply.
@@ -191,9 +197,10 @@ class R2C2Stack(HostStack):
         #: this node's R2C2 node: announces, picks trees, replays, learns.
         self.r2c2 = control.nodes[node]
         self._controller = controller = self.r2c2.controller
-        #: what a remote broadcast delivered here applies (None: shared
-        #: mode, where it applies nothing).
-        self._learn = self.r2c2.learn if self.r2c2.learns else None
+        #: what a remote broadcast's ``(event, data)`` delivered here goes
+        #: to: the controller journal's bound append (None: shared mode,
+        #: where it applies nothing).
+        self._learn = self.r2c2.learner(lambda: loop.now)
         self._flows = flows_by_id
         self._mtu = mtu_payload
         self._rng = random.Random((seed << 16) ^ node)
@@ -360,11 +367,11 @@ class R2C2Stack(HostStack):
                 self._metrics.broadcast_packets += 1
             if self._probe is not None:
                 self._probe.bcast_receipt(packet.size_bytes)
-            # Per-node mode: this delivery is when the node's table learns.
+            # Per-node mode: this delivery is when the node learns; its
+            # table applies the event at the controller's next read.
             learn = self._learn
             if learn is not None:
-                event, data = packet.payload
-                learn(event, data, self.loop.now)
+                learn(packet.payload)
             return
         if packet.kind == KIND_DROP_NOTE:
             self.on_broadcast_dropped(packet)

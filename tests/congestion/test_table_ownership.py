@@ -2,8 +2,9 @@
 
 Every table event goes through :class:`~repro.congestion.controller.RateController`
 (``on_flow_started`` / ``on_flow_learned`` / ``on_flow_finished`` /
-``on_demand_update`` / ``on_protocol_update``), so no caller can add a flow
-without the recompute ρ = 0 owes it.  This static guard walks ``src/repro``
+``on_demand_update`` / ``on_protocol_update``, or ``on_broadcast`` and the
+journal it settles at the next read), so no caller can add a flow without
+the recompute ρ = 0 owes it.  This static guard walks ``src/repro``
 and fails on any module outside ``repro/congestion/`` that calls a table
 mutator on a ``.table`` attribute or on a ``_tables[...]`` subscript.
 """

@@ -75,6 +75,30 @@ def _per_node_sim_keys(topo):
     return [controller.table.content_key for controller in control.controllers]
 
 
+def test_a_node_that_settles_between_deliveries_keeps_learning():
+    """Each read settles the journal in place: the append a stack resolved
+    once still feeds the controller after any number of settles."""
+    topo = TorusTopology((3, 3))
+    loop = EventLoop()
+    network = RackNetwork(loop, topo, fib=BroadcastFib(topo))
+    control = PerNodeControlPlane(
+        loop, network, topo, WeightProvider(topo), ControllerConfig()
+    )
+    flows = {}
+    stacks = [R2C2Stack(n, loop, network, control, flows) for n in topo.nodes()]
+    network.stack_at[:] = stacks
+    for flow_id, src, dst, weight in _STARTS:
+        flows[flow_id] = flow = _flow(flow_id, src, dst, weight)
+        stacks[src]._announce(flow, stacks[src].r2c2.start(flow_spec(flow, 0), 0))
+        loop.run()
+        assert {len(c.table) for c in control.controllers} == {flow_id + 1}
+    stacks[6]._announce(flows[_FINISH], stacks[6].r2c2.finish(_FINISH, loop.now))
+    loop.run()
+    assert {tuple(c.table.flow_ids()) for c in control.controllers} == {(0, 1)}
+    for stack, controller in zip(stacks, control.controllers):
+        assert stack._learn.__self__ is controller.journal
+
+
 def _maze_keys(topo):
     fib = BroadcastFib(topo)
     platform = MazePlatform(topo, fib=fib, step_ns=500, slot_bytes=9 * 1024)
@@ -135,7 +159,9 @@ def test_constructing_a_rack_resolves_no_broadcast_tree(monkeypatch):
 _SRC = Path(repro.__file__).parent
 _GUARDED = ("sim/stacks", "maze")
 _BUILDERS = {"FlowSpec", "BroadcastPacket"}
-_CONTROLLER_WRITES = {"on_flow_started", "on_flow_learned", "on_flow_finished", "on_demand_update"}
+_CONTROLLER_WRITES = {
+    "on_flow_started", "on_flow_learned", "on_flow_finished", "on_demand_update", "on_broadcast",
+}
 
 
 def life_of_a_flow_calls(source: str):
