@@ -4,9 +4,11 @@ Runs the identical fixed-seed simulation three ways and compares best-of-N
 wall clock:
 
 * ``off``  — no telemetry object at all (``telemetry=None``), the baseline;
-* ``null`` — telemetry *disabled* (``TelemetryConfig(metrics=False,
-  trace=False)``): every instrumented site resolves falsy null sinks, so
-  this measures the cost of the instrumentation hooks themselves;
+* ``null`` — a telemetry session with both sinks *off*
+  (``TelemetryConfig(metrics=False, trace=False)``): both sinks are
+  ``None``, so the simulator builds no probe and every instrumented site
+  holds ``None``; this measures what handing a disabled session to the
+  run costs over handing it none;
 * ``on``   — full metrics + trace recording, reported for reference only;
 * ``obs``  — causal FCT tracer + crash flight recorder
   (``SimConfig(obs=True, flight=True)``, :mod:`repro.obs`), reference only.
@@ -48,7 +50,7 @@ from repro.telemetry import Telemetry, TelemetryConfig
 from repro.topology import TorusTopology
 from repro.workloads import ParetoSizes, poisson_trace
 
-#: Disabled-telemetry (null-sink) runtime may exceed the no-telemetry
+#: Disabled-telemetry (both sinks off) runtime may exceed the no-telemetry
 #: baseline by at most this fraction.
 OVERHEAD_BUDGET = 0.02
 
@@ -92,7 +94,7 @@ def run_scenario(n_flows: int, dims: tuple, reps: int) -> dict:
     on_overhead = best["on"] / best["off"] - 1.0
     obs_overhead = best["obs"] / best["off"] - 1.0
     return {
-        # median_s keys the generic >3x regression gate; the null-sink run
+        # median_s keys the generic >3x regression gate; the disabled run
         # is the one whose speed this benchmark exists to protect.
         "median_s": round(best["null"], 4),
         "best_off_s": round(best["off"], 4),

@@ -145,27 +145,20 @@ class RateController:
         self._node = node
         self._provider = provider if provider is not None else WeightProvider(topology)
         self._config = config or ControllerConfig()
-        # Telemetry instruments, resolved once; with telemetry disabled the
-        # epoch path pays a single falsy test per instrument (see
+        # Telemetry instruments, resolved once; an absent sink leaves them
+        # None, so the epoch path pays one ``is not None`` test each (see
         # repro.telemetry).  Epoch trace events carry only simulated-time
         # quantities — wall-clock durations stay in RecomputeStats so
         # traces are byte-identical across equally seeded runs.
-        if telemetry is not None:
-            # ``or None``: disabled (falsy null) sinks collapse to None so
-            # the per-epoch guards test None at C speed.
-            self._ctr_recomputed = telemetry.metrics.counter(
+        registry = telemetry.metrics if telemetry is not None else None
+        self._trace = telemetry.trace if telemetry is not None else None
+        self._ctr_recomputed = self._ctr_skipped = self._gauge_flows = None
+        if registry is not None:
+            self._ctr_recomputed = registry.counter(
                 "controller.epochs", outcome="recomputed"
-            ) or None
-            self._ctr_skipped = telemetry.metrics.counter(
-                "controller.epochs", outcome="skipped"
-            ) or None
-            self._gauge_flows = telemetry.metrics.gauge("controller.table_flows") or None
-            self._trace = telemetry.trace or None
-        else:
-            self._ctr_recomputed = None
-            self._ctr_skipped = None
-            self._gauge_flows = None
-            self._trace = None
+            )
+            self._ctr_skipped = registry.counter("controller.epochs", outcome="skipped")
+            self._gauge_flows = registry.gauge("controller.table_flows")
         # Allocation memo keyed by table contents.  Rack nodes with
         # identical tables compute identical allocations, so simulations
         # running one controller per node pass a shared LRU and pay for each
@@ -372,9 +365,9 @@ class RateController:
                     skipped=True,
                 )
             )
-            if self._ctr_skipped:
+            if self._ctr_skipped is not None:
                 self._ctr_skipped.inc()
-            if self._trace:
+            if self._trace is not None:
                 self._trace.instant(
                     "epoch",
                     "controller",
@@ -405,10 +398,10 @@ class RateController:
                 interval_ns=self._config.recompute_interval_ns,
             )
         )
-        if self._ctr_recomputed:
+        if self._ctr_recomputed is not None:
             self._ctr_recomputed.inc()
             self._gauge_flows.set(n_flows)
-        if self._trace:
+        if self._trace is not None:
             self._trace.instant(
                 "epoch",
                 "controller",

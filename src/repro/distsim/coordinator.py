@@ -357,10 +357,10 @@ def _merge_results(
         # serial runner's end-of-run rollup, then merge with the per-shard
         # snapshots (disjoint instrument sets: wire.*/sim.*/the
         # max-occupancy histogram come only from this pass).
-        from ..telemetry import Telemetry, TelemetryConfig
+        from ..telemetry import MetricsRegistry
 
-        final_session = Telemetry(TelemetryConfig(metrics=True, trace=False))
-        _finalize_telemetry(final_session, metrics)
+        final_pass = MetricsRegistry()
+        _finalize_telemetry(final_pass, metrics)
         result.telemetry_snapshot = merge_telemetry_snapshots(
-            shard_snapshots + [final_session.metrics.snapshot()]
+            shard_snapshots + [final_pass.snapshot()]
         )

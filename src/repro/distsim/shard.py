@@ -19,6 +19,7 @@ steps every shard in the calling process, one after the other.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -79,18 +80,10 @@ class ShardSim:
             # (see telemetry.trace.MERGEABLE_TRACKS), so event-loop batch
             # spans (windowed rounds, a sharding artifact) and link-probe
             # counters (per-shard partial aggregates) stay out.
-            from ..telemetry import Telemetry, TelemetryConfig
+            from ..telemetry import Telemetry
 
             self.telemetry = Telemetry(
-                TelemetryConfig(
-                    metrics=telemetry_config.metrics,
-                    trace=telemetry_config.trace,
-                    link_probe_interval_ns=telemetry_config.link_probe_interval_ns,
-                    per_link_series=False,
-                    packet_sample_every=telemetry_config.packet_sample_every,
-                    trace_eventloop=False,
-                    max_trace_events=telemetry_config.max_trace_events,
-                )
+                replace(telemetry_config, per_link_series=False, trace_eventloop=False)
             )
 
         # Per-round synchronization accounting (the distsim sync profiler):
@@ -149,7 +142,7 @@ class ShardSim:
             )
 
         self.probes = None
-        if self.telemetry is not None and self.telemetry.metrics:
+        if self.telemetry is not None and self.telemetry.metrics is not None:
             # trace=False: probe counters are per-shard partial aggregates
             # with no exact merge, so they stay out of shard traces.
             self.probes = self.telemetry.link_probes(self.network, trace=False)
@@ -255,6 +248,9 @@ class ShardSim:
             auditor.check_conservation(drained=drained, check_transit=False)
             audit = auditor.report()
         reservoir = self.metrics.packet_latency
+        registry = trace = None
+        if self.telemetry is not None:
+            registry, trace = self.telemetry.metrics, self.telemetry.trace
         return {
             "senders": {
                 a.flow_id: sender_state(self.flows[a.flow_id])
@@ -281,18 +277,12 @@ class ShardSim:
             "drained": drained,
             "audit": audit,
             "telemetry": (
-                self.telemetry.metrics.snapshot()
-                if self.telemetry is not None and self.telemetry.metrics
-                else None
+                registry.snapshot() if registry is not None else None
             ),
             "trace_events": (
-                self.telemetry.trace.export_events()
-                if self.telemetry is not None and self.telemetry.trace
-                else None
+                trace.export_events() if trace is not None else None
             ),
-            "trace_truncated": (
-                self.telemetry is not None and self.telemetry.trace.truncated
-            ),
+            "trace_truncated": trace is not None and trace.truncated,
             "flow_obs": obs.results() if obs is not None else None,
             "sync": dict(self._sync),
         }

@@ -40,17 +40,14 @@ def run_emulation(
     trace: Sequence[FlowArrival],
     seed: int = 0,
     provider: Optional[WeightProvider] = None,
-    telemetry=None,
 ) -> SimMetrics:
     """Emulate *trace* on the Maze platform with the R2C2 stack.
 
+    The Figure 7 cross-validation compares the returned metrics with the
+    packet simulator's; telemetry is recorded by the simulator only.
+
     Args:
         seed: Seeds the broadcast trees and every stack's path sampling.
-        telemetry: Optional :class:`~repro.telemetry.Telemetry` session;
-            records controller epochs, queue-occupancy probes and wire
-            totals exactly like the packet simulator, so emulation and
-            simulation snapshots are directly comparable (the Figure 7
-            cross-validation, live).
     """
     if not trace:
         raise EmulationError("empty flow trace")
@@ -66,11 +63,7 @@ def run_emulation(
     )
     provider = provider if provider is not None else WeightProvider(topology)
     controller = RateController(
-        topology,
-        node=0,
-        provider=provider,
-        config=_CONTROLLER_CONFIG,
-        telemetry=telemetry,
+        topology, node=0, provider=provider, config=_CONTROLLER_CONFIG
     )
     stacks: List[MazeR2C2Stack] = [
         MazeR2C2Stack(
@@ -89,37 +82,6 @@ def run_emulation(
     pending = sorted(trace, key=lambda a: (a.start_ns, a.flow_id))
     cursor = {"next": 0}
 
-    # Queue-occupancy probe (pulled from the step hook on a cadence, like
-    # the simulator's link probes; never perturbs emulation behaviour).
-    probe_state = {"next_due": 0}
-    if telemetry is not None and telemetry.enabled:
-        from ..telemetry import QUEUE_BUCKETS
-
-        probe_interval = max(
-            telemetry.config.link_probe_interval_ns, platform.step_ns
-        )
-        hist_queue = telemetry.metrics.histogram(
-            "queue.occupancy_bytes", buckets=QUEUE_BUCKETS
-        )
-        series_queued = telemetry.metrics.series("rack.queued_bytes")
-
-        def probe(now_ns: int) -> None:
-            if now_ns < probe_state["next_due"]:
-                return
-            probe_state["next_due"] = now_ns + probe_interval
-            total = 0
-            for server in platform.servers:
-                for out in server.out_links.values():
-                    hist_queue.observe(out.queued_bytes)
-                    total += out.queued_bytes
-            series_queued.append(now_ns, total)
-            if telemetry.trace:
-                telemetry.trace.counter(
-                    "rack.queued_bytes", now_ns, {"bytes": total}
-                )
-    else:
-        probe = None
-
     def step_hook(now_ns: int) -> None:
         # Start flows whose arrival time has come.
         i = cursor["next"]
@@ -136,8 +98,6 @@ def run_emulation(
         for stack in stacks:
             stack.set_time_hint(now_ns)
             stack.pump(now_ns)
-        if probe is not None:
-            probe(now_ns)
 
     platform.add_step_hook(step_hook)
 
@@ -157,15 +117,4 @@ def run_emulation(
     metrics.recompute_overheads = [s.cpu_overhead for s in controller.stats]
     metrics.epochs_skipped = sum(1 for s in controller.stats if s.skipped)
     metrics.epochs_recomputed = len(controller.stats) - metrics.epochs_skipped
-    if telemetry is not None and telemetry.enabled:
-        from ..telemetry import QUEUE_BUCKETS
-
-        registry = telemetry.metrics
-        registry.counter("wire.total_bytes").inc(metrics.total_bytes_on_wire)
-        registry.gauge("sim.duration_ns").set(metrics.duration_ns)
-        registry.gauge("sim.flows_total").set(len(metrics.flows))
-        registry.gauge("sim.flows_completed").set(len(metrics.completed_flows()))
-        hist = registry.histogram("queue.max_occupancy_bytes", buckets=QUEUE_BUCKETS)
-        for occupancy in metrics.max_queue_occupancy_bytes:
-            hist.observe(occupancy)
     return metrics

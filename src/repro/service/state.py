@@ -69,6 +69,10 @@ def _parse_record(line: bytes):
 class ServiceState:
     """Flow table + incremental allocator + counters + journal plumbing.
 
+    The counters below are the daemon's only metrics: subscribers read them
+    through :meth:`telemetry_snapshot` (the SNAPSHOT_EVENT payload); the
+    state writes into no :mod:`repro.telemetry` registry.
+
     Attributes:
         seq: Mutation sequence number (monotonic; durable).
         announces / finishes / queries: Operation counters.  ``seq``,
@@ -90,7 +94,6 @@ class ServiceState:
         topology: Topology,
         headroom: float = 0.0,
         snapshot_path: Optional[str] = None,
-        telemetry=None,
         provider=None,
         capacities=None,
     ) -> None:
@@ -112,19 +115,6 @@ class ServiceState:
         self._journal_file: Optional[Path] = None
         self._replaying = False
         self.query_latency = LatencyReservoir(seed=0)
-        # Telemetry instruments resolved once; ``or None`` keeps the hot
-        # path a cheap falsy test when telemetry is disabled.
-        if telemetry is not None:
-            self._ctr_announces = telemetry.metrics.counter("service.announces") or None
-            self._ctr_finishes = telemetry.metrics.counter("service.finishes") or None
-            self._ctr_queries = telemetry.metrics.counter("service.queries") or None
-            self._ctr_fallbacks = telemetry.metrics.counter("service.fallback_recomputes") or None
-            self._ctr_incremental = telemetry.metrics.counter("service.incremental_ops") or None
-            self._gauge_flows = telemetry.metrics.gauge("service.flows") or None
-        else:
-            self._ctr_announces = self._ctr_finishes = self._ctr_queries = None
-            self._ctr_fallbacks = self._ctr_incremental = None
-            self._gauge_flows = None
         if self._snapshot_path is not None:
             self.stale_tmp_swept = sweep_stale_temps(self._snapshot_path)
             if self._snapshot_path.exists():
@@ -137,31 +127,23 @@ class ServiceState:
     def announce(self, spec: FlowSpec) -> bool:
         """Announce (or re-announce) one flow; returns ``True`` if new."""
         was_new = not self.incremental.has_flow(spec.flow_id)
-        before = self.incremental.fallback_recomputes
         self.incremental.add_flow(spec)
         self.announces += 1
-        if self._ctr_announces:
-            self._ctr_announces.inc()
-        self._after_mutation(before, "announce", spec)
+        self._after_mutation("announce", spec)
         return was_new
 
     def finish(self, flow_id: int) -> bool:
         """Retire one flow; returns ``False`` when it was not announced."""
-        before = self.incremental.fallback_recomputes
         known = self.incremental.remove_flow(flow_id)
         self.finishes += 1
-        if self._ctr_finishes:
-            self._ctr_finishes.inc()
         if known:
-            self._after_mutation(before, "finish", flow_id)
+            self._after_mutation("finish", flow_id)
         return known
 
     def query(self, flow_id: int) -> AllocReply:
         """Answer one allocation query from live incremental state."""
         started = time.perf_counter_ns()
         self.queries += 1
-        if self._ctr_queries:
-            self._ctr_queries.inc()
         if self.incremental.has_flow(flow_id):
             reply = AllocReply(
                 flow_id=flow_id,
@@ -174,15 +156,8 @@ class ServiceState:
         self.query_latency.record(time.perf_counter_ns() - started)
         return reply
 
-    def _after_mutation(self, fallbacks_before: int, op: str, arg) -> None:
+    def _after_mutation(self, op: str, arg) -> None:
         self.seq += 1
-        if self._gauge_flows:
-            self._gauge_flows.set(self.incremental.n_flows)
-        if self.incremental.fallback_recomputes > fallbacks_before:
-            if self._ctr_fallbacks:
-                self._ctr_fallbacks.inc()
-        elif self._ctr_incremental:
-            self._ctr_incremental.inc()
         if self._snapshot_path is not None and not self._replaying:
             self._persist(op, arg)
 
@@ -339,8 +314,6 @@ class ServiceState:
             self.torn_tails += 1
         self._journal_file = path
         self.restored = True
-        if self._gauge_flows:
-            self._gauge_flows.set(self.incremental.n_flows)
 
 
 __all__ = ["SNAPSHOT_SCHEMA", "ServiceState"]

@@ -14,7 +14,7 @@ installed:
 * the run's :class:`~repro.telemetry.Telemetry` trace and counters.
 
 The set of sites is fixed and typed — one method per site kind, facts
-passed positionally — so the disabled path is one falsy test per site and
+passed positionally — so the disabled path is one ``None`` test per site and
 there is no registry, event object or string dispatch to pay for when a
 subscriber is on.  :func:`build_probe` is the only place subscribers are
 constructed and wired, for the serial runner and every shard alike.
@@ -52,10 +52,8 @@ class SimProbe:
         #: every event (not just batches): the event loop then leaves its
         #: hoisted fast path.
         self.engine_event = auditor.on_event if auditor is not None else None
-        # ``or None`` collapses disabled (falsy null) sinks so the site
-        # methods test None at C speed.
-        trace = (telemetry.trace or None) if telemetry is not None else None
-        registry = (telemetry.metrics or None) if telemetry is not None else None
+        trace = telemetry.trace if telemetry is not None else None
+        registry = telemetry.metrics if telemetry is not None else None
         self._trace = trace
         self._batch_trace = (
             trace if trace is not None and telemetry.config.trace_eventloop else None
@@ -304,8 +302,8 @@ def build_probe(config, telemetry, loop) -> Optional[SimProbe]:
     """The probe *config* and *telemetry* ask for, attached to *loop*.
 
     Returns ``None`` when nothing observes the run — no audit, obs or
-    flight knob and no (enabled) telemetry — so a disabled ``Telemetry``
-    costs exactly what ``telemetry=None`` does.
+    flight knob and no telemetry sink — so a ``Telemetry`` with both sinks
+    off costs exactly what ``telemetry=None`` does.
     """
     if telemetry is not None and not telemetry.enabled:
         telemetry = None

@@ -196,14 +196,14 @@ def run_simulation(
         metrics.epochs_recomputed = len(stats) - metrics.epochs_skipped
     if probe is not None:
         probe.collect(metrics, flows.values(), drained=(loop.pending() == 0))
-    if telemetry is not None and telemetry.enabled:
-        if probes is not None:
-            probes.sample(loop.now)  # final sample, even for tiny runs
-        _finalize_telemetry(telemetry, metrics)
+    if probes is not None:
+        probes.sample(loop.now)  # final sample, even for tiny runs
+    if telemetry is not None and telemetry.metrics is not None:
+        _finalize_telemetry(telemetry.metrics, metrics)
     return metrics
 
 
-def _finalize_telemetry(telemetry, metrics: SimMetrics) -> None:
+def _finalize_telemetry(registry, metrics: SimMetrics) -> None:
     """End-of-run rollups into the metrics registry.
 
     Wire-byte counters are recorded so a snapshot matches the
@@ -215,7 +215,6 @@ def _finalize_telemetry(telemetry, metrics: SimMetrics) -> None:
     """
     from ..telemetry import QUEUE_BUCKETS
 
-    registry = telemetry.metrics
     registry.counter("wire.total_bytes").inc(metrics.total_bytes_on_wire)
     registry.counter("wire.data_bytes").inc(metrics.data_bytes_on_wire)
     registry.counter("wire.ack_bytes").inc(metrics.ack_bytes)

@@ -1,8 +1,9 @@
 """Observability: metrics registry, event tracing, link probes.
 
-One :class:`Telemetry` object is threaded through a run — the simulator,
-the congestion controller, the broadcast substrate, the Maze runner and
-the invariant auditor all write into its two sinks:
+One :class:`Telemetry` object is threaded through a simulation run — the
+runner's link probes, the :class:`~repro.sim.probe.SimProbe` (event-loop
+batches, sampled packets, broadcast announcements), the congestion
+controller and the invariant auditor all write into its two sinks:
 
 * :attr:`Telemetry.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges, fixed-bucket histograms and time series, exported as
@@ -12,11 +13,13 @@ the invariant auditor all write into its two sinks:
   trace-event JSON (``repro simulate --trace FILE``; open in
   https://ui.perfetto.dev).
 
-Disabled telemetry is a *null sink*: every site still resolves its
-instruments, but they are falsy no-ops, so hot paths pay one truthiness
-test — the same discipline (and cost) as the validation auditor's
-``is not None`` hooks.  ``benchmarks/perf/bench_telemetry_overhead.py``
-guards this at <= 2 % versus a run with no telemetry object at all.
+Off is ``None``: a sink the :class:`TelemetryConfig` turns off is
+``None`` on the session, every site that would write into it holds
+``None`` instead of an instrument, and hot paths pay one ``is not None``
+test — the same discipline as the validation auditor's hooks.  A session
+with both sinks off observes nothing, so the simulator treats it exactly
+like no session at all; ``benchmarks/perf/bench_telemetry_overhead.py``
+guards that at <= 2 % versus a run with no telemetry object.
 
 Metric naming: dotted ``subsystem.quantity`` names with unit suffixes
 (``_bytes``, ``_ns``) and Prometheus-style labels, e.g.
@@ -29,17 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..types import usec
 from .probes import QUEUE_BUCKETS, LinkProbeSet
 from .registry import (
     BYTE_BUCKETS,
-    NULL_REGISTRY,
     RATIO_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     TimeSeries,
     merge_snapshots,
 )
@@ -51,14 +51,12 @@ from .signature import (
 )
 from .trace import (
     MERGEABLE_TRACKS,
-    NULL_TRACE,
     TRACK_BROADCAST,
     TRACK_CONTROLLER,
     TRACK_LINKS,
     TRACK_PACKETS,
     TRACK_SIM,
     TRACK_VALIDATION,
-    NullTrace,
     TraceRecorder,
     canonical_trace_events,
     merge_trace_documents,
@@ -76,10 +74,6 @@ __all__ = [
     "merge_snapshots",
     "merge_trace_documents",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_TRACE",
-    "NullRegistry",
-    "NullTrace",
     "QUEUE_BUCKETS",
     "RATIO_BUCKETS",
     "SIGNATURE_FEATURES",
@@ -100,20 +94,18 @@ __all__ = [
 
 @dataclass
 class TelemetryConfig:
-    """What to record and how often.
+    """What to record.
 
-    ``TelemetryConfig(metrics=False, trace=False)`` is the *disabled*
-    configuration: the session carries null sinks everywhere, which is the
-    mode the overhead benchmark compares against a no-telemetry run.
+    ``metrics`` and ``trace`` switch the two sinks; a switched-off sink is
+    ``None`` on the :class:`Telemetry` session.  With both off the session
+    is disabled (:attr:`Telemetry.enabled` is false) and observes nothing —
+    the mode the overhead benchmark compares against a no-telemetry run.
     """
 
     #: Record labeled metrics (counters/gauges/histograms/series).
     metrics: bool = True
     #: Record Chrome trace events.
     trace: bool = True
-    #: Link-probe cadence; effective cadence is bounded below by the
-    #: runner's progress chunk (1 ms default) — see :mod:`.probes`.
-    link_probe_interval_ns: int = usec(100)
     #: Record per-link time series (set False on big fabrics to keep
     #: snapshots small; rack-wide aggregates are always recorded).
     per_link_series: bool = True
@@ -121,26 +113,25 @@ class TelemetryConfig:
     packet_sample_every: int = 64
     #: Trace event-loop batches as spans.
     trace_eventloop: bool = True
-    #: Trace-recorder event cap (see :class:`TraceRecorder`).
-    max_trace_events: int = 1_000_000
 
 
 class Telemetry:
-    """One run's telemetry session: a metrics registry plus a trace."""
+    """One run's telemetry session: a metrics registry plus a trace, each
+    ``None`` when its :class:`TelemetryConfig` switch is off."""
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config or TelemetryConfig()
-        self.metrics = MetricsRegistry() if self.config.metrics else NULL_REGISTRY
-        self.trace = (
-            TraceRecorder(max_events=self.config.max_trace_events)
-            if self.config.trace
-            else NULL_TRACE
+        self.metrics: Optional[MetricsRegistry] = (
+            MetricsRegistry() if self.config.metrics else None
+        )
+        self.trace: Optional[TraceRecorder] = (
+            TraceRecorder() if self.config.trace else None
         )
 
     @property
     def enabled(self) -> bool:
         """True when at least one sink records anything."""
-        return bool(self.metrics) or bool(self.trace)
+        return self.metrics is not None or self.trace is not None
 
     def link_probes(self, network, trace: bool = True) -> LinkProbeSet:
         """Build the link-probe sampler for *network*.
@@ -154,7 +145,6 @@ class Telemetry:
             network,
             self.metrics,
             trace=self.trace if trace else None,
-            interval_ns=self.config.link_probe_interval_ns,
             per_link_series=self.config.per_link_series,
         )
 

@@ -22,7 +22,10 @@ events in the event heap.  That guarantees telemetry can never perturb the
 simulation — no extra events, no termination-condition interference, and
 byte-identical simulation results with probes on or off (a property the
 telemetry tests assert).  Effective cadence is therefore
-``max(interval_ns, runner progress chunk)``.
+``max(PROBE_INTERVAL_NS, runner progress chunk)``.
+
+Either sink may be ``None`` (a trace-only or metrics-only session): the
+probe then writes only into the other one.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from typing import Dict, List, Optional, Tuple
 from ..types import usec
 from .registry import RATIO_BUCKETS, MetricsRegistry
 from .trace import TRACK_LINKS
+
+#: Sampling cadence (bounded below by the runner's progress chunk).
+PROBE_INTERVAL_NS = usec(100)
 
 #: Queue-occupancy histogram bounds: 0 B .. 16 MB, quarter-decade-ish.
 QUEUE_BUCKETS: Tuple[float, ...] = (
@@ -46,33 +52,27 @@ class LinkProbeSet:
     def __init__(
         self,
         network,
-        registry: MetricsRegistry,
+        registry: Optional[MetricsRegistry],
         trace=None,
-        interval_ns: int = usec(100),
         per_link_series: bool = True,
     ) -> None:
-        if interval_ns < 1:
-            raise ValueError("probe interval must be >= 1 ns")
         self._network = network
         self._registry = registry
         self._trace = trace
-        self._interval_ns = interval_ns
         self._per_link = per_link_series
         self._next_due_ns = 0
         self._last_sample_ns: Optional[int] = None
         #: (src, dst) -> bytes_sent at the previous sample (for deltas).
         self._last_bytes: Dict[Tuple[int, int], int] = {}
         self.samples_taken = 0
-        self._hist_queue = registry.histogram(
-            "queue.occupancy_bytes", buckets=QUEUE_BUCKETS
-        )
-        self._hist_util = registry.histogram(
-            "link.utilization", buckets=RATIO_BUCKETS
-        )
-
-    @property
-    def interval_ns(self) -> int:
-        return self._interval_ns
+        self._hist_queue = self._hist_util = None
+        if registry is not None:
+            self._hist_queue = registry.histogram(
+                "queue.occupancy_bytes", buckets=QUEUE_BUCKETS
+            )
+            self._hist_util = registry.histogram(
+                "link.utilization", buckets=RATIO_BUCKETS
+            )
 
     def maybe_sample(self, now_ns: int) -> bool:
         """Sample if the cadence says one is due; returns True if sampled."""
@@ -80,7 +80,7 @@ class LinkProbeSet:
             return False
         self.sample(now_ns)
         # Skip ahead over missed windows instead of looping through them.
-        self._next_due_ns = now_ns + self._interval_ns
+        self._next_due_ns = now_ns + PROBE_INTERVAL_NS
         return True
 
     def sample(self, now_ns: int) -> None:
@@ -99,16 +99,19 @@ class LinkProbeSet:
             n_links += 1
             total_queued += occupancy
             total_drops += drops
-            self._hist_queue.observe(occupancy)
             utilization = 0.0
             if window_ns:
                 delta = bytes_sent - self._last_bytes.get((src, dst), 0)
                 capacity = self._network.link_capacity_bps(src, dst)
                 if capacity > 0:
                     utilization = min(1.0, delta * 8e9 / (capacity * window_ns))
-                self._hist_util.observe(utilization)
                 util_sum += utilization
             self._last_bytes[(src, dst)] = bytes_sent
+            if registry is None:
+                continue
+            self._hist_queue.observe(occupancy)
+            if window_ns:
+                self._hist_util.observe(utilization)
             if self._per_link:
                 registry.series("link.util", src=src, dst=dst).append(
                     now_ns, utilization
@@ -116,9 +119,10 @@ class LinkProbeSet:
                 registry.series("link.queue_bytes", src=src, dst=dst).append(
                     now_ns, occupancy
                 )
-        registry.series("rack.queued_bytes").append(now_ns, total_queued)
-        registry.series("rack.drops").append(now_ns, total_drops)
-        if self._trace:
+        if registry is not None:
+            registry.series("rack.queued_bytes").append(now_ns, total_queued)
+            registry.series("rack.drops").append(now_ns, total_drops)
+        if self._trace is not None:
             self._trace.counter(
                 "rack.queued_bytes", now_ns, {"bytes": total_queued}, tid=TRACK_LINKS
             )

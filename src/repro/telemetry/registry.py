@@ -10,11 +10,9 @@ Design constraints, in order:
 
 1. **The disabled path must cost (almost) nothing.**  Instrumented code
    resolves its instruments once at construction time; when telemetry is
-   off it receives the null instruments below, which are *falsy*, so hot
-   paths guard with ``if self._ctr:`` — a single truthiness test, the same
-   cost as the auditor's ``is not None`` pattern.  Calling a null
-   instrument is also safe (every method is a no-op), so cold paths can
-   skip the guard entirely.
+   off the session's registry is ``None``, the site holds ``None`` too,
+   and hot paths guard with ``if self._ctr is not None:`` — the same
+   single test as the auditor's hooks.
 2. **Snapshots are deterministic.**  Export orders instruments by
    ``(name, labels)`` and contains no wall-clock material, so two runs of
    the same seeded scenario produce byte-identical JSON (a property the
@@ -188,11 +186,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.t_ns)
 
-    def __bool__(self) -> bool:
-        # Truthy even when empty: ``if instrument:`` must mean "telemetry
-        # is on", never "has samples" (the null instruments are falsy).
-        return True
-
     def to_dict(self) -> dict:
         return {"t_ns": list(self.t_ns), "values": list(self.values)}
 
@@ -209,9 +202,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelItems], object] = {}
-
-    def __bool__(self) -> bool:
-        return True
 
     def _get(self, kind: str, name: str, labels: Dict[str, object], factory):
         key = (kind, name, _label_key(labels))
@@ -280,81 +270,6 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Null sinks: falsy, no-op, shared singletons.
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """A falsy instrument whose every method is a no-op."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def append(self, t_ns: int, value: float) -> None:
-        pass
-
-    def to_dict(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Falsy registry handing out the shared null instrument.
-
-    Threading this through the system instead of a real registry is the
-    "telemetry disabled" mode: every instrumented site still resolves and
-    may call its instruments, but nothing is recorded and hot paths that
-    guard with ``if instrument:`` skip even the call.
-    """
-
-    def __bool__(self) -> bool:
-        return False
-
-    def counter(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets: Sequence[float] = BYTE_BUCKETS, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def series(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def instruments(self) -> List[object]:
-        return []
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-
-NULL_REGISTRY = NullRegistry()
 
 
 def merge_snapshots(snapshots) -> dict:

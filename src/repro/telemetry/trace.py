@@ -87,9 +87,6 @@ class TraceRecorder:
         for tid, name in sorted(_TRACK_NAMES.items()):
             self._meta_thread_name(tid, name)
 
-    def __bool__(self) -> bool:
-        return True
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -221,47 +218,6 @@ class TraceRecorder:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-
-
-class NullTrace:
-    """Falsy recorder whose every method is a no-op (tracing disabled)."""
-
-    truncated = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def complete(self, name, cat, ts_ns, dur_ns, tid=0, args=None) -> None:
-        pass
-
-    def instant(self, name, cat, ts_ns, tid=0, args=None) -> None:
-        pass
-
-    def counter(self, name, ts_ns, values, tid=0) -> None:
-        pass
-
-    def events(self) -> List[dict]:
-        return []
-
-    def export_events(self) -> List[tuple]:
-        return []
-
-    def to_document(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ns", "otherData": {}}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-
-NULL_TRACE = NullTrace()
 
 
 def merge_trace_documents(

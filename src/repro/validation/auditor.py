@@ -95,15 +95,12 @@ class InvariantAuditor:
         self.flight = None
         # Telemetry sinks (repro.telemetry): violations become a counter
         # and trace instants so an audited run's anomalies line up with
-        # the epoch/broadcast/link timeline.  Falsy when telemetry is off.
-        if telemetry is not None:
-            self._ctr_violations = (
-                telemetry.metrics.counter("validation.violations") or None
-            )
-            self._tel_trace = telemetry.trace or None
-        else:
-            self._ctr_violations = None
-            self._tel_trace = None
+        # the epoch/broadcast/link timeline.  None when the sink is off.
+        registry = telemetry.metrics if telemetry is not None else None
+        self._ctr_violations = (
+            registry.counter("validation.violations") if registry is not None else None
+        )
+        self._tel_trace = telemetry.trace if telemetry is not None else None
         # Event-loop causality state.
         self._last_at_ns = -1
         self._last_prio = 0
@@ -136,9 +133,9 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     def _violate(self, message: str) -> None:
         self.violations.append(message)
-        if self._ctr_violations:
+        if self._ctr_violations is not None:
             self._ctr_violations.inc()
-        if self._tel_trace:
+        if self._tel_trace is not None:
             from ..telemetry.trace import TRACK_VALIDATION
 
             self._tel_trace.instant(

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its null sinks."""
+"""Unit tests for the metrics registry."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ReproError
 from repro.telemetry import (
     BYTE_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -132,27 +131,10 @@ class TestRegistry:
         reg.save(path)
         assert json.loads(path.read_text())["counters"]["x"] == 7
 
-
-class TestNullRegistry:
-    def test_falsy_and_noop(self):
-        assert not NULL_REGISTRY
-        ctr = NULL_REGISTRY.counter("anything", label="x")
-        assert not ctr
-        ctr.inc(5)
-        NULL_REGISTRY.gauge("g").set(1.0)
-        NULL_REGISTRY.histogram("h").observe(2.0)
-        NULL_REGISTRY.series("s").append(1, 2.0)
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "series": {},
-        }
-
-    def test_real_instruments_truthy(self):
+    def test_instrument_kinds(self):
         reg = MetricsRegistry()
-        assert reg
         assert isinstance(reg.counter("c"), Counter)
         assert isinstance(reg.gauge("g"), Gauge)
         assert isinstance(reg.histogram("h"), Histogram)
         assert isinstance(reg.series("s"), TimeSeries)
-        for instrument in (reg.counter("c"), reg.gauge("g"),
-                           reg.histogram("h"), reg.series("s")):
-            assert instrument
+        assert reg.counter("c") is reg.counter("c")

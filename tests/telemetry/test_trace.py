@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.telemetry import (
-    NULL_TRACE,
     TRACK_CONTROLLER,
     TRACK_SIM,
     TraceRecorder,
@@ -69,13 +68,3 @@ class TestTraceRecorder:
         assert len(trace) == 8
         assert trace.truncated
         assert trace.to_document()["otherData"]["truncated"] is True
-
-
-class TestNullTrace:
-    def test_falsy_and_noop(self):
-        assert not NULL_TRACE
-        NULL_TRACE.complete("a", "b", 0, 1)
-        NULL_TRACE.instant("a", "b", 0)
-        NULL_TRACE.counter("a", 0, {"v": 1})
-        assert len(NULL_TRACE) == 0
-        assert NULL_TRACE.to_document()["traceEvents"] == []
