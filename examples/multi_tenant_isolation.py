@@ -13,7 +13,7 @@ Run:  python examples/multi_tenant_isolation.py
 
 from collections import defaultdict
 
-from repro.congestion import DeadlinePriority, TenantShares
+from repro.congestion import BEST_EFFORT_LEVEL, DEADLINE_LEVEL, FlowSpec, TenantShares
 from repro.core import Rack
 from repro.topology import TorusTopology
 from repro.types import usec
@@ -51,18 +51,11 @@ def main() -> None:
     policy = TenantShares({"alpha": 1.0, "beta": 1.0})
     rack2 = Rack(topology)
     tenant_of2 = {}
-    specs = []
-    for _ in range(2):
-        specs.append(("alpha", 0, 5))
-    for _ in range(8):
-        specs.append(("beta", 0, 5))
-    counts = defaultdict(int)
-    for tenant, _, _ in specs:
-        counts[tenant] += 1
-    for tenant, src, dst in specs:
-        weight = policy.share_of(tenant) / counts[tenant]
-        fid = rack2.start_flow(src, dst, weight=weight, tenant=tenant)
-        tenant_of2[fid] = tenant
+    # The rack assigns the real flow ids; the specs only carry the tenants.
+    flows = [FlowSpec(i, 0, 5, tenant="alpha" if i < 2 else "beta") for i in range(10)]
+    for spec in policy.apply_all(flows):
+        fid = rack2.start_flow(spec.src, spec.dst, weight=spec.weight, tenant=spec.tenant)
+        tenant_of2[fid] = spec.tenant
     rack2.advance_time(usec(500))
     print("\ntenant-share weights (50/50 restored, per paper [10,11,30]):")
     for tenant, gbps in tenant_report(rack2, tenant_of2).items():
@@ -71,12 +64,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Round 3: a deadline flow preempts best-effort traffic via priority.
     # ------------------------------------------------------------------
-    deadline_policy = DeadlinePriority()
     rack3 = Rack(topology)
-    best_effort = rack3.start_flow(0, 5, priority=deadline_policy.BEST_EFFORT_LEVEL)
-    urgent = rack3.start_flow(
-        1, 5, priority=deadline_policy.DEADLINE_LEVEL, weight=4.0
-    )
+    best_effort = rack3.start_flow(0, 5, priority=BEST_EFFORT_LEVEL)
+    urgent = rack3.start_flow(1, 5, priority=DEADLINE_LEVEL, weight=4.0)
     rack3.advance_time(usec(500))
     print("\ndeadline traffic at strict priority (pFabric-style mapping):")
     print(f"  urgent flow:      {rack3.rate_of(urgent) / 1e9:.2f} Gbps")

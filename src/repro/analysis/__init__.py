@@ -20,7 +20,7 @@ from .stats import (
     normalized_against,
     percentile,
 )
-from .tables import format_comparison, format_series, format_table
+from .tables import format_series, format_table
 
 __all__ = [
     "SummaryStats",
@@ -29,7 +29,6 @@ __all__ = [
     "cdf_at",
     "channel_loads",
     "empirical_cdf",
-    "format_comparison",
     "format_series",
     "format_table",
     "ks_distance",

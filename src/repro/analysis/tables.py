@@ -7,14 +7,13 @@ optional "paper reports" reference column for eyeball comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(
     title: str,
     columns: Sequence[str],
     rows: Mapping[str, Sequence],
-    float_format: str = "{:.2f}",
 ) -> str:
     """Render ``rows[label] -> values`` as an aligned text table."""
     header = ["" ] + list(columns)
@@ -23,7 +22,7 @@ def format_table(
         rendered = [label]
         for value in values:
             if isinstance(value, float):
-                rendered.append(float_format.format(value))
+                rendered.append(f"{value:.2f}")
             else:
                 rendered.append(str(value))
         body.append(rendered)
@@ -42,7 +41,6 @@ def format_series(
     x_label: str,
     xs: Sequence,
     series: Mapping[str, Sequence[float]],
-    float_format: str = "{:.3f}",
 ) -> str:
     """Render one or more y-series against a shared x axis (figure data)."""
     columns = [x_label] + list(series)
@@ -51,30 +49,11 @@ def format_series(
         row = [str(x)]
         for name in series:
             value = series[name][i]
-            row.append(
-                float_format.format(value) if isinstance(value, float) else str(value)
-            )
+            row.append(f"{value:.3f}" if isinstance(value, float) else str(value))
         body.append(row)
     widths = [max(len(r[i]) for r in [columns] + body) for i in range(len(columns))]
     lines = [title, "-" * len(title)]
     lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
     for row in body:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_comparison(
-    title: str,
-    measured: Mapping[str, float],
-    paper: Optional[Mapping[str, float]] = None,
-    float_format: str = "{:.3f}",
-) -> str:
-    """Measured-vs-paper two-column comparison."""
-    lines = [title, "-" * len(title)]
-    width = max((len(k) for k in measured), default=0)
-    for key, value in measured.items():
-        line = f"{key.ljust(width)}  measured={float_format.format(value)}"
-        if paper and key in paper:
-            line += f"  paper={float_format.format(paper[key])}"
-        lines.append(line)
     return "\n".join(lines)

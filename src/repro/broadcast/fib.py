@@ -61,6 +61,7 @@ class BroadcastFib:
             raise BroadcastError(f"unknown node {node}")
         return self.tree(src, tree_id).children(node)
 
+    # census: reference tests compare against
     def delivery_order(
         self, src: NodeId, tree_id: int
     ) -> List[Tuple[NodeId, NodeId]]:

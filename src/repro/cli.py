@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis import tier_load_report
 from .topology import build_topology, count_shortest_paths
@@ -63,12 +63,13 @@ def cmd_info(args) -> int:
         far = max(topo.nodes(), key=lambda n: topo.distance(0, n))
         paths = count_shortest_paths(topo, 0, far)
         print(f"minimal paths 0 -> {far} (a farthest pair): {paths}")
+    from .errors import TopologyError
     from .topology import bisection_bandwidth_bps
 
     try:
         print(f"bisection:       {bisection_bandwidth_bps(topo) / 1e12:.2f} Tbps")
-    except Exception:
-        pass
+    except TopologyError as err:
+        print(f"bisection:       n/a ({err})")
     return 0
 
 
@@ -433,7 +434,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fuzz_run(args) -> int:
-    from .fuzz import CoverageMap, FuzzConfig, run_fuzz  # noqa: F401
+    from .fuzz import FuzzConfig, run_fuzz
 
     config = FuzzConfig(
         seed=args.seed,

@@ -16,36 +16,26 @@ from .flowstate import FlowSpec, FlowTable
 from .incremental import IncrementalWaterfill, spec_from_dict, spec_to_dict
 from .linkweights import WeightProvider
 from .mp_reference import PathFlow, maxmin_rates
-from .policies import (
-    AllocationPolicy,
-    DeadlinePriority,
-    PerFlowFair,
-    StaticWeights,
-    TenantShares,
-    normalize_weights,
-)
+from .policies import BEST_EFFORT_LEVEL, DEADLINE_LEVEL, TenantShares
 from .waterfill import RateAllocation, effective_capacities, fill_matrix, waterfill
 
 __all__ = [
-    "AllocationPolicy",
+    "BEST_EFFORT_LEVEL",
     "ControllerConfig",
-    "DeadlinePriority",
+    "DEADLINE_LEVEL",
     "DemandEstimator",
     "FlowSpec",
     "FlowTable",
     "IncrementalWaterfill",
     "PathFlow",
-    "PerFlowFair",
     "RateAllocation",
     "RateController",
     "RecomputeStats",
-    "StaticWeights",
     "TenantShares",
     "WeightProvider",
     "effective_capacities",
     "maxmin_rates",
     "fill_matrix",
-    "normalize_weights",
     "spec_from_dict",
     "spec_to_dict",
     "waterfill",

@@ -19,6 +19,11 @@ import math
 from ..errors import CongestionControlError
 from ..types import BITS_PER_BYTE, NS_PER_SEC
 
+#: Relative change versus the last *broadcast* value below which
+#: :meth:`DemandEstimator.should_broadcast` stays quiet, to avoid chatty
+#: demand updates.
+UPDATE_THRESHOLD = 0.1
+
 
 class DemandEstimator:
     """Per-flow demand estimator.
@@ -26,38 +31,21 @@ class DemandEstimator:
     Args:
         period_ns: Estimation period T.
         ewma_alpha: Weight of the newest sample in the moving average.
-        update_threshold: Relative change versus the last *broadcast* value
-            below which :meth:`should_broadcast` stays quiet, to avoid
-            chatty demand updates.
     """
 
     def __init__(
         self,
         period_ns: int,
         ewma_alpha: float = 0.25,
-        update_threshold: float = 0.1,
     ) -> None:
         if period_ns <= 0:
             raise CongestionControlError(f"period must be positive, got {period_ns}")
         if not (0.0 < ewma_alpha <= 1.0):
             raise CongestionControlError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        if update_threshold < 0:
-            raise CongestionControlError("update_threshold must be non-negative")
         self._period_ns = period_ns
         self._alpha = ewma_alpha
-        self._threshold = update_threshold
         self._estimate_bps = math.inf
         self._broadcast_bps = math.inf
-
-    @property
-    def period_ns(self) -> int:
-        """The estimation period T in nanoseconds."""
-        return self._period_ns
-
-    @property
-    def estimate_bps(self) -> float:
-        """Current smoothed demand estimate (``inf`` until first sample)."""
-        return self._estimate_bps
 
     def observe(self, allocated_bps: float, queued_bytes: int) -> float:
         """Fold one period's observation into the estimate.
@@ -87,7 +75,7 @@ class DemandEstimator:
 
         The paper broadcasts "whenever a flow's demand drops below its
         current rate allocation"; we additionally suppress updates within
-        ``update_threshold`` of the last announced value.
+        :data:`UPDATE_THRESHOLD` of the last announced value.
         """
         estimate = self._estimate_bps
         if math.isinf(estimate):
@@ -97,11 +85,11 @@ class DemandEstimator:
             # previously advertised a *lower* demand that should be lifted.
             return (
                 math.isfinite(self._broadcast_bps)
-                and estimate > self._broadcast_bps * (1.0 + self._threshold)
+                and estimate > self._broadcast_bps * (1.0 + UPDATE_THRESHOLD)
             )
         if math.isinf(self._broadcast_bps):
             return True
-        return abs(estimate - self._broadcast_bps) > self._threshold * self._broadcast_bps
+        return abs(estimate - self._broadcast_bps) > UPDATE_THRESHOLD * self._broadcast_bps
 
     def mark_broadcast(self) -> float:
         """Record that the current estimate was announced; returns it."""

@@ -32,10 +32,10 @@ allocation as ground state and patches it:
    and no refilled flow bottlenecks on a link where an *unaffected* flow
    holds a higher fill level (weighted max-min is unique, so a certified
    candidate *is* the scratch allocation).  Any violation — or any change
-   the patch logic does not model (priorities, routing-weight changes,
-   failure-view flips) — falls back to a full recompute, counted per
-   reason in :attr:`IncrementalWaterfill.fallback_reasons` so telemetry can
-   track the incremental-vs-fallback ratio.
+   the patch logic does not model (priorities, failure-view flips) — falls
+   back to a full recompute, counted per reason in
+   :attr:`IncrementalWaterfill.fallback_reasons` so telemetry can track the
+   incremental-vs-fallback ratio.
 
 The correctness gate is the churn oracle in :mod:`repro.validation.churn`:
 scratch ≡ incremental (≤1e-6) after every operation of seeded 10k-op
@@ -113,9 +113,9 @@ class IncrementalWaterfill:
     :meth:`update_demand`) patch when the affected set is small — the
     strategy is chosen from its size, see the module docstring — and fall
     back to a full scratch recompute when it is not or when the patch cannot
-    be certified optimal; :meth:`update_protocol` and :meth:`rebuild` always
-    recompute (they change link memberships in ways the patch does not
-    model).  After every operation :meth:`allocation` returns exactly what
+    be certified optimal; :meth:`rebuild` always recomputes (it changes
+    link memberships in ways the patch does not model).  After every
+    operation :meth:`allocation` returns exactly what
     :func:`~repro.congestion.waterfill.waterfill` would compute from
     scratch over the live flow set (max-min allocations are unique).
 
@@ -258,16 +258,6 @@ class IncrementalWaterfill:
             return True
         self._specs[flow_id] = spec.with_demand(demand_bps)
         self._patch_or_recompute(self._affected_set(flow_id, self._rows[flow_id][0]))
-        return True
-
-    def update_protocol(self, flow_id: FlowId, protocol: str) -> bool:
-        """Re-route one flow; always a full recompute (membership change)."""
-        spec = self._specs.get(flow_id)
-        if spec is None:
-            return False
-        self._uninstall(flow_id)
-        self._install(spec.with_protocol(protocol))
-        self._full_recompute("protocol_change")
         return True
 
     def rebuild(

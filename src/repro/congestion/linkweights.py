@@ -271,11 +271,6 @@ class WeightProvider:
         self._level: Optional[_AssembledLevel] = None
         self._assembled = {"build": 0, "edit": 0}
 
-    @property
-    def topology(self) -> Topology:
-        """The topology weights are computed on."""
-        return self._topology
-
     def protocol(self, name: str) -> RoutingProtocol:
         """The shared protocol instance for *name* (created lazily)."""
         instance = self._protocols.get(name)

@@ -2,67 +2,35 @@
 
 R2C2 exposes two allocation primitives per flow — a *weight* and a
 *priority* — and the paper notes that richer datacenter policies (deadline
-based [46], tenant based [37]) map onto them, similar to pFabric.  A policy
-here is an object that stamps those two primitives onto flows before they
-are announced.
+based [46], tenant based [37]) map onto them, similar to pFabric.
 
-Policies operate on :class:`~repro.congestion.flowstate.FlowSpec` instances
-and return updated copies; flows are immutable value objects.
+Tenant shares map onto weights (:class:`TenantShares`); deadlines map onto
+priority levels, deadline flows at :data:`DEADLINE_LEVEL` allocating
+strictly before best-effort traffic at :data:`BEST_EFFORT_LEVEL`.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..errors import CongestionControlError
 from .flowstate import FlowSpec
 
-
-class AllocationPolicy(ABC):
-    """Maps flow metadata to the (weight, priority) allocation primitives."""
-
-    @abstractmethod
-    def apply(self, spec: FlowSpec, **context) -> FlowSpec:
-        """Return a copy of *spec* with policy weight/priority applied."""
-
-    def apply_all(self, specs: Sequence[FlowSpec], **context) -> list:
-        """Apply the policy to a batch of flows."""
-        return [self.apply(spec, **context) for spec in specs]
+#: Priority level for deadline flows ([28, 46, 48] in the paper; 0
+#: allocates first).
+DEADLINE_LEVEL = 0
+#: Priority level for best-effort flows.
+BEST_EFFORT_LEVEL = 1
 
 
-class PerFlowFair(AllocationPolicy):
-    """The strawman policy: every flow gets the same weight and priority."""
-
-    def apply(self, spec: FlowSpec, **context) -> FlowSpec:
-        return replace(spec, weight=1.0, priority=0)
-
-
-class StaticWeights(AllocationPolicy):
-    """Explicit per-flow weights (e.g. chosen by an operator dashboard)."""
-
-    def __init__(self, weights: Mapping[int, float], default: float = 1.0) -> None:
-        if default <= 0 or any(w <= 0 for w in weights.values()):
-            raise CongestionControlError("flow weights must be positive")
-        self._weights = dict(weights)
-        self._default = default
-
-    def apply(self, spec: FlowSpec, **context) -> FlowSpec:
-        return replace(spec, weight=self._weights.get(spec.flow_id, self._default))
-
-
-class TenantShares(AllocationPolicy):
+class TenantShares:
     """Per-tenant network shares ([10, 11, 30] in the paper).
 
     Each tenant holds a share; a flow's weight is its tenant's share divided
     by the tenant's number of active flows, so that on any shared bottleneck
     tenants — not flows — split bandwidth in proportion to their shares,
     regardless of how many flows each tenant opens ("chatty tenants").
-
-    Call :meth:`apply_all` with the full active set so per-tenant flow
-    counts are correct; :meth:`apply` needs the count passed explicitly.
     """
 
     def __init__(self, shares: Mapping[str, float], default_share: float = 1.0) -> None:
@@ -77,72 +45,13 @@ class TenantShares(AllocationPolicy):
             return self._default
         return self._shares.get(tenant, self._default)
 
-    def apply(self, spec: FlowSpec, tenant_flow_count: int = 1, **context) -> FlowSpec:
-        if tenant_flow_count < 1:
-            raise CongestionControlError("tenant_flow_count must be >= 1")
-        weight = self.share_of(spec.tenant) / tenant_flow_count
-        return replace(spec, weight=weight, priority=spec.priority)
-
-    def apply_all(self, specs: Sequence[FlowSpec], **context) -> list:
+    def apply_all(self, specs: Sequence[FlowSpec]) -> list:
+        """Copies of *specs* weighted by tenant share over the tenant's flow
+        count in *specs* (pass the full active set)."""
         counts: Dict[Optional[str], int] = {}
         for spec in specs:
             counts[spec.tenant] = counts.get(spec.tenant, 0) + 1
         return [
-            self.apply(spec, tenant_flow_count=counts[spec.tenant]) for spec in specs
+            replace(spec, weight=self.share_of(spec.tenant) / counts[spec.tenant])
+            for spec in specs
         ]
-
-
-class DeadlinePriority(AllocationPolicy):
-    """Deadline-aware allocation ([28, 46, 48] in the paper).
-
-    Flows with deadlines are placed in a strictly higher priority level than
-    best-effort traffic, and within the deadline level their weight is the
-    rate needed to finish on time (``remaining_bytes / time_to_deadline``),
-    so tight deadlines receive proportionally more bandwidth.
-
-    Context keys per flow (passed to :meth:`apply`):
-        remaining_bytes: Bytes the flow still has to send.
-        deadline_ns: Absolute deadline, or ``None`` for best effort.
-        now_ns: Current time.
-    """
-
-    #: Priority level for deadline flows (0 allocates first).
-    DEADLINE_LEVEL = 0
-    #: Priority level for best-effort flows.
-    BEST_EFFORT_LEVEL = 1
-
-    def __init__(self, min_weight: float = 1e-3) -> None:
-        if min_weight <= 0:
-            raise CongestionControlError("min_weight must be positive")
-        self._min_weight = min_weight
-
-    def apply(
-        self,
-        spec: FlowSpec,
-        remaining_bytes: int = 0,
-        deadline_ns: Optional[int] = None,
-        now_ns: int = 0,
-        **context,
-    ) -> FlowSpec:
-        if deadline_ns is None:
-            return replace(spec, priority=self.BEST_EFFORT_LEVEL, weight=1.0)
-        time_left_ns = max(deadline_ns - now_ns, 1)
-        required_bps = remaining_bytes * 8 * 1e9 / time_left_ns
-        weight = max(required_bps, self._min_weight)
-        return replace(spec, priority=self.DEADLINE_LEVEL, weight=weight)
-
-
-def normalize_weights(specs: Sequence[FlowSpec]) -> list:
-    """Rescale weights so they average to one (numerical hygiene).
-
-    Water-filling is scale-invariant in the weights, but keeping them near
-    unity avoids extreme fill levels when policies emit rate-like weights
-    (e.g. :class:`DeadlinePriority`).
-    """
-    if not specs:
-        return []
-    total = sum(spec.weight for spec in specs)
-    if total <= 0 or not math.isfinite(total):
-        raise CongestionControlError(f"cannot normalize weights with sum {total}")
-    scale = len(specs) / total
-    return [replace(spec, weight=spec.weight * scale) for spec in specs]

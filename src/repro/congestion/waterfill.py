@@ -84,10 +84,6 @@ class RateAllocation:
     link_capacity_bps: np.ndarray
     iterations: int = 0
 
-    def rate(self, flow_id: FlowId) -> float:
-        """Rate of one flow in bits/s."""
-        return self.rates_bps[flow_id]
-
     def aggregate_throughput_bps(self) -> float:
         """Sum of all flow rates — the utility metric of §3.4's examples."""
         return float(sum(self.rates_bps.values()))

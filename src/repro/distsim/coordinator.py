@@ -43,7 +43,6 @@ from ..errors import SimulationError
 from ..sim.metrics import SimMetrics
 from ..sim.runner import _PROGRESS_CHUNK_NS, SimConfig, _default_horizon, _finalize_telemetry
 from ..topology.base import Topology
-from ..topology.partition import Partition
 from ..workloads.generator import FlowArrival
 from ..obs import ObsSession
 from ..telemetry.trace import merge_trace_documents
@@ -130,7 +129,6 @@ def run_sharded_simulation(
     config: Optional[SimConfig] = None,
     shards: int = 2,
     telemetry_config=None,
-    partition: Optional[Partition] = None,
     partition_strategy: str = "auto",
 ) -> DistSimResult:
     """Simulate *trace* on *topology* split across *shards* event loops,
@@ -149,8 +147,6 @@ def run_sharded_simulation(
             :attr:`DistSimResult.telemetry_snapshot`; with ``trace=True``
             the merged trace document (mergeable tracks only) is returned
             in :attr:`DistSimResult.trace_document`.
-        partition: Pre-built :class:`Partition` (overrides *shards* /
-            *partition_strategy*).
     """
     config = config or SimConfig()
     validate_sharded_config(config, telemetry_config)
@@ -162,8 +158,7 @@ def run_sharded_simulation(
     if len({a.flow_id for a in trace}) != len(trace):
         raise SimulationError("duplicate flow ids in trace")
 
-    if partition is None:
-        partition = topology.partition(shards, strategy=partition_strategy)
+    partition = topology.partition(shards, strategy=partition_strategy)
 
     lookahead = partition.lookahead_ns()
     if lookahead is not None and lookahead < 1:

@@ -42,11 +42,6 @@ class DataRingBuffer:
         """Slots currently holding a packet."""
         return self.n_slots - len(self._free)
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently buffered (occupancy metric)."""
-        return sum(self._lengths[i] for i in range(self.n_slots) if self._slots[i] is not None)
-
     def has_space(self) -> bool:
         """True if an RDMA write would currently succeed."""
         return bool(self._free)

@@ -24,6 +24,8 @@ from .ringbuffer import DataRingBuffer, PointerRing
 
 #: Pointer-ring source tags.
 SOURCE_APP = -1
+#: Slots of the ring buffer the local application reads delivered data from.
+_APP_DR_SLOTS = 1024
 
 
 class MazeOutLink:
@@ -124,7 +126,6 @@ class MazeServer:
         dr_slots: int = 256,
         slot_bytes: int = 9 * 1024,
         pr_capacity: int = 4096,
-        app_dr_slots: int = 1024,
     ) -> None:
         self.node = node
         self._topology = topology
@@ -135,7 +136,7 @@ class MazeServer:
             up: DataRingBuffer(dr_slots, slot_bytes, name=f"dr({up}->{node})")
             for up in topology.in_neighbors(node)
         }
-        self.app_dr = DataRingBuffer(app_dr_slots, slot_bytes, name=f"dr(app@{node})")
+        self.app_dr = DataRingBuffer(_APP_DR_SLOTS, slot_bytes, name=f"dr(app@{node})")
         self.out_links: Dict[NodeId, MazeOutLink] = {}
         for down in topology.neighbors(node):
             link = topology.link(node, down)

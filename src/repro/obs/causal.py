@@ -139,8 +139,10 @@ class ObsSession:
     shard, and the coordinator merges the (disjoint) completion maps.
     """
 
-    def __init__(self, top_k: int = 5) -> None:
-        self.top_k = top_k
+    #: Queueing culprits :meth:`results` keeps per flow.
+    TOP_K = 5
+
+    def __init__(self) -> None:
         self._senders: Dict[int, _SenderObs] = {}
         #: flow_id -> finished decomposition dict (see :meth:`results`).
         self.completed: Dict[int, dict] = {}
@@ -249,7 +251,7 @@ class ObsSession:
             hop_map = self._hop_queue.get(flow_id, {})
             ranked = sorted(
                 hop_map.items(), key=lambda kv: (-kv[1][0], kv[0])
-            )[: self.top_k]
+            )[: self.TOP_K]
             entry["top_queue_hops"] = [
                 {
                     "src": src,

@@ -49,6 +49,7 @@ class RoutingProtocol(ABC):
         """The topology this protocol instance routes on."""
         return self._topology
 
+    # census: interface stub; several implementations
     @abstractmethod
     def sample_path(
         self, src: NodeId, dst: NodeId, rng: random.Random, flow_id: int = 0
@@ -59,6 +60,7 @@ class RoutingProtocol(ABC):
         they coincide.  Deterministic protocols ignore *rng*.
         """
 
+    # census: interface stub; several implementations
     @abstractmethod
     def link_weights(
         self, src: NodeId, dst: NodeId, flow_id: int = 0
@@ -74,9 +76,6 @@ class RoutingProtocol(ABC):
         n = self._topology.n_nodes
         if not (0 <= src < n and 0 <= dst < n):
             raise RoutingError(f"endpoints ({src}, {dst}) outside node range 0..{n - 1}")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} on {self._topology.name}>"
 
 
 _REGISTRY: Dict[str, Type[RoutingProtocol]] = {}

@@ -23,6 +23,7 @@ class UtilityMetric(ABC):
 
     name: str = "abstract"
 
+    # census: interface stub; several implementations
     @abstractmethod
     def evaluate(self, allocation: RateAllocation) -> float:
         """The utility of *allocation* (higher is better)."""

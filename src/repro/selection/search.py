@@ -115,10 +115,6 @@ class SearchResult:
     history: List[float] = field(default_factory=list)
     heuristic: str = ""
 
-    def protocols(self, problem: SelectionProblem) -> List[str]:
-        """Per-flow protocol names of the winning assignment."""
-        return problem.assignment_as_protocols(self.assignment)
-
 
 def uniform_baseline(problem: SelectionProblem, protocol: str) -> SearchResult:
     """Everyone uses *protocol* — the RPS/VLB baselines of Figure 18."""

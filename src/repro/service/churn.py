@@ -39,9 +39,6 @@ def run_churn(
     fail_links: int = 1,
     fail_seed: Optional[int] = None,
     headroom: float = 0.0,
-    tolerance: float = CHURN_TOLERANCE,
-    snapshot_path: Optional[str] = None,
-    state: Optional[ServiceState] = None,
 ) -> dict:
     """Replay a seeded churn sequence through a :class:`ServiceState`.
 
@@ -57,8 +54,7 @@ def run_churn(
     """
     from ..validation.faults import FaultInjector
 
-    if state is None:
-        state = ServiceState(topology, headroom=headroom, snapshot_path=snapshot_path)
+    state = ServiceState(topology, headroom=headroom)
     ops = churn_ops(
         seed,
         topology.n_nodes,
@@ -110,7 +106,7 @@ def run_churn(
             "ops": n_ops,
             "checks": checks,
             "max_rel_error": max_err,
-            "tolerance": tolerance,
+            "tolerance": CHURN_TOLERANCE,
             "peak_flows": peak_flows,
             "final_flows": stats["n_flows"],
             "incremental_ops": stats["incremental_ops"],

@@ -71,11 +71,6 @@ class FluidSimulator:
         self._provider = provider if provider is not None else WeightProvider(topology)
         self._config = config or ControllerConfig()
 
-    @property
-    def provider(self) -> WeightProvider:
-        """The shared link-weight cache (reusable across runs)."""
-        return self._provider
-
     def run(self, trace: Sequence[FlowArrival]) -> Dict[FlowId, FluidFlowResult]:
         """Simulate until every flow in *trace* completes."""
         if not trace:

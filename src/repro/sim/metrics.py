@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..analysis.stats import SummaryStats, percentile
 from ..errors import SimulationError
@@ -123,13 +123,13 @@ class SimMetrics:
         """Flows that finished within the simulated horizon."""
         return [f for f in self.flows if f.completed]
 
-    def short_flows(self, threshold: int = SHORT_FLOW_BYTES) -> List[SimFlow]:
-        """Completed flows smaller than *threshold* bytes."""
-        return [f for f in self.completed_flows() if f.size_bytes < threshold]
+    def short_flows(self) -> List[SimFlow]:
+        """Completed flows smaller than :data:`SHORT_FLOW_BYTES`."""
+        return [f for f in self.completed_flows() if f.size_bytes < SHORT_FLOW_BYTES]
 
-    def long_flows(self, threshold: int = LONG_FLOW_BYTES) -> List[SimFlow]:
-        """Completed flows larger than *threshold* bytes."""
-        return [f for f in self.completed_flows() if f.size_bytes > threshold]
+    def long_flows(self) -> List[SimFlow]:
+        """Completed flows larger than :data:`LONG_FLOW_BYTES`."""
+        return [f for f in self.completed_flows() if f.size_bytes > LONG_FLOW_BYTES]
 
     # ------------------------------------------------------------------
     # Headline metrics
@@ -161,13 +161,6 @@ class SimMetrics:
         if not self.max_queue_occupancy_bytes:
             raise SimulationError("no queue statistics recorded")
         return percentile(self.max_queue_occupancy_bytes, pct) / 1000.0
-
-    def reorder_buffer_percentile(self, pct: float) -> float:
-        """Percentile of per-flow max reorder-buffer size, in packets."""
-        sizes = [f.max_reorder_buffer for f in self.completed_flows()]
-        if not sizes:
-            raise SimulationError("no completed flows")
-        return percentile(sizes, pct)
 
     def broadcast_capacity_fraction(self) -> float:
         """Share of all wire bytes spent on broadcasts (Figure 9 measured)."""

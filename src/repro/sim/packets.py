@@ -82,12 +82,6 @@ class SimPacket:
         #: every default path — hot-path hooks guard on ``is not None``.
         self.obs = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<pkt kind={self.kind} flow={self.flow_id} seq={self.seq} "
-            f"{self.src}->{self.dst} hop={self.hop}>"
-        )
-
 
 def data_packet_size(payload_bytes: int) -> int:
     """Wire size of a data packet with *payload_bytes* of payload."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 from ...types import NodeId
 from ..engine import EventLoop
@@ -31,10 +30,12 @@ class HostStack(ABC):
         #: default run, so each site costs one attribute test.
         self._probe = probe
 
+    # census: interface stub; several implementations
     @abstractmethod
     def start_flow(self, flow: SimFlow) -> None:
         """Begin transmitting *flow* (this node is its source)."""
 
+    # census: interface stub; several implementations
     @abstractmethod
     def deliver(self, packet: SimPacket) -> None:
         """Handle a packet addressed to (or broadcast reaching) this node."""
@@ -49,6 +50,3 @@ class HostStack(ABC):
                 probe.flow_complete(flow, self.node)
         if probe is not None:
             probe.delivered(flow, packet)
-
-    def on_epoch(self) -> None:
-        """Hook invoked after each control-plane recomputation (optional)."""

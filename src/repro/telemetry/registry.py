@@ -62,9 +62,6 @@ class Counter:
             raise ReproError(f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
 
-    def to_dict(self) -> dict:
-        return {"value": self.value}
-
 
 class Gauge:
     """A value that goes up and down (queue depth, table size)."""
@@ -81,9 +78,6 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.value += delta
-
-    def to_dict(self) -> dict:
-        return {"value": self.value}
 
 
 #: Default histogram buckets for byte-ish quantities (64 B .. 16 MB).
@@ -132,10 +126,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Estimated *q*-quantile (0..1) from bucket boundaries.
@@ -230,6 +220,7 @@ class MetricsRegistry:
     def series(self, name: str, **labels) -> TimeSeries:
         return self._get("series", name, labels, TimeSeries)
 
+    # census: benchmarks/perf reads it
     def instruments(self) -> List[object]:
         """All instruments, deterministically ordered."""
         return [self._instruments[key] for key in sorted(self._instruments)]

@@ -235,17 +235,6 @@ class Topology:
             raise TopologyError(f"node {node} has no port {port} (degree {len(neigh)})")
         return neigh[port]
 
-    def path_to_ports(self, path: Sequence[NodeId]) -> List[int]:
-        """Convert a node path ``[n0, n1, ..., nk]`` to a port list."""
-        return [self.port_of(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-    def ports_to_path(self, src: NodeId, ports: Sequence[int]) -> List[NodeId]:
-        """Expand a source node plus port list back to the node path."""
-        path = [src]
-        for port in ports:
-            path.append(self.neighbor_at_port(path[-1], port))
-        return path
-
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
@@ -332,10 +321,12 @@ class Topology:
         """Dimension sizes for coordinate topologies, else ``None``."""
         return None
 
+    # census: interface stub; several implementations
     def coordinates(self, node: NodeId) -> Tuple[int, ...]:
         """Coordinates of *node*; only meaningful for coordinate topologies."""
         raise TopologyError(f"{self._name} has no coordinate system")
 
+    # census: interface stub; several implementations
     def node_at(self, coords: Sequence[int]) -> NodeId:
         """Node id at *coords*; only meaningful for coordinate topologies."""
         raise TopologyError(f"{self._name} has no coordinate system")
@@ -404,9 +395,6 @@ class Topology:
     def _check_node(self, node: NodeId) -> None:
         if not (0 <= node < self._n_nodes):
             raise TopologyError(f"node {node} outside range 0..{self._n_nodes - 1}")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self._name}: {self._n_nodes} nodes, {self.n_links} links>"
 
 
 class GraphTopology(Topology):

@@ -12,8 +12,6 @@ Hosts occupy ids ``0 .. n_hosts-1``; leaf switches and spine switches follow.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..errors import TopologyError
 from ..types import NodeId
 from .base import DEFAULT_CAPACITY_BPS, DEFAULT_LATENCY_NS, Topology
@@ -96,15 +94,6 @@ class FoldedClosTopology(Topology):
         """Number of spine switches."""
         return self._n_spines
 
-    @property
-    def radix(self) -> int:
-        """Switch radix the fabric was built from."""
-        return self._radix
-
-    def switches(self) -> range:
-        """Ids of all switch nodes (leaves then spines)."""
-        return range(self._n_hosts, self.n_nodes)
-
     def is_host(self, node: NodeId) -> bool:
         """True if *node* is a host rather than a switch."""
         self._check_node(node)
@@ -115,9 +104,3 @@ class FoldedClosTopology(Topology):
         if not self.is_host(host):
             raise TopologyError(f"node {host} is a switch, not a host")
         return self._n_hosts + host // (self._radix // 2)
-
-    def host_pairs(self) -> Tuple[Tuple[NodeId, NodeId], ...]:
-        """All ordered pairs of distinct hosts (for traffic patterns)."""
-        return tuple(
-            (a, b) for a in self.hosts() for b in self.hosts() if a != b
-        )

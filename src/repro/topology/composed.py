@@ -129,11 +129,6 @@ class ComposedFabric(Topology):
         """Switch nodes (ids ``n_hosts .. n_nodes-1``)."""
         return self._n_switches
 
-    def is_switch(self, node: NodeId) -> bool:
-        """True for switch nodes, which neither send nor receive traffic."""
-        self._check_node(node)
-        return node >= self._n_hosts
-
     def rack_of(self, node: NodeId) -> int:
         """The rack a host belongs to."""
         self._check_host(node)
@@ -166,17 +161,6 @@ class ComposedFabric(Topology):
     def is_gateway_link(self, link_id: LinkId) -> bool:
         """True if the link is a gateway cable (either direction)."""
         return link_id in self._gateway_link_set
-
-    def gateways_of(self, rack: int) -> List[NodeId]:
-        """Global ids of this rack's gateway hosts (cable endpoints)."""
-        self._check_rack(rack)
-        return sorted(
-            {
-                link.src
-                for link in self.gateway_links()
-                if link.src < self._n_hosts and link.src // self._rack_size == rack
-            }
-        )
 
     def oversubscription_ratio(self) -> float:
         """One rack's injection capacity over the fabric's gateway capacity.

@@ -50,11 +50,6 @@ class HypercubeTopology(Topology):
         """A hypercube is a 2-ary n-cube: n dimensions of size two."""
         return (2,) * self._n_dims
 
-    @property
-    def n_dims(self) -> int:
-        """Number of dimensions (bits)."""
-        return self._n_dims
-
     def coordinates(self, node: NodeId) -> Tuple[int, ...]:
         """Bit vector of *node*, most significant bit first."""
         self._check_node(node)

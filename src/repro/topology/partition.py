@@ -66,11 +66,6 @@ class Partition:
         self._cut: Optional[Tuple[Link, ...]] = None
 
     @property
-    def topology(self) -> Topology:
-        """The partitioned topology."""
-        return self._topology
-
-    @property
     def k(self) -> int:
         """Number of shards."""
         return self._k
@@ -103,15 +98,6 @@ class Partition:
             )
         return self._cut
 
-    def internal_edges(self, shard: int) -> Tuple[Link, ...]:
-        """Links with both endpoints inside *shard*, in global link order."""
-        assignment = self._assignment
-        return tuple(
-            link
-            for link in self._topology.links
-            if assignment[link.src] == shard and assignment[link.dst] == shard
-        )
-
     def lookahead_ns(self) -> Optional[int]:
         """Minimum latency over cut links; ``None`` when the cut is empty.
 
@@ -122,13 +108,6 @@ class Partition:
         if not cut:
             return None
         return min(link.latency_ns for link in cut)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = "/".join(str(len(s)) for s in self._shards)
-        return (
-            f"<Partition k={self._k} of {self._topology.name}: "
-            f"sizes {sizes}, cut {len(self.cut_edges())} links>"
-        )
 
 
 def partition_topology(topology: Topology, k: int, strategy: str = "auto") -> Partition:

@@ -38,11 +38,6 @@ class _CoordinateTopology(Topology):
     def dims(self) -> Tuple[int, ...]:
         return self._dims
 
-    @property
-    def n_dims(self) -> int:
-        """Number of dimensions."""
-        return len(self._dims)
-
     def coordinates(self, node: NodeId) -> Tuple[int, ...]:
         self._check_node(node)
         coords = []
@@ -118,30 +113,6 @@ class TorusTopology(_CoordinateTopology):
             delta = abs(ca - cb)
             total += min(delta, size - delta)
         return total
-
-    def ring_offsets(self, src: NodeId, dst: NodeId) -> List[List[int]]:
-        """Minimal signed offsets per dimension.
-
-        For each dimension returns the list of signed offsets that realize
-        the minimal ring distance.  Usually a single entry; exactly at the
-        half-way point of an even ring both ``+k/2`` and ``-k/2`` are minimal
-        and both are returned.
-        """
-        a = self.coordinates(src)
-        b = self.coordinates(dst)
-        result: List[List[int]] = []
-        for ca, cb, size in zip(a, b, self._dims):
-            fwd = (cb - ca) % size
-            back = fwd - size  # negative or zero
-            if fwd == 0:
-                result.append([0])
-            elif fwd < -back:
-                result.append([fwd])
-            elif fwd > -back:
-                result.append([back])
-            else:
-                result.append([fwd, back])
-        return result
 
 
 class MeshTopology(_CoordinateTopology):

@@ -69,6 +69,3 @@ class Link:
     dst: NodeId
     capacity_bps: float
     latency_ns: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"link#{self.link_id}({self.src}->{self.dst})"

@@ -4,8 +4,8 @@ Every injector is seeded, so a failing test names the exact fault sequence
 that produced it and re-runs bit-for-bit identically.  The injectors reuse
 the stack's own failure machinery rather than inventing a parallel one:
 
-* link/node failures produce degraded :class:`~repro.topology.base.Topology`
-  views via ``without_links`` / ``without_nodes`` and are recorded in a
+* link failures produce degraded :class:`~repro.topology.base.Topology`
+  views via ``without_links`` and are recorded in a
   :class:`~repro.broadcast.reliability.FailureRecovery` so the §3.2
   re-announce path can be exercised on demand;
 * packet corruption flips real bits and is expected to be caught by the
@@ -17,13 +17,17 @@ the stack's own failure machinery rather than inventing a parallel one:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..broadcast.reliability import FailureRecovery
 from ..errors import SimulationError
 from ..topology.base import Topology
 from ..types import NodeId
+
+#: Draws :meth:`FaultInjector.fail_links` makes before giving up on a
+#: connected view.
+_MAX_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,6 @@ class FaultSchedule:
         self._events: List[FaultEvent] = sorted(
             events or [], key=lambda e: (e.at_ns, e.kind)
         )
-
-    @property
-    def events(self) -> List[FaultEvent]:
-        """The scheduled faults, time-ordered."""
-        return list(self._events)
 
     def add(self, event: FaultEvent) -> None:
         """Insert one fault, keeping the schedule time-ordered."""
@@ -81,7 +80,7 @@ class FaultInjector:
         self.recovery = FailureRecovery()
 
     # ------------------------------------------------------------------
-    # Link / node failures (topology failure views)
+    # Link failures (topology failure views)
     # ------------------------------------------------------------------
     def sample_links(self, topology: Topology, k: int) -> List[Tuple[NodeId, NodeId]]:
         """Pick *k* distinct directed links, uniformly without replacement."""
@@ -108,7 +107,6 @@ class FaultInjector:
         topology: Topology,
         k: int,
         require_connected: bool = True,
-        max_tries: int = 64,
         symmetric: bool = False,
     ) -> Tuple[Topology, List[Tuple[NodeId, NodeId]]]:
         """Fail *k* directed links; returns (degraded view, failed links).
@@ -124,7 +122,7 @@ class FaultInjector:
         storm-style experiments use this mode; the returned list then
         contains both directions of every failed link.
         """
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             if symmetric:
                 duplex = self.sample_duplex_links(topology, k)
                 failed = [(a, b) for a, b in duplex] + [(b, a) for a, b in duplex]
@@ -136,34 +134,7 @@ class FaultInjector:
                     self.recovery.on_link_failure(src, dst)
                 return degraded, failed
         raise SimulationError(
-            f"no connected view found failing {k} links in {max_tries} tries"
-        )
-
-    def fail_nodes(
-        self,
-        topology: Topology,
-        k: int,
-        require_connected: bool = True,
-        max_tries: int = 64,
-    ) -> Tuple[Topology, List[NodeId]]:
-        """Fail *k* nodes; returns (degraded view, failed node ids).
-
-        Connectivity, when required, is judged over the surviving nodes
-        (the failed ids remain as isolated islands by design).
-        """
-        if k >= topology.n_nodes:
-            raise SimulationError(
-                f"cannot fail {k} of {topology.n_nodes} nodes"
-            )
-        for _ in range(max_tries):
-            failed = sorted(self._rng.sample(list(topology.nodes()), k))
-            degraded = topology.without_nodes(failed)
-            if not require_connected or _survivors_connected(degraded, failed):
-                for node in failed:
-                    self.recovery.on_node_failure(node)
-                return degraded, failed
-        raise SimulationError(
-            f"no connected view found failing {k} nodes in {max_tries} tries"
+            f"no connected view found failing {k} links in {_MAX_TRIES} tries"
         )
 
     # ------------------------------------------------------------------
@@ -207,25 +178,3 @@ class FaultInjector:
         ]
         keyed.sort()
         return [items[index] for _, index in keyed]
-
-    # ------------------------------------------------------------------
-    # Control-plane message loss (broadcast.reliability's job to absorb)
-    # ------------------------------------------------------------------
-    def lose_control_messages(
-        self, seqs: Iterable[int], loss_rate: float
-    ) -> List[int]:
-        """Choose which broadcast sequence numbers get lost in transit."""
-        decide = self.drop_decider(loss_rate)
-        return [seq for seq in seqs if decide()]
-
-
-def _survivors_connected(degraded: Topology, failed: Sequence[NodeId]) -> bool:
-    """Strong connectivity over the non-failed nodes of a degraded view."""
-    failed_set = set(failed)
-    survivors = [n for n in degraded.nodes() if n not in failed_set]
-    if len(survivors) <= 1:
-        return True
-    root = survivors[0]
-    forward = degraded.distances_from(root)
-    backward = degraded.distances_to(root)
-    return all(forward[n] >= 0 and backward[n] >= 0 for n in survivors)

@@ -103,14 +103,16 @@ class DifferentialReport:
 # ----------------------------------------------------------------------
 # Randomized inputs
 # ----------------------------------------------------------------------
+#: Extra edges :func:`random_connected_topology` tries to add to its tree.
+_EXTRA_EDGES = 6
+
+
 def random_connected_topology(
     seed: int,
     n_nodes: int = 8,
-    extra_edges: int = 6,
-    capacity_bps: float = 1.0,
-    latency_ns: int = 100,
 ) -> GraphTopology:
-    """A random connected undirected fabric: spanning tree plus extras."""
+    """A random connected undirected fabric: a spanning tree plus up to
+    six extra edges, unit capacity, 100 ns links."""
     if n_nodes < 2:
         raise SimulationError("need at least two nodes")
     rng = random.Random(seed ^ 0x70B0)
@@ -121,15 +123,15 @@ def random_connected_topology(
         a, b = order[rng.randrange(i)], order[i]
         edges.add((min(a, b), max(a, b)))
     attempts = 0
-    while len(edges) < n_nodes - 1 + extra_edges and attempts < 10 * extra_edges:
+    while len(edges) < n_nodes - 1 + _EXTRA_EDGES and attempts < 10 * _EXTRA_EDGES:
         attempts += 1
         a, b = rng.sample(range(n_nodes), 2)
         edges.add((min(a, b), max(a, b)))
     return GraphTopology(
         n_nodes,
         sorted(edges),
-        capacity_bps=capacity_bps,
-        latency_ns=latency_ns,
+        capacity_bps=1.0,
+        latency_ns=100,
         name=f"random({n_nodes}n,seed={seed})",
     )
 

@@ -138,11 +138,6 @@ class DataPacket(Message):
             raise WireFormatError("packet is at its destination; no next port")
         return self.route_ports[self.route_index]
 
-    @property
-    def wire_size(self) -> int:
-        """Total bytes on the wire."""
-        return DATA_HEADER_SIZE + len(self.payload)
-
 
 @dataclass(frozen=True)
 class BroadcastPacket(Message):

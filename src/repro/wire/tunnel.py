@@ -87,11 +87,6 @@ class EthernetFrame:
             dst_mac=dst_mac, src_mac=src_mac, payload=payload, ethertype=ethertype
         )
 
-    @property
-    def wire_size(self) -> int:
-        """Total frame bytes on the wire."""
-        return ETHERNET_OVERHEAD_BYTES + len(self.payload)
-
 
 def tunnel_packet(
     packet_bytes: bytes, src: Tuple[int, int], dst: Tuple[int, int]

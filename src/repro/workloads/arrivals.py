@@ -18,6 +18,7 @@ from ..errors import ReproError
 class ArrivalProcess(ABC):
     """Generates a monotonically increasing sequence of arrival times."""
 
+    # census: interface stub; several implementations
     @abstractmethod
     def arrival_times_ns(self, rng: random.Random, start_ns: int = 0) -> Iterator[int]:
         """Yield absolute arrival times in nanoseconds, forever."""

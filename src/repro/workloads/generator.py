@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..errors import ReproError
 from ..topology.base import Topology
 from ..types import FlowId, NodeId
-from .arrivals import ArrivalProcess, PoissonArrivals
+from .arrivals import PoissonArrivals
 from .sizes import FlowSizeDistribution, ParetoSizes
 
 
@@ -61,10 +61,8 @@ def poisson_trace(
     n_flows: int,
     mean_interarrival_ns: float,
     sizes: Optional[FlowSizeDistribution] = None,
-    arrivals: Optional[ArrivalProcess] = None,
     protocol: str = "rps",
     seed: int = 0,
-    first_flow_id: int = 0,
 ) -> List[FlowArrival]:
     """The paper's default synthetic workload (§5.2).
 
@@ -75,14 +73,13 @@ def poisson_trace(
         raise ReproError(f"n_flows must be >= 0, got {n_flows}")
     rng = random.Random(seed)
     sizes = sizes if sizes is not None else ParetoSizes()
-    arrivals = arrivals if arrivals is not None else PoissonArrivals(mean_interarrival_ns)
     trace: List[FlowArrival] = []
-    times = arrivals.first_n(rng, n_flows)
+    times = PoissonArrivals(mean_interarrival_ns).first_n(rng, n_flows)
     for i, start_ns in enumerate(times):
         src, dst = uniform_random_pair(topology, rng)
         trace.append(
             FlowArrival(
-                flow_id=first_flow_id + i,
+                flow_id=i,
                 src=src,
                 dst=dst,
                 size_bytes=sizes.sample(rng),

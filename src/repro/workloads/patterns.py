@@ -11,7 +11,7 @@ transpose and tornado (worst-case patterns are computed, not fixed — see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ReproError
 from ..topology.base import Topology
@@ -28,13 +28,10 @@ class TrafficPattern(ABC):
 
     name: str = "abstract"
 
+    # census: interface stub; several implementations
     @abstractmethod
     def matrix(self, topology: Topology) -> TrafficMatrix:
         """The traffic matrix of this pattern on *topology*."""
-
-    def pairs(self, topology: Topology) -> List[Tuple[NodeId, NodeId]]:
-        """The communicating pairs (matrix support)."""
-        return [pair for pair, frac in self.matrix(topology).items() if frac > 0]
 
     def validate(self, topology: Topology) -> None:
         """Raise if per-source fractions exceed one or are negative."""

@@ -21,6 +21,7 @@ from ..errors import ReproError
 class FlowSizeDistribution(ABC):
     """Samples flow sizes in bytes."""
 
+    # census: interface stub; several implementations
     @abstractmethod
     def sample(self, rng: random.Random) -> int:
         """Draw one flow size (bytes, >= 1)."""
@@ -79,12 +80,6 @@ class ParetoSizes(FlowSizeDistribution):
         if self.cap_bytes is not None:
             size = min(size, self.cap_bytes)
         return max(1, int(size))
-
-    def fraction_below(self, size_bytes: float) -> float:
-        """Analytic CDF — used to check the "95 % under 100 KB" claim."""
-        if size_bytes <= self.x_min:
-            return 0.0
-        return 1.0 - (self.x_min / size_bytes) ** self.shape
 
 
 class EmpiricalSizes(FlowSizeDistribution):

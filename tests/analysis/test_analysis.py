@@ -7,7 +7,6 @@ from repro.analysis import (
     cdf_at,
     channel_loads,
     empirical_cdf,
-    format_comparison,
     format_series,
     format_table,
     ks_distance,
@@ -141,7 +140,3 @@ class TestFormatting:
     def test_format_series(self):
         text = format_series("S", "x", [1, 2], {"y": [0.5, 0.75]})
         assert "0.750" in text
-
-    def test_format_comparison(self):
-        text = format_comparison("C", {"m": 1.0}, paper={"m": 1.1})
-        assert "measured=1.000" in text and "paper=1.100" in text

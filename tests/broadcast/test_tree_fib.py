@@ -17,7 +17,7 @@ class TestTreeConstruction:
     def test_spanning(self, torus3d):
         tree = build_broadcast_tree(torus3d, root=0)
         assert tree.covers_all()
-        assert tree.n_edges() == torus3d.n_nodes - 1
+        assert sum(parent is not None for parent in tree.parent) == torus3d.n_nodes - 1
 
     def test_is_shortest_path_tree(self, torus3d):
         for seed in range(3):
@@ -41,7 +41,9 @@ class TestTreeConstruction:
 
     def test_edge_links_valid(self, torus2d):
         tree = build_broadcast_tree(torus2d, root=3)
-        assert len(tree.edge_links()) == torus2d.n_nodes - 1
+        edges = [(p, node) for node, p in enumerate(tree.parent) if p is not None]
+        assert len(edges) == torus2d.n_nodes - 1
+        assert all(torus2d.has_link(parent, child) for parent, child in edges)
 
     def test_zero_trees_rejected(self, torus2d):
         with pytest.raises(BroadcastError):

@@ -4,15 +4,7 @@ import math
 
 import pytest
 
-from repro.congestion import (
-    DeadlinePriority,
-    FlowSpec,
-    FlowTable,
-    PerFlowFair,
-    StaticWeights,
-    TenantShares,
-    normalize_weights,
-)
+from repro.congestion import FlowSpec, FlowTable, TenantShares
 from repro.errors import CongestionControlError
 
 
@@ -85,20 +77,6 @@ class TestFlowTable:
 
 
 class TestPolicies:
-    def test_per_flow_fair(self):
-        spec = FlowSpec(1, 0, 1, weight=5.0, priority=3)
-        out = PerFlowFair().apply(spec)
-        assert out.weight == 1.0 and out.priority == 0
-
-    def test_static_weights(self):
-        policy = StaticWeights({1: 4.0}, default=2.0)
-        assert policy.apply(FlowSpec(1, 0, 1)).weight == 4.0
-        assert policy.apply(FlowSpec(2, 0, 1)).weight == 2.0
-
-    def test_static_weights_validation(self):
-        with pytest.raises(CongestionControlError):
-            StaticWeights({1: -1.0})
-
     def test_tenant_shares_divide_by_flow_count(self):
         policy = TenantShares({"a": 4.0, "b": 2.0})
         specs = [
@@ -134,35 +112,3 @@ class TestPolicies:
         tenant_a = sum(alloc.rates_bps[i] for i in (1, 2, 3))
         tenant_b = alloc.rates_bps[4]
         assert tenant_a == pytest.approx(tenant_b)
-
-    def test_deadline_priority_levels(self):
-        policy = DeadlinePriority()
-        deadline_flow = policy.apply(
-            FlowSpec(1, 0, 1),
-            remaining_bytes=1_000_000,
-            deadline_ns=2_000_000,
-            now_ns=0,
-        )
-        best_effort = policy.apply(FlowSpec(2, 0, 1))
-        assert deadline_flow.priority < best_effort.priority
-        # Required rate: 1 MB over 2 ms = 4 Gbps.
-        assert deadline_flow.weight == pytest.approx(4e9)
-
-    def test_tight_deadline_gets_more_weight(self):
-        policy = DeadlinePriority()
-        tight = policy.apply(
-            FlowSpec(1, 0, 1), remaining_bytes=1000, deadline_ns=100, now_ns=0
-        )
-        loose = policy.apply(
-            FlowSpec(2, 0, 1), remaining_bytes=1000, deadline_ns=100000, now_ns=0
-        )
-        assert tight.weight > loose.weight
-
-    def test_normalize_weights(self):
-        specs = [FlowSpec(1, 0, 1, weight=10.0), FlowSpec(2, 0, 1, weight=30.0)]
-        out = normalize_weights(specs)
-        assert sum(s.weight for s in out) == pytest.approx(len(out))
-        assert out[1].weight / out[0].weight == pytest.approx(3.0)
-
-    def test_normalize_empty(self):
-        assert normalize_weights([]) == []

@@ -36,8 +36,10 @@ class TestCrossValidation:
 
     def test_throughput_distributions_agree(self, crossval_pair):
         maze, sim = crossval_pair
-        tm = [f.average_throughput_bps() for f in maze.long_flows(500_000)]
-        ts = [f.average_throughput_bps() for f in sim.long_flows(500_000)]
+        tm = [f.average_throughput_bps() for f in maze.completed_flows()
+              if f.size_bytes > 500_000]
+        ts = [f.average_throughput_bps() for f in sim.completed_flows()
+              if f.size_bytes > 500_000]
         assert ks_distance(tm, ts) < 0.25
         assert np.mean(tm) == pytest.approx(np.mean(ts), rel=0.15)
 

@@ -61,12 +61,6 @@ class TestDataRingBuffer:
             dr.free(s)
         assert dr.max_used == 3
 
-    def test_used_bytes(self):
-        dr = DataRingBuffer(4, 10)
-        dr.write(b"abc")
-        dr.write(b"de")
-        assert dr.used_bytes == 5
-
 
 class TestPointerRing:
     def test_fifo(self):

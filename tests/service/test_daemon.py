@@ -13,6 +13,7 @@ import shutil
 
 import pytest
 
+from repro.congestion import FlowSpec
 from repro.errors import ServiceError
 from repro.service import ControlDaemon, ServiceClient, ServiceState
 from repro.topology import TorusTopology
@@ -90,6 +91,19 @@ class TestRequestReply:
         assert rate == pytest.approx(demand)
         (spec,) = state.incremental.flows()
         assert spec.demand_bps == demand
+
+    def test_announce_spec_sends_every_field(self, state):
+        # Values the wire carries exactly: weight in 1/16 steps, whole Mbps.
+        sent = FlowSpec(7, 1, 5, "ecmp", weight=1.5, priority=2, demand_bps=2e9)
+
+        def script(port):
+            with ServiceClient("127.0.0.1", port) as client:
+                assert client.announce_spec(sent).code == ctl.ACK_OK
+
+        _drive(state, script)
+        (spec,) = state.incremental.flows()
+        assert (spec.flow_id, spec.src, spec.dst, spec.protocol) == (7, 1, 5, "ecmp")
+        assert (spec.weight, spec.priority, spec.demand_bps) == (1.5, 2, 2e9)
 
 
 class TestSnapshotStream:

@@ -99,15 +99,6 @@ class TestFallbacks:
         assert "priorities" in stats["fallback_reasons"]
         assert_matches_scratch(inc)
 
-    def test_protocol_update_forces_fallback(self, torus):
-        inc = IncrementalWaterfill(torus)
-        inc.add_flow(_spec(1, 0, 5))
-        inc.update_protocol(1, "rps")
-        stats = inc.stats()
-        assert stats["fallback_reasons"].get("protocol_change") == 1
-        assert [s.protocol for s in inc.flows()] == ["rps"]
-        assert_matches_scratch(inc)
-
     def test_rebuild_on_degraded_topology(self, torus):
         inc = IncrementalWaterfill(torus)
         for fid in range(6):
@@ -278,8 +269,6 @@ class TestPriorityCount:
         inc.add_flow(_spec(2, 2, 10, priority=3))  # re-announce 0 -> 3
         check()
         assert inc._prioritized == 2
-        inc.update_protocol(9, "rps")
-        check()
         inc.rebuild()
         check()
         clone = IncrementalWaterfill(torus)

@@ -84,4 +84,4 @@ class TestMetricsFromRuns:
         with pytest.raises(SimulationError):
             metrics.queue_occupancy_percentile_kb(99)
         with pytest.raises(SimulationError):
-            metrics.reorder_buffer_percentile(95)
+            metrics.mean_long_throughput_gbps()

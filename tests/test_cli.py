@@ -49,6 +49,13 @@ class TestCommands:
         assert main(["info", "--topology", "hypercube", "--dims", "4"]) == 0
         assert "hypercube(4)" in capsys.readouterr().out
 
+    def test_info_names_why_bisection_is_missing(self, capsys):
+        # A 3x3 mesh has no even dimension, so the closed form refuses it.
+        assert main(["info", "--topology", "mesh", "--dims", "3x3"]) == 0
+        out = capsys.readouterr().out
+        assert "bisection:       n/a (" in out
+        assert "needs at least one even dimension" in out
+
     def test_rates(self, capsys):
         assert main(["rates", "--dims", "4x4", "--flows", "3", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -227,6 +234,44 @@ class TestSweep:
         for name in ("fig02", "fig08", "fig15_16", "ablations", "claims"):
             assert f"campaign {name} [" in out
         assert "campaign synth" not in out
+
+
+@pytest.mark.fuzz
+class TestFuzz:
+    def test_run_writes_the_coverage_map(self, tmp_path, capsys):
+        coverage = tmp_path / "cov.json"
+        argv = [
+            "fuzz", "run", "--budget", "2", "--corpus-dir", str(tmp_path),
+            "--coverage-out", str(coverage),
+        ]
+        assert main(argv) == 0
+        assert f"coverage map written to {coverage}" in capsys.readouterr().out
+        assert json.loads(coverage.read_text())
+
+    def test_replay_empty_corpus(self, tmp_path, capsys):
+        assert main(["fuzz", "replay", "--corpus-dir", str(tmp_path)]) == 0
+        assert "is empty; nothing to replay" in capsys.readouterr().out
+
+    def test_replay_unknown_entry(self, tmp_path, capsys):
+        argv = ["fuzz", "replay", "deadbeef", "--corpus-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "no corpus entry matches ['deadbeef']" in capsys.readouterr().err
+
+    def test_shrink_passing_spec(self, tmp_path, capsys):
+        from repro.experiments import Scenario
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            Scenario("tiny", dims=(3, 3), params=(("n_flows", 4),)).to_json()
+        )
+        argv = ["fuzz", "shrink", str(spec), "--corpus-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert "tiny: all oracles pass; nothing to shrink" in capsys.readouterr().out
+
+    def test_shrink_missing_target(self, tmp_path, capsys):
+        argv = ["fuzz", "shrink", str(tmp_path / "nope.json"), "--corpus-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "not a corpus entry id or spec file" in capsys.readouterr().err
 
 
 @pytest.mark.synth

@@ -86,11 +86,6 @@ class TestPorts:
         with pytest.raises(TopologyError):
             line3.neighbor_at_port(0, 5)
 
-    def test_path_to_ports_roundtrip(self, torus2d):
-        path = [0, 1, 2, 6]
-        ports = torus2d.path_to_ports(path)
-        assert torus2d.ports_to_path(0, ports) == path
-
 
 class TestDistances:
     def test_line_distances(self, line3):

@@ -86,9 +86,3 @@ class TestFoldedClos:
     def test_rejects_too_many_hosts(self):
         with pytest.raises(TopologyError):
             FoldedClosTopology(4 * 8 * 2, radix=8)  # needs > radix leaves
-
-    def test_host_pairs(self):
-        topo = FoldedClosTopology(8, radix=8)
-        pairs = topo.host_pairs()
-        assert len(pairs) == 8 * 7
-        assert all(a != b for a, b in pairs)

@@ -49,17 +49,6 @@ class TestTorus:
         assert TorusTopology((4, 4)).diameter() == 4
         assert TorusTopology((8, 8, 8)).diameter() == 12
 
-    def test_ring_offsets_tie(self):
-        topo = TorusTopology((4, 4))
-        offsets = topo.ring_offsets(topo.node_at((0, 0)), topo.node_at((2, 0)))
-        assert sorted(offsets[0]) == [-2, 2]
-        assert offsets[1] == [0]
-
-    def test_ring_offsets_unique(self):
-        topo = TorusTopology((5, 5))
-        offsets = topo.ring_offsets(topo.node_at((0, 0)), topo.node_at((3, 1)))
-        assert offsets == [[-2], [1]]
-
     def test_rejects_dim_below_two(self):
         with pytest.raises(TopologyError):
             TorusTopology((1, 4))

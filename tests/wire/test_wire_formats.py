@@ -114,7 +114,7 @@ class TestDataPacket:
 
     def test_header_size(self):
         assert DATA_HEADER_SIZE == 35
-        assert self.make(payload=b"").wire_size == 35
+        assert len(self.make(payload=b"").encode()) == 35
 
     def test_checksum_detects_payload_corruption(self):
         raw = bytearray(self.make().encode())

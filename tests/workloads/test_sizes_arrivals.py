@@ -36,7 +36,9 @@ class TestSizes:
         # §5.2: shape 1.05, mean 100 KB -> "95% of the flows are less than
         # 100 KB".
         dist = ParetoSizes(mean_bytes=100 * 1024, shape=1.05)
-        assert dist.fraction_below(100 * 1024) > 0.93
+        rng = random.Random(7)
+        samples = [dist.sample(rng) for _ in range(20000)]
+        assert sum(size < 100 * 1024 for size in samples) / len(samples) > 0.93
 
     def test_pareto_minimum(self, rng):
         dist = ParetoSizes(mean_bytes=100 * 1024, shape=1.05)
